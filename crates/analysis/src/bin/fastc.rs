@@ -221,6 +221,18 @@ fn flag_value(args: &[String], i: usize) -> Result<String, ExitCode> {
     })
 }
 
+/// Parses a flag taking a non-negative integer; `args[i]` is the flag
+/// itself.
+fn flag_number(args: &[String], i: usize) -> Result<u64, ExitCode> {
+    let v = flag_value(args, i)?;
+    v.parse().map_err(|_| {
+        usage_error(&format!(
+            "'{}' needs a non-negative integer, got '{v}'",
+            args[i]
+        ))
+    })
+}
+
 fn run_mode(args: &[String]) -> ExitCode {
     let mut quiet = false;
     let mut stats = false;
@@ -254,12 +266,9 @@ fn run_mode(args: &[String]) -> ExitCode {
                 i += 1;
             }
             flag @ ("--trees" | "--seed") => {
-                let v = match flag_value(args, i) {
-                    Ok(v) => v,
+                let n = match flag_number(args, i) {
+                    Ok(n) => n,
                     Err(code) => return code,
-                };
-                let Ok(n) = v.parse::<u64>() else {
-                    return usage_error(&format!("'{flag}' needs a number, got '{v}'"));
                 };
                 if flag == "--trees" {
                     trees = n as usize;
@@ -786,12 +795,6 @@ fn serve_mode(args: &[String]) -> ExitCode {
     let mut cfg = fast_serve::ServeConfig::default();
     let mut slo_path: Option<String> = None;
     let mut paths: Vec<String> = Vec::new();
-    let parse_count = |flag: &str, v: &str| -> Result<usize, ExitCode> {
-        v.parse::<usize>().map_err(|_| {
-            eprintln!("fastc: '{flag}' needs a non-negative integer, got '{v}'");
-            ExitCode::from(2)
-        })
-    };
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -802,31 +805,16 @@ fn serve_mode(args: &[String]) -> ExitCode {
                 }
                 i += 1;
             }
-            "--workers" => {
-                match flag_value(args, i).and_then(|v| parse_count("--workers", &v)) {
-                    Ok(n) => cfg.workers = n,
+            flag @ ("--workers" | "--queue" | "--max-conns" | "--timeout-ms") => {
+                let n = match flag_number(args, i) {
+                    Ok(n) => n,
                     Err(code) => return code,
-                }
-                i += 1;
-            }
-            "--queue" => {
-                match flag_value(args, i).and_then(|v| parse_count("--queue", &v)) {
-                    Ok(n) => cfg.queue_depth = n.max(1),
-                    Err(code) => return code,
-                }
-                i += 1;
-            }
-            "--max-conns" => {
-                match flag_value(args, i).and_then(|v| parse_count("--max-conns", &v)) {
-                    Ok(n) => cfg.max_connections = n.max(1),
-                    Err(code) => return code,
-                }
-                i += 1;
-            }
-            "--timeout-ms" => {
-                match flag_value(args, i).and_then(|v| parse_count("--timeout-ms", &v)) {
-                    Ok(n) => cfg.timeout = std::time::Duration::from_millis(n as u64),
-                    Err(code) => return code,
+                };
+                match flag {
+                    "--workers" => cfg.workers = n as usize,
+                    "--queue" => cfg.queue_depth = (n as usize).max(1),
+                    "--max-conns" => cfg.max_connections = (n as usize).max(1),
+                    _ => cfg.timeout = std::time::Duration::from_millis(n),
                 }
                 i += 1;
             }
@@ -1230,25 +1218,27 @@ fn profile_mode(args: &[String]) -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--trees" | "--seed" | "--top" | "--trans" | "--trace" | "--jsonl" => {
+            flag @ ("--trans" | "--trace" | "--jsonl") => {
                 let v = match flag_value(args, i) {
                     Ok(v) => v,
                     Err(code) => return code,
                 };
-                match args[i].as_str() {
+                match flag {
                     "--trans" => trans = Some(v),
                     "--trace" => trace = Some(v),
-                    "--jsonl" => jsonl = Some(v),
-                    flag => {
-                        let Ok(n) = v.parse::<u64>() else {
-                            return usage_error(&format!("'{flag}' needs a number, got '{v}'"));
-                        };
-                        match flag {
-                            "--trees" => trees = n as usize,
-                            "--seed" => seed = n,
-                            _ => top = n as usize,
-                        }
-                    }
+                    _ => jsonl = Some(v),
+                }
+                i += 1;
+            }
+            flag @ ("--trees" | "--seed" | "--top") => {
+                let n = match flag_number(args, i) {
+                    Ok(n) => n,
+                    Err(code) => return code,
+                };
+                match flag {
+                    "--trees" => trees = n as usize,
+                    "--seed" => seed = n,
+                    _ => top = n as usize,
                 }
                 i += 1;
             }
@@ -1301,11 +1291,15 @@ fn profile_mode(args: &[String]) -> ExitCode {
         let _span = fast_obs::span!("profile.plan_compile");
         fast_rt::Plan::compile(sttr)
     };
-    let opts = fast_rt::RunOptions::default();
-    let (results, batch, profile) = {
-        let _span = fast_obs::span!("profile.run");
-        plan.run_batch_profiled(&inputs, &opts)
+    let opts = fast_rt::RunOptions {
+        profile: true,
+        ..Default::default()
     };
+    let (results, batch) = {
+        let _span = fast_obs::span!("profile.run");
+        plan.run_batch_with(&inputs, &opts)
+    };
+    let profile = batch.profile.as_ref().expect("profiling was requested");
     let ok = results.iter().filter(|r| r.is_ok()).count();
 
     println!(
@@ -1384,12 +1378,9 @@ fn watch_mode(args: &[String]) -> ExitCode {
         match args[i].as_str() {
             "--quiet" | "-q" => quiet = true,
             flag @ ("--ticks" | "--trees" | "--seed" | "--window") => {
-                let v = match flag_value(args, i) {
-                    Ok(v) => v,
+                let n = match flag_number(args, i) {
+                    Ok(n) => n,
                     Err(code) => return code,
-                };
-                let Ok(n) = v.parse::<u64>() else {
-                    return usage_error(&format!("'{flag}' needs a number, got '{v}'"));
                 };
                 match flag {
                     "--ticks" => ticks = n as usize,

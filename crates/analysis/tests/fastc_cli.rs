@@ -110,7 +110,7 @@ fn syntax_error_reports_position() {
 }
 
 /// `--stats` must end stdout with one machine-readable JSON object
-/// carrying the documented counter/histogram/timer keys, with every map
+/// carrying the documented counter/histogram keys, with every map
 /// deterministically sorted by name.
 #[test]
 fn stats_json_is_parseable_and_sorted() {
@@ -152,7 +152,7 @@ fn stats_json_is_parseable_and_sorted() {
         assert!(smt_check.get(key).is_some(), "missing hists key {key}");
     }
     // Deterministic output: object keys arrive sorted.
-    for section in ["counters", "hists", "timers"] {
+    for section in ["counters", "hists"] {
         let fast_json::Json::Object(entries) = json.get(section).unwrap() else {
             panic!("{section} is not an object");
         };

@@ -1,7 +1,7 @@
 //! Telemetry emission shared by the bench binaries.
 //!
 //! Every benchmark binary finishes by calling [`emit`], which captures
-//! the process-wide [`fast_obs`] counters/timers accumulated over the run
+//! the process-wide [`fast_obs`] counters/histograms accumulated over the run
 //! and publishes them twice:
 //!
 //! 1. as a single compact JSON line on stdout (machine-scrapable even

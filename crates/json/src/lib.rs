@@ -2,10 +2,11 @@
 //!
 //! The build environment is fully offline, so instead of `serde` +
 //! `serde_json` the workspace serializes through this small crate: a
-//! [`Json`] value type, a strict parser ([`Json::parse`]), a compact
-//! writer ([`Json::to_string`] via `Display`), and the [`ToJson`] /
-//! [`FromJson`] conversion traits that `fast-smt`, `fast-trees`, and the
-//! telemetry layer implement by hand.
+//! [`Json`] value type, a strict parser ([`Json::parse`]), and a compact
+//! writer ([`Json::to_string`] via `Display`). It carries telemetry
+//! snapshots, `BENCH_*.json` reports, `fastc` machine output and the
+//! `fast-serve` wire protocol; compiled programs persist in the binary
+//! `.fastc` format instead (`fast_smt::bin`, `fast_rt::Artifact`).
 //!
 //! Objects preserve insertion order (helpful for stable telemetry
 //! snapshots and golden files); duplicate keys keep the last value on
@@ -54,12 +55,12 @@ pub enum Json {
     Object(Vec<(String, Json)>),
 }
 
-/// Error produced by [`Json::parse`] or [`FromJson`] conversions.
+/// Error produced by [`Json::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Human-readable description.
     pub message: String,
-    /// Byte offset in the input (parse errors only).
+    /// Byte offset in the input.
     pub offset: usize,
 }
 
@@ -74,32 +75,6 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
-
-impl JsonError {
-    /// A structural (non-positional) error, used by [`FromJson`] impls.
-    pub fn msg(message: impl Into<String>) -> JsonError {
-        JsonError {
-            message: message.into(),
-            offset: 0,
-        }
-    }
-}
-
-/// Types that can serialize themselves to a [`Json`] value.
-pub trait ToJson {
-    /// Converts to a JSON value.
-    fn to_json(&self) -> Json;
-}
-
-/// Types that can deserialize themselves from a [`Json`] value.
-pub trait FromJson: Sized {
-    /// Converts from a JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] when the value has the wrong shape.
-    fn from_json(v: &Json) -> Result<Self, JsonError>;
-}
 
 impl Json {
     /// Builds an object from key–value pairs.
@@ -516,101 +491,6 @@ impl<'a> Parser<'a> {
             text.parse::<i64>()
                 .map(Json::Int)
                 .map_err(|_| self.err("invalid number"))
-        }
-    }
-}
-
-// ---- conversions for primitives, so hand-written impls stay short ----
-
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-impl FromJson for bool {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_bool().ok_or_else(|| JsonError::msg("expected bool"))
-    }
-}
-impl ToJson for i64 {
-    fn to_json(&self) -> Json {
-        Json::Int(*self)
-    }
-}
-impl FromJson for i64 {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_int().ok_or_else(|| JsonError::msg("expected integer"))
-    }
-}
-impl ToJson for usize {
-    fn to_json(&self) -> Json {
-        Json::Int(*self as i64)
-    }
-}
-impl FromJson for usize {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let n = v
-            .as_int()
-            .ok_or_else(|| JsonError::msg("expected integer"))?;
-        usize::try_from(n).map_err(|_| JsonError::msg("negative length"))
-    }
-}
-impl ToJson for u64 {
-    fn to_json(&self) -> Json {
-        Json::Int(*self as i64)
-    }
-}
-impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-}
-impl FromJson for String {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| JsonError::msg("expected string"))
-    }
-}
-impl ToJson for char {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-impl FromJson for char {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let s = v.as_str().ok_or_else(|| JsonError::msg("expected char"))?;
-        let mut it = s.chars();
-        match (it.next(), it.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(JsonError::msg("expected single-char string")),
-        }
-    }
-}
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Array(self.iter().map(ToJson::to_json).collect())
-    }
-}
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_array()
-            .ok_or_else(|| JsonError::msg("expected array"))?
-            .iter()
-            .map(T::from_json)
-            .collect()
-    }
-}
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Array(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_array() {
-            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
-            _ => Err(JsonError::msg("expected 2-element array")),
         }
     }
 }

@@ -58,7 +58,7 @@ pub struct WindowSample {
     /// Length of this window in milliseconds (wall clock between
     /// ticks).
     pub dur_ms: u64,
-    /// The windowed delta. Counters, timers, and histogram buckets are
+    /// The windowed delta. Counters and histogram buckets are
     /// per-window; gauges and exemplars are the point-in-time values at
     /// the window's end ([`Snapshot::delta_from`] semantics).
     pub delta: Snapshot,
@@ -80,7 +80,7 @@ impl WindowSample {
 /// A merged read-only view over the newest windows of a [`Sampler`]
 /// (see [`Sampler::view`]).
 ///
-/// Counters, timers, and histograms are summed across the covered
+/// Counters and histograms are summed across the covered
 /// windows (histogram maxima stay window-correct: the merge takes the
 /// max of already-corrected per-window maxima). Gauges and exemplars
 /// come from the newest covered window only.

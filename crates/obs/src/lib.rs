@@ -9,9 +9,8 @@
 //!    one relaxed atomic add/sub per update ([`gauge`], [`Gauge`]).
 //! 3. **Histograms** — log-bucketed latency histograms ([`histogram`],
 //!    [`Hist`]): 64 power-of-two nanosecond buckets recorded lock-free,
-//!    merged exactly, summarized as p50/p90/p99/max. [`time`] feeds both
-//!    the legacy `(calls, total_ns)` timer table and the histogram of
-//!    the same name.
+//!    merged exactly, summarized as p50/p90/p99/max. [`time`] records
+//!    into the histogram of the same name.
 //! 4. **Exemplars** — the top-K slowest items per family
 //!    ([`record_exemplar`], [`Exemplar`]): identity, state, latency,
 //!    output size; one relaxed load per non-tail item.
@@ -113,9 +112,9 @@
 //!
 //! ## Duration naming
 //!
-//! Wall-clock durations (timers, histograms, spans) share one dotted
+//! Wall-clock durations (histograms and spans) share one dotted
 //! namespace, listed in [`DOCUMENTED_DURATIONS`]: per-family analyzer
-//! timers (`analysis.check.fa001` … `analysis.check.fa101`,
+//! checks (`analysis.check.fa001` … `analysis.check.fa101`,
 //! `analysis.total`), solver latency (`smt.check` per query, `smt.solve`
 //! spans around actual solver misses), composition phases
 //! (`compose.total`, `compose.reduce`, `compose.preimage`), the
@@ -126,7 +125,7 @@
 //! (`rt.pipeline.compile` per chain compilation, `rt.pipeline.run` per
 //! pipeline batch, `rt.pipeline.stage` per segment pass — also a span
 //! and a histogram), the serving path (`serve.request` per admitted
-//! request, queue wait included), and the `fastc profile` phases
+//! request: executor time, queue wait excluded), and the `fastc profile` phases
 //! (`profile.compile`, `profile.plan_compile`, `profile.run`).
 //!
 //! ## Reading a snapshot
@@ -249,8 +248,8 @@ pub const DOCUMENTED_GAUGES: &[&str] = &[
 /// shards).
 pub const DOCUMENTED_GAUGE_PREFIXES: &[&str] = &["intern.resident_nodes.shard"];
 
-/// Every wall-clock duration name the workspace emits — as a timer
-/// ([`time`]), a histogram ([`histogram`]), or a span ([`span!`]).
+/// Every wall-clock duration name the workspace emits — through
+/// [`time`], a histogram ([`histogram`]), or a span ([`span!`]).
 pub const DOCUMENTED_DURATIONS: &[&str] = &[
     "analysis.check.fa001",
     "analysis.check.fa002",
@@ -314,7 +313,6 @@ impl Counter {
 struct Registry {
     counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
     gauges: Mutex<BTreeMap<&'static str, &'static Gauge>>,
-    timers: Mutex<BTreeMap<&'static str, (u64, u64)>>, // name -> (calls, total ns)
     hists: Mutex<BTreeMap<&'static str, &'static Hist>>,
 }
 
@@ -323,7 +321,6 @@ fn registry() -> &'static Registry {
     REG.get_or_init(|| Registry {
         counters: Mutex::new(BTreeMap::new()),
         gauges: Mutex::new(BTreeMap::new()),
-        timers: Mutex::new(BTreeMap::new()),
         hists: Mutex::new(BTreeMap::new()),
     })
 }
@@ -368,33 +365,27 @@ pub fn histogram(name: &'static str) -> &'static Hist {
         .or_insert_with(|| Box::leak(Box::new(Hist::new())))
 }
 
-/// Times `f` under the wall-clock duration `name`: records one call and
-/// its total in the timer table **and** a sample in the histogram of the
-/// same name, and (when the subscriber is on) emits a span, so the call
-/// shows up in traces with its children correctly parented.
+/// Times `f` under the wall-clock duration `name`: records a sample in
+/// the histogram of the same name (whose `count` and `sum_ns` are the
+/// call count and total time) and, when the subscriber is on, emits a
+/// span, so the call shows up in traces with its children correctly
+/// parented.
 pub fn time<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
     let _span = span::SpanGuard::enter(name);
     let start = Instant::now();
     let out = f();
-    let ns = start.elapsed().as_nanos() as u64;
-    histogram(name).record_ns(ns);
-    let mut map = registry().timers.lock().unwrap();
-    let entry = map.entry(name).or_insert((0, 0));
-    entry.0 += 1;
-    entry.1 += ns;
+    histogram(name).record_ns(start.elapsed().as_nanos() as u64);
     out
 }
 
-/// A point-in-time copy of every registered counter, gauge, timer,
-/// histogram, and exemplar family.
+/// A point-in-time copy of every registered counter, gauge, histogram,
+/// and exemplar family.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// Counter values, sorted by name.
     pub counters: BTreeMap<String, u64>,
     /// Gauge readings at capture time, sorted by name.
     pub gauges: BTreeMap<String, u64>,
-    /// Timer totals, sorted by name: `(calls, total nanoseconds)`.
-    pub timers: BTreeMap<String, (u64, u64)>,
     /// Latency histograms, sorted by name.
     pub hists: BTreeMap<String, HistSnapshot>,
     /// Slow-item exemplars per family, slowest first (at most
@@ -402,8 +393,8 @@ pub struct Snapshot {
     pub exemplars: BTreeMap<String, Vec<Exemplar>>,
 }
 
-/// Captures the current value of every counter, gauge, timer,
-/// histogram, and exemplar family.
+/// Captures the current value of every counter, gauge, histogram, and
+/// exemplar family.
 pub fn snapshot() -> Snapshot {
     let reg = registry();
     let counters = reg
@@ -420,13 +411,6 @@ pub fn snapshot() -> Snapshot {
         .iter()
         .map(|(name, g)| (name.to_string(), g.get()))
         .collect();
-    let timers = reg
-        .timers
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(k, v)| (k.to_string(), *v))
-        .collect();
     let hists = reg
         .hists
         .lock()
@@ -437,7 +421,6 @@ pub fn snapshot() -> Snapshot {
     Snapshot {
         counters,
         gauges,
-        timers,
         hists,
         exemplars: exemplar::snapshot_all(),
     }
@@ -450,7 +433,6 @@ impl Snapshot {
         Snapshot {
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
-            timers: BTreeMap::new(),
             hists: BTreeMap::new(),
             exemplars: BTreeMap::new(),
         }
@@ -489,8 +471,8 @@ impl Snapshot {
     }
 
     /// Difference `self - earlier` (saturating), keeping only entries
-    /// that changed: counter-wise for counters, `(calls, ns)`-wise for
-    /// timers, and bucket-wise for histograms
+    /// that changed: counter-wise for counters and bucket-wise for
+    /// histograms
     /// ([`HistSnapshot::delta_from`]; the delta's `max_ns` keeps the
     /// later snapshot's maximum, an upper bound for the interval).
     ///
@@ -510,15 +492,6 @@ impl Snapshot {
                 (d > 0).then(|| (k.clone(), d))
             })
             .collect();
-        let timers = self
-            .timers
-            .iter()
-            .filter_map(|(k, (calls, ns))| {
-                let (c0, n0) = earlier.timers.get(k).copied().unwrap_or((0, 0));
-                let d = (calls.saturating_sub(c0), ns.saturating_sub(n0));
-                (d.0 > 0).then(|| (k.clone(), d))
-            })
-            .collect();
         let hists = self
             .hists
             .iter()
@@ -533,15 +506,14 @@ impl Snapshot {
         Snapshot {
             counters,
             gauges: self.gauges.clone(),
-            timers,
             hists,
             exemplars: self.exemplars.clone(),
         }
     }
 
     /// Entry-wise sum of two snapshots: counters and gauges add (a
-    /// fleet's residency is the sum of its processes'), timers add both
-    /// calls and nanoseconds, histograms merge exactly
+    /// fleet's residency is the sum of its processes'), histograms merge
+    /// exactly
     /// ([`HistSnapshot::merge`]), and each exemplar family keeps the
     /// [`MAX_EXEMPLARS`] slowest of the union. [`Snapshot::empty`] is
     /// the identity. This is how per-process `BENCH_*.json` snapshots
@@ -554,12 +526,6 @@ impl Snapshot {
         let mut gauges = self.gauges.clone();
         for (k, v) in &other.gauges {
             *gauges.entry(k.clone()).or_insert(0) += v;
-        }
-        let mut timers = self.timers.clone();
-        for (k, (c, n)) in &other.timers {
-            let e = timers.entry(k.clone()).or_insert((0, 0));
-            e.0 += c;
-            e.1 += n;
         }
         let mut hists = self.hists.clone();
         for (k, h) in &other.hists {
@@ -580,7 +546,6 @@ impl Snapshot {
         Snapshot {
             counters,
             gauges,
-            timers,
             hists,
             exemplars,
         }
@@ -593,12 +558,11 @@ impl Snapshot {
     /// {"counters":{"smt.sat_queries":12,...},
     ///  "exemplars":{"rt.item":[{"item":9,"latency_ns":48211,...}]},
     ///  "gauges":{"intern.resident_bytes":18340,...},
-    ///  "hists":{"smt.check":{"count":12,"p50_ns":310,...}},
-    ///  "timers":{"compose.total":{"calls":1,"total_ns":5120}}}
+    ///  "hists":{"smt.check":{"count":12,"total_ns":3720,"p50_ns":310,...}}}
     /// ```
     ///
-    /// Empty sections (`gauges`, `exemplars`) are omitted so existing
-    /// consumers of the three legacy keys see unchanged output.
+    /// Empty sections (`gauges`, `exemplars`) are omitted; `counters`
+    /// and `hists` are always present.
     pub fn to_json(&self) -> Json {
         let counters = Json::Object(
             self.counters
@@ -610,20 +574,6 @@ impl Snapshot {
             self.hists
                 .iter()
                 .map(|(k, h)| (k.clone(), h.to_json()))
-                .collect(),
-        );
-        let timers = Json::Object(
-            self.timers
-                .iter()
-                .map(|(k, (calls, ns))| {
-                    (
-                        k.clone(),
-                        Json::obj([
-                            ("calls", Json::Int(*calls as i64)),
-                            ("total_ns", Json::Int(*ns as i64)),
-                        ]),
-                    )
-                })
                 .collect(),
         );
         let mut fields = vec![("counters", counters)];
@@ -655,7 +605,6 @@ impl Snapshot {
             ));
         }
         fields.push(("hists", hists));
-        fields.push(("timers", timers));
         Json::obj(fields)
     }
 }
@@ -723,12 +672,11 @@ mod tests {
     }
 
     #[test]
-    fn timers_record_calls_and_histograms() {
+    fn time_records_a_histogram_sample() {
         let before = snapshot();
         let v = time("test.timer", || 41 + 1);
         assert_eq!(v, 42);
         let d = snapshot().delta_from(&before);
-        assert_eq!(d.timers.get("test.timer").unwrap().0, 1);
         assert_eq!(d.hists.get("test.timer").unwrap().count, 1);
     }
 
@@ -769,7 +717,6 @@ mod tests {
         // … and delta of empty from anything is empty.
         let nothing = empty.delta_from(&s);
         assert!(nothing.counters.is_empty());
-        assert!(nothing.timers.is_empty());
         assert!(nothing.hists.is_empty());
     }
 
@@ -779,13 +726,12 @@ mod tests {
         time("test.json_timer", || ());
         let j = snapshot().to_json();
         assert!(j.get("counters").is_some());
-        assert!(j.get("timers").is_some());
         assert!(j.get("hists").is_some());
         let text = j.to_string();
         let parsed = fast_json::Json::parse(&text).unwrap();
         assert!(parsed.get("counters").unwrap().get("test.json").is_some());
         let h = parsed.get("hists").unwrap().get("test.json_timer").unwrap();
-        for key in ["count", "p50_ns", "p90_ns", "p99_ns", "max_ns"] {
+        for key in ["count", "total_ns", "p50_ns", "p90_ns", "p99_ns", "max_ns"] {
             assert!(h.get(key).is_some(), "missing {key}");
         }
     }

@@ -7,13 +7,12 @@
 
 use fast_obs::{Exemplar, Hist, Snapshot};
 
-/// A synthetic snapshot: counters, gauges, timers, latency samples
+/// A synthetic snapshot: counters, gauges, latency samples
 /// (recorded into a real [`Hist`] so bucket arithmetic is exercised),
 /// and `rt.item` exemplars.
 fn snap(
     counters: &[(&str, u64)],
     gauges: &[(&str, u64)],
-    timers: &[(&str, (u64, u64))],
     item_latencies_ns: &[u64],
     exemplars: &[Exemplar],
 ) -> Snapshot {
@@ -23,9 +22,6 @@ fn snap(
     }
     for (k, v) in gauges {
         s.gauges.insert(k.to_string(), *v);
-    }
-    for (k, v) in timers {
-        s.timers.insert(k.to_string(), *v);
     }
     if !item_latencies_ns.is_empty() {
         let h = Hist::new();
@@ -56,7 +52,6 @@ fn empty_is_the_identity_for_merge_and_delta() {
     let full = snap(
         &[("rt.batch_items", 10)],
         &[("intern.resident_bytes", 512)],
-        &[("smt.check", (3, 9_000))],
         &[1_000, 2_000],
         &[ex(7, 2_000)],
     );
@@ -64,14 +59,13 @@ fn empty_is_the_identity_for_merge_and_delta() {
     // empty ∘ empty is empty in every map.
     let ee = empty.merge(&empty);
     assert!(ee.counters.is_empty() && ee.gauges.is_empty());
-    assert!(ee.timers.is_empty() && ee.hists.is_empty() && ee.exemplars.is_empty());
+    assert!(ee.hists.is_empty() && ee.exemplars.is_empty());
     assert_eq!(empty.delta_from(&empty).counters.len(), 0);
 
     // Merging with empty changes nothing, from either side.
     for merged in [full.merge(&empty), empty.merge(&full)] {
         assert_eq!(merged.get("rt.batch_items"), 10);
         assert_eq!(merged.gauge("intern.resident_bytes"), 512);
-        assert_eq!(merged.timers["smt.check"], (3, 9_000));
         assert_eq!(merged.hists["rt.item"].count, 2);
         assert_eq!(merged.exemplars["rt.item"].len(), 1);
     }
@@ -83,7 +77,7 @@ fn empty_is_the_identity_for_merge_and_delta() {
     assert_eq!(d.get("rt.batch_items"), 10);
     assert_eq!(d.hists["rt.item"].count, 2);
     let d = empty.delta_from(&full);
-    assert!(d.counters.is_empty() && d.timers.is_empty() && d.hists.is_empty());
+    assert!(d.counters.is_empty() && d.hists.is_empty());
 }
 
 #[test]
@@ -92,13 +86,11 @@ fn disjoint_names_union_in_merge_and_pass_through_delta() {
         &[("rt.memo_hits", 4)],
         &[("rt.memo.entries", 2)],
         &[],
-        &[],
         &[ex(1, 100)],
     );
     let b = snap(
         &[("rt.memo_misses", 6)],
         &[("rt.la.entries", 3)],
-        &[],
         &[500],
         &[],
     );
@@ -130,14 +122,12 @@ fn counter_reset_saturates_instead_of_wrapping() {
     let earlier = snap(
         &[("rt.batch_items", 1_000), ("rt.memo_hits", 50)],
         &[],
-        &[("smt.check", (9, 90_000))],
         &[1_000, 1_000, 1_000],
         &[],
     );
     let later = snap(
         &[("rt.batch_items", 10), ("rt.memo_hits", 50)],
         &[],
-        &[("smt.check", (2, 4_000))],
         &[2_000],
         &[],
     );
@@ -147,7 +137,6 @@ fn counter_reset_saturates_instead_of_wrapping() {
     // huge positive count.
     assert!(!d.counters.contains_key("rt.batch_items"));
     assert!(!d.counters.contains_key("rt.memo_hits"));
-    assert!(!d.timers.contains_key("smt.check"));
     // Histogram buckets saturate the same way: 1 sample cannot show a
     // positive count against a 3-sample baseline in the same bucket.
     assert!(
@@ -162,8 +151,8 @@ fn counter_reset_saturates_instead_of_wrapping() {
 /// sums them (fleet roll-up semantics).
 #[test]
 fn gauges_delta_verbatim_but_merge_summed() {
-    let earlier = snap(&[], &[("rt.memo.bytes", 900)], &[], &[], &[]);
-    let later = snap(&[], &[("rt.memo.bytes", 300)], &[], &[], &[]);
+    let earlier = snap(&[], &[("rt.memo.bytes", 900)], &[], &[]);
+    let later = snap(&[], &[("rt.memo.bytes", 300)], &[], &[]);
     assert_eq!(later.delta_from(&earlier).gauge("rt.memo.bytes"), 300);
     assert_eq!(later.merge(&earlier).gauge("rt.memo.bytes"), 1_200);
 }
@@ -173,8 +162,8 @@ fn gauges_delta_verbatim_but_merge_summed() {
 #[test]
 fn exemplars_merge_as_top_k_union() {
     let mut slow: Vec<Exemplar> = (0..8).map(|i| ex(i, 10_000 - i * 100)).collect();
-    let a = snap(&[], &[], &[], &[], &slow);
-    let b = snap(&[], &[], &[], &[], &[ex(99, 50_000), ex(98, 5)]);
+    let a = snap(&[], &[], &[], &slow);
+    let b = snap(&[], &[], &[], &[ex(99, 50_000), ex(98, 5)]);
 
     let m = a.merge(&b);
     let merged = &m.exemplars["rt.item"];
@@ -190,7 +179,7 @@ fn exemplars_merge_as_top_k_union() {
         .all(|w| w[0].latency_ns >= w[1].latency_ns));
 
     slow.truncate(2);
-    let later = snap(&[], &[], &[], &[], &slow);
+    let later = snap(&[], &[], &[], &slow);
     let d = later.delta_from(&a);
     assert_eq!(d.exemplars["rt.item"].len(), 2);
 }

@@ -58,9 +58,10 @@ pub struct RunOptions {
     pub timeout: Option<Duration>,
     /// Bound of the `run_stream` result channel (backpressure window).
     pub channel_bound: usize,
-    /// Collect a per-rule [`RuleProfile`] for the batch (see
-    /// [`Plan::run_batch_profiled`]). Off by default: profiling adds two
-    /// clock reads per dispatched rule.
+    /// Collect a per-rule [`RuleProfile`] for the batch, returned in
+    /// [`BatchStats::profile`] (`run_stream` ignores it: it returns no
+    /// stats). Off by default: profiling adds two clock reads per
+    /// dispatched rule.
     pub profile: bool,
     /// Cooperative cancellation token, checked at the same amortized
     /// cadence as the deadline: once it reads `true`, in-flight items
@@ -87,7 +88,8 @@ impl Default for RunOptions {
 }
 
 /// Counters describing one batch run (also mirrored into the global
-/// `fast_obs` registry under `rt.*`).
+/// `fast_obs` registry under `rt.*`), plus the per-rule profile when
+/// [`RunOptions::profile`] is set.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Items evaluated.
@@ -106,6 +108,11 @@ pub struct BatchStats {
     pub steals: u64,
     /// Worker spawn failures absorbed by degrading to fewer threads.
     pub spawn_fallbacks: u64,
+    /// Per-rule firings, guard evaluations, per-state memo hits and
+    /// cumulative inclusive nanoseconds for every `(state, ctor,
+    /// rule-index)` — the data behind the `fastc profile` hot-rules
+    /// table. `Some` exactly when [`RunOptions::profile`] is set.
+    pub profile: Option<RuleProfile>,
 }
 
 impl BatchStats {
@@ -510,10 +517,38 @@ impl Plan {
         items: &[Tree],
         opts: &RunOptions,
     ) -> (Vec<Result<Vec<Tree>, TransducerError>>, BatchStats) {
+        self.run_batch_impl(items, opts, None)
+    }
+
+    /// [`Plan::run_batch_with`] against a caller-owned [`BatchMemo`], so
+    /// sub-transduction results and lookahead sets persist across
+    /// batches. It is safe to drop the input trees of one call before
+    /// the next: [`TreeId`] keys are never reused, so later trees can
+    /// only match a resident entry by being structurally identical — in
+    /// which case the hit is sound (and free: even a re-parsed copy of
+    /// an earlier input hits at its root).
+    pub fn run_batch_shared(
+        &self,
+        items: &[Tree],
+        opts: &RunOptions,
+        memo: &BatchMemo,
+    ) -> (Vec<Result<Vec<Tree>, TransducerError>>, BatchStats) {
+        self.run_batch_impl(items, opts, Some(memo))
+    }
+
+    /// The one batch body behind [`Plan::run_batch_with`] and
+    /// [`Plan::run_batch_shared`]: evaluates `items` on the worker pool
+    /// under a fresh batch context (around `memo` when given).
+    fn run_batch_impl(
+        &self,
+        items: &[Tree],
+        opts: &RunOptions,
+        memo: Option<&BatchMemo>,
+    ) -> (Vec<Result<Vec<Tree>, TransducerError>>, BatchStats) {
         fast_obs::count!("rt.batch_runs");
         fast_obs::count!("rt.batch_items", items.len() as u64);
         fast_obs::time("rt.run_batch", || {
-            let cx = self.batch_ctx(opts);
+            let cx = self.batch_ctx(opts, memo);
             let workers = pool::resolve_workers(opts.workers);
             let pool_stats = PoolStats::default();
             let results = pool::run_indexed(
@@ -545,6 +580,11 @@ impl Plan {
         items: Vec<Tree>,
         opts: RunOptions,
     ) -> Receiver<(usize, Result<Vec<Tree>, TransducerError>)> {
+        // A stream returns no stats, so it has nowhere to put a profile.
+        let opts = RunOptions {
+            profile: false,
+            ..opts
+        };
         let bound = opts.channel_bound.max(1);
         let (tx, rx) = std::sync::mpsc::sync_channel(bound);
         let coordinator = std::thread::Builder::new().name("fast-rt-stream".into());
@@ -565,7 +605,7 @@ impl Plan {
             fast_obs::count!("rt.pool_fallbacks");
             let cancel = opts.cancel.clone().unwrap_or_default();
             let (tx, rx) = std::sync::mpsc::sync_channel(items.len().max(1));
-            let cx = self.batch_ctx(&opts);
+            let cx = self.batch_ctx(&opts, None);
             for (i, t) in items.iter().enumerate() {
                 if cancel.load(Ordering::Relaxed) {
                     break;
@@ -581,113 +621,33 @@ impl Plan {
         rx
     }
 
-    fn batch_ctx<'p>(&'p self, opts: &RunOptions) -> BatchCtx<'p> {
-        BatchCtx {
-            plan: self,
-            cap: opts.cap,
-            timeout: opts.timeout,
-            cancel: opts.cancel.clone(),
-            memo: opts
-                .memo
-                .then(|| Arc::new(out_memo(opts.memo_capacity.max(crate::memo::SHARDS)))),
-            memo_stats: CacheStats::default(),
-            la: Arc::new(la_memo(opts.memo_capacity.max(crate::memo::SHARDS))),
-            la_stats: CacheStats::default(),
-            profile: opts
-                .profile
-                .then(|| ProfileData::new(self.total_rules, self.sttr.state_count())),
-        }
-    }
-
-    /// Builds a batch context around a caller-owned [`BatchMemo`]
-    /// (overriding [`RunOptions::memo`]/`memo_capacity`).
-    fn batch_ctx_with_memo<'p>(&'p self, opts: &RunOptions, memo: &BatchMemo) -> BatchCtx<'p> {
-        BatchCtx {
-            plan: self,
-            cap: opts.cap,
-            timeout: opts.timeout,
-            cancel: opts.cancel.clone(),
-            memo: Some(Arc::clone(&memo.out)),
-            memo_stats: CacheStats::default(),
-            la: Arc::clone(&memo.la),
-            la_stats: CacheStats::default(),
-            profile: opts
-                .profile
-                .then(|| ProfileData::new(self.total_rules, self.sttr.state_count())),
-        }
-    }
-
-    /// [`Plan::run_batch_with`] against a caller-owned [`BatchMemo`], so
-    /// sub-transduction results and lookahead sets persist across
-    /// batches. It is safe to drop the input trees of one call before
-    /// the next: [`TreeId`] keys are never reused, so later trees can
-    /// only match a resident entry by being structurally identical — in
-    /// which case the hit is sound (and free: even a re-parsed copy of
-    /// an earlier input hits at its root).
-    pub fn run_batch_shared(
-        &self,
-        items: &[Tree],
-        opts: &RunOptions,
-        memo: &BatchMemo,
-    ) -> (Vec<Result<Vec<Tree>, TransducerError>>, BatchStats) {
-        fast_obs::count!("rt.batch_runs");
-        fast_obs::count!("rt.batch_items", items.len() as u64);
-        fast_obs::time("rt.run_batch", || {
-            let cx = self.batch_ctx_with_memo(opts, memo);
-            let workers = pool::resolve_workers(opts.workers);
-            let pool_stats = PoolStats::default();
-            let results = pool::run_indexed(
-                workers,
-                items.len(),
-                &pool_stats,
-                |i| run_item(&cx, &items[i]),
-                recover_item,
-            );
-            (
-                results,
-                finish_stats(&cx, &pool_stats, items.len(), workers),
-            )
-        })
-    }
-
-    /// [`Plan::run_batch_with`] plus a per-rule [`RuleProfile`]:
-    /// firings, guard evaluations, per-state memo hits, and cumulative
-    /// inclusive nanoseconds for every `(state, ctor, rule-index)` —
-    /// the data behind the `fastc profile` hot-rules table.
-    /// `opts.profile` is treated as set.
-    pub fn run_batch_profiled(
-        &self,
-        items: &[Tree],
-        opts: &RunOptions,
-    ) -> (
-        Vec<Result<Vec<Tree>, TransducerError>>,
-        BatchStats,
-        RuleProfile,
-    ) {
-        fast_obs::count!("rt.batch_runs");
-        fast_obs::count!("rt.batch_items", items.len() as u64);
-        let opts = RunOptions {
-            profile: true,
-            ..opts.clone()
+    /// Builds a batch context: around a caller-owned [`BatchMemo`] when
+    /// given (overriding [`RunOptions::memo`]/`memo_capacity`), else
+    /// around fresh per-batch tables.
+    fn batch_ctx<'p>(&'p self, opts: &RunOptions, memo: Option<&BatchMemo>) -> BatchCtx<'p> {
+        let (memo, la) = match memo {
+            Some(m) => (Some(Arc::clone(&m.out)), Arc::clone(&m.la)),
+            None => {
+                let capacity = opts.memo_capacity.max(crate::memo::SHARDS);
+                (
+                    opts.memo.then(|| Arc::new(out_memo(capacity))),
+                    Arc::new(la_memo(capacity)),
+                )
+            }
         };
-        fast_obs::time("rt.run_batch", || {
-            let cx = self.batch_ctx(&opts);
-            let workers = pool::resolve_workers(opts.workers);
-            let pool_stats = PoolStats::default();
-            let results = pool::run_indexed(
-                workers,
-                items.len(),
-                &pool_stats,
-                |i| run_item(&cx, &items[i]),
-                recover_item,
-            );
-            let profile = self.collect_profile(cx.profile.as_ref().expect("profiling on"));
-            (
-                results,
-                finish_stats(&cx, &pool_stats, items.len(), workers),
-                profile,
-            )
-        })
+        BatchCtx {
+            plan: self,
+            cap: opts.cap,
+            timeout: opts.timeout,
+            cancel: opts.cancel.clone(),
+            memo,
+            memo_stats: CacheStats::default(),
+            la,
+            la_stats: CacheStats::default(),
+            profile: opts
+                .profile
+                .then(|| ProfileData::new(self.total_rules, self.sttr.state_count())),
+        }
     }
 
     /// Folds a batch's raw profile counters into a [`RuleProfile`] with
@@ -740,7 +700,7 @@ fn stream_batch(
         cancel: Some(Arc::clone(&cancel)),
         ..opts.clone()
     };
-    let cx = plan.batch_ctx(&opts);
+    let cx = plan.batch_ctx(&opts, None);
     let workers = pool::resolve_workers(opts.workers).min(items.len()).max(1);
     let cursor = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -773,8 +733,8 @@ fn stream_batch(
         }
         work(tx.clone());
     });
-    let stats = finish_stats(&cx, &PoolStats::default(), items.len(), workers);
-    let _ = stats; // mirrored to fast_obs inside finish_stats
+    // Only for the `rt.*` mirror into fast_obs; a stream returns no stats.
+    finish_stats(&cx, &PoolStats::default(), items.len(), workers);
     fast_obs::count!("rt.stream_done");
 }
 
@@ -834,7 +794,7 @@ fn recover_item(_i: usize) -> Result<Vec<Tree>, TransducerError> {
 }
 
 /// Publishes the batch's local counters into `fast_obs` and folds them
-/// into a [`BatchStats`].
+/// (and the profile, when collected) into a [`BatchStats`].
 fn finish_stats(
     cx: &BatchCtx<'_>,
     pool_stats: &PoolStats,
@@ -850,6 +810,7 @@ fn finish_stats(
         la_hits: cx.la_stats.hits.load(Ordering::Relaxed),
         steals: pool_stats.steals.load(Ordering::Relaxed),
         spawn_fallbacks: pool_stats.fallbacks.load(Ordering::Relaxed),
+        profile: cx.profile.as_ref().map(|p| cx.plan.collect_profile(p)),
     };
     fast_obs::count!("rt.memo_hits", stats.memo_hits);
     fast_obs::count!("rt.memo_misses", stats.memo_misses);

@@ -69,7 +69,8 @@ pub struct RuleProfileEntry {
 
 /// A per-rule profile of one batch run; see the module docs.
 ///
-/// Produced by [`Plan::run_batch_profiled`](crate::Plan::run_batch_profiled).
+/// Returned in [`BatchStats::profile`](crate::BatchStats::profile) when
+/// [`RunOptions::profile`](crate::RunOptions::profile) is set.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuleProfile {
     /// Every rule of the plan, in `(state, rule_idx)` order.

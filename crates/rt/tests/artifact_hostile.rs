@@ -178,6 +178,51 @@ fn header_attacks_yield_typed_errors() {
     ));
 }
 
+/// The encoded constructor entry `name, rank` of a type section: a
+/// length-prefixed name followed by a u32 rank.
+fn ctor_entry(name: &str, rank: u32) -> Vec<u8> {
+    let mut e = (name.len() as u32).to_le_bytes().to_vec();
+    e.extend_from_slice(name.as_bytes());
+    e.extend_from_slice(&rank.to_le_bytes());
+    e
+}
+
+/// Rewrites the first occurrence of `from` inside the TYPES section
+/// (section 0: its offset and length sit at bytes 24..40 of the table)
+/// and repairs the checksum.
+fn patch_types(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+    let off = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
+    let len = u64::from_le_bytes(bytes[32..40].try_into().unwrap()) as usize;
+    let at = bytes[off..off + len]
+        .windows(from.len())
+        .position(|w| w == from)
+        .expect("constructor entry present in the type section");
+    let mut out = bytes.to_vec();
+    out[off + at..off + at + to.len()].copy_from_slice(to);
+    refix(&mut out);
+    out
+}
+
+/// The decoder re-checks the tree-type invariants `TreeType::new` would
+/// otherwise panic on: constructor names are unique and at least one
+/// constructor is nullary.
+#[test]
+fn type_section_invariants_are_enforced() {
+    let bytes = sample();
+    let dup = patch_types(&bytes, &ctor_entry("N", 2), &ctor_entry("L", 2));
+    assert!(matches!(
+        Artifact::decode(&dup),
+        Err(ArtifactError::Malformed("duplicate constructor name"))
+    ));
+    let no_nullary = patch_types(&bytes, &ctor_entry("L", 0), &ctor_entry("L", 1));
+    assert!(matches!(
+        Artifact::decode(&no_nullary),
+        Err(ArtifactError::Malformed(
+            "tree type has no nullary constructor"
+        ))
+    ));
+}
+
 #[test]
 fn every_truncation_is_rejected_without_panic() {
     let bytes = sample();

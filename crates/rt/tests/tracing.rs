@@ -74,37 +74,3 @@ fn disabled_subscriber_buffers_nothing_and_enabled_spans_nest() {
     assert_eq!(count("rt.item"), batch.len());
     assert_eq!(count("plan.dispatch"), batch.len());
 }
-
-#[test]
-fn profiled_run_attributes_rule_work() {
-    let (plan, batch) = identity_plan();
-    let opts = RunOptions {
-        workers: 1,
-        ..RunOptions::default()
-    };
-    let (results, stats, profile) = plan.run_batch_profiled(&batch, &opts);
-    assert!(results.iter().all(|r| r.is_ok()));
-
-    let fired: u64 = profile.entries.iter().map(|e| e.fired).sum();
-    assert!(fired > 0, "identity rules must fire");
-    let total_ns: u64 = profile.entries.iter().map(|e| e.ns).sum();
-    assert!(total_ns > 0, "fired rules must accumulate time");
-
-    // Cloned batch items share subtrees: the memo hits recorded in the
-    // batch stats must be attributed to some state in the profile.
-    let memo_hits: u64 = profile.entries.iter().map(|e| e.state_memo_hits).sum();
-    assert!(stats.memo_hits > 0);
-    assert!(memo_hits > 0, "memo hits must show up per state");
-
-    // hot(k) is sorted by descending time and excludes rules that never
-    // ran.
-    let hot = profile.hot(usize::MAX);
-    assert!(hot.windows(2).all(|w| w[0].ns >= w[1].ns));
-    assert!(hot.iter().all(|e| e.fired + e.guard_evals + e.ns > 0));
-
-    // The rendered table and JSON agree on the hottest rule.
-    let table = profile.render_hot(5);
-    assert!(table.contains(&hot[0].state_name));
-    let json = profile.to_json();
-    assert!(!json.as_array().unwrap().is_empty());
-}

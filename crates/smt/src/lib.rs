@@ -42,7 +42,6 @@
 
 mod alg;
 mod formula;
-mod json;
 mod poly;
 mod sort;
 mod term;

@@ -35,8 +35,6 @@ mod ty;
 pub mod html;
 pub mod intern;
 
-mod json_impls;
-
 pub use gen::{HtmlGen, TreeGen};
 pub use html::{html_type, HtmlCtors, HtmlDoc, HtmlElem};
 pub use tree::{DisplayTree, Iter, Tree, TreeId};

@@ -87,12 +87,6 @@ impl TreeType {
         })
     }
 
-    /// Internal constructor for deserialization paths that have already
-    /// validated the invariants.
-    pub(crate) fn from_validated_parts(name: String, sig: LabelSig, ctors: Vec<Ctor>) -> TreeType {
-        TreeType { name, sig, ctors }
-    }
-
     /// The type name.
     pub fn name(&self) -> &str {
         &self.name

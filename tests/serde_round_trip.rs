@@ -1,76 +1,20 @@
-//! Round-trips for the serializable data structures: JSON through the
-//! workspace's dependency-free `fast-json` crate, and the binary layer —
-//! `fast_smt::bin` codec primitives and the `.fastc` artifact container —
-//! which must reproduce values (and whole compiled programs) exactly.
+//! Round-trips for the serializable data structures: the s-expression
+//! text form of trees (`Tree::display` → `Tree::parse`, the form
+//! `fast-serve` exchanges), and the binary layer — `fast_smt::bin`
+//! codec primitives and the `.fastc` artifact container — which must
+//! reproduce values (and whole compiled programs) exactly.
 
 use fast::prelude::*;
 use fast::rt::{Artifact, ArtifactBuilder, ArtifactError};
 use fast::smt::bin::{self, ByteReader, ByteWriter, FormulaPool};
-use fast::trees::TreeType as TT;
-use fast_json::{FromJson, Json, ToJson};
 
-fn round_trip<T: ToJson + FromJson + PartialEq + std::fmt::Debug>(x: &T) -> T {
-    let text = x.to_json().to_string();
-    let v = Json::parse(&text).unwrap_or_else(|e| panic!("reparse {text}: {e}"));
-    let back = T::from_json(&v).unwrap_or_else(|e| panic!("decode {text}: {e}"));
-    assert_eq!(&back, x, "round-trip through {text}");
+/// Prints `t` in the s-expression form and parses it back under `ty`,
+/// asserting the reparsed tree is the same (interned) tree.
+fn text_round_trip(ty: &TreeType, t: &Tree) -> Tree {
+    let text = t.display(ty).to_string();
+    let back = Tree::parse(ty, &text).unwrap_or_else(|e| panic!("reparse {text}: {e}"));
+    assert_eq!(&back, t, "round-trip through {text}");
     back
-}
-
-#[test]
-fn values_and_labels() {
-    for v in [
-        Value::Int(-42),
-        Value::Bool(true),
-        Value::Str("scr\"ipt".into()),
-        Value::Char('λ'),
-    ] {
-        round_trip(&v);
-    }
-    round_trip(&Label::new(vec![Value::Int(1), Value::Str("x".into())]));
-}
-
-#[test]
-fn terms_and_formulas() {
-    let t = Term::field(0)
-        .add(Term::int(5))
-        .modulo(26)
-        .mul(Term::field(1));
-    round_trip(&t);
-
-    let f = Formula::eq(Term::field(0).modulo(2), Term::int(1))
-        .and(Formula::ne(Term::field(1), Term::str("script")))
-        .or(Formula::cmp(CmpOp::Lt, Term::field(0), Term::int(-3)).not());
-    let back = round_trip(&f);
-    // Semantics preserved, not just syntax.
-    let l = Label::new(vec![Value::Int(3), Value::Str("div".into())]);
-    assert_eq!(back.eval(&l), f.eval(&l));
-
-    round_trip(&LabelFn::new(vec![
-        Term::field(0).add(Term::int(1)),
-        Term::str("k"),
-    ]));
-}
-
-#[test]
-fn tree_types_validate_on_deserialize() {
-    let ty = TreeType::new(
-        "BT",
-        LabelSig::single("i", Sort::Int),
-        vec![("L", 0), ("N", 2)],
-    );
-    round_trip(ty.as_ref());
-    // Violated invariants are rejected.
-    let no_nullary = Json::parse(r#"{"name":"B","sig":[],"ctors":[["n",2]]}"#).unwrap();
-    assert!(TT::from_json(&no_nullary)
-        .unwrap_err()
-        .to_string()
-        .contains("nullary"));
-    let dup = Json::parse(r#"{"name":"B","sig":[],"ctors":[["n",0],["n",1]]}"#).unwrap();
-    assert!(TT::from_json(&dup)
-        .unwrap_err()
-        .to_string()
-        .contains("duplicate"));
 }
 
 #[test]
@@ -81,7 +25,7 @@ fn trees_round_trip() {
         vec![("L", 0), ("N", 2)],
     );
     let t = Tree::parse(&ty, "N[1](N[2](L[3], L[4]), L[-5])").unwrap();
-    let back = round_trip(&t);
+    let back = text_round_trip(&ty, &t);
     assert!(back.conforms_to(&ty));
 }
 
@@ -222,7 +166,7 @@ fn persisted_counterexample_is_usable() {
         .clone()
         .expect("buggy remScript has a counterexample");
     let cx = Tree::parse(&ty, &cx_text).unwrap();
-    let reloaded = round_trip(&cx);
+    let reloaded = text_round_trip(&ty, &cx);
     let bad = compiled.lang("badOutput").unwrap();
     let outputs = compiled.apply("remScript", &reloaded).unwrap();
     assert!(outputs.iter().any(|o| bad.accepts(o)));
