@@ -202,60 +202,90 @@ impl Json {
 }
 
 impl fmt::Display for Json {
+    /// The compact form. It is built in a local `String` and handed to
+    /// `f` in one write, so the many small pieces of a large document
+    /// cost no dynamic dispatch each.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write_compact(&mut out)?;
+        f.write_str(&out)
+    }
+}
+
+impl Json {
+    fn write_compact(&self, out: &mut String) -> fmt::Result {
+        use fmt::Write as _;
         match self {
-            Json::Null => write!(f, "null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Int(n) => write!(f, "{n}"),
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => write!(out, "{b}")?,
+            Json::Int(n) => write!(out, "{n}")?,
             Json::Float(x) => {
                 if x.is_finite() {
                     if x.fract() == 0.0 && x.abs() < 1e15 {
-                        write!(f, "{x:.1}")
+                        write!(out, "{x:.1}")?;
                     } else {
-                        write!(f, "{x}")
+                        write!(out, "{x}")?;
                     }
                 } else {
                     // JSON has no Inf/NaN; mirror serde_json's lossy null.
-                    write!(f, "null")
+                    out.push_str("null");
                 }
             }
-            Json::Str(s) => {
-                write!(f, "\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => write!(f, "\\\"")?,
-                        '\\' => write!(f, "\\\\")?,
-                        '\n' => write!(f, "\\n")?,
-                        '\r' => write!(f, "\\r")?,
-                        '\t' => write!(f, "\\t")?,
-                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                        c => write!(f, "{c}")?,
-                    }
-                }
-                write!(f, "\"")
-            }
+            Json::Str(s) => write_str_literal(out, s)?,
             Json::Array(xs) => {
-                write!(f, "[")?;
+                out.push('[');
                 for (i, x) in xs.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        out.push(',');
                     }
-                    write!(f, "{x}")?;
+                    x.write_compact(out)?;
                 }
-                write!(f, "]")
+                out.push(']');
             }
             Json::Object(fields) => {
-                write!(f, "{{")?;
+                out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        out.push(',');
                     }
-                    write!(f, "{}:{v}", Json::Str(k.clone()))?;
+                    write_str_literal(out, k)?;
+                    out.push(':');
+                    v.write_compact(out)?;
                 }
-                write!(f, "}}")
+                out.push('}');
             }
         }
+        Ok(())
     }
+}
+
+/// Writes `s` as a JSON string literal. Each run of bytes that needs no
+/// escaping is copied in one write; every escaped byte is ASCII, so the
+/// runs always split on char boundaries.
+fn write_str_literal(out: &mut String, s: &str) -> fmt::Result {
+    use fmt::Write as _;
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match esc {
+            Some(esc) => out.push_str(esc),
+            None => write!(out, "\\u{b:04x}")?,
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+    Ok(())
 }
 
 struct Parser<'a> {
@@ -511,6 +541,41 @@ mod tests {
         ] {
             let v = Json::parse(text).unwrap();
             assert_eq!(Json::parse(&v.to_string()).unwrap(), v, "{text}");
+        }
+    }
+
+    /// String literals are written byte for byte as the per-char
+    /// escaper they replaced wrote them.
+    #[test]
+    fn string_literals_match_the_per_char_reference() {
+        fn reference(s: &str) -> String {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let every_low_char: String = (0u8..0x80).map(char::from).collect();
+        for s in [
+            "",
+            "plain",
+            every_low_char.as_str(),
+            "node[\"a\\\"b\"](nil[\"\"])",
+            "é😀\u{7f}\u{80}\u{ad}\u{2028}\"\n",
+            "\\",
+        ] {
+            assert_eq!(Json::Str(s.into()).to_string(), reference(s), "{s:?}");
+            let obj = Json::obj([(s, Json::Null)]);
+            assert_eq!(obj.to_string(), format!("{{{}:null}}", reference(s)));
         }
     }
 

@@ -165,9 +165,17 @@ pub fn parse_request(bytes: &[u8]) -> Result<Request, (Json, String)> {
     let text = std::str::from_utf8(bytes).map_err(|_| (Json::Null, "frame is not UTF-8".into()))?;
     let doc = Json::parse(text).map_err(|e| (Json::Null, format!("bad JSON: {e}")))?;
     let id = doc.get("id").cloned().unwrap_or(Json::Null);
-    if doc.as_object().is_none() {
+    let Json::Object(mut fields) = doc else {
         return Err((id, "request must be a JSON object".into()));
-    }
+    };
+    // Moved out of the decoded document, not copied: `input` is the
+    // whole tree text.
+    let mut take = |name: &str| match fields.iter_mut().rev().find(|(k, _)| k == name) {
+        Some((_, Json::Str(s))) => Some(std::mem::take(s)),
+        _ => None,
+    };
+    let (target, input) = (take("target"), take("input"));
+    let doc = Json::Object(fields);
     let op = match doc.get("op").and_then(Json::as_str) {
         Some("run") => Op::Run,
         Some("pipeline") => Op::Pipeline,
@@ -177,14 +185,13 @@ pub fn parse_request(bytes: &[u8]) -> Result<Request, (Json, String)> {
         Some(other) => return Err((id, format!("unknown op {other:?}"))),
         None => return Err((id, "missing \"op\" field".into())),
     };
-    let field = |name: &str| -> Result<String, (Json, String)> {
-        doc.get(name)
-            .and_then(Json::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| (id.clone(), format!("missing string field {name:?}")))
+    let required = |value: Option<String>, name: &str| {
+        value.ok_or_else(|| (id.clone(), format!("missing string field {name:?}")))
     };
     let (target, input) = match op {
-        Op::Run | Op::Pipeline | Op::Check => (field("target")?, field("input")?),
+        Op::Run | Op::Pipeline | Op::Check => {
+            (required(target, "target")?, required(input, "input")?)
+        }
         Op::Stats | Op::Ping => (String::new(), String::new()),
     };
     let uint = |name: &str| -> Result<Option<u64>, (Json, String)> {

@@ -9,11 +9,13 @@
 //!    [`ServeConfig::max_request_bytes`] is rejected before any payload
 //!    allocation (413). Recursion is bounded layer by layer: the JSON
 //!    parser enforces its own hard nesting ceiling
-//!    ([`fast_json::MAX_PARSE_DEPTH`]), and a nesting-depth scan of the
-//!    input tree text ([`ServeConfig::max_input_depth`]) bounds what the
-//!    tree parser and evaluator will recurse. The depth gates are what
-//!    make a `catch_unwind` story honest: a stack overflow is an abort,
-//!    not a panic, so it must be prevented, not contained.
+//!    ([`fast_json::MAX_PARSE_DEPTH`]), and the tree parser itself
+//!    rejects input nested deeper than [`ServeConfig::max_input_depth`]
+//!    (413, via [`Tree::parse_bounded`]), which bounds what the
+//!    evaluator will recurse. The tree parser is iterative; the depth
+//!    gates are what make a `catch_unwind` story honest for the
+//!    recursive evaluator: a stack overflow is an abort, not a panic,
+//!    so it must be prevented, not contained.
 //! 3. **Work queue** — `run`/`pipeline`/`check` requests go through a
 //!    bounded queue; when it is full the request is shed with a 429
 //!    (`serve.shed`) instead of queuing unbounded latency. `stats` and
@@ -34,7 +36,7 @@ use fast_json::Json;
 use fast_obs::engine::Engine;
 use fast_obs::slo::{SloSpec, SloViolation};
 use fast_rt::{Artifact, BatchMemo, RunOptions};
-use fast_trees::Tree;
+use fast_trees::{ParseError, Tree};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -67,8 +69,9 @@ pub struct ServeConfig {
     pub max_request_bytes: usize,
     /// Largest serialized output set returned, in bytes.
     pub max_response_bytes: usize,
-    /// Maximum input-tree nesting depth (guards parser/evaluator
-    /// recursion — see [`EXECUTOR_STACK_BYTES`]).
+    /// Maximum input-tree nesting depth: the `(`-nesting the tree
+    /// parser accepts, parens inside labels not counted (guards
+    /// evaluator recursion — see `EXECUTOR_STACK_BYTES`).
     pub max_input_depth: usize,
     /// Per-connection read *and* write timeout (`None` = wait forever):
     /// closes connections idle past it, and connections whose peer
@@ -474,24 +477,6 @@ fn executor_loop(shared: &Arc<Shared>, rx: &Mutex<Receiver<Job>>) {
     }
 }
 
-/// Maximum `(`-nesting of the input text — an over-approximation of the
-/// tree depth (parens inside string labels count), which errs on the
-/// side of rejection.
-fn nesting_depth(s: &str) -> usize {
-    let (mut depth, mut max) = (0usize, 0usize);
-    for b in s.bytes() {
-        match b {
-            b'(' => {
-                depth += 1;
-                max = max.max(depth);
-            }
-            b')' => depth = depth.saturating_sub(1),
-            _ => {}
-        }
-    }
-    max
-}
-
 fn run_error_response(id: &Json, e: &TransducerError) -> Json {
     let code = match e {
         TransducerError::Timeout { .. } => proto::CODE_TIMEOUT,
@@ -526,24 +511,20 @@ fn execute(shared: &Shared, req: &Request) -> Json {
         );
     };
 
-    let depth = nesting_depth(&req.input);
-    if depth > shared.cfg.max_input_depth {
-        return proto::error_response(
-            &req.id,
-            proto::CODE_TOO_LARGE,
-            format!(
-                "input nesting depth {depth} exceeds the limit of {}",
-                shared.cfg.max_input_depth
-            ),
-        );
-    }
-    let tree = match Tree::parse(ty, &req.input) {
+    let tree = match Tree::parse_bounded(ty, &req.input, shared.cfg.max_input_depth) {
         Ok(t) => t,
-        Err(msg) => {
+        Err(ParseError::TooDeep { limit }) => {
+            return proto::error_response(
+                &req.id,
+                proto::CODE_TOO_LARGE,
+                format!("input nesting depth exceeds the limit of {limit}"),
+            )
+        }
+        Err(e) => {
             return proto::error_response(
                 &req.id,
                 proto::CODE_BAD_REQUEST,
-                format!("input does not parse: {msg}"),
+                format!("input does not parse: {e}"),
             )
         }
     };

@@ -19,6 +19,11 @@ const SRC: &str = r#"
       L() to (L [0 - i])
     | N(x, y) to (N [0 - i] (flip x) (flip y))
     }
+    type ST[s: String] { SL(0), SN(2) }
+    trans copy: ST -> ST {
+      SL() to (SL [s])
+    | SN(x, y) to (SN [s] (copy x) (copy y))
+    }
 "#;
 
 fn artifact() -> Artifact {
@@ -189,6 +194,23 @@ fn input_depth_gate_rejects_deep_nesting() {
     }
     let resp = client.run("inc", &input).unwrap();
     assert_eq!(resp.get("code"), Some(&Json::Int(413)), "{resp}");
+    server.shutdown();
+}
+
+/// The depth gate counts the tree's own parens, not parens inside
+/// string labels: a depth-1 input whose label holds 2 000 `(` is served.
+#[test]
+fn input_depth_gate_ignores_parens_in_labels() {
+    let server = start_server(ServeConfig {
+        max_input_depth: 16,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(server.addr()).unwrap();
+    let input = format!(r#"SN["{}"](SL["a"], SL[")"])"#, "(".repeat(2_000));
+    let resp = client.run("copy", &input).unwrap();
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
+    let outs = resp.get("outputs").and_then(Json::as_array).unwrap();
+    assert_eq!(outs[0].as_str(), Some(input.as_str()));
     server.shutdown();
 }
 

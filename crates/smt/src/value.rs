@@ -96,14 +96,34 @@ impl From<char> for Value {
     }
 }
 
+impl Value {
+    /// Writes the value as `Display` prints it; strings and chars as
+    /// their `{:?}` form. A string of printable ASCII with nothing to
+    /// escape is copied straight through; everything else goes to `{:?}`
+    /// itself, so the output is byte-identical to it either way.
+    /// Generic over the writer, so rendering many values into one
+    /// `String` costs no dynamic dispatch per piece.
+    pub fn write_to(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        match self {
+            Value::Bool(b) => write!(w, "{b}"),
+            Value::Int(n) => write!(w, "{n}"),
+            Value::Str(s)
+                if s.bytes()
+                    .all(|b| (b' '..=b'~').contains(&b) && b != b'"' && b != b'\\') =>
+            {
+                w.write_str("\"")?;
+                w.write_str(s)?;
+                w.write_str("\"")
+            }
+            Value::Str(s) => write!(w, "{s:?}"),
+            Value::Char(c) => write!(w, "{c:?}"),
+        }
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Int(n) => write!(f, "{n}"),
-            Value::Str(s) => write!(f, "{s:?}"),
-            Value::Char(c) => write!(f, "{c:?}"),
-        }
+        self.write_to(f)
     }
 }
 
@@ -180,16 +200,24 @@ impl Label {
     }
 }
 
-impl fmt::Display for Label {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[")?;
+impl Label {
+    /// Writes the label as `Display` prints it (`[v, …]`), generic over
+    /// the writer like [`Value::write_to`].
+    pub fn write_to(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        w.write_str("[")?;
         for (i, v) in self.values.iter().enumerate() {
             if i > 0 {
-                write!(f, ", ")?;
+                w.write_str(", ")?;
             }
-            write!(f, "{v}")?;
+            v.write_to(w)?;
         }
-        write!(f, "]")
+        w.write_str("]")
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 
@@ -211,6 +239,30 @@ mod tests {
     fn display() {
         let l = Label::new(vec![Value::Int(-2), Value::Bool(true), Value::Char('x')]);
         assert_eq!(l.to_string(), "[-2, true, 'x']");
+    }
+
+    /// Strings and chars print exactly as `{:?}` prints them, whether or
+    /// not they take the unescaped fast path.
+    #[test]
+    fn display_is_debug_for_strings_and_chars() {
+        let every_low_char: String = (0u8..0x80).map(char::from).collect();
+        for s in [
+            "",
+            "div",
+            "a b~",
+            "q\"",
+            "\\",
+            "\r\u{ad}\u{200b}é",
+            every_low_char.as_str(),
+        ] {
+            assert_eq!(Value::Str(s.into()).to_string(), format!("{s:?}"));
+        }
+        for c in every_low_char
+            .chars()
+            .chain(['é', '\u{ad}', '\u{301}', '\u{10ffff}'])
+        {
+            assert_eq!(Value::Char(c).to_string(), format!("{c:?}"));
+        }
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! Every [`Tree`] in the process is built through this module: the
 //! constructors ([`Tree::new`], [`Tree::leaf`], and everything layered
-//! on them — the s-expression parser, the HTML builders, the
-//! generators) intern each node in a process-wide, 16-way-sharded
-//! hash-cons table. Each structurally distinct `(ctor, label, children)`
-//! node is stored exactly once behind an [`Arc`], and every `Tree`
-//! handle carries the canonical node plus:
+//! on them — the HTML builders, the generators) intern each node in a
+//! process-wide, 16-way-sharded hash-cons table. The s-expression
+//! parser ([`Tree::parse`]) first looks whole subtrees up by their
+//! structural hash and interns only the nodes it does not find. Each
+//! structurally distinct `(ctor, label, children)` node is stored
+//! exactly once behind an [`Arc`], and every `Tree` handle carries the
+//! canonical node plus:
 //!
 //! * a **stable 64-bit [`TreeId`]** — equal ids ⇔ structurally equal
 //!   trees, for the life of the process. Ids are allocated from a
@@ -36,7 +38,7 @@
 //!
 //! | counter | meaning |
 //! |---|---|
-//! | `intern.hits` | an intern call returned an existing canonical node |
+//! | `intern.hits` | nodes resolved to an existing canonical node: one per intern call that found its node, plus a parsed subtree's whole size when the parser verifies it at its root |
 //! | `intern.misses` | a new canonical node was allocated (= table size) |
 //! | `intern.hash_collisions` | two distinct nodes share a 64-bit structural hash |
 //! | `intern.contended` | a shard lock was busy and the call had to block |
@@ -56,7 +58,7 @@ use fast_smt::{Label, Value};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
 /// Number of intern-table shards (matches `fast_smt::intern::SHARDS`).
 pub const SHARDS: usize = 16;
@@ -84,15 +86,46 @@ fn interner() -> &'static Interner {
     })
 }
 
-/// Deterministic structural hash of a prospective node. Children
-/// contribute their precomputed hashes (not their ids), so the result
-/// depends only on structure — the same in every thread and run.
-fn structural_hash(ctor: CtorId, label: &Label, children: &[Tree]) -> u64 {
+/// A label value as the structural hash and the parser's verification
+/// see it: borrowed, so a parsed label can be hashed and compared while
+/// its strings still point into the input text.
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
+pub(crate) enum ValueRef<'a> {
+    Bool(bool),
+    Int(i64),
+    Str(&'a str),
+    Char(char),
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(v: &'a Value) -> ValueRef<'a> {
+        match v {
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(n) => ValueRef::Int(*n),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Char(c) => ValueRef::Char(*c),
+        }
+    }
+}
+
+/// Deterministic structural hash of a prospective node: the one hash
+/// both [`intern`] and the parser's arena compute, so a parsed subtree
+/// can be probed for before any of it is interned. Children contribute
+/// their precomputed hashes (not their ids), so the result depends only
+/// on structure — the same in every thread and run.
+pub(crate) fn structural_hash<'v>(
+    ctor: CtorId,
+    label: impl ExactSizeIterator<Item = ValueRef<'v>>,
+    children: impl Iterator<Item = u64>,
+) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    ctor.hash(&mut h);
-    label.hash(&mut h);
+    h.write_usize(ctor.0);
+    h.write_usize(label.len());
+    for v in label {
+        v.hash(&mut h);
+    }
     for c in children {
-        h.write_u64(c.precomputed_hash());
+        h.write_u64(c);
     }
     h.finish()
 }
@@ -157,22 +190,37 @@ fn node_bytes(node: &Node) -> u64 {
         + std::mem::size_of::<Entry>()) as u64
 }
 
+/// Locks shard `i`, counting `intern.contended` when it is busy.
+fn lock_shard(i: usize) -> MutexGuard<'static, Shard> {
+    let shard = &interner().shards[i];
+    match shard.try_lock() {
+        Ok(guard) => guard,
+        Err(TryLockError::WouldBlock) => {
+            fast_obs::count!("intern.contended");
+            shard.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+        Err(TryLockError::Poisoned(e)) => e.into_inner(),
+    }
+}
+
 /// Interns a node, returning the canonical handle for this structure.
 ///
 /// Children must already be interned handles (they always are — `Tree`
 /// cannot be built any other way), so the equality scan compares child
 /// ids in O(arity) instead of deep-comparing subtrees.
 pub(crate) fn intern(ctor: CtorId, label: Label, children: Vec<Tree>) -> Tree {
-    let hash = structural_hash(ctor, &label, &children);
-    let table = interner();
-    let mut shard = match table.shards[shard_of(hash)].try_lock() {
-        Ok(guard) => guard,
-        Err(std::sync::TryLockError::WouldBlock) => {
-            fast_obs::count!("intern.contended");
-            table.shards[shard_of(hash)].lock().unwrap()
-        }
-        Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-    };
+    let hash = structural_hash(
+        ctor,
+        label.values().iter().map(ValueRef::from),
+        children.iter().map(Tree::precomputed_hash),
+    );
+    intern_hashed(hash, ctor, label, children)
+}
+
+/// [`intern`] for a caller that already holds the node's
+/// [`structural_hash`] (the parser computes it while reading).
+pub(crate) fn intern_hashed(hash: u64, ctor: CtorId, label: Label, children: Vec<Tree>) -> Tree {
+    let mut shard = lock_shard(shard_of(hash));
     let bucket = shard.entry(hash).or_default();
     for e in bucket.iter() {
         if e.node.ctor == ctor && e.node.children == children && e.node.label == label {
@@ -184,7 +232,7 @@ pub(crate) fn intern(ctor: CtorId, label: Label, children: Vec<Tree>) -> Tree {
     if !bucket.is_empty() {
         fast_obs::count!("intern.hash_collisions");
     }
-    let id = TreeId(table.next_id.fetch_add(1, Ordering::Relaxed));
+    let id = TreeId(interner().next_id.fetch_add(1, Ordering::Relaxed));
     let node = Arc::new(Node {
         ctor,
         label,
@@ -197,6 +245,23 @@ pub(crate) fn intern(ctor: CtorId, label: Label, children: Vec<Tree>) -> Tree {
         id,
     });
     Tree::from_parts(node, id, hash)
+}
+
+/// The `k`-th canonical node stored under structural hash `hash`, if
+/// any (a bucket holds more than one only on a 64-bit hash collision).
+/// Buckets are append-only, so `k` indexes the same node on every call.
+/// The shard lock is held only for the lookup: the caller verifies the
+/// candidate against its own structure after the lock is released.
+pub(crate) fn probe(hash: u64, k: usize) -> Option<Tree> {
+    let shard = lock_shard(shard_of(hash));
+    let e = shard.get(&hash)?.get(k)?;
+    Some(Tree::from_parts(Arc::clone(&e.node), e.id, hash))
+}
+
+/// Counts `nodes` nodes resolved to existing canonical nodes without an
+/// [`intern`] call each: a verified subtree is counted in one add.
+pub(crate) fn count_hits(nodes: u64) {
+    fast_obs::count!("intern.hits", nodes);
 }
 
 /// Number of distinct trees currently interned (all shards). Equals the

@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 mod gen;
+mod parse;
 mod tree;
 mod ty;
 
@@ -37,5 +38,6 @@ pub mod intern;
 
 pub use gen::{HtmlGen, TreeGen};
 pub use html::{html_type, HtmlCtors, HtmlDoc, HtmlElem};
+pub use parse::ParseError;
 pub use tree::{DisplayTree, Iter, Tree, TreeId};
 pub use ty::{Ctor, CtorId, TreeType};

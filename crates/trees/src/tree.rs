@@ -1,8 +1,9 @@
 //! σ-labeled finite trees, globally hash-consed.
 
+use crate::parse::ParseError;
 use crate::ty::{CtorId, TreeType};
-use fast_smt::{Label, Value};
-use std::fmt;
+use fast_smt::Label;
+use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -73,7 +74,7 @@ impl Tree {
     }
 
     /// Assembles a handle around an already-interned node (interner
-    /// use only — this is what keeps `Tree::new` the single chokepoint).
+    /// use only — this is what keeps the interner the single chokepoint).
     pub(crate) fn from_parts(node: Arc<Node>, id: TreeId, hash: u64) -> Tree {
         Tree { node, id, hash }
     }
@@ -159,24 +160,32 @@ impl Tree {
 
     /// Parses the s-expression syntax produced by [`Tree::display`]:
     /// `ctor[label-values](child, …)`, with `[...]` omitted for unit labels
-    /// and `(...)` omitted for leaves. String values use double quotes with
-    /// `\\`-escapes; chars use single quotes.
+    /// and `(...)` omitted for leaves. String and char values are read
+    /// back from their `{:?}` form: double or single quotes, with the
+    /// escapes `\0 \t \r \n \' \" \\ \u{…}` (any other escaped char
+    /// stands for itself), so `parse(display(t)) == t` for every tree.
+    /// Depth is bounded by memory, not by the thread stack.
     ///
     /// # Errors
     ///
-    /// Returns a message describing the first syntax or arity error.
+    /// Returns a message describing the first syntax, arity or label
+    /// error; positions in it are byte offsets.
     pub fn parse(ty: &TreeType, input: &str) -> Result<Tree, String> {
-        let mut p = Parser {
-            ty,
-            chars: input.chars().collect(),
-            pos: 0,
-        };
-        let t = p.tree()?;
-        p.skip_ws();
-        if p.pos != p.chars.len() {
-            return Err(format!("trailing input at position {}", p.pos));
-        }
-        Ok(t)
+        crate::parse::parse(ty, input, usize::MAX).map_err(|e| e.to_string())
+    }
+
+    /// [`Tree::parse`] with a nesting limit: fails with
+    /// [`ParseError::TooDeep`] at the first `(` nested deeper than
+    /// `max_depth` (a leaf nests 0 deep, `N(L, L)` 1), before any of the
+    /// input is interned. Parens inside string and char labels are text
+    /// and do not count.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseError::TooDeep`] over the limit, [`ParseError::Syntax`]
+    /// for everything [`Tree::parse`] rejects.
+    pub fn parse_bounded(ty: &TreeType, input: &str, max_depth: usize) -> Result<Tree, ParseError> {
+        crate::parse::parse(ty, input, max_depth)
     }
 }
 
@@ -234,7 +243,7 @@ impl fmt::Debug for Tree {
 impl fmt::Display for Tree {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Constructor names are not known without a type; print the id.
-        write_tree(f, self, &|c| format!("c{}", c.0))
+        write_tree(f, self, None)
     }
 }
 
@@ -246,34 +255,53 @@ pub struct DisplayTree<'a> {
 
 impl fmt::Display for DisplayTree<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_tree(f, self.tree, &|c| self.ty.ctor_name(c).to_string())
+        write_tree(f, self.tree, Some(self.ty))
     }
 }
 
-fn write_tree(
-    f: &mut fmt::Formatter<'_>,
-    t: &Tree,
-    name: &dyn Fn(CtorId) -> String,
-) -> fmt::Result {
-    write!(f, "{}", name(t.ctor()))?;
-    if t.label().arity() > 0 {
-        write!(f, "{}", t.label())?;
-    }
-    if !t.children().is_empty() {
-        write!(f, "(")?;
-        for (i, c) in t.children().iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write_tree(f, c, name)?;
+/// Writes `t` in the syntax [`Tree::parse`] reads, constructor names
+/// from `ty` (or `c<index>` without a type). The text is built in a
+/// local `String` and handed to `f` in one write: the many small pieces
+/// then cost no dynamic dispatch each. Iterative, so any depth prints
+/// on any stack.
+fn write_tree(f: &mut fmt::Formatter<'_>, t: &Tree, ty: Option<&TreeType>) -> fmt::Result {
+    let head = |out: &mut String, t: &Tree| -> fmt::Result {
+        match ty {
+            Some(ty) => out.push_str(ty.ctor_name(t.ctor())),
+            None => write!(out, "c{}", t.ctor().0)?,
         }
-        write!(f, ")")?;
+        if t.label().arity() > 0 {
+            t.label().write_to(out)?;
+        }
+        if !t.children().is_empty() {
+            out.push('(');
+        }
+        Ok(())
+    };
+    let mut out = String::new();
+    head(&mut out, t)?;
+    // Open nodes and the index of the next child to print.
+    let mut open: Vec<(&Tree, usize)> = Vec::new();
+    if !t.children().is_empty() {
+        open.push((t, 0));
     }
-    Ok(())
+    while let Some((node, next)) = open.last_mut() {
+        let Some(child) = node.children().get(*next) else {
+            out.push(')');
+            open.pop();
+            continue;
+        };
+        if *next > 0 {
+            out.push_str(", ");
+        }
+        *next += 1;
+        head(&mut out, child)?;
+        if !child.children().is_empty() {
+            open.push((child, 0));
+        }
+    }
+    f.write_str(&out)
 }
-
-// Tree::to_string for typed display: the blanket Display above prints raw
-// constructor ids; `t.display(&ty)` prints names. Tests below cover both.
 
 /// Pre-order iterator (see [`Tree::iter`]).
 pub struct Iter<'a> {
@@ -291,178 +319,10 @@ impl<'a> Iterator for Iter<'a> {
     }
 }
 
-struct Parser<'a> {
-    ty: &'a TreeType,
-    chars: Vec<char>,
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        if self.bump() == Some(c) {
-            Ok(())
-        } else {
-            Err(format!("expected '{c}' at position {}", self.pos))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_alphanumeric() || c == '_') {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected identifier at position {}", self.pos));
-        }
-        Ok(self.chars[start..self.pos].iter().collect())
-    }
-
-    fn tree(&mut self) -> Result<Tree, String> {
-        let name = self.ident()?;
-        let ctor = self
-            .ty
-            .ctor_id(&name)
-            .ok_or_else(|| format!("unknown constructor '{name}'"))?;
-        self.skip_ws();
-        let label = if self.peek() == Some('[') {
-            self.bump();
-            let mut values = Vec::new();
-            self.skip_ws();
-            if self.peek() != Some(']') {
-                loop {
-                    values.push(self.value()?);
-                    self.skip_ws();
-                    if self.peek() == Some(',') {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-            }
-            self.expect(']')?;
-            Label::new(values)
-        } else {
-            Label::unit()
-        };
-        if !label.conforms_to(self.ty.sig()) {
-            return Err(format!(
-                "label {label} does not conform to signature {}",
-                self.ty.sig()
-            ));
-        }
-        let mut children = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some('(') {
-            self.bump();
-            self.skip_ws();
-            if self.peek() != Some(')') {
-                loop {
-                    children.push(self.tree()?);
-                    self.skip_ws();
-                    if self.peek() == Some(',') {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-            }
-            self.expect(')')?;
-        }
-        if children.len() != self.ty.rank(ctor) {
-            return Err(format!(
-                "constructor '{name}' expects {} children, got {}",
-                self.ty.rank(ctor),
-                children.len()
-            ));
-        }
-        Ok(Tree::new(ctor, label, children))
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some('"') => {
-                self.bump();
-                let mut s = String::new();
-                loop {
-                    match self.bump() {
-                        Some('"') => break,
-                        Some('\\') => match self.bump() {
-                            Some('n') => s.push('\n'),
-                            Some('t') => s.push('\t'),
-                            Some(c) => s.push(c),
-                            None => return Err("unterminated string".into()),
-                        },
-                        Some(c) => s.push(c),
-                        None => return Err("unterminated string".into()),
-                    }
-                }
-                Ok(Value::Str(s))
-            }
-            Some('\'') => {
-                self.bump();
-                let c = match self.bump() {
-                    Some('\\') => match self.bump() {
-                        Some('n') => '\n',
-                        Some('t') => '\t',
-                        Some(c) => c,
-                        None => return Err("unterminated char".into()),
-                    },
-                    Some(c) => c,
-                    None => return Err("unterminated char".into()),
-                };
-                self.expect('\'')?;
-                Ok(Value::Char(c))
-            }
-            Some(c) if c.is_ascii_digit() || c == '-' => {
-                let start = self.pos;
-                if c == '-' {
-                    self.bump();
-                }
-                while matches!(self.peek(), Some(d) if d.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-                let text: String = self.chars[start..self.pos].iter().collect();
-                text.parse::<i64>()
-                    .map(Value::Int)
-                    .map_err(|e| e.to_string())
-            }
-            _ => {
-                let word = self.ident()?;
-                match word.as_str() {
-                    "true" => Ok(Value::Bool(true)),
-                    "false" => Ok(Value::Bool(false)),
-                    _ => Err(format!("unexpected value '{word}'")),
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fast_smt::{LabelSig, Sort};
+    use fast_smt::{LabelSig, Sort, Value};
 
     fn bt() -> Arc<TreeType> {
         TreeType::new(
@@ -559,6 +419,80 @@ mod tests {
         let mut s = HashSet::new();
         s.insert(t1);
         assert!(s.contains(&t2));
+    }
+
+    /// Every escape `{:?}` prints reads back as the char it stands for
+    /// (`\r` once read back as `r`, `\0` as `0`, and `'\u{7}'` failed).
+    #[test]
+    fn parse_decodes_every_debug_escape() {
+        let ty = TreeType::new(
+            "SC",
+            LabelSig::new(vec![("s".into(), Sort::Str), ("c".into(), Sort::Char)]),
+            vec![("leaf", 0)],
+        );
+        let leaf = ty.ctor_id("leaf").unwrap();
+        for s in [
+            "cr\r", "\0", "\u{7}", "\u{ad}", "\u{200b}", "t\tn\n", "q\"'\\", "e\u{301}",
+        ] {
+            for c in [
+                '\0',
+                '\u{7}',
+                '\u{ad}',
+                '\'',
+                '"',
+                '\\',
+                '\r',
+                'x',
+                '\u{10ffff}',
+            ] {
+                let t = Tree::leaf(leaf, Label::new(vec![Value::Str(s.into()), Value::Char(c)]));
+                let printed = t.display(&ty).to_string();
+                assert_eq!(printed, format!("leaf[{s:?}, {c:?}]"));
+                assert_eq!(Tree::parse(&ty, &printed).unwrap(), t, "{printed}");
+            }
+        }
+        // Written-out forms the printer never emits still read as before.
+        let t = Tree::parse(&ty, r#"leaf["\a\u{1F600}", 'z']"#).unwrap();
+        assert_eq!(t.label().get(0).as_str(), Some("a\u{1F600}"));
+        for bad in [
+            r#"leaf["\u{}", 'z']"#,
+            r#"leaf["\u{110000}", 'z']"#,
+            r#"leaf["\u41", 'z']"#,
+        ] {
+            assert!(Tree::parse(&ty, bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn bounded_parse_counts_parens_not_label_text() {
+        let ty = html();
+        let text = format!(
+            r#"node["{}"](nil[""], nil[""], nil[")"])"#,
+            "(".repeat(2_000)
+        );
+        assert!(Tree::parse_bounded(&ty, &text, 1).is_ok());
+        assert_eq!(
+            Tree::parse_bounded(&ty, &text, 0).unwrap_err(),
+            ParseError::TooDeep { limit: 0 }
+        );
+        let nested = r#"node["a"](nil[""], node["b"](nil[""], nil[""], nil[""]), nil[""])"#;
+        assert!(Tree::parse_bounded(&ty, nested, 2).is_ok());
+        assert_eq!(
+            Tree::parse_bounded(&ty, nested, 1).unwrap_err(),
+            ParseError::TooDeep { limit: 1 }
+        );
+        // Syntax errors keep their own variant.
+        assert!(matches!(
+            Tree::parse_bounded(&ty, "node[", 8),
+            Err(ParseError::Syntax(_))
+        ));
+    }
+
+    #[test]
+    fn parse_accepts_unicode_whitespace_and_identifiers() {
+        let ty = TreeType::new("Ü", LabelSig::unit(), vec![("λ_0", 0), ("ß", 1)]);
+        let t = Tree::parse(&ty, "\u{3000}ß\u{a0}(\u{2003}λ_0\u{2028})\u{85}").unwrap();
+        assert_eq!(t.display(&ty).to_string(), "ß(λ_0)");
     }
 
     #[test]

@@ -7,12 +7,17 @@
 //! * **injectivity** — structurally distinct trees never share an id;
 //! * **thread safety** — concurrent threads racing to intern the same
 //!   structures agree on every id, and the winning canonical node is
-//!   shared by all of them.
+//!   shared by all of them;
+//! * **top-down resolution** — the parser's probe-and-verify path
+//!   returns the same id as node-by-node construction, for documents
+//!   already interned, never seen, or partly seen, at any depth.
 
 use fast_smt::{Label, LabelSig, Sort, Value};
 use fast_trees::{html_type, HtmlDoc, HtmlElem, HtmlGen, Tree, TreeGen, TreeType};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Arc, Barrier};
 
 fn mixed_type() -> Arc<TreeType> {
     TreeType::new(
@@ -46,8 +51,92 @@ fn tree() -> impl Strategy<Value = Tree> {
     })
 }
 
+/// A tree described without interning it, so its printed form can be
+/// parsed before any of it is in the table.
+#[derive(Debug, Clone)]
+struct Shape {
+    n: i64,
+    s: String,
+    b: bool,
+    kids: Vec<Shape>,
+}
+
+fn shape() -> impl Strategy<Value = Shape> {
+    let leaf = (-1000i64..1000, "[a-z\"\\\\]{0,5}", any::<bool>()).prop_map(|(n, s, b)| Shape {
+        n,
+        s,
+        b,
+        kids: Vec::new(),
+    });
+    leaf.prop_recursive(5, 40, 2, |inner| {
+        (
+            -1000i64..1000,
+            "[a-z]{0,3}",
+            any::<bool>(),
+            proptest::collection::vec(inner, 1..3),
+        )
+            .prop_map(|(n, s, b, kids)| Shape { n, s, b, kids })
+    })
+}
+
+/// A label offset no other test (or case) uses: shifting every int by
+/// it makes a shape's nodes new to the table.
+fn fresh_salt() -> i64 {
+    static NEXT: AtomicI64 = AtomicI64::new(1 << 40);
+    NEXT.fetch_add(1 << 20, Ordering::Relaxed)
+}
+
+/// `sh` in `Tree::display` syntax, every int label shifted by `salt`.
+fn text(sh: &Shape, salt: i64) -> String {
+    let ctor = ["z", "u", "p"][sh.kids.len()];
+    let mut out = format!("{ctor}[{}, {:?}, {}]", sh.n + salt, sh.s, sh.b);
+    if !sh.kids.is_empty() {
+        let kids: Vec<String> = sh.kids.iter().map(|k| text(k, salt)).collect();
+        write!(out, "({})", kids.join(", ")).unwrap();
+    }
+    out
+}
+
+/// `sh` built node by node through `Tree::new`.
+fn build(sh: &Shape, salt: i64) -> Tree {
+    let ty = mixed_type();
+    let ctor = ty.ctor_id(["z", "u", "p"][sh.kids.len()]).unwrap();
+    let label = Label::new(vec![
+        Value::Int(sh.n + salt),
+        Value::Str(sh.s.clone()),
+        Value::Bool(sh.b),
+    ]);
+    Tree::new(
+        ctor,
+        label,
+        sh.kids.iter().map(|k| build(k, salt)).collect(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Top-down resolution agrees with construction whether the parsed
+    /// document is new to the table, already in it, or new above
+    /// subtrees that are: `parse(display(t))` returns `t`'s id.
+    #[test]
+    fn parse_resolves_to_the_constructed_id(sh in shape()) {
+        let ty = mixed_type();
+        let salt = fresh_salt();
+        let printed = text(&sh, salt);
+        let unseen = Tree::parse(&ty, &printed).unwrap();
+        let t = build(&sh, salt);
+        prop_assert_eq!(unseen.id(), t.id());
+        prop_assert!(unseen.ptr_eq(&t));
+        let seen = Tree::parse(&ty, &t.display(&ty).to_string()).unwrap();
+        prop_assert_eq!(seen.id(), t.id());
+        // A new root over two interned subtrees.
+        let p = ty.ctor_id("p").unwrap();
+        let label = Label::new(vec![Value::Int(salt - 1), Value::Str("new".into()), Value::Bool(true)]);
+        let over = Tree::new(p, label, vec![t.clone(), t]);
+        let parsed = Tree::parse(&ty, &format!("p[{}, \"new\", true]({printed}, {printed})", salt - 1)).unwrap();
+        prop_assert_eq!(parsed.id(), over.id());
+    }
 
     /// Parsing the printed form rebuilds the tree node by node through
     /// a completely different code path — yet every subtree must land
@@ -189,4 +278,100 @@ fn concurrent_interning_is_consistent() {
         CHAINS as usize,
         "distinct chains shared an id"
     );
+}
+
+/// Threads parsing overlapping documents at once — shared subtrees,
+/// each document new to the table — end with identical ids for every
+/// document and every subtree, and share the canonical nodes.
+#[test]
+fn concurrent_parses_of_overlapping_documents_agree() {
+    const THREADS: usize = 8;
+    const DOCS: usize = 12;
+    let salt = fresh_salt();
+    let leaf = |i: usize| format!("z[{}, \"l\", false]", salt + i as i64);
+    let mid = |i: usize| {
+        format!(
+            "p[{}, \"m\", true]({}, {})",
+            salt + 100 + i as i64,
+            leaf(i),
+            leaf(i + 1)
+        )
+    };
+    let docs: Vec<String> = (0..DOCS)
+        .map(|k| {
+            format!(
+                "p[{}, \"d\", false]({}, u[{}, \"u\", true]({}))",
+                salt + 200 + k as i64,
+                mid(k % 4),
+                salt + 300 + (k % 2) as i64,
+                mid((k + 1) % 4)
+            )
+        })
+        .collect();
+    let barrier = Barrier::new(THREADS);
+    let per_thread: Vec<Vec<Tree>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|th| {
+                let (docs, barrier) = (&docs, &barrier);
+                scope.spawn(move || {
+                    let ty = mixed_type();
+                    barrier.wait();
+                    // Each thread starts at a different document.
+                    let mut out: Vec<(usize, Tree)> = (0..DOCS)
+                        .map(|i| (i + th) % DOCS)
+                        .map(|k| (k, Tree::parse(&ty, &docs[k]).unwrap()))
+                        .collect();
+                    out.sort_by_key(|(k, _)| *k);
+                    out.into_iter().map(|(_, t)| t).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for trees in &per_thread[1..] {
+        for (a, b) in trees.iter().zip(&per_thread[0]) {
+            assert!(a.ptr_eq(b), "divergent canonical nodes across threads");
+            for (x, y) in a.iter().zip(b.iter()) {
+                assert_eq!(x.id(), y.id());
+            }
+        }
+    }
+    let mut ids: Vec<u64> = per_thread[0].iter().map(|t| t.id().as_u64()).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), DOCS, "distinct documents shared an id");
+}
+
+/// A 200 000-deep right-nested document parses, prints and re-parses on
+/// a thread with the default stack: no step of the path recurses per
+/// level.
+#[test]
+fn deep_right_nested_input_round_trips_on_a_default_stack() {
+    const DEPTH: usize = 200_000;
+    let salt = fresh_salt();
+    let leaf = format!("z[{salt}, \"\", false]");
+    let mut input = String::new();
+    for i in 0..DEPTH {
+        write!(input, "p[{}, \"\", true]({leaf}, ", i % 7).unwrap();
+    }
+    input.push_str(&leaf);
+    input.push_str(&")".repeat(DEPTH));
+    std::thread::Builder::new()
+        .spawn(move || {
+            let ty = mixed_type();
+            let t = Tree::parse(&ty, &input).unwrap();
+            let printed = t.display(&ty).to_string();
+            assert!(printed == input, "display is not the parsed text");
+            assert_eq!(Tree::parse(&ty, &printed).unwrap().id(), t.id());
+            let mut depth = 0;
+            let mut node = &t;
+            while let [_, right] = node.children() {
+                depth += 1;
+                node = right;
+            }
+            assert_eq!(depth, DEPTH);
+        })
+        .unwrap()
+        .join()
+        .unwrap();
 }

@@ -60,8 +60,89 @@ fn html_elem() -> impl Strategy<Value = HtmlElem> {
     })
 }
 
+/// A type whose labels are a string and a char, for the escape tests.
+fn text_type() -> Arc<TreeType> {
+    TreeType::new(
+        "X",
+        LabelSig::new(vec![("s".into(), Sort::Str), ("c".into(), Sort::Char)]),
+        vec![("x", 0), ("y", 2)],
+    )
+}
+
+/// Any char, weighted toward those `{:?}` escapes: ASCII controls,
+/// quotes and backslash, and non-printable or grapheme-extending code
+/// points, plus the parser's own punctuation.
+fn any_char() -> impl Strategy<Value = char> {
+    const SPECIAL: [char; 18] = [
+        '\0',
+        '\t',
+        '\r',
+        '\n',
+        '\'',
+        '"',
+        '\\',
+        '\u{7}',
+        '\u{7f}',
+        '\u{85}',
+        '\u{ad}',
+        '\u{300}',
+        '\u{200b}',
+        '\u{feff}',
+        '\u{10ffff}',
+        '(',
+        ')',
+        ',',
+    ];
+    prop_oneof![
+        (0u8..0x80).prop_map(char::from),
+        (0u32..0x11_0000).prop_map(|n| char::from_u32(n).unwrap_or('\u{fffd}')),
+        (0..SPECIAL.len()).prop_map(|i| SPECIAL[i]),
+    ]
+}
+
+fn any_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec(any_char(), 0..8).prop_map(|cs| cs.into_iter().collect())
+}
+
+fn text_tree() -> impl Strategy<Value = Tree> {
+    let ty = text_type();
+    let x = ty.ctor_id("x").unwrap();
+    let y = ty.ctor_id("y").unwrap();
+    let label = || {
+        (any_string(), any_char())
+            .prop_map(|(s, c)| Label::new(vec![Value::Str(s), Value::Char(c)]))
+    };
+    label()
+        .prop_map(move |l| Tree::leaf(x, l))
+        .prop_recursive(3, 12, 2, move |inner| {
+            (label(), inner.clone(), inner).prop_map(move |(l, a, b)| Tree::new(y, l, vec![a, b]))
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Display → parse is the identity on strings and chars of any
+    /// Unicode content, control and non-printable ones included.
+    #[test]
+    fn escaped_labels_round_trip(t in text_tree()) {
+        let ty = text_type();
+        let printed = t.display(&ty).to_string();
+        let back = Tree::parse(&ty, &printed)
+            .unwrap_or_else(|e| panic!("{e}\n--- printed ---\n{printed}"));
+        prop_assert_eq!(back, t);
+    }
+
+    /// Labels print byte for byte as `{:?}` prints their values.
+    #[test]
+    fn labels_print_as_debug(s in any_string(), c in any_char()) {
+        let ty = text_type();
+        let t = Tree::leaf(
+            ty.ctor_id("x").unwrap(),
+            Label::new(vec![Value::Str(s.clone()), Value::Char(c)]),
+        );
+        prop_assert_eq!(t.display(&ty).to_string(), format!("x[{s:?}, {c:?}]"));
+    }
 
     /// Display → parse is the identity on trees (all label sorts).
     #[test]
