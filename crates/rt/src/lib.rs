@@ -10,8 +10,11 @@
 //!   **compiled evaluation plan**: rules grouped into per
 //!   `(state, constructor)` dispatch tables, guard-ordered so trivially
 //!   true guards skip label evaluation, with the lookahead STA
-//!   pre-indexed by constructor. Compilation is done once; the plan is
-//!   immutable and shared by every worker.
+//!   pre-indexed by constructor and every rule's lookahead sets
+//!   precomputed as bit masks over the lookahead states. Compilation is
+//!   done once; the plan is immutable and shared by every worker.
+//!   Loading a `.fastc` [`Artifact`] builds the plan through the same
+//!   constructor.
 //! * [`Plan::run_batch`] evaluates a whole batch against a **shared memo
 //!   table** keyed on `(state, TreeId)` — the stable structural identity
 //!   every tree gets from the global hash-cons table in
@@ -22,6 +25,14 @@
 //!   capacity-bounded with eviction, and hit/miss/eviction counters
 //!   surface both per batch ([`BatchStats`]) and globally (`rt.*`
 //!   counters in `fast-obs`).
+//! * Per node, evaluation allocates only what it returns. Guards
+//!   compare label fields in place ([`fast_smt::Term::eval_ref`]), a
+//!   subtree's lookahead states are a bitset (one inline word up to 64
+//!   states), the memo and lookahead tables hash their integer keys
+//!   with one multiply per integer instead of SipHash (`TreeId`s come
+//!   from a server-side counter, so clients cannot aim collisions), and
+//!   a rule's output trees are appended straight into the caller's
+//!   vector.
 //! * Work is spread over a dependency-free **work-stealing pool** of
 //!   scoped threads; [`Plan::run_stream`] is the bounded-channel
 //!   streaming variant with per-item timeouts. Both degrade gracefully:

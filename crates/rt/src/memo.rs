@@ -20,6 +20,18 @@
 //! Sharding mirrors `fast-smt`'s solver cache: 16 mutex-guarded shards
 //! selected by key hash, so concurrent workers rarely contend.
 //!
+//! # Hashing
+//!
+//! Keys are `(state, TreeId)` pairs or bare `TreeId`s, and they are
+//! hashed with [`MixHasher`], one multiply-mix step per integer, not
+//! SipHash. A keyed hash guards against keys chosen to collide, and
+//! clients cannot choose `TreeId`s: the interner hands them out from one
+//! monotonic counter. The interner itself hashes client-chosen labels
+//! and keeps SipHash. A shard is
+//! chosen from bits 48–51 of the hash: high bits, which the multiply
+//! mixes best, but clear of the top seven bits that each shard's own
+//! table uses for its control bytes.
+//!
 //! # Capacity accounting
 //!
 //! `capacity` bounds the **whole table**, not each shard: every shard
@@ -27,12 +39,13 @@
 //! exceeds `capacity` when `capacity ≥ SHARDS`; smaller capacities are
 //! rounded up to one entry per shard, i.e. `SHARDS` total — callers in
 //! `plan.rs` clamp with `.max(SHARDS)` so this rounding never applies
-//! there). Insertion into a full shard evicts one resident entry
-//! (cheap random-ish choice — the first key of the shard's current
-//! iteration order) and bumps `rt.memo_evictions`.
+//! there). Insertion into a full shard evicts the shard's oldest entry
+//! (a cursor that rotates through the shard's insertion order, so
+//! evictions are O(1) and spread over every key) and bumps
+//! `rt.memo_evictions`.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -49,6 +62,43 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Number of shards (matches `fast_smt::intern::SHARDS`).
 pub(crate) const SHARDS: usize = 16;
+
+/// A multiply-mix hasher for integer keys (`TreeId`, `(state, TreeId)`):
+/// each integer written is xored into the rotated state, which is then
+/// multiplied by an odd 64-bit constant. Only for keys clients cannot
+/// choose (see the module docs).
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(26) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `HashMap` hasher state for [`MixHasher`].
+pub(crate) type MixState = BuildHasherDefault<MixHasher>;
+
+/// A `HashMap` keyed by integers, hashed with [`MixHasher`].
+pub(crate) type MixMap<K, V> = HashMap<K, V, MixState>;
 
 /// Local (per-batch) cache statistics, mirrored into the global
 /// `fast_obs` registry by the callers.
@@ -82,9 +132,17 @@ impl<K, V> Clone for ResidencyGauges<K, V> {
 }
 impl<K, V> Copy for ResidencyGauges<K, V> {}
 
+/// One shard: the map plus its keys in insertion order, the eviction
+/// cursor. Entries leave only by eviction, so every resident key is in
+/// `order` exactly once.
+struct Shard<K, V> {
+    map: MixMap<K, V>,
+    order: VecDeque<K>,
+}
+
 /// A sharded, capacity-bounded concurrent hash map.
 pub(crate) struct Sharded<K, V> {
-    shards: Vec<Mutex<HashMap<K, V>>>,
+    shards: Vec<Mutex<Shard<K, V>>>,
     per_shard_cap: usize,
     gauges: Option<ResidencyGauges<K, V>>,
 }
@@ -96,7 +154,14 @@ impl<K: Eq + Hash + Clone, V: Clone> Sharded<K, V> {
     pub fn new(capacity: usize) -> Self {
         let per_shard_cap = (capacity / SHARDS).max(1);
         Sharded {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        map: MixMap::default(),
+                        order: VecDeque::new(),
+                    })
+                })
+                .collect(),
             per_shard_cap,
             gauges: None,
         }
@@ -110,15 +175,13 @@ impl<K: Eq + Hash + Clone, V: Clone> Sharded<K, V> {
         m
     }
 
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, V>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
+    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
+        &self.shards[shard_index(MixState::default().hash_one(key))]
     }
 
     /// Looks up `key`, recording a hit or miss in `stats`.
     pub fn get(&self, key: &K, stats: &CacheStats) -> Option<V> {
-        let found = lock_unpoisoned(self.shard(key)).get(key).cloned();
+        let found = lock_unpoisoned(self.shard(key)).map.get(key).cloned();
         match &found {
             Some(_) => stats.hits.fetch_add(1, Ordering::Relaxed),
             None => stats.misses.fetch_add(1, Ordering::Relaxed),
@@ -126,12 +189,22 @@ impl<K: Eq + Hash + Clone, V: Clone> Sharded<K, V> {
         found
     }
 
-    /// Inserts `key → value`, evicting one entry if the shard is full.
+    /// Inserts `key → value`, evicting the shard's oldest entry if the
+    /// shard is full.
     pub fn insert(&self, key: K, value: V, stats: &CacheStats) {
-        let mut shard = lock_unpoisoned(self.shard(&key));
-        if shard.len() >= self.per_shard_cap && !shard.contains_key(&key) {
-            if let Some(victim) = shard.keys().next().cloned() {
-                if let Some(evicted) = shard.remove(&victim) {
+        let mut guard = lock_unpoisoned(self.shard(&key));
+        let shard = &mut *guard;
+        if let Some(old) = shard.map.get_mut(&key) {
+            if let Some(g) = &self.gauges {
+                g.bytes.sub((g.weigh)(&key, old));
+                g.bytes.add((g.weigh)(&key, &value));
+            }
+            *old = value;
+            return;
+        }
+        if shard.map.len() >= self.per_shard_cap {
+            if let Some(victim) = shard.order.pop_front() {
+                if let Some(evicted) = shard.map.remove(&victim) {
                     stats.evictions.fetch_add(1, Ordering::Relaxed);
                     if let Some(g) = &self.gauges {
                         g.entries.sub(1);
@@ -141,21 +214,27 @@ impl<K: Eq + Hash + Clone, V: Clone> Sharded<K, V> {
             }
         }
         if let Some(g) = &self.gauges {
-            let new_weight = (g.weigh)(&key, &value);
-            match shard.get(&key) {
-                Some(old) => g.bytes.sub((g.weigh)(&key, old)),
-                None => g.entries.add(1),
-            }
-            g.bytes.add(new_weight);
+            g.entries.add(1);
+            g.bytes.add((g.weigh)(&key, &value));
         }
-        shard.insert(key, value);
+        shard.order.push_back(key.clone());
+        shard.map.insert(key, value);
     }
 
     /// Total entries across shards (test/diagnostic use).
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_unpoisoned(s).len()).sum()
+        self.shards
+            .iter()
+            .map(|s| lock_unpoisoned(s).map.len())
+            .sum()
     }
+}
+
+/// The shard a key hash selects: bits 48–51 (see the module docs).
+#[inline]
+fn shard_index(hash: u64) -> usize {
+    (hash >> 48) as usize % SHARDS
 }
 
 impl<K, V> Drop for Sharded<K, V> {
@@ -165,9 +244,9 @@ impl<K, V> Drop for Sharded<K, V> {
         if let Some(g) = &self.gauges {
             for shard in &self.shards {
                 let shard = lock_unpoisoned(shard);
-                g.entries.sub(shard.len() as u64);
+                g.entries.sub(shard.map.len() as u64);
                 g.bytes
-                    .sub(shard.iter().map(|(k, v)| (g.weigh)(k, v)).sum());
+                    .sub(shard.map.iter().map(|(k, v)| (g.weigh)(k, v)).sum());
             }
         }
     }
@@ -253,6 +332,65 @@ mod tests {
         drop(m);
         assert_eq!(gauges.entries.get(), 0);
         assert_eq!(gauges.bytes.get(), 0);
+    }
+
+    /// The shard choice spreads sequential ids: 100,000 consecutive
+    /// `TreeId`s, alone and paired with each of three states, land within
+    /// ±25% of an even split over the shards. A mixer whose chosen bits
+    /// do not depend on the low bits of the id would put every executor
+    /// on one lock.
+    #[test]
+    fn sequential_ids_spread_over_shards() {
+        let state = MixState::default();
+        // A `TreeId` hashes exactly as its raw `u64` does.
+        let t = fast_trees::Tree::leaf(fast_trees::CtorId(0), fast_smt::Label::single(0i64));
+        assert_eq!(state.hash_one(t.id()), state.hash_one(t.id().as_u64()));
+        const N: u64 = 100_000;
+        let check = |counts: [u64; SHARDS], what: &str| {
+            let even = counts.iter().sum::<u64>() / SHARDS as u64;
+            for (i, &c) in counts.iter().enumerate() {
+                assert!(
+                    c * 4 >= even * 3 && c * 4 <= even * 5,
+                    "{what}: shard {i} got {c} keys, even split is {even}: {counts:?}"
+                );
+            }
+        };
+        let mut counts = [0u64; SHARDS];
+        for id in 1..=N {
+            counts[shard_index(state.hash_one(id))] += 1;
+        }
+        check(counts, "TreeId keys");
+        for q in 0..3usize {
+            let mut counts = [0u64; SHARDS];
+            for id in 1..=N {
+                counts[shard_index(state.hash_one((q, id)))] += 1;
+            }
+            check(counts, &format!("(state {q}, TreeId) keys"));
+        }
+    }
+
+    /// Eviction rotates through insertion order: the oldest key goes
+    /// first, and a re-inserted key keeps its place.
+    #[test]
+    fn eviction_takes_the_oldest_key() {
+        let stats = CacheStats::default();
+        let m: Sharded<u64, u64> = Sharded::new(SHARDS * 2); // 2 entries/shard
+        let target = shard_index(MixState::default().hash_one(0u64));
+        let same: Vec<u64> = (0u64..)
+            .filter(|k| shard_index(MixState::default().hash_one(k)) == target)
+            .take(4)
+            .collect();
+        m.insert(same[0], 0, &stats);
+        m.insert(same[1], 1, &stats);
+        m.insert(same[0], 10, &stats); // replace in place, no eviction
+        m.insert(same[2], 2, &stats); // evicts same[0], the oldest
+        assert_eq!(m.get(&same[0], &stats), None);
+        assert_eq!(m.get(&same[1], &stats), Some(1));
+        m.insert(same[3], 3, &stats); // evicts same[1]
+        assert_eq!(m.get(&same[1], &stats), None);
+        assert_eq!(m.get(&same[2], &stats), Some(2));
+        assert_eq!(m.get(&same[3], &stats), Some(3));
+        assert_eq!(stats.evictions.load(Ordering::Relaxed), 2);
     }
 
     #[test]

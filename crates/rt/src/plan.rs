@@ -1,6 +1,6 @@
 //! Compiled evaluation plans and the batch evaluator.
 
-use crate::memo::{CacheStats, Sharded};
+use crate::memo::{CacheStats, MixMap, Sharded};
 use crate::pool::{self, PoolStats};
 use crate::profile::{self, ProfileData, RuleProfile, RuleProfileEntry};
 use fast_automata::StateId;
@@ -8,15 +8,15 @@ use fast_core::{Out, Sttr, TransducerError, DEFAULT_RUN_CAP};
 use fast_smt::bin::FormulaPool;
 use fast_smt::{BoolAlg, Formula, Interned, TransAlg};
 use fast_trees::{Tree, TreeId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A rule reference inside a dispatch group: the index into the owning
-/// state's rule list, the guard's index in the plan's formula pool, and
-/// precomputed fast-path flags.
+/// state's rule list, the guard's index in the plan's formula pool, its
+/// lookahead requirements, and a precomputed fast-path flag.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CRule {
     pub(crate) idx: u32,
@@ -24,8 +24,9 @@ pub(crate) struct CRule {
     pub(crate) guard: u32,
     /// Guard is syntactically ⊤ — skip label evaluation entirely.
     pub(crate) trivial_guard: bool,
-    /// At least one child carries a non-empty lookahead set.
-    pub(crate) needs_la: bool,
+    /// The rule's non-empty per-child lookahead sets, as a range of
+    /// [`Plan::la_reqs`] (empty for a rule without lookahead).
+    pub(crate) reqs: (u32, u32),
 }
 
 /// A lookahead-STA rule reference, pre-indexed by constructor.
@@ -36,6 +37,58 @@ pub(crate) struct LaRule {
     /// Index of the guard in [`Plan::guard_pool`].
     pub(crate) guard: u32,
     pub(crate) trivial_guard: bool,
+    /// As [`CRule::reqs`].
+    pub(crate) reqs: (u32, u32),
+}
+
+/// One non-empty lookahead requirement of a rule: child `child` must be
+/// accepted by every state in the mask at word offset `mask` of
+/// [`Plan::la_masks`].
+#[derive(Debug, Clone, Copy)]
+struct LaReq {
+    child: u32,
+    mask: u32,
+}
+
+/// A set of lookahead-STA states as bit words: state `s` is bit `s % 64`
+/// of word `s / 64`, over `ceil(n / 64)` words (at least one) for an STA
+/// with `n` states. Up to 64 states the set is one inline word; beyond
+/// that the words live behind an `Arc`, so a cache hit never copies them.
+#[derive(Debug, Clone)]
+enum StateBits {
+    One(u64),
+    Many(Arc<[u64]>),
+}
+
+impl StateBits {
+    fn from_words(words: &[u64]) -> StateBits {
+        match words {
+            [w] => StateBits::One(*w),
+            _ => StateBits::Many(words.into()),
+        }
+    }
+
+    fn words(&self) -> &[u64] {
+        match self {
+            StateBits::One(w) => std::slice::from_ref(w),
+            StateBits::Many(ws) => ws,
+        }
+    }
+
+    /// Whether every state of `req` (a mask of the same width) is in the
+    /// set: `req & !have == 0`, word by word.
+    #[inline]
+    fn covers(&self, req: &[u64]) -> bool {
+        req.iter().zip(self.words()).all(|(r, h)| r & !h == 0)
+    }
+
+    /// Heap bytes behind the set (the `Arc` block of a wide set).
+    fn heap_bytes(&self) -> usize {
+        match self {
+            StateBits::One(_) => 0,
+            StateBits::Many(ws) => 2 * std::mem::size_of::<usize>() + std::mem::size_of_val(&**ws),
+        }
+    }
 }
 
 /// Options controlling one batch run.
@@ -138,7 +191,7 @@ impl BatchStats {
 type OutMemo = Sharded<(usize, TreeId), Arc<Vec<Tree>>>;
 
 /// Lookahead cache: `TreeId → accepting lookahead states`.
-type LaMemo = Sharded<TreeId, Arc<BTreeSet<StateId>>>;
+type LaMemo = Sharded<TreeId, StateBits>;
 
 /// A result memo reporting residency into the process-wide
 /// `rt.memo.entries` / `rt.memo.bytes` gauges. Every live table (one
@@ -151,11 +204,12 @@ fn out_memo(capacity: usize) -> OutMemo {
         crate::memo::ResidencyGauges {
             entries: fast_obs::gauge("rt.memo.entries"),
             bytes: fast_obs::gauge("rt.memo.bytes"),
-            // Estimate: the key, the Arc's control+vec blocks, and one
-            // interned handle per output tree (the trees themselves are
-            // owned by the interner and counted there).
+            // Estimate: the key (held twice: in the map and in the
+            // shard's eviction order), the Arc's control+vec blocks, and
+            // one interned handle per output tree (the trees themselves
+            // are owned by the interner and counted there).
             weigh: |k, v| {
-                (std::mem::size_of_val(k)
+                (2 * std::mem::size_of_val(k)
                     + std::mem::size_of::<Arc<Vec<Tree>>>()
                     + v.len() * std::mem::size_of::<Tree>()) as u64
             },
@@ -171,9 +225,8 @@ fn la_memo(capacity: usize) -> LaMemo {
             entries: fast_obs::gauge("rt.la.entries"),
             bytes: fast_obs::gauge("rt.la.bytes"),
             weigh: |k, v| {
-                (std::mem::size_of_val(k)
-                    + std::mem::size_of::<Arc<BTreeSet<StateId>>>()
-                    + v.len() * std::mem::size_of::<StateId>()) as u64
+                (2 * std::mem::size_of_val(k) + std::mem::size_of::<StateBits>() + v.heap_bytes())
+                    as u64
             },
         },
     )
@@ -235,11 +288,6 @@ struct BatchCtx<'p> {
     profile: Option<ProfileData>,
 }
 
-fn empty_states() -> &'static Arc<BTreeSet<StateId>> {
-    static EMPTY: OnceLock<Arc<BTreeSet<StateId>>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(BTreeSet::new()))
-}
-
 /// One item's evaluation state: deadline bookkeeping plus the private
 /// fallback memo used when the shared table is disabled (mirroring the
 /// per-run memo of [`Sttr::run`], which guards against re-evaluating
@@ -249,7 +297,7 @@ struct ItemRun<'b, 'p> {
     deadline: Option<Instant>,
     timeout_ms: u64,
     ticks: u32,
-    local_memo: HashMap<(usize, TreeId), Arc<Vec<Tree>>>,
+    local_memo: MixMap<(usize, TreeId), Arc<Vec<Tree>>>,
 }
 
 /// A compiled evaluation plan for one [`Sttr`].
@@ -260,11 +308,13 @@ struct ItemRun<'b, 'p> {
 /// (guard-ordered: syntactically trivial guards first, so the common
 /// unguarded rules skip label evaluation), guards are deduplicated into
 /// a formula pool referenced by small indices, and the lookahead STA's
-/// rules are flattened by constructor the same way. Dispatch is pure
-/// index arithmetic — the same shape the plan has after round-tripping
-/// through a `.fastc` binary artifact (see `fast_rt::Artifact`). The
-/// plan is immutable and `Sync`; one plan serves any number of
-/// concurrent batches.
+/// rules are flattened by constructor the same way. Every rule's
+/// per-child lookahead sets are precomputed as bit masks over the
+/// lookahead STA's states, so a lookahead check is a few word
+/// operations. Dispatch is pure index arithmetic — the same shape the
+/// plan has after round-tripping through a `.fastc` binary artifact (see
+/// `fast_rt::Artifact`). The plan is immutable and `Sync`; one plan
+/// serves any number of concurrent batches.
 ///
 /// # Examples
 ///
@@ -314,7 +364,14 @@ pub struct Plan {
     /// Distinct guard formulas, referenced by `CRule::guard` /
     /// `LaRule::guard` pool indices (deduplicated by interned identity).
     guard_pool: Vec<Interned<Formula>>,
-    la_state_count: usize,
+    /// Width in words of a lookahead state set: `ceil(n / 64)` for an
+    /// STA with `n` states, at least one.
+    la_words: usize,
+    /// Every rule's non-empty lookahead requirements, ranged by
+    /// `CRule::reqs` / `LaRule::reqs`.
+    la_reqs: Vec<LaReq>,
+    /// The requirement masks, `la_words` words each.
+    la_masks: Vec<u64>,
     /// Prefix sums of per-state rule counts: the flat profile index of
     /// `(state q, rule idx)` is `rule_offsets[q.0] + idx`.
     rule_offsets: Vec<usize>,
@@ -329,77 +386,42 @@ impl Plan {
         let sttr = sttr.clone();
         let tt = sttr.alg().tt();
         let n_ctors = sttr.ty().ctor_count();
-        let n_states = sttr.state_count();
-        let mut pool = FormulaPool::new();
-        let mut buckets: Vec<Vec<CRule>> = vec![Vec::new(); n_states * n_ctors];
+        // Guard order: trivially-true guards first (stable on the
+        // original index). The output set is a union over enabled rules,
+        // so reordering is semantics-preserving.
+        let mut buckets: Vec<Vec<(bool, u32)>> = vec![Vec::new(); sttr.state_count() * n_ctors];
         for q in sttr.states() {
             for (idx, r) in sttr.rules(q).iter().enumerate() {
-                buckets[q.0 * n_ctors + r.ctor.0].push(CRule {
-                    idx: idx as u32,
-                    guard: pool.index_of(&r.guard),
-                    trivial_guard: r.guard == tt,
-                    needs_la: r.lookahead.iter().any(|s| !s.is_empty()),
-                });
+                buckets[q.0 * n_ctors + r.ctor.0].push((r.guard != tt, idx as u32));
             }
         }
-        let mut group_offsets = Vec::with_capacity(n_states * n_ctors + 1);
-        let mut groups = Vec::new();
-        group_offsets.push(0u32);
-        for mut group in buckets {
-            // Guard order: trivially-true guards first (stable on the
-            // original index). The output set is a union over enabled
-            // rules, so reordering is semantics-preserving.
-            group.sort_by_key(|c| (!c.trivial_guard, c.idx));
-            groups.extend(group);
-            group_offsets.push(groups.len() as u32);
-        }
+        let (group_offsets, group_idxs) = flatten(buckets, |(_, idx)| idx);
         let la = sttr.lookahead_sta();
-        let mut la_buckets: Vec<Vec<LaRule>> = vec![Vec::new(); n_ctors];
+        let mut la_buckets: Vec<Vec<(u32, bool, u32)>> = vec![Vec::new(); n_ctors];
         for s in la.states() {
             for (idx, r) in la.rules(s).iter().enumerate() {
-                la_buckets[r.ctor.0].push(LaRule {
-                    state: s.0 as u32,
-                    idx: idx as u32,
-                    guard: pool.index_of(&r.guard),
-                    trivial_guard: r.guard == tt,
-                });
+                la_buckets[r.ctor.0].push((s.0 as u32, r.guard != tt, idx as u32));
             }
         }
-        let mut la_group_offsets = Vec::with_capacity(n_ctors + 1);
-        let mut la_groups = Vec::new();
-        la_group_offsets.push(0u32);
-        for mut group in la_buckets {
-            group.sort_by_key(|c| (c.state, !c.trivial_guard, c.idx));
-            la_groups.extend(group);
-            la_group_offsets.push(la_groups.len() as u32);
-        }
-        let la_state_count = la.state_count();
-        let mut rule_offsets = Vec::with_capacity(n_states);
-        let mut total_rules = 0;
-        for q in sttr.states() {
-            rule_offsets.push(total_rules);
-            total_rules += sttr.rules(q).len();
-        }
-        Plan {
+        let (la_group_offsets, la_pairs) = flatten(la_buckets, |(s, _, idx)| (s, idx));
+        Plan::from_flat(
             sttr,
-            n_ctors,
             group_offsets,
-            groups,
+            &group_idxs,
             la_group_offsets,
-            la_groups,
-            guard_pool: pool.items().to_vec(),
-            la_state_count,
-            rule_offsets,
-            total_rules,
-        }
+            &la_pairs,
+        )
     }
 
-    /// Rebuilds a plan from flat dispatch tables decoded out of a binary
-    /// artifact. The tables must already be validated (offsets monotone
-    /// and in range, rule indices valid for their state, each rule
-    /// present exactly once per state — see `artifact.rs`); guards and
-    /// fast-path flags are recomputed from the transducer itself, so a
-    /// hostile artifact cannot smuggle in mismatched semantics.
+    /// Builds a plan from flat dispatch tables: the one constructor
+    /// behind [`Plan::compile`] and the artifact loader, so a loaded
+    /// plan derives its guards, flags and lookahead masks exactly as a
+    /// compiled one does. The tables must already be valid (offsets
+    /// monotone and in range, rule indices valid for their state, each
+    /// rule present exactly once per state — `artifact.rs` checks this
+    /// for decoded tables); everything else is recomputed from the
+    /// transducer itself, so a hostile artifact cannot smuggle in
+    /// mismatched semantics.
     pub(crate) fn from_flat(
         sttr: Sttr,
         group_offsets: Vec<u32>,
@@ -409,7 +431,30 @@ impl Plan {
     ) -> Plan {
         let tt = sttr.alg().tt();
         let n_ctors = sttr.ty().ctor_count();
+        let la = sttr.lookahead_sta();
+        let la_words = la.state_count().div_ceil(64).max(1);
         let mut pool = FormulaPool::new();
+        let mut la_reqs = Vec::new();
+        let mut la_masks = Vec::new();
+        // Appends the masks of a rule's non-empty lookahead sets.
+        let mut push_reqs = |lookahead: &[BTreeSet<StateId>]| {
+            let start = la_reqs.len() as u32;
+            for (child, set) in lookahead.iter().enumerate() {
+                if set.is_empty() {
+                    continue;
+                }
+                let mask = la_masks.len();
+                la_masks.resize(mask + la_words, 0);
+                for s in set {
+                    la_masks[mask + s.0 / 64] |= 1 << (s.0 % 64);
+                }
+                la_reqs.push(LaReq {
+                    child: child as u32,
+                    mask: mask as u32,
+                });
+            }
+            (start, la_reqs.len() as u32)
+        };
         let mut groups = Vec::with_capacity(group_idxs.len());
         for base in 0..group_offsets.len() - 1 {
             let q = StateId(base / n_ctors);
@@ -420,11 +465,10 @@ impl Plan {
                     idx,
                     guard: pool.index_of(&r.guard),
                     trivial_guard: r.guard == tt,
-                    needs_la: r.lookahead.iter().any(|s| !s.is_empty()),
+                    reqs: push_reqs(&r.lookahead),
                 });
             }
         }
-        let la = sttr.lookahead_sta();
         let mut la_groups = Vec::with_capacity(la_pairs.len());
         for &(state, idx) in la_pairs {
             let r = &la.rules(StateId(state as usize))[idx as usize];
@@ -433,9 +477,9 @@ impl Plan {
                 idx,
                 guard: pool.index_of(&r.guard),
                 trivial_guard: r.guard == tt,
+                reqs: push_reqs(&r.lookahead),
             });
         }
-        let la_state_count = la.state_count();
         let mut rule_offsets = Vec::with_capacity(sttr.state_count());
         let mut total_rules = 0;
         for q in sttr.states() {
@@ -450,7 +494,9 @@ impl Plan {
             la_group_offsets,
             la_groups,
             guard_pool: pool.items().to_vec(),
-            la_state_count,
+            la_words,
+            la_reqs,
+            la_masks,
             rule_offsets,
             total_rules,
         }
@@ -474,6 +520,18 @@ impl Plan {
     #[inline]
     fn guard(&self, id: u32) -> &Interned<Formula> {
         &self.guard_pool[id as usize]
+    }
+
+    /// A rule's lookahead requirements ([`CRule::reqs`]).
+    #[inline]
+    fn reqs(&self, (start, end): (u32, u32)) -> &[LaReq] {
+        &self.la_reqs[start as usize..end as usize]
+    }
+
+    /// The state mask of one requirement.
+    #[inline]
+    fn mask(&self, req: &LaReq) -> &[u64] {
+        &self.la_masks[req.mask as usize..][..self.la_words]
     }
 
     /// Flat-table views for the artifact encoder.
@@ -676,6 +734,20 @@ impl Plan {
     }
 }
 
+/// Sorts each bucket and concatenates them through `f`, returning the
+/// prefix-sum offsets and the flat entries.
+fn flatten<T: Ord, U>(buckets: Vec<Vec<T>>, f: impl Fn(T) -> U) -> (Vec<u32>, Vec<U>) {
+    let mut offsets = Vec::with_capacity(buckets.len() + 1);
+    let mut flat = Vec::new();
+    offsets.push(0);
+    for mut bucket in buckets {
+        bucket.sort_unstable();
+        flat.extend(bucket.into_iter().map(&f));
+        offsets.push(flat.len() as u32);
+    }
+    (offsets, flat)
+}
+
 /// Worker loop of [`Plan::run_stream`]: scoped workers claim items from
 /// an atomic cursor and send results as soon as they are ready.
 ///
@@ -760,7 +832,7 @@ fn run_item(cx: &BatchCtx<'_>, t: &Tree) -> Result<Vec<Tree>, TransducerError> {
         deadline: cx.timeout.map(|d| Instant::now() + d),
         timeout_ms,
         ticks: 0,
-        local_memo: HashMap::new(),
+        local_memo: MixMap::default(),
     };
     let out = {
         let _dispatch = fast_obs::span!("plan.dispatch");
@@ -859,21 +931,19 @@ impl<'b, 'p> ItemRun<'b, 'p> {
     }
 
     /// The set of lookahead-STA states accepting `t`, from the shared
-    /// cache, computing (and caching) missing subtrees iteratively.
-    fn la_states(&mut self, t: &Tree) -> Result<Arc<BTreeSet<StateId>>, TransducerError> {
-        if self.cx.plan.la_state_count == 0 {
-            return Ok(empty_states().clone());
-        }
+    /// cache, computing (and caching) missing subtrees iteratively. Only
+    /// rules with a lookahead requirement call it, so the STA has states.
+    fn la_states(&mut self, t: &Tree) -> Result<StateBits, TransducerError> {
         if let Some(s) = self.cx.la.get(&t.id(), &self.cx.la_stats) {
             return Ok(s);
         }
         // Explicit post-order stack (deep documents must not overflow),
         // skipping every subtree already in the shared cache.
         let plan = self.cx.plan;
-        let la = plan.sttr.lookahead_sta();
         let alg = plan.sttr.alg();
         let mut stack: Vec<(&Tree, bool)> = vec![(t, false)];
-        let mut computed: HashMap<TreeId, Arc<BTreeSet<StateId>>> = HashMap::new();
+        let mut computed: MixMap<TreeId, StateBits> = MixMap::default();
+        let mut accept = vec![0u64; plan.la_words];
         while let Some((node, expanded)) = stack.pop() {
             self.tick()?;
             if computed.contains_key(&node.id()) {
@@ -891,26 +961,27 @@ impl<'b, 'p> ItemRun<'b, 'p> {
                 }
                 continue;
             }
-            let mut accept = BTreeSet::new();
+            accept.fill(0);
             for lr in plan.la_group(node.ctor().0) {
-                let state = StateId(lr.state as usize);
-                if accept.contains(&state) {
+                let (word, bit) = (lr.state as usize / 64, 1u64 << (lr.state % 64));
+                if accept[word] & bit != 0 {
                     continue;
                 }
-                let r = &la.rules(state)[lr.idx as usize];
                 if !lr.trivial_guard && !alg.eval(plan.guard(lr.guard), node.label()) {
                     continue;
                 }
-                let ok = r.lookahead.iter().enumerate().all(|(i, set)| {
-                    set.is_empty() || set.is_subset(&computed[&node.child(i).id()])
+                let ok = plan.reqs(lr.reqs).iter().all(|req| {
+                    computed[&node.child(req.child as usize).id()].covers(plan.mask(req))
                 });
                 if ok {
-                    accept.insert(state);
+                    accept[word] |= bit;
                 }
             }
-            let rc = Arc::new(accept);
-            self.cx.la.insert(node.id(), rc.clone(), &self.cx.la_stats);
-            computed.insert(node.id(), rc);
+            let bits = StateBits::from_words(&accept);
+            self.cx
+                .la
+                .insert(node.id(), bits.clone(), &self.cx.la_stats);
+            computed.insert(node.id(), bits);
         }
         Ok(computed.remove(&t.id()).expect("root computed"))
     }
@@ -952,24 +1023,21 @@ impl<'b, 'p> ItemRun<'b, 'p> {
                     continue;
                 }
             }
-            if cr.needs_la {
-                let mut ok = true;
-                for (i, set) in r.lookahead.iter().enumerate() {
-                    if set.is_empty() {
-                        continue;
-                    }
-                    let child_states = self.la_states(t.child(i))?;
-                    if !set.is_subset(&child_states) {
-                        ok = false;
-                        break;
-                    }
-                }
-                if !ok {
-                    charge();
-                    continue;
+            let mut ok = true;
+            for req in plan.reqs(cr.reqs) {
+                if !self
+                    .la_states(t.child(req.child as usize))?
+                    .covers(plan.mask(req))
+                {
+                    ok = false;
+                    break;
                 }
             }
-            out.extend(self.eval_out(&r.output, t)?);
+            if !ok {
+                charge();
+                continue;
+            }
+            self.eval_out(&r.output, t, &mut out)?;
             if let Some(p) = profile {
                 p.fired[prof_idx].fetch_add(1, Ordering::Relaxed);
             }
@@ -990,59 +1058,85 @@ impl<'b, 'p> ItemRun<'b, 'p> {
         Ok(rc)
     }
 
+    /// Appends the output trees of `out` on input `t` to `dst`.
     fn eval_out(
         &mut self,
         out: &Out<fast_smt::LabelAlg>,
         t: &Tree,
-    ) -> Result<Vec<Tree>, TransducerError> {
+        dst: &mut Vec<Tree>,
+    ) -> Result<(), TransducerError> {
         let plan = self.cx.plan;
         let alg = plan.sttr.alg();
         match out {
-            Out::Call(q, i) => Ok(self.transduce(*q, t.child(*i))?.as_ref().clone()),
+            Out::Call(q, i) => {
+                dst.extend(self.transduce(*q, t.child(*i))?.iter().cloned());
+                Ok(())
+            }
             Out::Node {
                 ctor,
                 fun,
                 children,
             } => {
                 let Some(label) = alg.apply_fun(fun, t.label()) else {
-                    return Ok(Vec::new());
+                    return Ok(());
                 };
-                let mut per_child: Vec<Vec<Tree>> = Vec::with_capacity(children.len());
-                for c in children {
-                    per_child.push(self.eval_out(c, t)?);
-                }
-                if per_child.iter().all(|v| v.len() == 1) {
-                    let kids = per_child
-                        .into_iter()
-                        .map(|mut v| v.pop().unwrap())
-                        .collect();
-                    return Ok(vec![Tree::new(*ctor, label, kids)]);
-                }
-                // Cartesian product over child alternatives, bounded by
-                // the batch cap exactly like `Sttr::run_bounded`.
-                let mut acc: Vec<Vec<Tree>> = vec![Vec::with_capacity(children.len())];
-                for opts in &per_child {
-                    let mut next = Vec::with_capacity(acc.len() * opts.len().max(1));
-                    for partial in &acc {
-                        for o in opts {
-                            let mut p = partial.clone();
-                            p.push(o.clone());
-                            next.push(p);
-                            if next.len() > self.cx.cap {
-                                return Err(TransducerError::Budget {
-                                    context: "run",
-                                    limit: self.cx.cap,
-                                });
-                            }
+                // Single-valued children (the common case) fill one child
+                // vector in place. The first child with zero or several
+                // outputs switches to the product below.
+                let mut kids: Vec<Tree> = Vec::with_capacity(children.len());
+                for (k, c) in children.iter().enumerate() {
+                    self.eval_out(c, t, &mut kids)?;
+                    if kids.len() != k + 1 {
+                        let rest = kids.split_off(k);
+                        let mut per_child: Vec<Vec<Tree>> =
+                            kids.into_iter().map(|o| vec![o]).collect();
+                        per_child.push(rest);
+                        for c in &children[k + 1..] {
+                            let mut alts = Vec::new();
+                            self.eval_out(c, t, &mut alts)?;
+                            per_child.push(alts);
                         }
+                        return self.product(*ctor, label, &per_child, dst);
                     }
-                    acc = next;
                 }
-                Ok(acc
-                    .into_iter()
-                    .map(|kids| Tree::new(*ctor, label.clone(), kids))
-                    .collect())
+                dst.push(Tree::new(*ctor, label, kids));
+                Ok(())
             }
         }
+    }
+
+    /// Appends one `ctor[label]` node per combination of the per-child
+    /// alternatives, bounded by the batch cap exactly like
+    /// `Sttr::run_bounded`.
+    fn product(
+        &self,
+        ctor: fast_trees::CtorId,
+        label: fast_smt::Label,
+        per_child: &[Vec<Tree>],
+        dst: &mut Vec<Tree>,
+    ) -> Result<(), TransducerError> {
+        let mut acc: Vec<Vec<Tree>> = vec![Vec::with_capacity(per_child.len())];
+        for opts in per_child {
+            let mut next = Vec::with_capacity(acc.len() * opts.len().max(1));
+            for partial in &acc {
+                for o in opts {
+                    let mut p = partial.clone();
+                    p.push(o.clone());
+                    next.push(p);
+                    if next.len() > self.cx.cap {
+                        return Err(TransducerError::Budget {
+                            context: "run",
+                            limit: self.cx.cap,
+                        });
+                    }
+                }
+            }
+            acc = next;
+        }
+        dst.extend(
+            acc.into_iter()
+                .map(|kids| Tree::new(ctor, label.clone(), kids)),
+        );
+        Ok(())
     }
 }

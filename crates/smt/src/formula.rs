@@ -102,11 +102,13 @@ pub enum Atom {
 
 impl Atom {
     /// Evaluates the atom on a concrete label. Evaluation errors (overflow)
-    /// make the atom false, so guards are total.
+    /// make the atom false, so guards are total. Operands are evaluated
+    /// with [`Term::eval_ref`], so comparing a field with a literal
+    /// copies neither.
     pub fn eval(&self, label: &Label) -> bool {
         match self {
-            Atom::Cmp(op, a, b) => match (a.eval(label), b.eval(label)) {
-                (Ok(x), Ok(y)) => match (&x, &y) {
+            Atom::Cmp(op, a, b) => match (a.eval_ref(label), b.eval_ref(label)) {
+                (Ok(x), Ok(y)) => match (x.as_ref(), y.as_ref()) {
                     (Value::Int(_), Value::Int(_))
                     | (Value::Char(_), Value::Char(_))
                     | (Value::Str(_), Value::Str(_))
@@ -115,15 +117,15 @@ impl Atom {
                 },
                 _ => false,
             },
-            Atom::BoolTerm(t) => matches!(t.eval(label), Ok(Value::Bool(true))),
+            Atom::BoolTerm(t) => matches!(t.eval_ref(label).as_deref(), Ok(Value::Bool(true))),
             Atom::StrPrefix(t, p) => {
-                matches!(t.eval(label), Ok(Value::Str(s)) if s.starts_with(p.as_str()))
+                matches!(t.eval_ref(label).as_deref(), Ok(Value::Str(s)) if s.starts_with(p.as_str()))
             }
             Atom::StrSuffix(t, p) => {
-                matches!(t.eval(label), Ok(Value::Str(s)) if s.ends_with(p.as_str()))
+                matches!(t.eval_ref(label).as_deref(), Ok(Value::Str(s)) if s.ends_with(p.as_str()))
             }
             Atom::StrContains(t, p) => {
-                matches!(t.eval(label), Ok(Value::Str(s)) if s.contains(p.as_str()))
+                matches!(t.eval_ref(label).as_deref(), Ok(Value::Str(s)) if s.contains(p.as_str()))
             }
         }
     }

@@ -7,6 +7,7 @@
 
 use crate::sort::{LabelSig, Sort};
 use crate::value::{Label, Value};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Errors raised while evaluating a term on a concrete label.
@@ -197,14 +198,11 @@ impl Term {
     /// for ill-typed terms).
     pub fn eval(&self, label: &Label) -> Result<Value, EvalError> {
         match self {
-            Term::Field(i) => label
-                .values()
-                .get(*i)
-                .cloned()
-                .ok_or(EvalError::SortMismatch),
-            Term::Lit(v) => Ok(v.clone()),
+            Term::Field(_) | Term::Lit(_) | Term::Ite(..) => {
+                self.eval_ref(label).map(Cow::into_owned)
+            }
             Term::Neg(t) => {
-                let n = t.eval(label)?.as_int().ok_or(EvalError::SortMismatch)?;
+                let n = int(t, label)?;
                 n.checked_neg().map(Value::Int).ok_or(EvalError::Overflow)
             }
             Term::Add(a, b) => {
@@ -229,26 +227,46 @@ impl Term {
             }
             Term::Concat(a, b) => {
                 let x = a.eval(label)?;
-                let y = b.eval(label)?;
-                match (x, y) {
+                let y = b.eval_ref(label)?;
+                match (x, y.as_ref()) {
                     (Value::Str(mut s), Value::Str(t)) => {
-                        s.push_str(&t);
+                        s.push_str(t);
                         Ok(Value::Str(s))
                     }
                     _ => Err(EvalError::SortMismatch),
                 }
             }
-            Term::StrLen(t) => match t.eval(label)? {
+            Term::StrLen(t) => match t.eval_ref(label)?.as_ref() {
                 Value::Str(s) => Ok(Value::Int(s.chars().count() as i64)),
                 _ => Err(EvalError::SortMismatch),
             },
+        }
+    }
+
+    /// [`Term::eval`] without the copies: a field projection borrows the
+    /// label's value and a literal borrows itself (through `Ite` too), so
+    /// a guard such as `x0 != "script"` compares in place instead of
+    /// cloning two strings. Every other term computes a fresh value.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Term::eval`].
+    pub fn eval_ref<'a>(&'a self, label: &'a Label) -> Result<Cow<'a, Value>, EvalError> {
+        match self {
+            Term::Field(i) => label
+                .values()
+                .get(*i)
+                .map(Cow::Borrowed)
+                .ok_or(EvalError::SortMismatch),
+            Term::Lit(v) => Ok(Cow::Borrowed(v)),
             Term::Ite(c, a, b) => {
                 if c.eval(label) {
-                    a.eval(label)
+                    a.eval_ref(label)
                 } else {
-                    b.eval(label)
+                    b.eval_ref(label)
                 }
             }
+            _ => self.eval(label).map(Cow::Owned),
         }
     }
 
@@ -374,7 +392,7 @@ impl Term {
 }
 
 fn int(t: &Term, label: &Label) -> Result<i64, EvalError> {
-    t.eval(label)?.as_int().ok_or(EvalError::SortMismatch)
+    t.eval_ref(label)?.as_int().ok_or(EvalError::SortMismatch)
 }
 
 fn fold_bin(
