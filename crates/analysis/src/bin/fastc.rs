@@ -302,15 +302,7 @@ fn run_mode(args: &[String]) -> ExitCode {
             print_outputs,
             quiet,
         );
-        if stats {
-            println!("{}", fast_obs::snapshot().to_json().pretty());
-        }
-        if let Some(out) = &trace {
-            if let Err(code) = write_trace(out) {
-                return code;
-            }
-        }
-        return code;
+        return finish_run(code, stats, trace.as_deref());
     }
     let Some(path) = path else {
         eprintln!("{USAGE}");
@@ -340,15 +332,7 @@ fn run_mode(args: &[String]) -> ExitCode {
                 print_outputs,
             )
         };
-        if stats {
-            println!("{}", fast_obs::snapshot().to_json().pretty());
-        }
-        if let Some(out) = &trace {
-            if let Err(code) = write_trace(out) {
-                return code;
-            }
-        }
-        return code;
+        return finish_run(code, stats, trace.as_deref());
     }
     if stats {
         for name in compiled.lang_names() {
@@ -399,21 +383,28 @@ fn run_mode(args: &[String]) -> ExitCode {
             failed
         );
     }
+    let code = if failed == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    };
+    finish_run(code, stats, trace.as_deref())
+}
+
+/// The epilogue of every `run_mode` path: under `--stats`, the telemetry
+/// accumulated over the whole run as one JSON object (see
+/// ARCHITECTURE.md for the counters); under `--trace`, the span file.
+/// Returns `code` unless the trace cannot be written.
+fn finish_run(code: ExitCode, stats: bool, trace: Option<&str>) -> ExitCode {
     if stats {
-        // Solver/automata/compose telemetry accumulated over the whole
-        // run, as one JSON object (see ARCHITECTURE.md for the counters).
         println!("{}", fast_obs::snapshot().to_json().pretty());
     }
-    if let Some(out) = &trace {
+    if let Some(out) = trace {
         if let Err(code) = write_trace(out) {
             return code;
         }
     }
-    if failed == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    code
 }
 
 /// `fastc <file> --pipeline t1,t2,...`: chains the named transformations
@@ -483,16 +474,7 @@ fn pipeline_batch(
     let inputs = fast_trees::TreeGen::new(seed).trees(ty, trees);
     let opts = fast_rt::RunOptions::default();
     let (results, seg_stats) = p.run_batch_with(&inputs, &opts);
-    let ok = results.iter().filter(|r| r.is_ok()).count();
-    let outputs: usize = results
-        .iter()
-        .filter_map(|r| r.as_ref().ok().map(Vec::len))
-        .sum();
-    println!(
-        "ran {} trees (seed {seed}): {ok} ok / {} err, {outputs} output trees",
-        inputs.len(),
-        results.len() - ok,
-    );
+    println!("ran {}", batch_summary(&results, seed));
     if !quiet {
         for (si, s) in seg_stats.iter().enumerate() {
             let (plan, first, last) = p.segment(si);
@@ -511,6 +493,25 @@ fn pipeline_batch(
             fast_trees::intern::table_len(),
         );
     }
+}
+
+/// The `N trees (seed S): K ok / E err, O output trees` summary of a
+/// batch run over generated inputs, shared by transducer and pipeline
+/// runs.
+fn batch_summary(
+    results: &[Result<Vec<fast_trees::Tree>, fast_core::TransducerError>],
+    seed: u64,
+) -> String {
+    let ok = results.iter().filter(|r| r.is_ok()).count();
+    let outputs: usize = results
+        .iter()
+        .filter_map(|r| r.as_ref().ok().map(Vec::len))
+        .sum();
+    format!(
+        "{} trees (seed {seed}): {ok} ok / {} err, {outputs} output trees",
+        results.len(),
+        results.len() - ok,
+    )
 }
 
 /// Splits a `--pipeline` stage list and normalizes it to the canonical
@@ -537,16 +538,7 @@ fn run_one_trans(
 ) {
     let inputs = fast_trees::TreeGen::new(seed).trees(ty, trees);
     let results = plan.run_batch(&inputs);
-    let ok = results.iter().filter(|r| r.is_ok()).count();
-    let outputs: usize = results
-        .iter()
-        .filter_map(|r| r.as_ref().ok().map(Vec::len))
-        .sum();
-    println!(
-        "trans {name}: {} trees (seed {seed}): {ok} ok / {} err, {outputs} output trees",
-        inputs.len(),
-        results.len() - ok,
-    );
+    println!("trans {name}: {}", batch_summary(&results, seed));
     if print_outputs {
         for (i, r) in results.iter().enumerate() {
             match r {
@@ -577,25 +569,14 @@ fn source_trans_run(
     seed: u64,
     print_outputs: bool,
 ) -> ExitCode {
-    let names: Vec<&str> = match trans {
-        Some(n) => {
-            if compiled.transducer(n).is_none() {
-                eprintln!(
-                    "fastc: no transformation '{n}' in '{path}' (have: {})",
-                    compiled.transducer_names().join(", ")
-                );
-                return ExitCode::from(2);
-            }
-            vec![n]
-        }
+    let names = match trans {
+        Some(n) => vec![n],
         None => compiled.transducer_names(),
     };
     for name in names {
-        let sttr = compiled.transducer(name).unwrap();
-        let ty_name = compiled.transducer_type(name).unwrap_or_default();
-        let Some(ty) = compiled.tree_type(ty_name) else {
-            eprintln!("fastc: cannot resolve input type '{ty_name}' of transducer '{name}'");
-            return ExitCode::from(2);
+        let (sttr, ty) = match resolve_transducer(compiled, name, path) {
+            Ok(found) => found,
+            Err(code) => return code,
         };
         let plan = fast_rt::Plan::compile(sttr);
         run_one_trans(name, &plan, ty, trees, seed, print_outputs);
@@ -1139,26 +1120,40 @@ fn pipeline_check(
     }
 }
 
-/// Resolves the transducer the profile/watch workload drives: the
-/// `--trans` name if given (an unknown name is a usage error), else the
-/// largest transducer by (states, rules) with the name as a
-/// deterministic tie-break.
-fn pick_transducer(
-    compiled: &fast_lang::Compiled,
+/// The transducer `name` of a compiled program and its input tree type.
+/// An unknown name, or a type that does not resolve, is a usage error
+/// (exit 2).
+fn resolve_transducer<'c>(
+    compiled: &'c fast_lang::Compiled,
+    name: &str,
+    path: &str,
+) -> Result<(&'c fast_core::Sttr, &'c fast_trees::TreeType), ExitCode> {
+    let Some(sttr) = compiled.transducer(name) else {
+        eprintln!(
+            "fastc: no transducer '{name}' in '{path}' (have: {})",
+            compiled.transducer_names().join(", ")
+        );
+        return Err(ExitCode::from(2));
+    };
+    let ty_name = compiled.transducer_type(name).unwrap_or_default();
+    let Some(ty) = compiled.tree_type(ty_name) else {
+        eprintln!("fastc: cannot resolve input type '{ty_name}' of transducer '{name}'");
+        return Err(ExitCode::from(2));
+    };
+    Ok((sttr, ty))
+}
+
+/// Resolves the transducer the profile/watch workload drives, with its
+/// name and input type: the `--trans` name if given (checked by
+/// [`resolve_transducer`]), else the largest transducer by (states,
+/// rules) with the name as a deterministic tie-break.
+fn pick_transducer<'c>(
+    compiled: &'c fast_lang::Compiled,
     trans: Option<&str>,
     path: &str,
-) -> Result<String, ExitCode> {
-    match trans {
-        Some(n) => {
-            if compiled.transducer(n).is_none() {
-                eprintln!(
-                    "fastc: no transducer '{n}' in '{path}' (have: {})",
-                    compiled.transducer_names().join(", ")
-                );
-                return Err(ExitCode::from(2));
-            }
-            Ok(n.to_string())
-        }
+) -> Result<(String, &'c fast_core::Sttr, &'c fast_trees::TreeType), ExitCode> {
+    let name = match trans {
+        Some(n) => n.to_string(),
         None => {
             let mut names = compiled.transducer_names();
             names.sort_by_key(|n| {
@@ -1170,14 +1165,16 @@ fn pick_transducer(
                 )
             });
             match names.first() {
-                Some(first) => Ok(first.to_string()),
+                Some(first) => first.to_string(),
                 None => {
                     eprintln!("fastc: '{path}' defines no transducers");
-                    Err(ExitCode::from(2))
+                    return Err(ExitCode::from(2));
                 }
             }
         }
-    }
+    };
+    let (sttr, ty) = resolve_transducer(compiled, &name, path)?;
+    Ok((name, sttr, ty))
 }
 
 /// Renders nanoseconds human-readably (`850ns`, `3.2µs`, `14.8ms`).
@@ -1275,15 +1272,9 @@ fn profile_mode(args: &[String]) -> ExitCode {
         }
     };
 
-    let name = match pick_transducer(&compiled, trans.as_deref(), &path) {
-        Ok(n) => n,
+    let (name, sttr, ty) = match pick_transducer(&compiled, trans.as_deref(), &path) {
+        Ok(found) => found,
         Err(code) => return code,
-    };
-    let sttr = compiled.transducer(&name).unwrap();
-    let ty_name = compiled.transducer_type(&name).unwrap_or_default();
-    let Some(ty) = compiled.tree_type(ty_name) else {
-        eprintln!("fastc: cannot resolve input type '{ty_name}' of transducer '{name}'");
-        return ExitCode::from(2);
     };
 
     let inputs = fast_trees::TreeGen::new(seed).trees(ty, trees);
@@ -1445,22 +1436,16 @@ fn watch_mode(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let name = match pick_transducer(&compiled, trans.as_deref(), &path) {
-        Ok(n) => n,
+    let (name, sttr, ty) = match pick_transducer(&compiled, trans.as_deref(), &path) {
+        Ok(found) => found,
         Err(code) => return code,
-    };
-    let sttr = compiled.transducer(&name).unwrap();
-    let ty_name = compiled.transducer_type(&name).unwrap_or_default();
-    let Some(ty) = compiled.tree_type(ty_name) else {
-        eprintln!("fastc: cannot resolve input type '{ty_name}' of transducer '{name}'");
-        return ExitCode::from(2);
     };
 
     let plan = fast_rt::Plan::compile(sttr);
     let opts = fast_rt::RunOptions::default();
     // One memo shared across all ticks: the run's memo hit rate is a
     // real cross-tick signal, not a per-batch artifact.
-    let memo = fast_rt::BatchMemo::new(1 << 20);
+    let memo = fast_rt::BatchMemo::new(opts.memo_capacity);
     // Retain every tick's window so --jsonl and --bench-json cover the
     // whole run; the printed view still slides over the last `window`.
     let mut sampler = fast_obs::engine::Sampler::new(ticks);

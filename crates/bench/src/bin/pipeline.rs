@@ -35,7 +35,7 @@ use fast_bench::lists::{filter_ev, ilist_alg, ilist_type, map_caesar, random_lis
 use fast_bench::sanitizer::{compile_fig2, corpus, encoded_batch};
 use fast_core::{Out, Sttr, SttrBuilder, TransducerError};
 use fast_json::Json;
-use fast_rt::{FusionStrategy, Pipeline, PipelineOptions};
+use fast_rt::{FusionStrategy, Pipeline};
 use fast_smt::{CmpOp, Formula, LabelAlg, LabelFn, LabelSig, Sort, Term};
 use fast_trees::{Tree, TreeGen, TreeType};
 use std::collections::BTreeSet;
@@ -68,12 +68,7 @@ struct ChainResult {
 /// Runs one chain under all three strategies and checks they agree.
 fn run_chain(name: &str, stages: &[Arc<Sttr>], batch: &[Tree]) -> ChainResult {
     let fused = Pipeline::compile(stages);
-    let cascaded = Pipeline::compile_with(
-        stages,
-        &PipelineOptions {
-            strategy: FusionStrategy::Never,
-        },
-    );
+    let cascaded = Pipeline::compile_with(stages, FusionStrategy::Never);
     println!("{name}: {}", fused.report());
 
     let start = Instant::now();

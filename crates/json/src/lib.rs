@@ -3,7 +3,7 @@
 //! The build environment is fully offline, so instead of `serde` +
 //! `serde_json` the workspace serializes through this small crate: a
 //! [`Json`] value type, a strict parser ([`Json::parse`]), and a compact
-//! writer ([`Json::to_string`] via `Display`). It carries telemetry
+//! writer (`Json::to_string`, via `Display`). It carries telemetry
 //! snapshots, `BENCH_*.json` reports, `fastc` machine output and the
 //! `fast-serve` wire protocol; compiled programs persist in the binary
 //! `.fastc` format instead (`fast_smt::bin`, `fast_rt::Artifact`).

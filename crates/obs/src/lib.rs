@@ -34,11 +34,11 @@
 //!
 //! | counter | incremented when |
 //! |---|---|
-//! | `smt.sat_queries` | [`LabelAlg::check`] is called |
+//! | `smt.sat_queries` | `LabelAlg::check` is called |
 //! | `smt.cache_hits.shard00`..`shard15` | a solver-cache shard returns a memoized result |
 //! | `smt.cache_misses` | a formula is actually sent to the solver |
 //! | `smt.unknown_results` | the bounded solver answers *unknown* |
-//! | `smt.intern_hits` | interning returns an existing [`Interned<Formula>`] |
+//! | `smt.intern_hits` | interning returns an existing `Interned<Formula>` |
 //! | `smt.intern_misses` | interning allocates a new formula node |
 //! | `smt.minterms_enumerated` | a satisfiable minterm is produced |
 //! | `intern.hits` | tree interning returns an existing canonical node |
@@ -73,8 +73,6 @@
 //! | `rt.pipeline.items` | — bumped by the pipeline batch size, one per input tree |
 //! | `rt.item_errors` | a batch item finishes with an error (budget, timeout) |
 //! | `rt.worker_panics` | a pool job panics and is contained (its slot degrades to an error) |
-//! | `rt.stream_done` | a `run_stream` coordinator finishes (normally or after cancellation) |
-//! | `rt.stream_cancelled` | a `run_stream` batch is abandoned because the receiver hung up or the cancel token tripped |
 //! | `serve.requests` | `fast-serve` admits a request for execution |
 //! | `serve.shed` | `fast-serve` sheds a request because the work queue is full |
 //! | `serve.errors` | a `fast-serve` request finishes with an error response |
@@ -215,8 +213,6 @@ pub const DOCUMENTED_COUNTERS: &[&str] = &[
     "rt.pipeline.items",
     "rt.item_errors",
     "rt.worker_panics",
-    "rt.stream_done",
-    "rt.stream_cancelled",
     "serve.requests",
     "serve.shed",
     "serve.errors",

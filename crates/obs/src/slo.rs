@@ -3,7 +3,7 @@
 //! An [`SloSpec`] is a small JSON document of ceilings and floors —
 //! p99 item latency, minimum memo hit rate, maximum resident interner
 //! bytes, maximum item error rate — evaluated against a
-//! [`WindowView`](crate::engine::WindowView) (not a cumulative
+//! [`WindowView`] (not a cumulative
 //! snapshot: an SLO is a statement about *recent* behaviour). `fastc
 //! watch --slo <file>` evaluates the spec every tick and exits
 //! non-zero on any [`SloViolation`].

@@ -1,6 +1,6 @@
 //! Trace exporters and phase-tree aggregation over span events.
 //!
-//! Three consumers of the [`SpanEvent`](crate::SpanEvent) buffer:
+//! Three consumers of the [`SpanEvent`] buffer:
 //!
 //! * [`chrome_trace`] — the Chrome `trace_event` JSON format (an object
 //!   with a `traceEvents` array of complete `"ph": "X"` events), which

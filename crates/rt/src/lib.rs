@@ -33,11 +33,14 @@
 //!   from a server-side counter, so clients cannot aim collisions), and
 //!   a rule's output trees are appended straight into the caller's
 //!   vector.
+//! * Every batch runs through one body: [`Plan::run_batch_shared`]
+//!   against a [`BatchMemo`] (caller-owned, so results persist across
+//!   batches, or fresh per call in [`Plan::run_batch_with`]).
+//!   [`Pipeline`] has the same shape, with one memo per segment.
 //! * Work is spread over a dependency-free **work-stealing pool** of
-//!   scoped threads; [`Plan::run_stream`] is the bounded-channel
-//!   streaming variant with per-item timeouts. Both degrade gracefully:
-//!   if the OS refuses to spawn threads, the batch completes
-//!   sequentially on the calling thread.
+//!   scoped threads, with per-item timeouts and cooperative
+//!   cancellation. It degrades gracefully: if the OS refuses to spawn
+//!   threads, the batch completes sequentially on the calling thread.
 //!
 //! Per item, results are **identical** to [`fast_core::Sttr::run`] —
 //! `crates/rt/tests/plan_oracle.rs` enforces this differentially against
@@ -52,7 +55,7 @@ mod pool;
 mod profile;
 
 pub use artifact::{Artifact, ArtifactBuilder, ArtifactError, MAGIC, VERSION};
-pub use pipeline::{BoundaryDecision, FusionStrategy, Pipeline, PipelineOptions, PipelineReport};
+pub use pipeline::{BoundaryDecision, FusionStrategy, Pipeline, PipelineReport};
 pub use plan::{BatchMemo, BatchStats, Plan, RunOptions};
 pub use profile::{RuleProfile, RuleProfileEntry};
 

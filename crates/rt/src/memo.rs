@@ -14,8 +14,8 @@
 //!
 //! Ids are never reused (the interner is append-only and owns every
 //! canonical node), so a memo may outlive one batch
-//! (`Plan::run_batch_shared`, cascaded pipelines) even when callers
-//! drop intermediate trees between runs.
+//! (`Plan::run_batch_shared`, `Pipeline::run_batch_shared`) even when
+//! callers drop intermediate trees between runs.
 //!
 //! Sharding mirrors `fast-smt`'s solver cache: 16 mutex-guarded shards
 //! selected by key hash, so concurrent workers rarely contend.

@@ -23,12 +23,14 @@
 //!   segment's plan as a fresh batch, deduplicated per item, and
 //!   bounded by [`RunOptions::cap`] exactly like
 //!   [`fast_core::Sttr::run_bounded`] — intermediate blow-up errors,
-//!   it never truncates or OOMs. Each segment keeps its own
-//!   [`BatchMemo`] alive for the whole run, which is sound because memo
-//!   entries key on never-reused `TreeId`s (see the identity notes on
-//!   [`BatchMemo`]): intermediate trees are dropped as soon as the next
-//!   segment has consumed them, and no later tree can alias a resident
-//!   entry.
+//!   it never truncates or OOMs. Each segment has its own
+//!   [`BatchMemo`]: fresh per call in [`Pipeline::run_batch_with`], or
+//!   caller-owned and kept across calls in
+//!   [`Pipeline::run_batch_shared`] (how `fast-serve` runs pipeline
+//!   targets). Either is sound because memo entries key on never-reused
+//!   `TreeId`s (see the identity notes on [`BatchMemo`]): intermediate
+//!   trees are dropped as soon as the next segment has consumed them,
+//!   and no later tree can alias a resident entry.
 //!
 //! A compose that exceeds its construction budget also falls back to
 //! cascading — the pipeline always compiles; fusion is an optimization,
@@ -54,13 +56,6 @@ pub enum FusionStrategy {
     /// benchmarks can force the staged path and compare it against the
     /// fused one on identical chains.
     Never,
-}
-
-/// Options for [`Pipeline::compile_with`].
-#[derive(Debug, Clone, Default)]
-pub struct PipelineOptions {
-    /// Boundary fusion policy.
-    pub strategy: FusionStrategy,
 }
 
 /// What happened at one stage boundary during compilation.
@@ -239,11 +234,11 @@ impl Pipeline {
     /// Panics if `stages` is empty or the stages disagree on their tree
     /// type (the same precondition [`fast_core::compose`] asserts).
     pub fn compile(stages: &[Arc<Sttr>]) -> Pipeline {
-        Pipeline::compile_with(stages, &PipelineOptions::default())
+        Pipeline::compile_with(stages, FusionStrategy::Auto)
     }
 
     /// [`Pipeline::compile`] with an explicit fusion policy.
-    pub fn compile_with(stages: &[Arc<Sttr>], opts: &PipelineOptions) -> Pipeline {
+    pub fn compile_with(stages: &[Arc<Sttr>], strategy: FusionStrategy) -> Pipeline {
         assert!(!stages.is_empty(), "pipeline needs at least one stage");
         assert!(
             stages.windows(2).all(|w| w[0].ty() == w[1].ty()),
@@ -259,7 +254,7 @@ impl Pipeline {
             let mut cur = Arc::clone(&stages[0]);
             let mut first = 0usize;
             for (i, next) in stages.iter().enumerate().skip(1) {
-                let verdict = match opts.strategy {
+                let verdict = match strategy {
                     FusionStrategy::Never => {
                         Verdict::Cascade("fusion disabled (FusionStrategy::Never)".into())
                     }
@@ -351,38 +346,57 @@ impl Pipeline {
 
     /// [`Pipeline::run_batch`] with explicit options, also returning the
     /// batch statistics of every segment pass (one [`BatchStats`] per
-    /// segment, in chain order).
+    /// segment, in chain order): [`Pipeline::run_batch_shared`] against
+    /// fresh per-segment memos of [`RunOptions::memo_capacity`] entries.
+    pub fn run_batch_with(
+        &self,
+        items: &[Tree],
+        opts: &RunOptions,
+    ) -> (Vec<Result<Vec<Tree>, TransducerError>>, Vec<BatchStats>) {
+        let memos: Vec<BatchMemo> = self
+            .segments
+            .iter()
+            .map(|_| BatchMemo::new(opts.memo_capacity))
+            .collect();
+        self.run_batch_shared(items, opts, &memos)
+    }
+
+    /// [`Pipeline::run_batch_with`] against caller-owned memos, one per
+    /// segment in chain order, so sub-transduction results persist
+    /// across calls exactly as for [`Plan::run_batch_shared`].
     ///
     /// Cascaded execution is staged: segment 0 runs over the whole
     /// batch, its per-item outputs are deduplicated and become segment
     /// 1's batch, and so on. The frontier of any single item is bounded
     /// by [`RunOptions::cap`] — exceeding it fails that item with
     /// [`TransducerError::Budget`], never truncates. Intermediate trees
-    /// are dropped as soon as the next segment has consumed them; the
-    /// per-segment memos ([`BatchMemo`]) stay alive for the whole call,
-    /// which is safe because entries key on never-reused `TreeId`s.
-    pub fn run_batch_with(
+    /// are dropped as soon as the next segment has consumed them while
+    /// the memos stay alive, which is safe because entries key on
+    /// never-reused `TreeId`s.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `memos.len() == self.segment_count()`.
+    pub fn run_batch_shared(
         &self,
         items: &[Tree],
         opts: &RunOptions,
+        memos: &[BatchMemo],
     ) -> (Vec<Result<Vec<Tree>, TransducerError>>, Vec<BatchStats>) {
+        assert_eq!(
+            memos.len(),
+            self.segments.len(),
+            "pipeline needs one memo per segment"
+        );
         fast_obs::count!("rt.pipeline.runs");
         fast_obs::count!("rt.pipeline.items", items.len() as u64);
         fast_obs::time("rt.pipeline.run", || {
             static STAGE_HIST: OnceLock<&'static fast_obs::Hist> = OnceLock::new();
             let stage_hist = *STAGE_HIST.get_or_init(|| fast_obs::histogram("rt.pipeline.stage"));
-            // Per-segment memos live for the entire run: later segments
-            // reuse sub-transductions across the frontiers of every
-            // earlier batch item.
-            let memos: Vec<BatchMemo> = self
-                .segments
-                .iter()
-                .map(|_| BatchMemo::new(opts.memo_capacity))
-                .collect();
             let mut frontiers: Vec<Result<Vec<Tree>, TransducerError>> =
                 items.iter().map(|t| Ok(vec![t.clone()])).collect();
             let mut seg_stats = Vec::with_capacity(self.segments.len());
-            for (si, seg) in self.segments.iter().enumerate() {
+            for (seg, memo) in self.segments.iter().zip(memos) {
                 let _span = fast_obs::span!("rt.pipeline.stage");
                 let start = Instant::now();
                 // Flatten the live frontiers into one batch, remembering
@@ -397,7 +411,7 @@ impl Pipeline {
                         }
                     }
                 }
-                let (results, stats) = seg.plan.run_batch_shared(&flat, opts, &memos[si]);
+                let (results, stats) = seg.plan.run_batch_shared(&flat, opts, memo);
                 seg_stats.push(stats);
                 // Fold each tree's outputs back into its item's next
                 // frontier (deduplicated — output sets, like `Sttr::run`).

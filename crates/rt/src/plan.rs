@@ -10,7 +10,6 @@ use fast_smt::{BoolAlg, Formula, Interned, TransAlg};
 use fast_trees::{Tree, TreeId};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -98,10 +97,9 @@ pub struct RunOptions {
     /// [`Sttr::run_bounded`]: exceeding it **errors, never truncates**,
     /// and `cap == 0` allows only empty (outside-the-domain) results.
     pub cap: usize,
-    /// Share transduction results across the batch via the
-    /// `(state, TreeId)` memo table.
-    pub memo: bool,
-    /// Capacity (entries) of the shared memo table; full shards evict.
+    /// Capacity (entries) of the fresh memo table a
+    /// [`Plan::run_batch_with`] call builds; full shards evict. A
+    /// caller-owned [`BatchMemo`] carries its own capacity.
     pub memo_capacity: usize,
     /// Worker threads, the calling thread included. `0` asks the OS via
     /// [`std::thread::available_parallelism`].
@@ -109,19 +107,14 @@ pub struct RunOptions {
     /// Per-item wall-clock deadline; an item that exceeds it fails with
     /// [`TransducerError::Timeout`] without poisoning its batch-mates.
     pub timeout: Option<Duration>,
-    /// Bound of the `run_stream` result channel (backpressure window).
-    pub channel_bound: usize,
     /// Collect a per-rule [`RuleProfile`] for the batch, returned in
-    /// [`BatchStats::profile`] (`run_stream` ignores it: it returns no
-    /// stats). Off by default: profiling adds two clock reads per
-    /// dispatched rule.
+    /// [`BatchStats::profile`]. Off by default: profiling adds two clock
+    /// reads per dispatched rule.
     pub profile: bool,
     /// Cooperative cancellation token, checked at the same amortized
     /// cadence as the deadline: once it reads `true`, in-flight items
     /// fail with [`TransducerError::Cancelled`] and unstarted items are
-    /// skipped. `run_stream` sets it automatically when the consumer
-    /// drops the receiver; servers set it on connection teardown or
-    /// shutdown.
+    /// skipped. Servers set it on connection teardown or shutdown.
     pub cancel: Option<Arc<AtomicBool>>,
 }
 
@@ -129,11 +122,9 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             cap: DEFAULT_RUN_CAP,
-            memo: true,
             memo_capacity: 1 << 20,
             workers: 0,
             timeout: None,
-            channel_bound: 64,
             profile: false,
             cancel: None,
         }
@@ -194,8 +185,8 @@ type OutMemo = Sharded<(usize, TreeId), Arc<Vec<Tree>>>;
 type LaMemo = Sharded<TreeId, StateBits>;
 
 /// A result memo reporting residency into the process-wide
-/// `rt.memo.entries` / `rt.memo.bytes` gauges. Every live table (one
-/// per batch by default, or a shared [`BatchMemo`]) reports into the
+/// `rt.memo.entries` / `rt.memo.bytes` gauges. Every live table (a
+/// batch's fresh one or a caller-owned [`BatchMemo`]) reports into the
 /// same pair, so the gauges read total memo residency across the
 /// process; each table subtracts its contribution on eviction and drop.
 fn out_memo(capacity: usize) -> OutMemo {
@@ -278,26 +269,21 @@ struct BatchCtx<'p> {
     timeout: Option<Duration>,
     /// Cooperative cancellation token ([`RunOptions::cancel`]).
     cancel: Option<Arc<AtomicBool>>,
-    /// `None` = shared memo off (items fall back to a private table).
-    memo: Option<Arc<OutMemo>>,
+    /// The result memo and lookahead cache: the caller's, or a fresh
+    /// one built by [`Plan::run_batch_with`].
+    memo: &'p BatchMemo,
     memo_stats: CacheStats,
-    /// `TreeId → accepting lookahead states`.
-    la: Arc<LaMemo>,
     la_stats: CacheStats,
     /// Per-rule attribution, present when [`RunOptions::profile`] is set.
     profile: Option<ProfileData>,
 }
 
-/// One item's evaluation state: deadline bookkeeping plus the private
-/// fallback memo used when the shared table is disabled (mirroring the
-/// per-run memo of [`Sttr::run`], which guards against re-evaluating
-/// shared or repeatedly-called subtrees *within* one item).
+/// One item's evaluation state: deadline bookkeeping.
 struct ItemRun<'b, 'p> {
     cx: &'b BatchCtx<'p>,
     deadline: Option<Instant>,
     timeout_ms: u64,
     ticks: u32,
-    local_memo: MixMap<(usize, TreeId), Arc<Vec<Tree>>>,
 }
 
 /// A compiled evaluation plan for one [`Sttr`].
@@ -569,13 +555,14 @@ impl Plan {
     }
 
     /// [`Plan::run_batch`] with explicit options, also returning the
-    /// batch's cache/pool statistics.
+    /// batch's cache/pool statistics: [`Plan::run_batch_shared`] against
+    /// a fresh memo of [`RunOptions::memo_capacity`] entries.
     pub fn run_batch_with(
         &self,
         items: &[Tree],
         opts: &RunOptions,
     ) -> (Vec<Result<Vec<Tree>, TransducerError>>, BatchStats) {
-        self.run_batch_impl(items, opts, None)
+        self.run_batch_shared(items, opts, &BatchMemo::new(opts.memo_capacity))
     }
 
     /// [`Plan::run_batch_with`] against a caller-owned [`BatchMemo`], so
@@ -591,22 +578,21 @@ impl Plan {
         opts: &RunOptions,
         memo: &BatchMemo,
     ) -> (Vec<Result<Vec<Tree>, TransducerError>>, BatchStats) {
-        self.run_batch_impl(items, opts, Some(memo))
-    }
-
-    /// The one batch body behind [`Plan::run_batch_with`] and
-    /// [`Plan::run_batch_shared`]: evaluates `items` on the worker pool
-    /// under a fresh batch context (around `memo` when given).
-    fn run_batch_impl(
-        &self,
-        items: &[Tree],
-        opts: &RunOptions,
-        memo: Option<&BatchMemo>,
-    ) -> (Vec<Result<Vec<Tree>, TransducerError>>, BatchStats) {
         fast_obs::count!("rt.batch_runs");
         fast_obs::count!("rt.batch_items", items.len() as u64);
         fast_obs::time("rt.run_batch", || {
-            let cx = self.batch_ctx(opts, memo);
+            let cx = BatchCtx {
+                plan: self,
+                cap: opts.cap,
+                timeout: opts.timeout,
+                cancel: opts.cancel.clone(),
+                memo,
+                memo_stats: CacheStats::default(),
+                la_stats: CacheStats::default(),
+                profile: opts
+                    .profile
+                    .then(|| ProfileData::new(self.total_rules, self.sttr.state_count())),
+            };
             let workers = pool::resolve_workers(opts.workers);
             let pool_stats = PoolStats::default();
             let results = pool::run_indexed(
@@ -621,91 +607,6 @@ impl Plan {
                 finish_stats(&cx, &pool_stats, items.len(), workers),
             )
         })
-    }
-
-    /// Streaming variant: evaluates `items` on a detached worker pool and
-    /// yields `(index, result)` pairs through a **bounded** channel as
-    /// they finish (out of input order). The channel bound
-    /// ([`RunOptions::channel_bound`]) gives backpressure: workers pause
-    /// when the consumer lags that far behind. Set
-    /// [`RunOptions::timeout`] to bound each item's wall-clock time.
-    ///
-    /// If no worker thread can be spawned, the batch is evaluated
-    /// sequentially before this call returns (the channel is widened so
-    /// nothing blocks) — degraded, never wedged.
-    pub fn run_stream(
-        self: Arc<Self>,
-        items: Vec<Tree>,
-        opts: RunOptions,
-    ) -> Receiver<(usize, Result<Vec<Tree>, TransducerError>)> {
-        // A stream returns no stats, so it has nowhere to put a profile.
-        let opts = RunOptions {
-            profile: false,
-            ..opts
-        };
-        let bound = opts.channel_bound.max(1);
-        let (tx, rx) = std::sync::mpsc::sync_channel(bound);
-        let coordinator = std::thread::Builder::new().name("fast-rt-stream".into());
-        let plan = Arc::clone(&self);
-        let spawn_opts = opts.clone();
-        let items = Arc::new(items);
-        let moved = Arc::clone(&items);
-        let spawned = coordinator.spawn(move || {
-            stream_batch(&plan, &moved, &spawn_opts, &tx);
-        });
-        if let Err(_e) = spawned {
-            // Coordinator refused: evaluate inline on a channel wide
-            // enough to hold everything, so the caller never deadlocks.
-            // Mirror `stream_batch`'s exits even in this degraded path:
-            // stop when the caller's cancel token trips, and stop when a
-            // send fails (receiver dropped) rather than keep evaluating
-            // items nobody will read.
-            fast_obs::count!("rt.pool_fallbacks");
-            let cancel = opts.cancel.clone().unwrap_or_default();
-            let (tx, rx) = std::sync::mpsc::sync_channel(items.len().max(1));
-            let cx = self.batch_ctx(&opts, None);
-            for (i, t) in items.iter().enumerate() {
-                if cancel.load(Ordering::Relaxed) {
-                    break;
-                }
-                if tx.send((i, run_item(&cx, t))).is_err() {
-                    fast_obs::count!("rt.stream_cancelled");
-                    break;
-                }
-            }
-            fast_obs::count!("rt.stream_done");
-            return rx;
-        }
-        rx
-    }
-
-    /// Builds a batch context: around a caller-owned [`BatchMemo`] when
-    /// given (overriding [`RunOptions::memo`]/`memo_capacity`), else
-    /// around fresh per-batch tables.
-    fn batch_ctx<'p>(&'p self, opts: &RunOptions, memo: Option<&BatchMemo>) -> BatchCtx<'p> {
-        let (memo, la) = match memo {
-            Some(m) => (Some(Arc::clone(&m.out)), Arc::clone(&m.la)),
-            None => {
-                let capacity = opts.memo_capacity.max(crate::memo::SHARDS);
-                (
-                    opts.memo.then(|| Arc::new(out_memo(capacity))),
-                    Arc::new(la_memo(capacity)),
-                )
-            }
-        };
-        BatchCtx {
-            plan: self,
-            cap: opts.cap,
-            timeout: opts.timeout,
-            cancel: opts.cancel.clone(),
-            memo,
-            memo_stats: CacheStats::default(),
-            la,
-            la_stats: CacheStats::default(),
-            profile: opts
-                .profile
-                .then(|| ProfileData::new(self.total_rules, self.sttr.state_count())),
-        }
     }
 
     /// Folds a batch's raw profile counters into a [`RuleProfile`] with
@@ -748,68 +649,6 @@ fn flatten<T: Ord, U>(buckets: Vec<Vec<T>>, f: impl Fn(T) -> U) -> (Vec<u32>, Ve
     (offsets, flat)
 }
 
-/// Worker loop of [`Plan::run_stream`]: scoped workers claim items from
-/// an atomic cursor and send results as soon as they are ready.
-///
-/// Receiver-drop contract: a send on the bounded channel fails (it never
-/// blocks or panics) once the consumer drops the [`Receiver`]. The first
-/// worker to see the failure parks the claim cursor past the end *and*
-/// trips the batch's cancellation token, so siblings stop claiming new
-/// items and items already mid-evaluation abort at their next
-/// cooperative tick with [`TransducerError::Cancelled`] instead of
-/// burning the rest of their (possibly unbounded) evaluation.
-fn stream_batch(
-    plan: &Plan,
-    items: &[Tree],
-    opts: &RunOptions,
-    tx: &SyncSender<(usize, Result<Vec<Tree>, TransducerError>)>,
-) {
-    // Every stream run gets a cancellation token (chaining onto the
-    // caller's, when provided) so a consumer hang-up can reach in-flight
-    // evaluations, not just unclaimed items.
-    let cancel = opts.cancel.clone().unwrap_or_default();
-    let opts = RunOptions {
-        cancel: Some(Arc::clone(&cancel)),
-        ..opts.clone()
-    };
-    let cx = plan.batch_ctx(&opts, None);
-    let workers = pool::resolve_workers(opts.workers).min(items.len()).max(1);
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let work = |tx: SyncSender<(usize, Result<Vec<Tree>, TransducerError>)>| {
-            loop {
-                if cancel.load(Ordering::Relaxed) {
-                    return;
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    return;
-                }
-                // A send error means the consumer hung up: cancel the
-                // batch and stop quietly.
-                if tx.send((i, run_item(&cx, &items[i]))).is_err() {
-                    cursor.store(items.len(), Ordering::Relaxed);
-                    if !cancel.swap(true, Ordering::Relaxed) {
-                        fast_obs::count!("rt.stream_cancelled");
-                    }
-                    return;
-                }
-            }
-        };
-        for w in 1..workers {
-            let builder = std::thread::Builder::new().name(format!("fast-rt-stream-{w}"));
-            let tx = tx.clone();
-            if builder.spawn_scoped(scope, move || work(tx)).is_err() {
-                fast_obs::count!("rt.pool_fallbacks");
-            }
-        }
-        work(tx.clone());
-    });
-    // Only for the `rt.*` mirror into fast_obs; a stream returns no stats.
-    finish_stats(&cx, &PoolStats::default(), items.len(), workers);
-    fast_obs::count!("rt.stream_done");
-}
-
 /// Evaluates one item under the batch context, recording its latency in
 /// the `rt.item` histogram (and, when tracing is on, an `rt.item` span
 /// wrapping a `plan.dispatch` span around the root dispatch). Errored
@@ -832,7 +671,6 @@ fn run_item(cx: &BatchCtx<'_>, t: &Tree) -> Result<Vec<Tree>, TransducerError> {
         deadline: cx.timeout.map(|d| Instant::now() + d),
         timeout_ms,
         ticks: 0,
-        local_memo: MixMap::default(),
     };
     let out = {
         let _dispatch = fast_obs::span!("plan.dispatch");
@@ -914,27 +752,11 @@ impl<'b, 'p> ItemRun<'b, 'p> {
         Ok(())
     }
 
-    fn memo_get(&mut self, key: &(usize, TreeId)) -> Option<Arc<Vec<Tree>>> {
-        match &self.cx.memo {
-            Some(shared) => shared.get(key, &self.cx.memo_stats),
-            None => self.local_memo.get(key).cloned(),
-        }
-    }
-
-    fn memo_put(&mut self, key: (usize, TreeId), value: Arc<Vec<Tree>>) {
-        match &self.cx.memo {
-            Some(shared) => shared.insert(key, value, &self.cx.memo_stats),
-            None => {
-                self.local_memo.insert(key, value);
-            }
-        }
-    }
-
     /// The set of lookahead-STA states accepting `t`, from the shared
     /// cache, computing (and caching) missing subtrees iteratively. Only
     /// rules with a lookahead requirement call it, so the STA has states.
     fn la_states(&mut self, t: &Tree) -> Result<StateBits, TransducerError> {
-        if let Some(s) = self.cx.la.get(&t.id(), &self.cx.la_stats) {
+        if let Some(s) = self.cx.memo.la.get(&t.id(), &self.cx.la_stats) {
             return Ok(s);
         }
         // Explicit post-order stack (deep documents must not overflow),
@@ -951,7 +773,7 @@ impl<'b, 'p> ItemRun<'b, 'p> {
             }
             if !expanded {
                 // Only probe the shared cache on first visit.
-                if let Some(s) = self.cx.la.get(&node.id(), &self.cx.la_stats) {
+                if let Some(s) = self.cx.memo.la.get(&node.id(), &self.cx.la_stats) {
                     computed.insert(node.id(), s);
                     continue;
                 }
@@ -979,6 +801,7 @@ impl<'b, 'p> ItemRun<'b, 'p> {
             }
             let bits = StateBits::from_words(&accept);
             self.cx
+                .memo
                 .la
                 .insert(node.id(), bits.clone(), &self.cx.la_stats);
             computed.insert(node.id(), bits);
@@ -995,7 +818,7 @@ impl<'b, 'p> ItemRun<'b, 'p> {
         self.tick()?;
         let profile = self.cx.profile.as_ref();
         let key = (q.0, t.id());
-        if let Some(hit) = self.memo_get(&key) {
+        if let Some(hit) = self.cx.memo.out.get(&key, &self.cx.memo_stats) {
             if let Some(p) = self.cx.profile.as_ref() {
                 p.state_memo_hits[q.0].fetch_add(1, Ordering::Relaxed);
             }
@@ -1054,7 +877,10 @@ impl<'b, 'p> ItemRun<'b, 'p> {
             out = set.into_iter().collect();
         }
         let rc = Arc::new(out);
-        self.memo_put(key, rc.clone());
+        self.cx
+            .memo
+            .out
+            .insert(key, rc.clone(), &self.cx.memo_stats);
         Ok(rc)
     }
 

@@ -13,7 +13,7 @@
 
 use fast_automata::{Sta, StaBuilder, StateId};
 use fast_core::{Out, Sttr, SttrBuilder, TransducerError};
-use fast_rt::{Artifact, ArtifactBuilder, Plan, RunOptions};
+use fast_rt::{Artifact, ArtifactBuilder, Plan};
 use fast_smt::{CmpOp, Formula, Label, LabelAlg, LabelFn, LabelSig, Sort, Term};
 use fast_trees::{Tree, TreeType};
 use proptest::prelude::*;
@@ -228,21 +228,6 @@ proptest! {
         // Decode → encode is the identity on the byte level.
         let again = Artifact::decode(&bytes).unwrap().encode();
         prop_assert_eq!(again, bytes);
-    }
-
-    /// The shared memo stays semantically invisible on a loaded plan:
-    /// memo on and memo off produce identical per-item results.
-    #[test]
-    fn loaded_plan_memo_on_off_identical(s in bt_sttr(), batch in bt_batch()) {
-        let (loaded, _) = round_trip(&s);
-        let on = RunOptions { memo: true, workers: 1, ..RunOptions::default() };
-        let off = RunOptions { memo: false, workers: 1, ..RunOptions::default() };
-        let (with_memo, stats) = loaded.run_batch_with(&batch, &on);
-        let (without_memo, _) = loaded.run_batch_with(&batch, &off);
-        for (a, b) in with_memo.into_iter().zip(without_memo) {
-            prop_assert_eq!(canon(a), canon(b));
-        }
-        prop_assert!(stats.memo_hits + stats.memo_misses > 0);
     }
 }
 

@@ -141,23 +141,20 @@ fn structurally_equal_rebuilt_tree_hits_shared_memo_at_root() {
 
 /// The old hazard through the `Pipeline` cascade path: intermediate
 /// frontiers are dropped stage by stage while the per-segment memos
-/// live on. Running many batches through a cascaded two-stage pipeline
-/// must keep producing exact answers.
+/// live on — here across all 50 batches, as a server keeps them.
+/// Running many batches through a cascaded two-stage pipeline must keep
+/// producing exact answers.
 #[test]
 fn cascaded_pipeline_reallocation_is_correct() {
-    use fast_rt::{FusionStrategy, Pipeline, PipelineOptions};
+    use fast_rt::{FusionStrategy, Pipeline};
     let (ty, alg) = ilist();
     let stages = vec![Arc::new(inc(&ty, &alg)), Arc::new(inc(&ty, &alg))];
-    let p = Pipeline::compile_with(
-        &stages,
-        &PipelineOptions {
-            strategy: FusionStrategy::Never,
-        },
-    );
+    let p = Pipeline::compile_with(&stages, FusionStrategy::Never);
     assert_eq!(p.segment_count(), 2);
+    let memos = [BatchMemo::new(1 << 10), BatchMemo::new(1 << 10)];
     for round in 0..50i64 {
         let batch = vec![list(&ty, &[round]), list(&ty, &[round, round])];
-        let results = p.run_batch(&batch);
+        let (results, _) = p.run_batch_shared(&batch, &RunOptions::default(), &memos);
         assert_eq!(*results[0].as_ref().unwrap(), vec![list(&ty, &[round + 2])]);
         assert_eq!(
             *results[1].as_ref().unwrap(),

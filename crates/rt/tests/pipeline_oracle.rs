@@ -10,7 +10,7 @@
 //! segment and computes the same lists as the staged reference.
 
 use fast_core::{Out, Sttr, SttrBuilder, TransducerError, DEFAULT_RUN_CAP};
-use fast_rt::{FusionStrategy, Pipeline, PipelineOptions, RunOptions};
+use fast_rt::{BatchMemo, FusionStrategy, Pipeline, RunOptions};
 use fast_smt::{CmpOp, Formula, Label, LabelAlg, LabelFn, LabelSig, Sort, Term};
 use fast_trees::{Tree, TreeType};
 use proptest::prelude::*;
@@ -212,7 +212,7 @@ proptest! {
         let auto = Pipeline::compile(&stages);
         let never = Pipeline::compile_with(
             &stages,
-            &PipelineOptions { strategy: FusionStrategy::Never },
+            FusionStrategy::Never,
         );
         // Forced cascading never fuses a boundary.
         prop_assert_eq!(never.segment_count(), stages.len());
@@ -233,6 +233,38 @@ proptest! {
             prop_assert_eq!(sorted(c), sorted(want));
         }
     }
+
+    /// Two successive batches through `run_batch_shared` with one memo
+    /// set per pipeline: results computed by the first batch and reused
+    /// by the second still match per-stage `Sttr::run`.
+    #[test]
+    fn shared_memos_agree_with_staged_runs_across_batches(
+        stages in proptest::collection::vec(bt_sttr().prop_map(Arc::new), 2..4),
+        first in proptest::collection::vec(bt_tree(), 1..4),
+        second in proptest::collection::vec(bt_tree(), 1..4),
+    ) {
+        let opts = RunOptions::default();
+        for strategy in [FusionStrategy::Auto, FusionStrategy::Never] {
+            let p = Pipeline::compile_with(&stages, strategy);
+            let memos = fresh_memos(&p);
+            for batch in [&first, &second] {
+                let (results, _) = p.run_batch_shared(batch, &opts, &memos);
+                for (t, r) in batch.iter().zip(results) {
+                    let Ok(want) = staged_reference(&stages, t) else {
+                        continue;
+                    };
+                    let got = r.unwrap_or_else(|e| panic!("{strategy:?} failed where reference ran: {e}"));
+                    prop_assert_eq!(sorted(got), sorted(want));
+                }
+            }
+        }
+    }
+}
+
+fn fresh_memos(p: &Pipeline) -> Vec<BatchMemo> {
+    (0..p.segment_count())
+        .map(|_| BatchMemo::new(RunOptions::default().memo_capacity))
+        .collect()
 }
 
 // ---------- directed: the Fig. 7 deforestation chain ----------
@@ -342,17 +374,51 @@ fn fig7_deforestation_chain_fuses_end_to_end() {
 
     // Forcing cascading on the same chain gives the same answers
     // through three staged segments.
-    let never = Pipeline::compile_with(
-        &stages,
-        &PipelineOptions {
-            strategy: FusionStrategy::Never,
-        },
-    );
+    let never = Pipeline::compile_with(&stages, FusionStrategy::Never);
     assert_eq!(never.segment_count(), 3);
     let staged = never.run_batch(&batch);
     for (a, b) in results.iter().zip(&staged) {
         assert_eq!(sorted(a.clone().unwrap()), sorted(b.clone().unwrap()));
     }
+}
+
+/// A repeated batch through `run_batch_shared` on a cascaded pipeline
+/// is answered from the memos the first call filled: every segment hits
+/// and none misses.
+#[test]
+fn shared_memos_persist_across_cascaded_calls() {
+    let (ty, alg) = ilist();
+    let stages: Vec<Arc<Sttr>> = vec![
+        Arc::new(map_caesar(&ty, &alg)),
+        Arc::new(filter_ev(&ty, &alg)),
+    ];
+    let p = Pipeline::compile_with(&stages, FusionStrategy::Never);
+    assert_eq!(p.segment_count(), 2);
+    let memos = fresh_memos(&p);
+    let batch = [list(&ty, &[1, 2, 3, 4])];
+    let opts = RunOptions::default();
+    let (first, _) = p.run_batch_shared(&batch, &opts, &memos);
+    let (second, stats) = p.run_batch_shared(&batch, &opts, &memos);
+    assert_eq!(first, second);
+    assert_eq!(
+        *second[0].as_ref().unwrap(),
+        staged_reference(&stages, &batch[0]).unwrap()
+    );
+    assert_eq!(stats.len(), 2);
+    for (i, s) in stats.iter().enumerate() {
+        assert!(s.memo_hits >= 1, "segment {i} did not hit: {s:?}");
+        assert_eq!(s.memo_misses, 0, "segment {i} missed: {s:?}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "one memo per segment")]
+fn run_batch_shared_needs_one_memo_per_segment() {
+    let (ty, alg) = ilist();
+    let stage = Arc::new(map_caesar(&ty, &alg));
+    let p = Pipeline::compile_with(&[Arc::clone(&stage), stage], FusionStrategy::Never);
+    let one = vec![BatchMemo::new(16)];
+    p.run_batch_shared(&[list(&ty, &[1])], &RunOptions::default(), &one);
 }
 
 /// `norm` over BT: *nondeterministic but single-valued*. The two leaf

@@ -2,7 +2,7 @@
 //! accepting lookahead states as bit words, 64 states a word, so an STA
 //! with 130–140 states needs three words and rules whose required sets
 //! straddle a word boundary. Over random batches, `Plan::run_batch`
-//! (memo on and off) and the same plan reloaded from an encoded
+//! and the same plan reloaded from an encoded
 //! `Artifact` must agree with the reference interpreter `Sttr::run`,
 //! item by item, errors included.
 
@@ -166,21 +166,18 @@ fn reloaded(s: &Sttr) -> Arc<Plan> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Plan (memo on and off) and the artifact-reloaded plan agree with
-    /// `Sttr::run` on every item.
+    /// Plan and the artifact-reloaded plan agree with `Sttr::run` on
+    /// every item.
     #[test]
     fn wide_lookahead_plans_agree_with_sttr_run(s in wide_sttr(), batch in wide_batch()) {
         let plan = Plan::compile(&s);
         let loaded = reloaded(&s);
-        let on = RunOptions { memo: true, workers: 1, ..RunOptions::default() };
-        let off = RunOptions { memo: false, workers: 1, ..RunOptions::default() };
-        let (with_memo, _) = plan.run_batch_with(&batch, &on);
-        let (without_memo, _) = plan.run_batch_with(&batch, &off);
+        let opts = RunOptions { workers: 1, ..RunOptions::default() };
+        let (got, _) = plan.run_batch_with(&batch, &opts);
         let from_artifact = loaded.run_batch(&batch);
         for (i, t) in batch.iter().enumerate() {
             let want = canon(s.run(t));
-            prop_assert_eq!(canon(with_memo[i].clone()), want.clone());
-            prop_assert_eq!(canon(without_memo[i].clone()), want.clone());
+            prop_assert_eq!(canon(got[i].clone()), want.clone());
             prop_assert_eq!(canon(from_artifact[i].clone()), want);
         }
     }

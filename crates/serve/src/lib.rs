@@ -19,8 +19,9 @@
 //! {"id": 1, "op": "run", "target": "sani", "input": "nil[0]"}
 //! ```
 //!
-//! The server shares one [`fast_rt::BatchMemo`] per transducer across
-//! every connection, runs a background telemetry
+//! The server shares one [`fast_rt::BatchMemo`] per transducer target,
+//! and one per segment of each pipeline target, across every
+//! connection, runs a background telemetry
 //! [`Engine`](fast_obs::engine::Engine) for its whole lifetime, and —
 //! when started with an SLO spec — continuously evaluates
 //! [`fast_obs::slo`] objectives over the windowed view, exposing the

@@ -26,7 +26,8 @@
 //! Admitted requests run under the runtime's own guard rails: a
 //! per-request deadline (clamped to the server's), an output-set budget,
 //! the process-wide cancellation token (tripped on shutdown), and
-//! per-transducer [`BatchMemo`]s shared across all connections — a
+//! per-target [`BatchMemo`]s shared across all connections — one for a
+//! transducer target, one per segment for a pipeline target — so a
 //! repeated subtree is transduced once per process, not once per
 //! request.
 
@@ -77,7 +78,8 @@ pub struct ServeConfig {
     /// closes connections idle past it, and connections whose peer
     /// stops draining responses.
     pub idle_timeout: Option<Duration>,
-    /// Capacity of each shared per-transducer [`BatchMemo`].
+    /// Capacity of each shared [`BatchMemo`]: the one of a transducer
+    /// target, and each per-segment one of a pipeline target.
     pub memo_capacity: usize,
     /// Telemetry sampling interval (window width).
     pub engine_interval: Duration,
@@ -111,10 +113,13 @@ impl Default for ServeConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a published name runs, with the memos its runs share across
+/// every connection.
 enum TargetKind {
-    Transducer,
-    Pipeline,
+    /// A transducer and its one memo.
+    Transducer(BatchMemo),
+    /// A pipeline and one memo per segment, in chain order.
+    Pipeline(Vec<BatchMemo>),
 }
 
 /// Where a published name points.
@@ -138,9 +143,6 @@ struct Shared {
     cfg: ServeConfig,
     artifacts: Vec<Artifact>,
     targets: HashMap<String, TargetEntry>,
-    /// One shared memo per *transducer* target (pipelines build their
-    /// own per-segment memos per run).
-    memos: HashMap<String, BatchMemo>,
     engine: Engine,
     slo_state: Mutex<SloState>,
     stop: AtomicBool,
@@ -220,22 +222,27 @@ pub fn start(artifacts: Vec<Artifact>, addr: &str, cfg: ServeConfig) -> io::Resu
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
 
+    let memo = || BatchMemo::new(cfg.memo_capacity);
     let mut targets = HashMap::new();
-    let mut memos = HashMap::new();
     for (i, art) in artifacts.iter().enumerate() {
         for name in art.transducer_names() {
-            targets.entry(name.to_owned()).or_insert(TargetEntry {
-                kind: TargetKind::Transducer,
-                artifact: i,
-            });
-            memos
+            targets
                 .entry(name.to_owned())
-                .or_insert_with(|| BatchMemo::new(cfg.memo_capacity));
+                .or_insert_with(|| TargetEntry {
+                    kind: TargetKind::Transducer(memo()),
+                    artifact: i,
+                });
         }
         for name in art.pipeline_names() {
-            targets.entry(name.to_owned()).or_insert(TargetEntry {
-                kind: TargetKind::Pipeline,
-                artifact: i,
+            targets.entry(name.to_owned()).or_insert_with(|| {
+                let segments = art
+                    .pipeline(name)
+                    .expect("listed pipeline is present")
+                    .segment_count();
+                TargetEntry {
+                    kind: TargetKind::Pipeline((0..segments).map(|_| memo()).collect()),
+                    artifact: i,
+                }
             });
         }
     }
@@ -245,7 +252,6 @@ pub fn start(artifacts: Vec<Artifact>, addr: &str, cfg: ServeConfig) -> io::Resu
         cfg,
         artifacts,
         targets,
-        memos,
         engine,
         slo_state: Mutex::new(SloState::default()),
         stop: AtomicBool::new(false),
@@ -500,8 +506,8 @@ fn execute(shared: &Shared, req: &Request) -> Json {
     };
     let art = &shared.artifacts[entry.artifact];
     let ty = match entry.kind {
-        TargetKind::Transducer => art.transducer_type(&req.target),
-        TargetKind::Pipeline => art.pipeline_type(&req.target),
+        TargetKind::Transducer(_) => art.transducer_type(&req.target),
+        TargetKind::Pipeline(_) => art.pipeline_type(&req.target),
     };
     let Some(ty) = ty else {
         return proto::error_response(
@@ -545,23 +551,22 @@ fn execute(shared: &Shared, req: &Request) -> Json {
         ..RunOptions::default()
     };
 
-    let result = match entry.kind {
-        TargetKind::Transducer => {
+    let items = std::slice::from_ref(&tree);
+    let mut results = match &entry.kind {
+        TargetKind::Transducer(memo) => {
             let plan = art
                 .transducer(&req.target)
                 .expect("target map points at a present transducer");
-            let memo = &shared.memos[&req.target];
-            let (mut results, _) = plan.run_batch_shared(std::slice::from_ref(&tree), &opts, memo);
-            results.remove(0)
+            plan.run_batch_shared(items, &opts, memo).0
         }
-        TargetKind::Pipeline => {
+        TargetKind::Pipeline(memos) => {
             let pipe = art
                 .pipeline(&req.target)
                 .expect("target map points at a present pipeline");
-            let (mut results, _) = pipe.run_batch_with(std::slice::from_ref(&tree), &opts);
-            results.remove(0)
+            pipe.run_batch_shared(items, &opts, memos).0
         }
     };
+    let result = results.remove(0);
 
     let outputs = match result {
         Ok(outs) => outs,
