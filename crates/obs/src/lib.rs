@@ -56,12 +56,11 @@
 //! | `analysis.rules_checked` | `fastc check` visits a rule |
 //! | `analysis.solver_calls` | the analyzer issues a satisfiability/model query |
 //! | `analysis.diags_emitted` | one `fast_analysis::analyze` run emits diagnostics |
-//! | `rt.batch_runs` | a `Plan::run_batch` (or stream) invocation starts |
+//! | `rt.batch_runs` | a `Plan::run_batch` invocation starts |
 //! | `rt.batch_items` | — bumped by the batch size, one per input tree |
 //! | `rt.memo_hits` | a batch memo lookup reuses a finished sub-transduction |
 //! | `rt.memo_misses` | a batch memo lookup finds nothing |
 //! | `rt.memo_evictions` | a full memo shard evicts an entry |
-//! | `rt.la_cache_hits` | a shared lookahead state-set is reused |
 //! | `rt.pool_steals` | a pool worker steals a job from a sibling's deque |
 //! | `rt.pool_fallbacks` | a worker thread fails to spawn and the batch degrades |
 //! | `rt.timeouts` | a batch item exceeds its per-item deadline |
@@ -103,8 +102,6 @@
 //! | `intern.resident_bytes` | estimated heap bytes held by the tree interner, all shards |
 //! | `rt.memo.entries` | entries resident across every live batch-memo result table |
 //! | `rt.memo.bytes` | estimated heap bytes held by those result tables |
-//! | `rt.la.entries` | entries resident across every live lookahead cache |
-//! | `rt.la.bytes` | estimated heap bytes held by those lookahead caches |
 //! | `smt.cache.entries` | satisfiability results resident across every live solver cache |
 //! | `serve.connections` | live client connections held by a `fast-serve` server |
 //!
@@ -201,7 +198,6 @@ pub const DOCUMENTED_COUNTERS: &[&str] = &[
     "rt.memo_hits",
     "rt.memo_misses",
     "rt.memo_evictions",
-    "rt.la_cache_hits",
     "rt.pool_steals",
     "rt.pool_fallbacks",
     "rt.timeouts",
@@ -234,8 +230,6 @@ pub const DOCUMENTED_GAUGES: &[&str] = &[
     "intern.resident_bytes",
     "rt.memo.entries",
     "rt.memo.bytes",
-    "rt.la.entries",
-    "rt.la.bytes",
     "smt.cache.entries",
     "serve.connections",
 ];

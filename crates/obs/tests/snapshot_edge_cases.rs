@@ -90,7 +90,7 @@ fn disjoint_names_union_in_merge_and_pass_through_delta() {
     );
     let b = snap(
         &[("rt.memo_misses", 6)],
-        &[("rt.la.entries", 3)],
+        &[("intern.resident_bytes", 3)],
         &[500],
         &[],
     );
@@ -101,7 +101,7 @@ fn disjoint_names_union_in_merge_and_pass_through_delta() {
     assert_eq!(m.get("rt.memo_hits"), 4);
     assert_eq!(m.get("rt.memo_misses"), 6);
     assert_eq!(m.gauge("rt.memo.entries"), 2);
-    assert_eq!(m.gauge("rt.la.entries"), 3);
+    assert_eq!(m.gauge("intern.resident_bytes"), 3);
     assert_eq!(m.hists["rt.item"].count, 1);
     assert_eq!(m.exemplars["rt.item"].len(), 1);
 

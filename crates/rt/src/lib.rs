@@ -20,19 +20,24 @@
 //!   every tree gets from the global hash-cons table in
 //!   `fast_trees::intern`. Structurally equal subtrees share one id, so
 //!   a subtree appearing in several batch items (or re-parsed from the
-//!   same source) has its transduction and lookahead state set computed
-//!   once per batch, not once per item. The table is
+//!   same source) has its transduction computed once per batch, not
+//!   once per item. The memo is the only table items share. It is
 //!   capacity-bounded with eviction, and hit/miss/eviction counters
 //!   surface both per batch ([`BatchStats`]) and globally (`rt.*`
 //!   counters in `fast-obs`).
+//! * Lookahead is per item: a subtree's lookahead state set depends only
+//!   on the subtree and the plan, so each item labels its input
+//!   bottom-up into its own table — one bit word per 64 states per
+//!   distinct node, keyed by `TreeId` so a subtree shared inside the
+//!   document is labelled once — and drops the table when it finishes.
 //! * Per node, evaluation allocates only what it returns. Guards
 //!   compare label fields in place ([`fast_smt::Term::eval_ref`]), a
-//!   subtree's lookahead states are a bitset (one inline word up to 64
-//!   states), the memo and lookahead tables hash their integer keys
-//!   with one multiply per integer instead of SipHash (`TreeId`s come
-//!   from a server-side counter, so clients cannot aim collisions), and
-//!   a rule's output trees are appended straight into the caller's
-//!   vector.
+//!   lookahead check is a few word operations against a precomputed
+//!   mask, the memo and the item's lookahead table hash their integer
+//!   keys with one multiply per integer instead of SipHash (`TreeId`s
+//!   come from a server-side counter, so clients cannot aim
+//!   collisions), and a rule's output trees are appended straight into
+//!   the caller's vector.
 //! * Every batch runs through one body: [`Plan::run_batch_shared`]
 //!   against a [`BatchMemo`] (caller-owned, so results persist across
 //!   batches, or fresh per call in [`Plan::run_batch_with`]).

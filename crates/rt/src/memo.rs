@@ -1,16 +1,15 @@
-//! Sharded concurrent maps backing the per-batch caches.
+//! The sharded concurrent map backing the batch result memo.
 //!
-//! Both caches key on [`TreeId`](fast_trees::TreeId) — the stable
-//! identity a tree receives from the global hash-cons table in
-//! `fast_trees::intern` — so a subtree that appears in many batch items
-//! is looked up by a single integer comparison, whether the occurrences
-//! are `Arc`-shared clones or were built independently (parser, builder,
-//! generator: structurally equal trees intern to the same id):
-//!
-//! * the **result memo** maps `(transformation state, TreeId)` to the
-//!   finished output set of that sub-transduction;
-//! * the **lookahead cache** maps `TreeId` to the set of lookahead-STA
-//!   states accepting that subtree.
+//! The result memo maps `(transformation state, TreeId)` to the finished
+//! output set of that sub-transduction. It is the one table `fast-rt`
+//! shares between items and batches; lookahead state sets are computed
+//! per item (`plan.rs`, `ItemRun::la_states`) and need no cache here.
+//! [`TreeId`](fast_trees::TreeId) is the stable identity a tree receives
+//! from the global hash-cons table in `fast_trees::intern`, so a subtree
+//! that appears in many batch items is looked up by a single integer
+//! comparison, whether the occurrences are `Arc`-shared clones or were
+//! built independently (parser, builder, generator: structurally equal
+//! trees intern to the same id).
 //!
 //! Ids are never reused (the interner is append-only and owns every
 //! canonical node), so a memo may outlive one batch
@@ -22,12 +21,12 @@
 //!
 //! # Hashing
 //!
-//! Keys are `(state, TreeId)` pairs or bare `TreeId`s, and they are
-//! hashed with [`MixHasher`], one multiply-mix step per integer, not
-//! SipHash. A keyed hash guards against keys chosen to collide, and
-//! clients cannot choose `TreeId`s: the interner hands them out from one
-//! monotonic counter. The interner itself hashes client-chosen labels
-//! and keeps SipHash. A shard is
+//! Keys are `(state, TreeId)` pairs here and bare `TreeId`s in an
+//! item's lookahead table, and both are hashed with [`MixHasher`], one
+//! multiply-mix step per integer, not SipHash. A keyed hash guards
+//! against keys chosen to collide, and clients cannot choose `TreeId`s:
+//! the interner hands them out from one monotonic counter. The interner
+//! itself hashes client-chosen labels and keeps SipHash. A shard is
 //! chosen from bits 48–51 of the hash: high bits, which the multiply
 //! mixes best, but clear of the top seven bits that each shard's own
 //! table uses for its control bytes.
@@ -37,12 +36,10 @@
 //! `capacity` bounds the **whole table**, not each shard: every shard
 //! holds at most `capacity / SHARDS` entries (so the table never
 //! exceeds `capacity` when `capacity ≥ SHARDS`; smaller capacities are
-//! rounded up to one entry per shard, i.e. `SHARDS` total — callers in
-//! `plan.rs` clamp with `.max(SHARDS)` so this rounding never applies
-//! there). Insertion into a full shard evicts the shard's oldest entry
-//! (a cursor that rotates through the shard's insertion order, so
-//! evictions are O(1) and spread over every key) and bumps
-//! `rt.memo_evictions`.
+//! rounded up to one entry per shard, i.e. `SHARDS` total). Insertion
+//! into a full shard evicts the shard's oldest entry (a cursor that
+//! rotates through the shard's insertion order, so evictions are O(1)
+//! and spread over every key) and bumps `rt.memo_evictions`.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};

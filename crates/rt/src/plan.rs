@@ -49,45 +49,12 @@ struct LaReq {
     mask: u32,
 }
 
-/// A set of lookahead-STA states as bit words: state `s` is bit `s % 64`
-/// of word `s / 64`, over `ceil(n / 64)` words (at least one) for an STA
-/// with `n` states. Up to 64 states the set is one inline word; beyond
-/// that the words live behind an `Arc`, so a cache hit never copies them.
-#[derive(Debug, Clone)]
-enum StateBits {
-    One(u64),
-    Many(Arc<[u64]>),
-}
-
-impl StateBits {
-    fn from_words(words: &[u64]) -> StateBits {
-        match words {
-            [w] => StateBits::One(*w),
-            _ => StateBits::Many(words.into()),
-        }
-    }
-
-    fn words(&self) -> &[u64] {
-        match self {
-            StateBits::One(w) => std::slice::from_ref(w),
-            StateBits::Many(ws) => ws,
-        }
-    }
-
-    /// Whether every state of `req` (a mask of the same width) is in the
-    /// set: `req & !have == 0`, word by word.
-    #[inline]
-    fn covers(&self, req: &[u64]) -> bool {
-        req.iter().zip(self.words()).all(|(r, h)| r & !h == 0)
-    }
-
-    /// Heap bytes behind the set (the `Arc` block of a wide set).
-    fn heap_bytes(&self) -> usize {
-        match self {
-            StateBits::One(_) => 0,
-            StateBits::Many(ws) => 2 * std::mem::size_of::<usize>() + std::mem::size_of_val(&**ws),
-        }
-    }
+/// Whether every state of the mask `req` is in the state set `have`
+/// (both `Plan::la_words` words; state `s` is bit `s % 64` of word
+/// `s / 64`): `req & !have == 0`, word by word.
+#[inline]
+fn covers(have: &[u64], req: &[u64]) -> bool {
+    req.iter().zip(have).all(|(r, h)| r & !h == 0)
 }
 
 /// Options controlling one batch run.
@@ -146,8 +113,6 @@ pub struct BatchStats {
     pub memo_misses: u64,
     /// Entries evicted from full memo shards.
     pub memo_evictions: u64,
-    /// Lookahead-cache hits (shared subtree lookahead sets reused).
-    pub la_hits: u64,
     /// Jobs stolen across worker deques.
     pub steals: u64,
     /// Worker spawn failures absorbed by degrading to fewer threads.
@@ -181,9 +146,6 @@ impl BatchStats {
 /// `Arc`-shared clones.
 type OutMemo = Sharded<(usize, TreeId), Arc<Vec<Tree>>>;
 
-/// Lookahead cache: `TreeId → accepting lookahead states`.
-type LaMemo = Sharded<TreeId, StateBits>;
-
 /// A result memo reporting residency into the process-wide
 /// `rt.memo.entries` / `rt.memo.bytes` gauges. Every live table (a
 /// batch's fresh one or a caller-owned [`BatchMemo`]) reports into the
@@ -208,22 +170,7 @@ fn out_memo(capacity: usize) -> OutMemo {
     )
 }
 
-/// The lookahead-cache analogue of [`out_memo`] (`rt.la.*` gauges).
-fn la_memo(capacity: usize) -> LaMemo {
-    Sharded::with_gauges(
-        capacity,
-        crate::memo::ResidencyGauges {
-            entries: fast_obs::gauge("rt.la.entries"),
-            bytes: fast_obs::gauge("rt.la.bytes"),
-            weigh: |k, v| {
-                (2 * std::mem::size_of_val(k) + std::mem::size_of::<StateBits>() + v.heap_bytes())
-                    as u64
-            },
-        },
-    )
-}
-
-/// A result memo plus lookahead cache that **outlives a single batch**:
+/// A result memo that **outlives a single batch**:
 /// pass it to [`Plan::run_batch_shared`] to reuse sub-transduction
 /// results across successive `run_batch` calls (cascaded pipeline
 /// stages, repeated queries over a mutating corpus).
@@ -237,21 +184,18 @@ fn la_memo(capacity: usize) -> LaMemo {
 ///
 /// The memo keys on the plan's state ids: share one `BatchMemo` only
 /// across runs of the **same** [`Plan`]. Cloning is cheap and yields a
-/// handle to the same underlying tables.
+/// handle to the same underlying table.
 #[derive(Clone)]
 pub struct BatchMemo {
     out: Arc<OutMemo>,
-    la: Arc<LaMemo>,
 }
 
 impl BatchMemo {
     /// A memo bounded at `capacity` entries total (minimum one entry per
     /// shard, exactly like [`RunOptions::memo_capacity`]).
     pub fn new(capacity: usize) -> BatchMemo {
-        let cap = capacity.max(crate::memo::SHARDS);
         BatchMemo {
-            out: Arc::new(out_memo(cap)),
-            la: Arc::new(la_memo(cap)),
+            out: Arc::new(out_memo(capacity)),
         }
     }
 }
@@ -262,28 +206,35 @@ impl std::fmt::Debug for BatchMemo {
     }
 }
 
-/// Per-batch shared state: the caches and their counters.
+/// Per-batch shared state: the result memo and its counters.
 struct BatchCtx<'p> {
     plan: &'p Plan,
     cap: usize,
     timeout: Option<Duration>,
     /// Cooperative cancellation token ([`RunOptions::cancel`]).
     cancel: Option<Arc<AtomicBool>>,
-    /// The result memo and lookahead cache: the caller's, or a fresh
-    /// one built by [`Plan::run_batch_with`].
+    /// The result memo: the caller's, or a fresh one built by
+    /// [`Plan::run_batch_with`].
     memo: &'p BatchMemo,
     memo_stats: CacheStats,
-    la_stats: CacheStats,
     /// Per-rule attribution, present when [`RunOptions::profile`] is set.
     profile: Option<ProfileData>,
 }
 
-/// One item's evaluation state: deadline bookkeeping.
+/// One item's evaluation state: deadline bookkeeping and the item's
+/// lookahead table. Lookahead state sets depend only on the subtree and
+/// the plan, so they are computed per item, keyed by node identity
+/// ([`TreeId`]: a subtree shared inside the document is labelled once),
+/// and dropped with the item.
 struct ItemRun<'b, 'p> {
     cx: &'b BatchCtx<'p>,
     deadline: Option<Instant>,
     timeout_ms: u64,
     ticks: u32,
+    /// Word offset into `la_bits` of every node labelled so far.
+    la_at: MixMap<TreeId, u32>,
+    /// The lookahead state sets, `Plan::la_words` words per node.
+    la_bits: Vec<u64>,
 }
 
 /// A compiled evaluation plan for one [`Sttr`].
@@ -588,7 +539,6 @@ impl Plan {
                 cancel: opts.cancel.clone(),
                 memo,
                 memo_stats: CacheStats::default(),
-                la_stats: CacheStats::default(),
                 profile: opts
                     .profile
                     .then(|| ProfileData::new(self.total_rules, self.sttr.state_count())),
@@ -671,6 +621,8 @@ fn run_item(cx: &BatchCtx<'_>, t: &Tree) -> Result<Vec<Tree>, TransducerError> {
         deadline: cx.timeout.map(|d| Instant::now() + d),
         timeout_ms,
         ticks: 0,
+        la_at: MixMap::default(),
+        la_bits: Vec::new(),
     };
     let out = {
         let _dispatch = fast_obs::span!("plan.dispatch");
@@ -717,7 +669,6 @@ fn finish_stats(
         memo_hits: cx.memo_stats.hits.load(Ordering::Relaxed),
         memo_misses: cx.memo_stats.misses.load(Ordering::Relaxed),
         memo_evictions: cx.memo_stats.evictions.load(Ordering::Relaxed),
-        la_hits: cx.la_stats.hits.load(Ordering::Relaxed),
         steals: pool_stats.steals.load(Ordering::Relaxed),
         spawn_fallbacks: pool_stats.fallbacks.load(Ordering::Relaxed),
         profile: cx.profile.as_ref().map(|p| cx.plan.collect_profile(p)),
@@ -725,7 +676,6 @@ fn finish_stats(
     fast_obs::count!("rt.memo_hits", stats.memo_hits);
     fast_obs::count!("rt.memo_misses", stats.memo_misses);
     fast_obs::count!("rt.memo_evictions", stats.memo_evictions);
-    fast_obs::count!("rt.la_cache_hits", stats.la_hits);
     stats
 }
 
@@ -752,61 +702,53 @@ impl<'b, 'p> ItemRun<'b, 'p> {
         Ok(())
     }
 
-    /// The set of lookahead-STA states accepting `t`, from the shared
-    /// cache, computing (and caching) missing subtrees iteratively. Only
-    /// rules with a lookahead requirement call it, so the STA has states.
-    fn la_states(&mut self, t: &Tree) -> Result<StateBits, TransducerError> {
-        if let Some(s) = self.cx.memo.la.get(&t.id(), &self.cx.la_stats) {
-            return Ok(s);
-        }
-        // Explicit post-order stack (deep documents must not overflow),
-        // skipping every subtree already in the shared cache.
+    /// Labels `t` bottom-up with the lookahead STA and returns the set
+    /// of states accepting it, as `Plan::la_words` words. One explicit
+    /// post-order loop (deep documents must not overflow the stack)
+    /// appends the words of every node the item has not labelled yet.
+    /// Only rules with a lookahead requirement call it, so the STA has
+    /// states.
+    fn la_states(&mut self, t: &Tree) -> Result<&[u64], TransducerError> {
         let plan = self.cx.plan;
+        let w = plan.la_words;
+        if let Some(&at) = self.la_at.get(&t.id()) {
+            return Ok(&self.la_bits[at as usize..][..w]);
+        }
         let alg = plan.sttr.alg();
         let mut stack: Vec<(&Tree, bool)> = vec![(t, false)];
-        let mut computed: MixMap<TreeId, StateBits> = MixMap::default();
-        let mut accept = vec![0u64; plan.la_words];
         while let Some((node, expanded)) = stack.pop() {
             self.tick()?;
-            if computed.contains_key(&node.id()) {
+            if self.la_at.contains_key(&node.id()) {
                 continue;
             }
             if !expanded {
-                // Only probe the shared cache on first visit.
-                if let Some(s) = self.cx.memo.la.get(&node.id(), &self.cx.la_stats) {
-                    computed.insert(node.id(), s);
-                    continue;
-                }
                 stack.push((node, true));
                 for c in node.children() {
                     stack.push((c, false));
                 }
                 continue;
             }
-            accept.fill(0);
+            let at = self.la_bits.len();
+            self.la_bits.resize(at + w, 0);
             for lr in plan.la_group(node.ctor().0) {
-                let (word, bit) = (lr.state as usize / 64, 1u64 << (lr.state % 64));
-                if accept[word] & bit != 0 {
+                let (word, bit) = (at + lr.state as usize / 64, 1u64 << (lr.state % 64));
+                if self.la_bits[word] & bit != 0 {
                     continue;
                 }
                 if !lr.trivial_guard && !alg.eval(plan.guard(lr.guard), node.label()) {
                     continue;
                 }
                 let ok = plan.reqs(lr.reqs).iter().all(|req| {
-                    computed[&node.child(req.child as usize).id()].covers(plan.mask(req))
+                    let have = self.la_at[&node.child(req.child as usize).id()] as usize;
+                    covers(&self.la_bits[have..][..w], plan.mask(req))
                 });
                 if ok {
-                    accept[word] |= bit;
+                    self.la_bits[word] |= bit;
                 }
             }
-            let bits = StateBits::from_words(&accept);
-            self.cx
-                .memo
-                .la
-                .insert(node.id(), bits.clone(), &self.cx.la_stats);
-            computed.insert(node.id(), bits);
+            self.la_at.insert(node.id(), at as u32);
         }
-        Ok(computed.remove(&t.id()).expect("root computed"))
+        Ok(&self.la_bits[self.la_at[&t.id()] as usize..][..w])
     }
 
     /// `T_q(t)` under the plan's dispatch tables (Definition 7), memoized
@@ -848,10 +790,7 @@ impl<'b, 'p> ItemRun<'b, 'p> {
             }
             let mut ok = true;
             for req in plan.reqs(cr.reqs) {
-                if !self
-                    .la_states(t.child(req.child as usize))?
-                    .covers(plan.mask(req))
-                {
+                if !covers(self.la_states(t.child(req.child as usize))?, plan.mask(req)) {
                     ok = false;
                     break;
                 }

@@ -4,11 +4,12 @@
 //! straddle a word boundary. Over random batches, `Plan::run_batch`
 //! and the same plan reloaded from an encoded
 //! `Artifact` must agree with the reference interpreter `Sttr::run`,
-//! item by item, errors included.
+//! item by item, errors included, also when a second batch reuses the
+//! first batch's memo under roots whose lookahead is computed afresh.
 
 use fast_automata::{Sta, StaBuilder, StateId};
 use fast_core::{Out, Sttr, SttrBuilder, TransducerError};
-use fast_rt::{Artifact, ArtifactBuilder, Plan, RunOptions};
+use fast_rt::{Artifact, ArtifactBuilder, BatchMemo, Plan, RunOptions};
 use fast_smt::{CmpOp, Formula, Label, LabelAlg, LabelFn, LabelSig, Sort, Term};
 use fast_trees::{Tree, TreeType};
 use proptest::prelude::*;
@@ -140,7 +141,7 @@ fn wide_tree() -> impl Strategy<Value = Tree> {
     })
 }
 
-/// A batch with repeated items, so the memo and lookahead cache hit.
+/// A batch with repeated items, so the memo hits.
 fn wide_batch() -> impl Strategy<Value = Vec<Tree>> {
     proptest::collection::vec(wide_tree(), 1..4).prop_flat_map(|distinct| {
         let n = distinct.len();
@@ -167,18 +168,39 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Plan and the artifact-reloaded plan agree with `Sttr::run` on
-    /// every item.
+    /// every item. A second batch on the same memo puts pairs of
+    /// first-batch items under fresh `N[3]` roots, whose rules (every
+    /// guard `x0 >= c` holds at 3) check lookahead on them: the subtrees
+    /// hit the memo while the lookahead above them is labelled fresh.
     #[test]
     fn wide_lookahead_plans_agree_with_sttr_run(s in wide_sttr(), batch in wide_batch()) {
         let plan = Plan::compile(&s);
         let loaded = reloaded(&s);
         let opts = RunOptions { workers: 1, ..RunOptions::default() };
-        let (got, _) = plan.run_batch_with(&batch, &opts);
+        let memo = BatchMemo::new(opts.memo_capacity);
+        let (got, _) = plan.run_batch_shared(&batch, &opts, &memo);
         let from_artifact = loaded.run_batch(&batch);
         for (i, t) in batch.iter().enumerate() {
             let want = canon(s.run(t));
             prop_assert_eq!(canon(got[i].clone()), want.clone());
             prop_assert_eq!(canon(from_artifact[i].clone()), want);
+        }
+
+        let (ty, _) = bt();
+        let node = ty.ctor_id("N").unwrap();
+        let mut second: Vec<Tree> = batch
+            .iter()
+            .zip(batch.iter().cycle().skip(1))
+            .map(|(a, b)| Tree::new(node, Label::single(3i64), vec![a.clone(), b.clone()]))
+            .collect();
+        second.push(batch[0].clone());
+        let (again, stats) = plan.run_batch_shared(&second, &opts, &memo);
+        for (i, t) in second.iter().enumerate() {
+            prop_assert_eq!(canon(again[i].clone()), canon(s.run(t)));
+        }
+        if got[0].is_ok() {
+            // The repeated first item is answered at its root.
+            prop_assert!(stats.memo_hits >= 1);
         }
     }
 }
@@ -231,4 +253,61 @@ fn requirement_across_a_word_boundary() {
         assert_eq!(plan.run(&t).unwrap(), want, "plan, left leaf {left}");
         assert_eq!(loaded.run(&t).unwrap(), want, "artifact, left leaf {left}");
     }
+}
+
+/// A DAG input: `t₀ = L[0]`, `tₖ₊₁ = N[k](tₖ, tₖ)`, so `t₆₄` has 65
+/// distinct interned nodes and 2⁶⁵ − 1 tree positions. Both node rules
+/// require lookahead on both children; the run finishes only if the
+/// item's lookahead table is keyed by node identity, not position.
+#[test]
+fn lookahead_on_a_dag_is_linear_in_distinct_nodes() {
+    let n = 130;
+    // Every state accepts a node whose children are in state 0; leaf
+    // `L[0]` is in state 0 only, so every `N` node is in every state.
+    let la = wide_sta(n, &vec![false; n], &vec![(0, 0); n]);
+    let (ty, alg) = bt();
+    let leaf = ty.ctor_id("L").unwrap();
+    let node = ty.ctor_id("N").unwrap();
+    let mut b = SttrBuilder::new(ty.clone(), alg).with_lookahead(la);
+    let q = b.state("q");
+    b.plain_rule(
+        q,
+        leaf,
+        Formula::True,
+        Out::node(leaf, LabelFn::identity(1), vec![]),
+    );
+    let swap = Out::node(
+        node,
+        LabelFn::identity(1),
+        vec![Out::Call(q, 1), Out::Call(q, 0)],
+    );
+    // Above the bottom node: both children in {0, 100}, across a word
+    // boundary (a leaf is not in state 100).
+    let above = BTreeSet::from([StateId(0), StateId(100)]);
+    b.rule(
+        q,
+        node,
+        Formula::True,
+        vec![above.clone(), above],
+        swap.clone(),
+    );
+    // The bottom node `N[0](L[0], L[0])`: both children in {0}.
+    let bottom = BTreeSet::from([StateId(0)]);
+    b.rule(
+        q,
+        node,
+        x0_cmp(CmpOp::Eq, 0),
+        vec![bottom.clone(), bottom],
+        swap,
+    );
+    let s = b.build(q);
+    let mut t = Tree::leaf(leaf, Label::single(0i64));
+    for k in 0..64i64 {
+        t = Tree::new(node, Label::single(k), vec![t.clone(), t]);
+    }
+    let want = s.run(&t).unwrap();
+    // Swapping identical children is the identity.
+    assert_eq!(want, vec![t.clone()]);
+    assert_eq!(Plan::compile(&s).run(&t).unwrap(), want);
+    assert_eq!(reloaded(&s).run(&t).unwrap(), want);
 }

@@ -79,7 +79,9 @@ pub struct ServeConfig {
     /// stops draining responses.
     pub idle_timeout: Option<Duration>,
     /// Capacity of each shared [`BatchMemo`]: the one of a transducer
-    /// target, and each per-segment one of a pipeline target.
+    /// target, and each per-segment one of a pipeline target. It bounds
+    /// result-memo entries only; lookahead state sets live per request
+    /// and are dropped when it finishes.
     pub memo_capacity: usize,
     /// Telemetry sampling interval (window width).
     pub engine_interval: Duration,
