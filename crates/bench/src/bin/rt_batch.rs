@@ -6,10 +6,10 @@
 //! 3. `plan+pool` — the same plan across the work-stealing pool.
 //!
 //! Repeats in the batch are `Arc` clones, and trees are globally
-//! hash-consed, so the plan's `(state, TreeId)` memo answers both
-//! repeats *and* independently built structural duplicates without
-//! re-evaluating — the speedup is memoization first, parallelism on top
-//! where cores exist. Writes `BENCH_rt_batch.json` with timings,
+//! hash-consed, so the plan's root memo answers a repeated page without
+//! re-evaluating, and each page's own table evaluates a subtree repeated
+//! inside it once per state — the speedup is memoization first,
+//! parallelism on top where cores exist. Writes `BENCH_rt_batch.json` with timings,
 //! speedups, interner statistics, and `rt.*` telemetry.
 //!
 //! Usage: `rt_batch [--seed S] [--reps N]`

@@ -5,7 +5,9 @@
 //!
 //! The "fast" column times `Plan::run`, the compiled evaluator batch and
 //! serve use. The reference interpreter `Sttr::run` is timed as the
-//! "oracle" column and must produce the same output on every page.
+//! "oracle" column and must produce the same output on every page. The
+//! "manual" column is the rewriter's best of three passes over each
+//! page, timed before either evaluator runs.
 //! Writes `BENCH_tab51.json` with `fast_ms`, `oracle_ms`, `manual_ms`
 //! and `fast_manual_ratio` (totals over the corpus).
 //!
@@ -51,6 +53,21 @@ fn main() {
         "page", "size (KB)", "fast (ms)", "oracle (ms)", "manual (ms)", "ratio", "match"
     );
     let docs = corpus(seed);
+    // The rewriter is timed first, on a heap no evaluator has churned:
+    // timed after a plan or oracle run in the same process, it runs
+    // several times slower. Each page keeps its best of three passes.
+    let mut manual_ms = vec![f64::INFINITY; docs.len()];
+    let mut expected = Vec::new();
+    for _ in 0..3 {
+        expected = (docs.iter().zip(&mut manual_ms))
+            .map(|(doc, best)| {
+                let start = Instant::now();
+                let out = baseline_sanitize(doc);
+                *best = best.min(ms_since(start));
+                out
+            })
+            .collect();
+    }
     let (mut fast_total, mut oracle_total, mut manual_total) = (0.0f64, 0.0f64, 0.0f64);
     for (i, doc) in docs.iter().enumerate() {
         let size_kb = doc.render().len() as f64 / 1024.0;
@@ -65,11 +82,8 @@ fn main() {
         let oracle = sani.run(&encoded).expect("run fits budget");
         let oracle_t = ms_since(start);
 
-        let start = Instant::now();
-        let expected = baseline_sanitize(doc);
-        let manual_t = ms_since(start);
-
-        let matches = out == oracle && HtmlDoc::decode(&ty, &out[0]).as_ref() == Ok(&expected);
+        let (expected, manual_t) = (&expected[i], manual_ms[i]);
+        let matches = out == oracle && HtmlDoc::decode(&ty, &out[0]).as_ref() == Ok(expected);
         fast_total += fast_t;
         oracle_total += oracle_t;
         manual_total += manual_t;

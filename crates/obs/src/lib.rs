@@ -58,9 +58,9 @@
 //! | `analysis.diags_emitted` | one `fast_analysis::analyze` run emits diagnostics |
 //! | `rt.batch_runs` | a `Plan::run_batch` invocation starts |
 //! | `rt.batch_items` | — bumped by the batch size, one per input tree |
-//! | `rt.memo_hits` | a batch memo lookup reuses a finished sub-transduction |
-//! | `rt.memo_misses` | a batch memo lookup finds nothing |
-//! | `rt.memo_evictions` | a full memo shard evicts an entry |
+//! | `rt.memo_hits` | an item root is found in the shared memo, or an item's `(state, node)` lookup finds a pair the item already needs |
+//! | `rt.memo_misses` | an item root is not in the shared memo, or an item adds a `(state, node)` pair |
+//! | `rt.memo_evictions` | a full shared memo evicts an entry |
 //! | `rt.pool_steals` | a pool worker steals a job from a sibling's deque |
 //! | `rt.pool_fallbacks` | a worker thread fails to spawn and the batch degrades |
 //! | `rt.timeouts` | a batch item exceeds its per-item deadline |
@@ -100,8 +100,8 @@
 //! |---|---|
 //! | `intern.resident_nodes.shard00`..`shard15` | canonical tree nodes resident per interner shard (the table never evicts) |
 //! | `intern.resident_bytes` | estimated heap bytes held by the tree interner, all shards |
-//! | `rt.memo.entries` | entries resident across every live batch-memo result table |
-//! | `rt.memo.bytes` | estimated heap bytes held by those result tables |
+//! | `rt.memo.entries` | item-root entries resident across every live shared memo |
+//! | `rt.memo.bytes` | estimated heap bytes held by those memos |
 //! | `smt.cache.entries` | satisfiability results resident across every live solver cache |
 //! | `serve.connections` | live client connections held by a `fast-serve` server |
 //!
@@ -116,7 +116,7 @@
 //! single-valuedness decision (`sv.decide`), automata
 //! algorithms (`automata.intersect`, `automata.determinize`), runtime
 //! phases (`rt.run_batch` per batch, `rt.item` per input tree,
-//! `plan.dispatch` per memoized dispatch), pipeline phases
+//! `plan.dispatch` per item evaluation), pipeline phases
 //! (`rt.pipeline.compile` per chain compilation, `rt.pipeline.run` per
 //! pipeline batch, `rt.pipeline.stage` per segment pass — also a span
 //! and a histogram), the serving path (`serve.request` per admitted

@@ -15,29 +15,26 @@
 //!   done once; the plan is immutable and shared by every worker.
 //!   Loading a `.fastc` [`Artifact`] builds the plan through the same
 //!   constructor.
-//! * [`Plan::run_batch`] evaluates a whole batch against a **shared memo
-//!   table** keyed on `(state, TreeId)` — the stable structural identity
-//!   every tree gets from the global hash-cons table in
-//!   `fast_trees::intern`. Structurally equal subtrees share one id, so
-//!   a subtree appearing in several batch items (or re-parsed from the
-//!   same source) has its transduction computed once per batch, not
-//!   once per item. The memo is the only table items share. It is
+//! * [`Plan::run_batch`] evaluates each item on a **table of its own**:
+//!   one slot per distinct node ([`TreeId`](fast_trees::TreeId), the
+//!   structural identity the global hash-cons table in
+//!   `fast_trees::intern` gives every tree, so a subtree repeated inside
+//!   the document is one slot), in post-order, with its lookahead state
+//!   set as bit words. A top-down loop over the slots selects the rules
+//!   of each needed `(state, slot)` pair and marks the pairs their calls
+//!   read; a bottom-up loop builds each pair's outputs from its callees'
+//!   finished sets. Nothing recurses on the input, so depth costs heap,
+//!   not stack.
+//! * Items share only a **root memo** keyed on `(initial state, root
+//!   TreeId)`: a document seen before — an `Arc`-shared clone or an
+//!   independent re-parse — is answered without evaluation. It is
 //!   capacity-bounded with eviction, and hit/miss/eviction counters
-//!   surface both per batch ([`BatchStats`]) and globally (`rt.*`
-//!   counters in `fast-obs`).
-//! * Lookahead is per item: a subtree's lookahead state set depends only
-//!   on the subtree and the plan, so each item labels its input
-//!   bottom-up into its own table — one bit word per 64 states per
-//!   distinct node, keyed by `TreeId` so a subtree shared inside the
-//!   document is labelled once — and drops the table when it finishes.
+//!   (pair lookups inside items included) surface both per batch
+//!   ([`BatchStats`]) and globally (`rt.*` counters in `fast-obs`).
 //! * Per node, evaluation allocates only what it returns. Guards
 //!   compare label fields in place ([`fast_smt::Term::eval_ref`]), a
 //!   lookahead check is a few word operations against a precomputed
-//!   mask, the memo and the item's lookahead table hash their integer
-//!   keys with one multiply per integer instead of SipHash (`TreeId`s
-//!   come from a server-side counter, so clients cannot aim
-//!   collisions), and a rule's output trees are appended straight into
-//!   the caller's vector.
+//!   mask, and outputs go to one buffer per item.
 //! * Every batch runs through one body: [`Plan::run_batch_shared`]
 //!   against a [`BatchMemo`] (caller-owned, so results persist across
 //!   batches, or fresh per call in [`Plan::run_batch_with`]).

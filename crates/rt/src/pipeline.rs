@@ -362,7 +362,7 @@ impl Pipeline {
     }
 
     /// [`Pipeline::run_batch_with`] against caller-owned memos, one per
-    /// segment in chain order, so sub-transduction results persist
+    /// segment in chain order, so each segment's item results persist
     /// across calls exactly as for [`Plan::run_batch_shared`].
     ///
     /// Cascaded execution is staged: segment 0 runs over the whole

@@ -1,12 +1,12 @@
 //! Compiled evaluation plans and the batch evaluator.
 
-use crate::memo::{CacheStats, MixMap, Sharded};
+use crate::memo::{Bounded, CacheStats, MixMap};
 use crate::pool::{self, PoolStats};
 use crate::profile::{self, ProfileData, RuleProfile, RuleProfileEntry};
 use fast_automata::StateId;
 use fast_core::{Out, Sttr, TransducerError, DEFAULT_RUN_CAP};
 use fast_smt::bin::FormulaPool;
-use fast_smt::{BoolAlg, Formula, Interned, TransAlg};
+use fast_smt::{BoolAlg, Formula, Interned, Label, LabelAlg, TransAlg};
 use fast_trees::{Tree, TreeId};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -14,18 +14,11 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A rule reference inside a dispatch group: the index into the owning
-/// state's rule list, the guard's index in the plan's formula pool, its
-/// lookahead requirements, and a precomputed fast-path flag.
+/// state's rule list and what enables the rule.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CRule {
     pub(crate) idx: u32,
-    /// Index of the guard in [`Plan::guard_pool`].
-    pub(crate) guard: u32,
-    /// Guard is syntactically ⊤ — skip label evaluation entirely.
-    pub(crate) trivial_guard: bool,
-    /// The rule's non-empty per-child lookahead sets, as a range of
-    /// [`Plan::la_reqs`] (empty for a rule without lookahead).
-    pub(crate) reqs: (u32, u32),
+    pub(crate) sel: Select,
 }
 
 /// A lookahead-STA rule reference, pre-indexed by constructor.
@@ -33,11 +26,19 @@ pub(crate) struct CRule {
 pub(crate) struct LaRule {
     pub(crate) state: u32,
     pub(crate) idx: u32,
+    pub(crate) sel: Select,
+}
+
+/// What enables a rule at a node: its guard and its lookahead.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Select {
     /// Index of the guard in [`Plan::guard_pool`].
-    pub(crate) guard: u32,
-    pub(crate) trivial_guard: bool,
-    /// As [`CRule::reqs`].
-    pub(crate) reqs: (u32, u32),
+    guard: u32,
+    /// Guard is syntactically ⊤ — skip label evaluation entirely.
+    trivial_guard: bool,
+    /// The rule's non-empty per-child lookahead sets, as a range of
+    /// [`Plan::la_reqs`] (empty for a rule without lookahead).
+    reqs: (u32, u32),
 }
 
 /// One non-empty lookahead requirement of a rule: child `child` must be
@@ -65,8 +66,9 @@ pub struct RunOptions {
     /// and `cap == 0` allows only empty (outside-the-domain) results.
     pub cap: usize,
     /// Capacity (entries) of the fresh memo table a
-    /// [`Plan::run_batch_with`] call builds; full shards evict. A
-    /// caller-owned [`BatchMemo`] carries its own capacity.
+    /// [`Plan::run_batch_with`] call builds: one entry per distinct item
+    /// root; a full table evicts its oldest entry. A caller-owned
+    /// [`BatchMemo`] carries its own capacity.
     pub memo_capacity: usize,
     /// Worker threads, the calling thread included. `0` asks the OS via
     /// [`std::thread::available_parallelism`].
@@ -107,18 +109,21 @@ pub struct BatchStats {
     pub items: usize,
     /// Worker threads used (1 = sequential).
     pub workers: usize,
-    /// Memo-table hits — sub-transductions answered without evaluation.
+    /// Memo hits: item roots answered by the shared memo, plus
+    /// `(state, node)` lookups inside an item answered by a pair the
+    /// item already needed.
     pub memo_hits: u64,
-    /// Memo-table misses.
+    /// Memo misses: item roots the shared memo did not hold, plus
+    /// `(state, node)` pairs each item added.
     pub memo_misses: u64,
-    /// Entries evicted from full memo shards.
+    /// Entries evicted from the full shared memo.
     pub memo_evictions: u64,
     /// Jobs stolen across worker deques.
     pub steals: u64,
     /// Worker spawn failures absorbed by degrading to fewer threads.
     pub spawn_fallbacks: u64,
     /// Per-rule firings, guard evaluations, per-state memo hits and
-    /// cumulative inclusive nanoseconds for every `(state, ctor,
+    /// cumulative self nanoseconds for every `(state, ctor,
     /// rule-index)` — the data behind the `fastc profile` hot-rules
     /// table. `Some` exactly when [`RunOptions::profile`] is set.
     pub profile: Option<RuleProfile>,
@@ -136,66 +141,52 @@ impl BatchStats {
     }
 }
 
-/// Shared memo table: `(state, TreeId) → finished output set`.
+/// A result memo that **outlives a single batch**: pass it to
+/// [`Plan::run_batch_shared`] to reuse whole-item results across
+/// successive `run_batch` calls (cascaded pipeline stages, a server
+/// answering the same document again). It maps `(initial state, root
+/// TreeId)` to an item's finished output set; the `(state, node)`
+/// results inside an item live in the item's own table and are dropped
+/// with it.
 ///
 /// [`TreeId`]s come from the global hash-cons table in
 /// `fast_trees::intern`: they are assigned once per structurally
-/// distinct tree and never reused, so a stale entry can never be
-/// aliased by a later tree. Structurally equal trees share an id, so
+/// distinct tree and never reused, so dropping input trees between runs
+/// is safe — a tree built after a drop can only collide with a resident
+/// key by being the *same* structural tree, in which case the cached
+/// result is exactly right. Structurally equal trees share an id, so
 /// the memo also hits across *independently built* inputs, not just
 /// `Arc`-shared clones.
-type OutMemo = Sharded<(usize, TreeId), Arc<Vec<Tree>>>;
-
-/// A result memo reporting residency into the process-wide
-/// `rt.memo.entries` / `rt.memo.bytes` gauges. Every live table (a
-/// batch's fresh one or a caller-owned [`BatchMemo`]) reports into the
-/// same pair, so the gauges read total memo residency across the
-/// process; each table subtracts its contribution on eviction and drop.
-fn out_memo(capacity: usize) -> OutMemo {
-    Sharded::with_gauges(
-        capacity,
-        crate::memo::ResidencyGauges {
-            entries: fast_obs::gauge("rt.memo.entries"),
-            bytes: fast_obs::gauge("rt.memo.bytes"),
-            // Estimate: the key (held twice: in the map and in the
-            // shard's eviction order), the Arc's control+vec blocks, and
-            // one interned handle per output tree (the trees themselves
-            // are owned by the interner and counted there).
-            weigh: |k, v| {
-                (2 * std::mem::size_of_val(k)
-                    + std::mem::size_of::<Arc<Vec<Tree>>>()
-                    + v.len() * std::mem::size_of::<Tree>()) as u64
-            },
-        },
-    )
-}
-
-/// A result memo that **outlives a single batch**:
-/// pass it to [`Plan::run_batch_shared`] to reuse sub-transduction
-/// results across successive `run_batch` calls (cascaded pipeline
-/// stages, repeated queries over a mutating corpus).
-///
-/// Dropping input trees between runs is safe by construction: entries
-/// are keyed on [`TreeId`]s, which are never reused, so a tree built
-/// after a drop can only collide with a resident key by being the
-/// *same* structural tree — in which case the cached result is exactly
-/// right (see the `memo` module docs for the historical aliasing
-/// hazard this design retires).
 ///
 /// The memo keys on the plan's state ids: share one `BatchMemo` only
 /// across runs of the **same** [`Plan`]. Cloning is cheap and yields a
 /// handle to the same underlying table.
 #[derive(Clone)]
 pub struct BatchMemo {
-    out: Arc<OutMemo>,
+    out: Arc<Bounded<(usize, TreeId), Vec<Tree>>>,
 }
 
 impl BatchMemo {
-    /// A memo bounded at `capacity` entries total (minimum one entry per
-    /// shard, exactly like [`RunOptions::memo_capacity`]).
+    /// A memo bounded at `capacity` root entries (at least one),
+    /// exactly like [`RunOptions::memo_capacity`]. Every live memo
+    /// reports into the process-wide `rt.memo.entries` / `rt.memo.bytes`
+    /// gauges and subtracts its share on eviction and drop.
     pub fn new(capacity: usize) -> BatchMemo {
+        let gauges = crate::memo::ResidencyGauges {
+            entries: fast_obs::gauge("rt.memo.entries"),
+            bytes: fast_obs::gauge("rt.memo.bytes"),
+            // Estimate: the key (held twice: in the map and in the
+            // eviction order), the vector, and one interned handle per
+            // output tree (the trees themselves are owned by the
+            // interner and counted there).
+            weigh: |k, v: &Vec<Tree>| {
+                (2 * std::mem::size_of_val(k)
+                    + std::mem::size_of::<Vec<Tree>>()
+                    + v.len() * std::mem::size_of::<Tree>()) as u64
+            },
+        };
         BatchMemo {
-            out: Arc::new(out_memo(capacity)),
+            out: Arc::new(Bounded::new(capacity, gauges)),
         }
     }
 }
@@ -206,14 +197,14 @@ impl std::fmt::Debug for BatchMemo {
     }
 }
 
-/// Per-batch shared state: the result memo and its counters.
+/// Per-batch shared state: the root memo and its counters.
 struct BatchCtx<'p> {
     plan: &'p Plan,
     cap: usize,
     timeout: Option<Duration>,
     /// Cooperative cancellation token ([`RunOptions::cancel`]).
     cancel: Option<Arc<AtomicBool>>,
-    /// The result memo: the caller's, or a fresh one built by
+    /// The root memo: the caller's, or a fresh one built by
     /// [`Plan::run_batch_with`].
     memo: &'p BatchMemo,
     memo_stats: CacheStats,
@@ -221,20 +212,54 @@ struct BatchCtx<'p> {
     profile: Option<ProfileData>,
 }
 
-/// One item's evaluation state: deadline bookkeeping and the item's
-/// lookahead table. Lookahead state sets depend only on the subtree and
-/// the plan, so they are computed per item, keyed by node identity
-/// ([`TreeId`]: a subtree shared inside the document is labelled once),
-/// and dropped with the item.
-struct ItemRun<'b, 'p> {
+/// End of a slot's pair list.
+const NONE: u32 = u32::MAX;
+
+/// One distinct node of an item's input; slots are in post-order.
+struct Slot<'t> {
+    tree: &'t Tree,
+    /// Offset of the node's child slots in [`ItemRun::kids`].
+    kids: u32,
+    /// The slot's most recent pair, or [`NONE`].
+    pairs: u32,
+}
+
+/// A `(state, slot)` pair the item needs.
+struct Pair {
+    state: u32,
+    /// The slot's previous pair, or [`NONE`].
+    next: u32,
+    /// The pair's range of [`ItemRun::tape`].
+    tape: (u32, u32),
+    /// `T_state(slot)` as a range of [`ItemRun::outs`], once built.
+    out: (u32, u32),
+}
+
+/// One item's evaluation: [`ItemRun::lower`] the input to slots, then
+/// [`ItemRun::dispatch`] top-down and [`ItemRun::build`] bottom-up over
+/// them, on tables the item owns (no lock, no hashing after lowering,
+/// all dropped with the item).
+struct ItemRun<'b, 'p, 't> {
     cx: &'b BatchCtx<'p>,
     deadline: Option<Instant>,
-    timeout_ms: u64,
     ticks: u32,
-    /// Word offset into `la_bits` of every node labelled so far.
-    la_at: MixMap<TreeId, u32>,
-    /// The lookahead state sets, `Plan::la_words` words per node.
-    la_bits: Vec<u64>,
+    slots: Vec<Slot<'t>>,
+    /// Child slot indices, one run per slot.
+    kids: Vec<u32>,
+    /// The lookahead state sets, `Plan::la_words` words per slot.
+    la: Vec<u64>,
+    pairs: Vec<Pair>,
+    /// Per pair and enabled rule: the rule's index in its state, then in
+    /// template pre-order a [`ItemRun::labels`] index per node and a
+    /// pair per call ([`ItemRun::mark`]).
+    tape: Vec<u32>,
+    /// Template-node labels, `None` where the label function is undefined.
+    labels: Vec<Option<Label>>,
+    /// Every pair's finished output set, deduplicated.
+    outs: Vec<Tree>,
+    /// Pair lookups that found an existing pair, and pairs added.
+    hits: u64,
+    misses: u64,
 }
 
 /// A compiled evaluation plan for one [`Sttr`].
@@ -373,8 +398,9 @@ impl Plan {
         let mut pool = FormulaPool::new();
         let mut la_reqs = Vec::new();
         let mut la_masks = Vec::new();
-        // Appends the masks of a rule's non-empty lookahead sets.
-        let mut push_reqs = |lookahead: &[BTreeSet<StateId>]| {
+        // Pools the guard and appends the masks of a rule's non-empty
+        // lookahead sets.
+        let mut select = |guard: &Interned<Formula>, lookahead: &[BTreeSet<StateId>]| {
             let start = la_reqs.len() as u32;
             for (child, set) in lookahead.iter().enumerate() {
                 if set.is_empty() {
@@ -390,7 +416,11 @@ impl Plan {
                     mask: mask as u32,
                 });
             }
-            (start, la_reqs.len() as u32)
+            Select {
+                guard: pool.index_of(guard),
+                trivial_guard: *guard == tt,
+                reqs: (start, la_reqs.len() as u32),
+            }
         };
         let mut groups = Vec::with_capacity(group_idxs.len());
         for base in 0..group_offsets.len() - 1 {
@@ -400,9 +430,7 @@ impl Plan {
                 let r = &sttr.rules(q)[idx as usize];
                 groups.push(CRule {
                     idx,
-                    guard: pool.index_of(&r.guard),
-                    trivial_guard: r.guard == tt,
-                    reqs: push_reqs(&r.lookahead),
+                    sel: select(&r.guard, &r.lookahead),
                 });
             }
         }
@@ -412,9 +440,7 @@ impl Plan {
             la_groups.push(LaRule {
                 state,
                 idx,
-                guard: pool.index_of(&r.guard),
-                trivial_guard: r.guard == tt,
-                reqs: push_reqs(&r.lookahead),
+                sel: select(&r.guard, &r.lookahead),
             });
         }
         let mut rule_offsets = Vec::with_capacity(sttr.state_count());
@@ -459,7 +485,7 @@ impl Plan {
         &self.guard_pool[id as usize]
     }
 
-    /// A rule's lookahead requirements ([`CRule::reqs`]).
+    /// A rule's lookahead requirements ([`Select::reqs`]).
     #[inline]
     fn reqs(&self, (start, end): (u32, u32)) -> &[LaReq] {
         &self.la_reqs[start as usize..end as usize]
@@ -497,8 +523,8 @@ impl Plan {
         self.run_batch(std::slice::from_ref(t)).pop().unwrap()
     }
 
-    /// Evaluates every tree in `items`, in parallel, sharing one memo
-    /// table across the batch. Results are in input order; each item
+    /// Evaluates every tree in `items`, in parallel, sharing one root
+    /// memo across the batch. Results are in input order; each item
     /// fails independently (a budget error on one tree does not affect
     /// the others).
     pub fn run_batch(&self, items: &[Tree]) -> Vec<Result<Vec<Tree>, TransducerError>> {
@@ -517,12 +543,12 @@ impl Plan {
     }
 
     /// [`Plan::run_batch_with`] against a caller-owned [`BatchMemo`], so
-    /// sub-transduction results and lookahead sets persist across
-    /// batches. It is safe to drop the input trees of one call before
-    /// the next: [`TreeId`] keys are never reused, so later trees can
-    /// only match a resident entry by being structurally identical — in
-    /// which case the hit is sound (and free: even a re-parsed copy of
-    /// an earlier input hits at its root).
+    /// item results persist across batches: an item whose root the memo
+    /// holds is answered without evaluation. It is safe to drop the
+    /// input trees of one call before the next: [`TreeId`] keys are
+    /// never reused, so later trees can only match a resident entry by
+    /// being structurally identical — in which case the hit is sound
+    /// (even a re-parsed copy of an earlier input hits at its root).
     pub fn run_batch_shared(
         &self,
         items: &[Tree],
@@ -601,7 +627,7 @@ fn flatten<T: Ord, U>(buckets: Vec<Vec<T>>, f: impl Fn(T) -> U) -> (Vec<u32>, Ve
 
 /// Evaluates one item under the batch context, recording its latency in
 /// the `rt.item` histogram (and, when tracing is on, an `rt.item` span
-/// wrapping a `plan.dispatch` span around the root dispatch). Errored
+/// wrapping a `plan.dispatch` span around the evaluation). Errored
 /// items bump `rt.item_errors`. Every item is also offered to the
 /// always-on `rt.item` slow-item exemplar store — the top-K slowest
 /// items process-wide, by `TreeId` — at the cost of one relaxed load
@@ -612,22 +638,29 @@ fn run_item(cx: &BatchCtx<'_>, t: &Tree) -> Result<Vec<Tree>, TransducerError> {
     let hist = *ITEM_HIST.get_or_init(|| fast_obs::histogram("rt.item"));
     let _span = fast_obs::span!("rt.item");
     let start = Instant::now();
-    let timeout_ms = cx
-        .timeout
-        .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
-        .unwrap_or(0);
     let mut item = ItemRun {
         cx,
-        deadline: cx.timeout.map(|d| Instant::now() + d),
-        timeout_ms,
+        deadline: cx.timeout.map(|d| start + d),
         ticks: 0,
-        la_at: MixMap::default(),
-        la_bits: Vec::new(),
+        slots: Vec::new(),
+        kids: Vec::new(),
+        la: Vec::new(),
+        pairs: Vec::new(),
+        tape: Vec::new(),
+        labels: Vec::new(),
+        outs: Vec::new(),
+        hits: 0,
+        misses: 0,
     };
     let out = {
         let _dispatch = fast_obs::span!("plan.dispatch");
-        item.transduce(cx.plan.sttr.initial(), t)
+        item.run(t)
     };
+    cx.memo_stats.hits.fetch_add(item.hits, Ordering::Relaxed);
+    cx.memo_stats
+        .misses
+        .fetch_add(item.misses, Ordering::Relaxed);
+    drop(item);
     let ns = start.elapsed().as_nanos() as u64;
     hist.record_ns(ns);
     if out.is_err() {
@@ -641,7 +674,7 @@ fn run_item(cx: &BatchCtx<'_>, t: &Tree) -> Result<Vec<Tree>, TransducerError> {
             latency_ns: ns,
             output_size: out.as_ref().map(|o| o.len() as u64).unwrap_or(0),
         });
-    Ok(out?.as_ref().clone())
+    out
 }
 
 /// Fills the slot of an item whose evaluation panicked (the pool caught
@@ -679,7 +712,15 @@ fn finish_stats(
     stats
 }
 
-impl<'b, 'p> ItemRun<'b, 'p> {
+/// The budget error every cap violation reports, as in `Sttr::run`.
+fn budget(cap: usize) -> TransducerError {
+    TransducerError::Budget {
+        context: "run",
+        limit: cap,
+    }
+}
+
+impl<'p, 't> ItemRun<'_, 'p, 't> {
     /// Cooperative deadline and cancellation check, amortized over 256
     /// evaluation steps.
     fn tick(&mut self) -> Result<(), TransducerError> {
@@ -693,8 +734,9 @@ impl<'b, 'p> ItemRun<'b, 'p> {
             if let Some(d) = self.deadline {
                 if Instant::now() > d {
                     fast_obs::count!("rt.timeouts");
+                    let ms = self.cx.timeout.unwrap_or_default().as_millis();
                     return Err(TransducerError::Timeout {
-                        limit_ms: self.timeout_ms,
+                        limit_ms: ms.min(u64::MAX as u128) as u64,
                     });
                 }
             }
@@ -702,147 +744,240 @@ impl<'b, 'p> ItemRun<'b, 'p> {
         Ok(())
     }
 
-    /// Labels `t` bottom-up with the lookahead STA and returns the set
-    /// of states accepting it, as `Plan::la_words` words. One explicit
-    /// post-order loop (deep documents must not overflow the stack)
-    /// appends the words of every node the item has not labelled yet.
-    /// Only rules with a lookahead requirement call it, so the STA has
-    /// states.
-    fn la_states(&mut self, t: &Tree) -> Result<&[u64], TransducerError> {
+    /// `T_initial(t)` (Definition 7): from the shared memo when it holds
+    /// the root, else evaluated on the item's table and then memoized.
+    fn run(&mut self, t: &'t Tree) -> Result<Vec<Tree>, TransducerError> {
+        let q0 = self.cx.plan.sttr.initial();
+        let key = (q0.0, t.id());
+        if let Some(hit) = self.cx.memo.out.get(&key, &self.cx.memo_stats) {
+            self.state_hit(q0.0 as u32);
+            // The entry may come from a run with a larger budget.
+            if hit.len() > self.cx.cap {
+                return Err(budget(self.cx.cap));
+            }
+            return Ok(hit);
+        }
+        self.lower(t)?;
+        self.pair(q0.0 as u32, self.slots.len() - 1);
+        self.misses -= 1; // the shared probe counted the root's miss
+        self.dispatch()?;
+        self.build()?;
+        let (start, end) = self.pairs[0].out;
+        let out = self.outs[start as usize..end as usize].to_vec();
+        self.cx
+            .memo
+            .out
+            .insert(key, out.clone(), &self.cx.memo_stats);
+        Ok(out)
+    }
+
+    /// Lowers `t` to one slot per distinct node, in post-order, with an
+    /// explicit stack (depth costs heap, not thread stack), and labels
+    /// each slot with the lookahead states accepting it once its
+    /// children's sets are known.
+    fn lower(&mut self, t: &'t Tree) -> Result<(), TransducerError> {
         let plan = self.cx.plan;
         let w = plan.la_words;
-        if let Some(&at) = self.la_at.get(&t.id()) {
-            return Ok(&self.la_bits[at as usize..][..w]);
-        }
-        let alg = plan.sttr.alg();
-        let mut stack: Vec<(&Tree, bool)> = vec![(t, false)];
+        let mut at: MixMap<TreeId, u32> = MixMap::default();
+        let mut stack: Vec<(&'t Tree, bool)> = vec![(t, false)];
         while let Some((node, expanded)) = stack.pop() {
             self.tick()?;
-            if self.la_at.contains_key(&node.id()) {
+            if at.contains_key(&node.id()) {
                 continue;
             }
             if !expanded {
                 stack.push((node, true));
-                for c in node.children() {
-                    stack.push((c, false));
-                }
+                stack.extend(node.children().iter().map(|c| (c, false)));
                 continue;
             }
-            let at = self.la_bits.len();
-            self.la_bits.resize(at + w, 0);
+            let kids = self.kids.len();
+            self.kids
+                .extend(node.children().iter().map(|c| at[&c.id()]));
+            let la = self.la.len();
+            self.la.resize(la + w, 0);
             for lr in plan.la_group(node.ctor().0) {
-                let (word, bit) = (at + lr.state as usize / 64, 1u64 << (lr.state % 64));
-                if self.la_bits[word] & bit != 0 {
-                    continue;
-                }
-                if !lr.trivial_guard && !alg.eval(plan.guard(lr.guard), node.label()) {
-                    continue;
-                }
-                let ok = plan.reqs(lr.reqs).iter().all(|req| {
-                    let have = self.la_at[&node.child(req.child as usize).id()] as usize;
-                    covers(&self.la_bits[have..][..w], plan.mask(req))
-                });
-                if ok {
-                    self.la_bits[word] |= bit;
+                let (word, bit) = (la + lr.state as usize / 64, 1u64 << (lr.state % 64));
+                if self.la[word] & bit == 0 && self.enabled(lr.sel, node, kids) {
+                    self.la[word] |= bit;
                 }
             }
-            self.la_at.insert(node.id(), at as u32);
+            at.insert(node.id(), self.slots.len() as u32);
+            self.slots.push(Slot {
+                tree: node,
+                kids: kids as u32,
+                pairs: NONE,
+            });
         }
-        Ok(&self.la_bits[self.la_at[&t.id()] as usize..][..w])
+        Ok(())
     }
 
-    /// `T_q(t)` under the plan's dispatch tables (Definition 7), memoized
-    /// on `(q, TreeId)` — structural identity, courtesy of the global
-    /// tree interner. With [`RunOptions::profile`] set, the loop
-    /// charges guard evaluations, firings, and inclusive time to each
-    /// dispatched rule and memo hits to the state.
-    fn transduce(&mut self, q: StateId, t: &Tree) -> Result<Arc<Vec<Tree>>, TransducerError> {
-        self.tick()?;
+    /// Whether a rule's guard holds of `node`'s label and its lookahead
+    /// of the child slots at `kids`.
+    fn enabled(&self, sel: Select, node: &Tree, kids: usize) -> bool {
+        let plan = self.cx.plan;
+        let w = plan.la_words;
+        (sel.trivial_guard || plan.sttr.alg().eval(plan.guard(sel.guard), node.label()))
+            && plan.reqs(sel.reqs).iter().all(|req| {
+                let child = self.kids[kids + req.child as usize] as usize;
+                covers(&self.la[child * w..][..w], plan.mask(req))
+            })
+    }
+
+    /// The pair `(state, slot)`, added if the item does not need it yet.
+    /// Each call is one memo lookup: a hit when the pair exists.
+    fn pair(&mut self, state: u32, slot: usize) -> u32 {
+        let mut p = self.slots[slot].pairs;
+        while p != NONE {
+            let pair = &self.pairs[p as usize];
+            if pair.state == state {
+                self.hits += 1;
+                self.state_hit(state);
+                return p;
+            }
+            p = pair.next;
+        }
+        self.misses += 1;
+        self.pairs.push(Pair {
+            state,
+            next: self.slots[slot].pairs,
+            tape: (0, 0),
+            out: (0, 0),
+        });
+        self.slots[slot].pairs = (self.pairs.len() - 1) as u32;
+        self.slots[slot].pairs
+    }
+
+    fn state_hit(&self, state: u32) {
+        if let Some(p) = &self.cx.profile {
+            p.state_memo_hits[state as usize].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The top-down pass: records each needed pair's enabled rules.
+    /// Slots are in post-order, so visiting them in reverse reaches every
+    /// pair after all the pairs that call it.
+    fn dispatch(&mut self) -> Result<(), TransducerError> {
+        let plan = self.cx.plan;
         let profile = self.cx.profile.as_ref();
-        let key = (q.0, t.id());
-        if let Some(hit) = self.cx.memo.out.get(&key, &self.cx.memo_stats) {
-            if let Some(p) = self.cx.profile.as_ref() {
-                p.state_memo_hits[q.0].fetch_add(1, Ordering::Relaxed);
-            }
-            return Ok(hit);
-        }
-        let plan = self.cx.plan;
-        let alg = plan.sttr.alg();
-        let rules = plan.sttr.rules(q);
-        let mut out: Vec<Tree> = Vec::new();
-        for cr in plan.group(q.0, t.ctor().0) {
-            let r = &rules[cr.idx as usize];
-            let prof_idx = plan.rule_offsets[q.0] + cr.idx as usize;
-            let rule_start = profile.map(|_| Instant::now());
-            let charge = move || {
-                if let (Some(p), Some(s)) = (profile, rule_start) {
-                    p.ns[prof_idx].fetch_add(s.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        for s in (0..self.slots.len()).rev() {
+            let Slot { tree, kids, pairs } = self.slots[s];
+            let mut p = pairs;
+            while p != NONE {
+                self.tick()?;
+                let q = self.pairs[p as usize].state as usize;
+                let start = self.tape.len() as u32;
+                for cr in plan.group(q, tree.ctor().0) {
+                    let prof_idx = plan.rule_offsets[q] + cr.idx as usize;
+                    let rule_start = profile.map(|p| {
+                        if !cr.sel.trivial_guard {
+                            p.guard_evals[prof_idx].fetch_add(1, Ordering::Relaxed);
+                        }
+                        Instant::now()
+                    });
+                    if self.enabled(cr.sel, tree, kids as usize) {
+                        self.tape.push(cr.idx);
+                        let r = &plan.sttr.rules(StateId(q))[cr.idx as usize];
+                        self.mark(&r.output, tree, kids as usize);
+                    }
+                    charge(profile, prof_idx, rule_start);
                 }
-            };
-            if !cr.trivial_guard {
-                if let Some(p) = profile {
-                    p.guard_evals[prof_idx].fetch_add(1, Ordering::Relaxed);
-                }
-                if !alg.eval(plan.guard(cr.guard), t.label()) {
-                    charge();
-                    continue;
-                }
-            }
-            let mut ok = true;
-            for req in plan.reqs(cr.reqs) {
-                if !covers(self.la_states(t.child(req.child as usize))?, plan.mask(req)) {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
-                charge();
-                continue;
-            }
-            self.eval_out(&r.output, t, &mut out)?;
-            if let Some(p) = profile {
-                p.fired[prof_idx].fetch_add(1, Ordering::Relaxed);
-            }
-            charge();
-            if out.len() > self.cx.cap {
-                return Err(TransducerError::Budget {
-                    context: "run",
-                    limit: self.cx.cap,
-                });
+                let pair = &mut self.pairs[p as usize];
+                pair.tape = (start, self.tape.len() as u32);
+                p = pair.next;
             }
         }
-        if out.len() > 1 {
-            let set: BTreeSet<Tree> = out.into_iter().collect();
-            out = set.into_iter().collect();
-        }
-        let rc = Arc::new(out);
-        self.cx
-            .memo
-            .out
-            .insert(key, rc.clone(), &self.cx.memo_stats);
-        Ok(rc)
+        Ok(())
     }
 
-    /// Appends the output trees of `out` on input `t` to `dst`.
-    fn eval_out(
-        &mut self,
-        out: &Out<fast_smt::LabelAlg>,
-        t: &Tree,
-        dst: &mut Vec<Tree>,
-    ) -> Result<(), TransducerError> {
-        let plan = self.cx.plan;
-        let alg = plan.sttr.alg();
+    /// Records an enabled template on the tape. Like `Sttr::run`, a node
+    /// whose label function is undefined (`apply_fun` is `None`, e.g. on
+    /// overflow) does not evaluate its subtemplates, so their calls add
+    /// no pairs.
+    fn mark(&mut self, out: &'p Out<LabelAlg>, t: &Tree, kids: usize) {
         match out {
             Out::Call(q, i) => {
-                dst.extend(self.transduce(*q, t.child(*i))?.iter().cloned());
+                let p = self.pair(q.0 as u32, self.kids[kids + i] as usize);
+                self.tape.push(p);
+            }
+            Out::Node { fun, children, .. } => {
+                let label = self.cx.plan.sttr.alg().apply_fun(fun, t.label());
+                let defined = label.is_some();
+                self.tape.push(self.labels.len() as u32);
+                self.labels.push(label);
+                if defined {
+                    for c in children {
+                        self.mark(c, t, kids);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The bottom-up pass: in post-order, each pair's output set is the
+    /// deduplicated union over its enabled rules, built from its
+    /// callees' finished sets and bounded by the cap exactly like
+    /// `Sttr::run_bounded`.
+    fn build(&mut self) -> Result<(), TransducerError> {
+        let plan = self.cx.plan;
+        let cap = self.cx.cap;
+        let profile = self.cx.profile.as_ref();
+        let mut labels = std::mem::take(&mut self.labels);
+        let mut out: Vec<Tree> = Vec::new();
+        for s in 0..self.slots.len() {
+            let mut p = self.slots[s].pairs;
+            while p != NONE {
+                self.tick()?;
+                let Pair {
+                    state, next, tape, ..
+                } = self.pairs[p as usize];
+                let mut at = tape.0 as usize;
+                while at < tape.1 as usize {
+                    let idx = self.tape[at] as usize;
+                    at += 1;
+                    let prof_idx = plan.rule_offsets[state as usize] + idx;
+                    let rule_start = profile.map(|_| Instant::now());
+                    let r = &plan.sttr.rules(StateId(state as usize))[idx];
+                    self.emit(&r.output, &mut labels, &mut at, &mut out)?;
+                    if let Some(p) = profile {
+                        p.fired[prof_idx].fetch_add(1, Ordering::Relaxed);
+                    }
+                    charge(profile, prof_idx, rule_start);
+                    if out.len() > cap {
+                        return Err(budget(cap));
+                    }
+                }
+                if out.len() > 1 {
+                    let set: BTreeSet<Tree> = out.drain(..).collect();
+                    out.extend(set);
+                }
+                let start = self.outs.len() as u32;
+                self.outs.append(&mut out);
+                self.pairs[p as usize].out = (start, self.outs.len() as u32);
+                p = next;
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends the output trees of the enabled template `out`, read from
+    /// the tape at `at`, to `dst`.
+    fn emit(
+        &self,
+        out: &Out<LabelAlg>,
+        labels: &mut [Option<Label>],
+        at: &mut usize,
+        dst: &mut Vec<Tree>,
+    ) -> Result<(), TransducerError> {
+        let step = self.tape[*at] as usize;
+        *at += 1;
+        match out {
+            Out::Call(..) => {
+                let (start, end) = self.pairs[step].out;
+                dst.extend_from_slice(&self.outs[start as usize..end as usize]);
                 Ok(())
             }
-            Out::Node {
-                ctor,
-                fun,
-                children,
-            } => {
-                let Some(label) = alg.apply_fun(fun, t.label()) else {
+            Out::Node { ctor, children, .. } => {
+                let Some(label) = labels[step].take() else {
                     return Ok(());
                 };
                 // Single-valued children (the common case) fill one child
@@ -850,7 +985,7 @@ impl<'b, 'p> ItemRun<'b, 'p> {
                 // outputs switches to the product below.
                 let mut kids: Vec<Tree> = Vec::with_capacity(children.len());
                 for (k, c) in children.iter().enumerate() {
-                    self.eval_out(c, t, &mut kids)?;
+                    self.emit(c, labels, at, &mut kids)?;
                     if kids.len() != k + 1 {
                         let rest = kids.split_off(k);
                         let mut per_child: Vec<Vec<Tree>> =
@@ -858,10 +993,10 @@ impl<'b, 'p> ItemRun<'b, 'p> {
                         per_child.push(rest);
                         for c in &children[k + 1..] {
                             let mut alts = Vec::new();
-                            self.eval_out(c, t, &mut alts)?;
+                            self.emit(c, labels, at, &mut alts)?;
                             per_child.push(alts);
                         }
-                        return self.product(*ctor, label, &per_child, dst);
+                        return product(*ctor, label, &per_child, self.cx.cap, dst);
                     }
                 }
                 dst.push(Tree::new(*ctor, label, kids));
@@ -869,39 +1004,42 @@ impl<'b, 'p> ItemRun<'b, 'p> {
             }
         }
     }
+}
 
-    /// Appends one `ctor[label]` node per combination of the per-child
-    /// alternatives, bounded by the batch cap exactly like
-    /// `Sttr::run_bounded`.
-    fn product(
-        &self,
-        ctor: fast_trees::CtorId,
-        label: fast_smt::Label,
-        per_child: &[Vec<Tree>],
-        dst: &mut Vec<Tree>,
-    ) -> Result<(), TransducerError> {
-        let mut acc: Vec<Vec<Tree>> = vec![Vec::with_capacity(per_child.len())];
-        for opts in per_child {
-            let mut next = Vec::with_capacity(acc.len() * opts.len().max(1));
-            for partial in &acc {
-                for o in opts {
-                    let mut p = partial.clone();
-                    p.push(o.clone());
-                    next.push(p);
-                    if next.len() > self.cx.cap {
-                        return Err(TransducerError::Budget {
-                            context: "run",
-                            limit: self.cx.cap,
-                        });
-                    }
+/// Adds the time since `start` to rule `idx` of a profiled batch.
+fn charge(profile: Option<&ProfileData>, idx: usize, start: Option<Instant>) {
+    if let (Some(p), Some(s)) = (profile, start) {
+        p.ns[idx].fetch_add(s.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    }
+}
+
+/// Appends one `ctor[label]` node per combination of the per-child
+/// alternatives, bounded by `cap` exactly like `Sttr::run_bounded`.
+fn product(
+    ctor: fast_trees::CtorId,
+    label: Label,
+    per_child: &[Vec<Tree>],
+    cap: usize,
+    dst: &mut Vec<Tree>,
+) -> Result<(), TransducerError> {
+    let mut acc: Vec<Vec<Tree>> = vec![Vec::with_capacity(per_child.len())];
+    for opts in per_child {
+        let mut next = Vec::with_capacity(acc.len() * opts.len().max(1));
+        for partial in &acc {
+            for o in opts {
+                let mut p = partial.clone();
+                p.push(o.clone());
+                next.push(p);
+                if next.len() > cap {
+                    return Err(budget(cap));
                 }
             }
-            acc = next;
         }
-        dst.extend(
-            acc.into_iter()
-                .map(|kids| Tree::new(ctor, label.clone(), kids)),
-        );
-        Ok(())
+        acc = next;
     }
+    dst.extend(
+        acc.into_iter()
+            .map(|kids| Tree::new(ctor, label.clone(), kids)),
+    );
+    Ok(())
 }

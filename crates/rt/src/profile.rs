@@ -4,10 +4,11 @@
 //! plan's dispatch loop attributes its work to individual transducer
 //! rules: how often each `(state, ctor, rule-index)` fired (produced
 //! output), how many non-trivial guard evaluations it cost, and its
-//! cumulative *inclusive* nanoseconds (a recursive rule's time includes
-//! the sub-transductions its output triggers, like a conventional
-//! inclusive-time profile). Memo hits are attributed per state — a memo
-//! lookup short-circuits before any rule is selected.
+//! cumulative *self* nanoseconds: the time spent selecting the rule
+//! (guard and lookahead) and building its output from the finished
+//! sub-transductions, which are charged to their own rules. Memo hits
+//! are attributed per state — a hit is found before any rule is
+//! selected.
 //!
 //! Collection is an array of relaxed atomics indexed by a precomputed
 //! flat rule index, so profiled batches stay parallel; with profiling
@@ -25,7 +26,7 @@ pub(crate) struct ProfileData {
     pub fired: Vec<AtomicU64>,
     /// Per flat rule index: non-trivial guard evaluations.
     pub guard_evals: Vec<AtomicU64>,
-    /// Per flat rule index: cumulative inclusive nanoseconds.
+    /// Per flat rule index: cumulative self nanoseconds.
     pub ns: Vec<AtomicU64>,
     /// Per state: memo hits while dispatching that state.
     pub state_memo_hits: Vec<AtomicU64>,
@@ -63,7 +64,7 @@ pub struct RuleProfileEntry {
     /// Memo hits recorded against the rule's state (shared by every rule
     /// of that state — a hit happens before rule selection).
     pub state_memo_hits: u64,
-    /// Cumulative inclusive nanoseconds.
+    /// Cumulative self nanoseconds (see the module docs).
     pub ns: u64,
 }
 

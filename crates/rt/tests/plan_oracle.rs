@@ -328,7 +328,7 @@ fn memo_capacity_is_respected() {
         &batch,
         &RunOptions {
             workers: 1,
-            memo_capacity: 16, // one entry per shard — constant churn
+            memo_capacity: 16, // 39 roots through 16 entries — constant churn
             ..RunOptions::default()
         },
     );

@@ -7,15 +7,14 @@
 //!    is answered with one 429 frame and closed (`serve.conn_rejected`).
 //! 2. **Frame cap** — a length prefix over
 //!    [`ServeConfig::max_request_bytes`] is rejected before any payload
-//!    allocation (413). Recursion is bounded layer by layer: the JSON
-//!    parser enforces its own hard nesting ceiling
-//!    ([`fast_json::MAX_PARSE_DEPTH`]), and the tree parser itself
-//!    rejects input nested deeper than [`ServeConfig::max_input_depth`]
-//!    (413, via [`Tree::parse_bounded`]), which bounds what the
-//!    evaluator will recurse. The tree parser is iterative; the depth
-//!    gates are what make a `catch_unwind` story honest for the
-//!    recursive evaluator: a stack overflow is an abort, not a panic,
-//!    so it must be prevented, not contained.
+//!    allocation (413). The JSON parser enforces its own hard nesting
+//!    ceiling ([`fast_json::MAX_PARSE_DEPTH`]), which bounds its
+//!    recursion, and the tree parser rejects input nested deeper than
+//!    [`ServeConfig::max_input_depth`] (413, via
+//!    [`Tree::parse_bounded`]). The tree parser and the evaluator keep
+//!    their stacks on the heap, so that limit is policy — how deep a
+//!    document the server accepts — and executors run on the default
+//!    thread stack.
 //! 3. **Work queue** — `run`/`pipeline`/`check` requests go through a
 //!    bounded queue; when it is full the request is shed with a 429
 //!    (`serve.shed`) instead of queuing unbounded latency. `stats` and
@@ -28,7 +27,7 @@
 //! the process-wide cancellation token (tripped on shutdown), and
 //! per-target [`BatchMemo`]s shared across all connections — one for a
 //! transducer target, one per segment for a pipeline target — so a
-//! repeated subtree is transduced once per process, not once per
+//! repeated document is transduced once per process, not once per
 //! request.
 
 use crate::proto::{self, FrameError, Op, Request};
@@ -45,11 +44,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Executor threads get a deep stack: the evaluator recurses once per
-/// tree level, and the depth gate ([`ServeConfig::max_input_depth`])
-/// is calibrated against this, not against the platform default.
-const EXECUTOR_STACK_BYTES: usize = 16 << 20;
 
 /// Server tuning. [`ServeConfig::default`] is sized for a small
 /// single-process deployment; every limit is a ceiling that per-request
@@ -71,17 +65,18 @@ pub struct ServeConfig {
     /// Largest serialized output set returned, in bytes.
     pub max_response_bytes: usize,
     /// Maximum input-tree nesting depth: the `(`-nesting the tree
-    /// parser accepts, parens inside labels not counted (guards
-    /// evaluator recursion — see `EXECUTOR_STACK_BYTES`).
+    /// parser accepts, parens inside labels not counted. A policy
+    /// limit on document size: the parser and the evaluator keep their
+    /// stacks on the heap, so it is not sized to the executor stack.
     pub max_input_depth: usize,
     /// Per-connection read *and* write timeout (`None` = wait forever):
     /// closes connections idle past it, and connections whose peer
     /// stops draining responses.
     pub idle_timeout: Option<Duration>,
     /// Capacity of each shared [`BatchMemo`]: the one of a transducer
-    /// target, and each per-segment one of a pipeline target. It bounds
-    /// result-memo entries only; lookahead state sets live per request
-    /// and are dropped when it finishes.
+    /// target, and each per-segment one of a pipeline target. The memo
+    /// holds one entry per distinct input root it has answered; the
+    /// per-node tables of a request live with the request.
     pub memo_capacity: usize,
     /// Telemetry sampling interval (window width).
     pub engine_interval: Duration,
@@ -280,9 +275,7 @@ pub fn start(artifacts: Vec<Artifact>, addr: &str, cfg: ServeConfig) -> io::Resu
     for w in 0..n_workers.max(1) {
         let shared = Arc::clone(&shared);
         let rx = Arc::clone(&jobs_rx);
-        let builder = std::thread::Builder::new()
-            .name(format!("fast-serve-exec-{w}"))
-            .stack_size(EXECUTOR_STACK_BYTES);
+        let builder = std::thread::Builder::new().name(format!("fast-serve-exec-{w}"));
         // A refused spawn degrades parallelism, not correctness — the
         // executors that did start drain the same queue. But at least
         // one must start: with zero executors, admitted jobs would

@@ -108,23 +108,31 @@ impl Tree {
         &self.node.children[i]
     }
 
-    /// Total number of nodes.
+    /// Total number of nodes. Like [`Tree::depth`] and
+    /// [`Tree::conforms_to`], it walks with a heap stack.
     pub fn size(&self) -> usize {
-        1 + self.children().iter().map(Tree::size).sum::<usize>()
+        self.iter().count()
     }
 
     /// Height (a leaf has depth 1).
     pub fn depth(&self) -> usize {
-        1 + self.children().iter().map(Tree::depth).max().unwrap_or(0)
+        let mut deepest = 0;
+        let mut stack = vec![(self, 1)];
+        while let Some((t, d)) = stack.pop() {
+            deepest = deepest.max(d);
+            stack.extend(t.children().iter().map(|c| (c, d + 1)));
+        }
+        deepest
     }
 
     /// Checks the tree is well-formed for `ty`: constructor ids in range
     /// with matching ranks, labels conforming to the signature.
     pub fn conforms_to(&self, ty: &TreeType) -> bool {
-        self.ctor().0 < ty.ctor_count()
-            && ty.rank(self.ctor()) == self.children().len()
-            && self.label().conforms_to(ty.sig())
-            && self.children().iter().all(|c| c.conforms_to(ty))
+        self.iter().all(|t| {
+            t.ctor().0 < ty.ctor_count()
+                && ty.rank(t.ctor()) == t.children().len()
+                && t.label().conforms_to(ty.sig())
+        })
     }
 
     /// Pre-order iterator over all nodes.

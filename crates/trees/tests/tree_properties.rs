@@ -208,3 +208,34 @@ proptest! {
         prop_assert_eq!(vals, ch);
     }
 }
+
+/// `size`, `depth` and `conforms_to` walk with a heap stack: a
+/// 10⁵-deep chain, far past what one stack frame per level fits in a
+/// default test-thread stack, is measured and checked, and a bad node
+/// at the very bottom is still found.
+#[test]
+fn deep_chain_is_measured_without_recursion() {
+    const DEPTH: usize = 100_000;
+    let ty = mixed_type();
+    let (z, u, p) = (
+        ty.ctor_id("z").unwrap(),
+        ty.ctor_id("u").unwrap(),
+        ty.ctor_id("p").unwrap(),
+    );
+    let label = |n: usize| {
+        Label::new(vec![
+            Value::Int(n as i64),
+            Value::Str(String::new()),
+            Value::Bool(false),
+        ])
+    };
+    let chain = |bottom: Tree| (1..DEPTH).fold(bottom, |t, n| Tree::new(u, label(n), vec![t]));
+    let good = chain(Tree::leaf(z, label(0)));
+    assert_eq!(good.size(), DEPTH);
+    assert_eq!(good.depth(), DEPTH);
+    assert!(good.conforms_to(&ty));
+    // `p` has rank 2: a childless `p` at the bottom breaks conformance.
+    let bad = chain(Tree::leaf(p, label(0)));
+    assert_eq!(bad.depth(), DEPTH);
+    assert!(!bad.conforms_to(&ty));
+}
