@@ -103,8 +103,9 @@ modes:
                    with --artifact, load a prebuilt .fastc artifact and
                    run its transducers/pipelines without recompiling
   build            compile once and write a versioned binary .fastc
-                   artifact (flat dispatch tables, interned formula
-                   pool) loadable with --artifact
+                   artifact (transducers, lookahead STAs, interned
+                   formula pool, pre-decided pipeline fusion) loadable
+                   with --artifact
   serve            load .fastc artifact(s) and serve their transducers
                    and pipelines over TCP (length-prefixed JSON frames)
                    with admission control, process-wide shared memos,
@@ -652,9 +653,9 @@ fn artifact_run(
 }
 
 /// `fastc build <file.fast> [-o FILE] [--pipeline t1,t2,...]`: compiles
-/// the program once and serializes every transformation — flat dispatch
-/// tables, interned guard pool, lookahead STA — into a versioned binary
-/// `.fastc` artifact ([`fast_rt::Artifact`]). `--pipeline` additionally
+/// the program once and serializes every transformation — its states,
+/// rules and lookahead STA, guards in an interned pool — into a
+/// versioned binary `.fastc` artifact ([`fast_rt::Artifact`]). `--pipeline` additionally
 /// stores the pre-compiled chain (fusion already decided) under the
 /// normalized comma-joined name, so `--artifact --pipeline` runs skip
 /// composition and the solver entirely.

@@ -509,7 +509,7 @@ fn build_is_deterministic_for_every_program() {
         assert_eq!(&b1[..4], b"FSTC", "bad magic for {}", path.display());
         assert_eq!(
             u32::from_le_bytes(b1[4..8].try_into().unwrap()),
-            1,
+            fast_rt::VERSION,
             "unexpected format version for {}",
             path.display()
         );

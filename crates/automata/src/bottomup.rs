@@ -28,8 +28,8 @@ pub const MAX_DET_STATES: usize = 1 << 12;
 /// Symbolic transition table: per (constructor, child-state tuple), the
 /// minterm-partitioned guarded targets. Ordered so that every iteration
 /// (notably [`Dbta::to_sta`]'s rule emission) is deterministic — rule
-/// order feeds the flat dispatch tables serialized into `.fastc`
-/// artifacts, which must be byte-reproducible.
+/// order is serialized into `.fastc` artifacts, which must be
+/// byte-reproducible.
 type TransTable<A> = BTreeMap<(CtorId, Vec<usize>), Vec<(<A as BoolAlg>::Pred, usize)>>;
 
 /// A deterministic, complete, bottom-up symbolic tree automaton.

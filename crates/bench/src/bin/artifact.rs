@@ -1,8 +1,9 @@
 //! Cold-start benchmark for the `.fastc` artifact layer.
 //!
 //! A sanitization service that restarts should not pay the compiler
-//! again: `fastc build` bakes the flat dispatch tables once, and a
-//! restart merely decodes them. This bench measures exactly that split
+//! again: `fastc build` stores the compiled transducers and the
+//! pre-fused pipeline once, and a restart merely decodes them and
+//! rebuilds their dispatch plans, with no solver work. This bench measures exactly that split
 //! on the §5.1 sanitizer chain (`remScript | esc` from the Fig. 2
 //! program):
 //!

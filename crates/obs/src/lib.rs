@@ -22,7 +22,7 @@
 //!
 //! Cold paths (CLI `--stats`, bench binaries, `fastc profile`) capture
 //! everything as a [`Snapshot`] and print it as JSON. Long-running
-//! paths (`fastc watch`, the future `fast-serve`) run the windowing
+//! paths (`fastc watch`, `fast-serve`) run the windowing
 //! sampler in [`engine`] — periodic snapshot deltas into a fixed ring,
 //! with per-window rates, percentiles, a correctly-reset window max,
 //! and JSONL export — and evaluate declarative SLOs against the

@@ -1,16 +1,18 @@
-//! Versioned binary artifacts: compile once, ship the tables, cold-start
-//! in microseconds.
+//! Versioned binary artifacts: compile once, ship the transducers,
+//! cold-start in microseconds.
 //!
-//! A [`Plan`] already holds everything evaluation needs in flat arrays —
-//! prefix-sum dispatch offsets, rule indices, a deduplicated guard pool.
-//! This module serializes those tables (plus the transducer itself and
-//! any compiled [`Pipeline`]s, fused segments included) into a
-//! little-endian `.fastc` buffer that [`Artifact::load`] can turn back
-//! into runnable plans **without reparsing source, re-running the
-//! typechecker, or re-deciding pipeline fusion** — the expensive
-//! composition/solver work happens once, at `fastc build` time.
+//! This module serializes compiled transducers (states, lookahead STA,
+//! rules) and any compiled [`Pipeline`]s, fused segments and fusion
+//! verdicts included, into a little-endian `.fastc` buffer that
+//! [`Artifact::load`] turns back into runnable plans **without reparsing
+//! source, re-running the typechecker, or re-deciding pipeline fusion**
+//! — the expensive composition/solver work happens once, at `fastc
+//! build` time. The dispatch tables are not stored: the loader builds
+//! each [`Plan`] with [`Plan::compile`], exactly as a fresh compile
+//! does, which buckets rules by `(state, constructor)` and needs no
+//! solver.
 //!
-//! # Format (version 1)
+//! # Format (version 2)
 //!
 //! ```text
 //! offset  size  field
@@ -26,7 +28,9 @@
 //! `FORMULAS` (2), `LABELFNS` (3), `TRANSDUCERS` (4), `PIPELINES` (5).
 //! Guards are stored once in the formula pool and referenced by index;
 //! label functions likewise. All integers are little-endian; all
-//! collections are length-prefixed. See ARCHITECTURE.md §9 for the full
+//! collections are length-prefixed. Version 1 differs only in that each
+//! transducer body ends with the plan's dispatch tables; this reader
+//! still decodes it and skips them. See ARCHITECTURE.md §9 for the full
 //! payload grammar and the compatibility policy.
 //!
 //! # Trust model
@@ -34,15 +38,17 @@
 //! [`Artifact::decode`] treats the buffer as hostile. Every offset,
 //! count, and index is validated before it is used to slice or index
 //! anything: section offsets must be contiguous and in-bounds, pool and
-//! state references must be in range, dispatch tables must be monotone
-//! and cover each rule exactly once, guards and label functions must be
-//! well-typed for their label signature, and output trees must respect
-//! constructor ranks. A corrupt or adversarial buffer yields a typed
-//! [`ArtifactError`] — never a panic, never an out-of-bounds access, and
-//! never an allocation larger than the buffer itself. Decoded semantics
-//! cannot be smuggled either: [`Plan`] reconstruction recomputes guard
-//! bindings and fast-path flags from the deserialized transducer, so the
-//! flat tables only choose an ordering, not a meaning.
+//! state references must be in range, guards and label functions must
+//! be well-typed for their label signature, output trees must respect
+//! constructor ranks, and a pipeline's boundary verdicts must agree with
+//! its segments. A corrupt or adversarial buffer yields a typed
+//! [`ArtifactError`] — never a panic and never an out-of-bounds access.
+//! Decode memory is linear in the buffer length: counts are checked
+//! against the bytes left, and the plan tables sized by a product of
+//! counts ((state, constructor) dispatch cells, lookahead mask words)
+//! are capped at a few cells per buffer byte. Dispatch is valid by
+//! construction: it is derived from the decoded transducer, never read
+//! from the buffer.
 //!
 //! # Examples
 //!
@@ -96,10 +102,18 @@ use std::time::Instant;
 pub const MAGIC: [u8; 4] = *b"FSTC";
 /// Current format version. Readers reject anything newer; the policy is
 /// "old readers refuse new artifacts, new readers keep decoding every
-/// released version" (see ARCHITECTURE.md §9).
-pub const VERSION: u32 = 1;
+/// released version" (see ARCHITECTURE.md §9). Versions 1 and 2 are
+/// released; version 1 bodies also carry dispatch tables, which this
+/// reader skips.
+pub const VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 16;
+/// Plan table cells (`Plan::table_cells`: dispatch-group offsets and
+/// lookahead mask words) an artifact may make the loader allocate,
+/// summed over its bodies, per byte of its length. Version 1 stored one
+/// u32 per `(state, constructor)` cell, a quarter cell per byte; the
+/// programs in `programs/` use under a tenth of one.
+const CELLS_PER_BYTE: usize = 4;
 const SECTION_COUNT: usize = 5;
 /// Where the first section payload starts: header + count + table.
 const PAYLOAD_START: usize = HEADER_LEN + 4 + SECTION_COUNT * 20;
@@ -127,7 +141,8 @@ pub enum ArtifactError {
     TooShort,
     /// The first four bytes are not `"FSTC"`.
     BadMagic,
-    /// The artifact was produced by a newer format revision.
+    /// The artifact's format version is not one this reader decodes
+    /// (zero, or newer than [`VERSION`]).
     UnsupportedVersion {
         /// Version stamped in the artifact.
         found: u32,
@@ -168,7 +183,7 @@ impl std::fmt::Display for ArtifactError {
             ArtifactError::BadMagic => write!(f, "not a fastc artifact (bad magic)"),
             ArtifactError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "artifact format version {found} is newer than supported version {supported}"
+                "artifact format version {found} is not supported (this reader decodes 1 to {supported})"
             ),
             ArtifactError::ChecksumMismatch { stored, computed } => write!(
                 f,
@@ -391,7 +406,7 @@ impl Artifact {
         for e in &self.transducers {
             tw.put_str(&e.name);
             tw.put_u32(e.ty as u32);
-            write_sttr_body(&mut tw, &mut fpool, &mut lfpool, &e.plan);
+            write_sttr_body(&mut tw, &mut fpool, &mut lfpool, e.plan.sttr());
         }
 
         let mut pw = ByteWriter::new();
@@ -418,7 +433,7 @@ impl Artifact {
                 let (plan, first, last) = p.pipeline.segment(i);
                 pw.put_u32(first as u32);
                 pw.put_u32(last as u32);
-                write_sttr_body(&mut pw, &mut fpool, &mut lfpool, plan);
+                write_sttr_body(&mut pw, &mut fpool, &mut lfpool, plan.sttr());
             }
         }
 
@@ -470,7 +485,7 @@ impl Artifact {
             return Err(ArtifactError::BadMagic);
         }
         let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != VERSION {
+        if version == 0 || version > VERSION {
             return Err(ArtifactError::UnsupportedVersion {
                 found: version,
                 supported: VERSION,
@@ -545,6 +560,10 @@ impl Artifact {
             .map(|ty| WellTyped::compute(ty.sig(), &pools))
             .collect();
 
+        // Plan table cells all bodies may still allocate (see
+        // `read_sttr_body`).
+        let mut cells = bytes.len().saturating_mul(CELLS_PER_BYTE);
+
         // TRANSDUCERS
         let mut r = section(3);
         let n = r.take_count(8, "transducers")?;
@@ -559,7 +578,15 @@ impl Artifact {
             if ty >= types.len() {
                 return Err(invalid("type index", ty));
             }
-            let plan = read_sttr_body(&mut r, &types[ty], &algs[ty], &pools, &well_typed[ty])?;
+            let plan = read_sttr_body(
+                &mut r,
+                version,
+                &types[ty],
+                &algs[ty],
+                &pools,
+                &well_typed[ty],
+                &mut cells,
+            )?;
             transducers.push(Entry {
                 name,
                 ty,
@@ -632,8 +659,24 @@ impl Artifact {
                 if si == seg_count - 1 && last != n_stages - 1 {
                     return Err(ArtifactError::Malformed("segments do not tile the chain"));
                 }
+                // The report must describe this segmentation: a boundary
+                // is fused exactly when it lies inside one segment.
+                let inner = boundaries[first..last].iter().all(|b| b.fused);
+                if !inner || boundaries.get(last).is_some_and(|b| b.fused) {
+                    return Err(ArtifactError::Malformed(
+                        "boundary verdicts disagree with segments",
+                    ));
+                }
                 expect_first = last + 1;
-                let plan = read_sttr_body(&mut r, &types[ty], &algs[ty], &pools, &well_typed[ty])?;
+                let plan = read_sttr_body(
+                    &mut r,
+                    version,
+                    &types[ty],
+                    &algs[ty],
+                    &pools,
+                    &well_typed[ty],
+                    &mut cells,
+                )?;
                 segments.push(Segment {
                     plan: Arc::new(plan),
                     first,
@@ -774,11 +817,11 @@ fn write_la_sets(w: &mut ByteWriter, sets: &[BTreeSet<StateId>]) {
     }
 }
 
-/// Serializes one compiled transducer: states, lookahead STA, rules, and
-/// the plan's flat dispatch tables, with guards and label functions as
-/// pool references.
-fn write_sttr_body(w: &mut ByteWriter, fpool: &mut FormulaPool, lfpool: &mut LfPool, plan: &Plan) {
-    let sttr = plan.sttr();
+/// Serializes one transducer: states, lookahead STA and rules, with
+/// guards and label functions as pool references. The plan's dispatch
+/// tables are not stored: the loader rebuilds them with
+/// [`Plan::compile`].
+fn write_sttr_body(w: &mut ByteWriter, fpool: &mut FormulaPool, lfpool: &mut LfPool, sttr: &Sttr) {
     w.put_u32(sttr.state_count() as u32);
     for q in sttr.states() {
         w.put_str(sttr.state_name(q));
@@ -810,25 +853,6 @@ fn write_sttr_body(w: &mut ByteWriter, fpool: &mut FormulaPool, lfpool: &mut LfP
             write_la_sets(w, &r.lookahead);
             write_out(w, lfpool, &r.output);
         }
-    }
-
-    let (group_offsets, groups, la_group_offsets, la_groups) = plan.flat_tables();
-    w.put_u32(group_offsets.len() as u32);
-    for &v in group_offsets {
-        w.put_u32(v);
-    }
-    w.put_u32(groups.len() as u32);
-    for c in groups {
-        w.put_u32(c.idx);
-    }
-    w.put_u32(la_group_offsets.len() as u32);
-    for &v in la_group_offsets {
-        w.put_u32(v);
-    }
-    w.put_u32(la_groups.len() as u32);
-    for l in la_groups {
-        w.put_u32(l.state);
-        w.put_u32(l.idx);
     }
 }
 
@@ -1011,39 +1035,20 @@ impl OutCtx<'_> {
     }
 }
 
-fn read_offsets(
-    r: &mut ByteReader<'_>,
-    expected_len: usize,
-    what: &'static str,
-) -> Result<Vec<u32>, ArtifactError> {
-    let n = r.take_count(4, what)?;
-    if n != expected_len {
-        return Err(invalid(what, n));
-    }
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(r.take_u32(what)?);
-    }
-    if v[0] != 0 {
-        return Err(ArtifactError::Malformed("offset table must start at zero"));
-    }
-    if v.windows(2).any(|w| w[0] > w[1]) {
-        return Err(ArtifactError::Malformed("offset table not monotone"));
-    }
-    Ok(v)
-}
-
-/// Decodes one transducer body and rebuilds its [`Plan`]. Everything is
-/// validated against the (already decoded) tree type and pools before
-/// any panicking constructor is touched.
+/// Decodes one transducer body of a `version` artifact and compiles its
+/// [`Plan`], paying for the plan's tables out of the artifact's
+/// remaining `cells`. Everything is validated against the (already
+/// decoded) tree type and pools before any panicking constructor is
+/// touched.
 fn read_sttr_body(
     r: &mut ByteReader<'_>,
+    version: u32,
     ty: &Arc<TreeType>,
     alg: &Arc<LabelAlg>,
     pools: &Pools,
     wt: &WellTyped,
+    cells: &mut usize,
 ) -> Result<Plan, ArtifactError> {
-    let n_ctors = ty.ctor_count();
     let WellTyped { guard_ok, lf_ok } = wt;
 
     let n_states = r.take_count(4, "transformation states")?;
@@ -1112,104 +1117,37 @@ fn read_sttr_body(
     }
     let sttr = b.build(StateId(initial));
 
-    // Flat dispatch tables. The loader accepts any ordering that is a
-    // per-row permutation covering each rule exactly once, and keeps it,
-    // so decode→encode round-trips byte-identically.
-    let group_offsets = read_offsets(r, n_states * n_ctors + 1, "group offset count")?;
-    let n_groups = r.take_count(4, "group indices")?;
-    if n_groups as u32 != *group_offsets.last().unwrap() {
-        return Err(ArtifactError::Malformed("group count mismatch"));
-    }
-    let mut group_idxs = Vec::with_capacity(n_groups);
-    for _ in 0..n_groups {
-        group_idxs.push(r.take_u32("group index")?);
-    }
-    let mut seen: Vec<Vec<bool>> = sttr
-        .states()
-        .map(|q| vec![false; sttr.rules(q).len()])
-        .collect();
-    for base in 0..group_offsets.len() - 1 {
-        let q = StateId(base / n_ctors);
-        let c = base % n_ctors;
-        for k in group_offsets[base]..group_offsets[base + 1] {
-            let idx = group_idxs[k as usize] as usize;
-            let rules = sttr.rules(q);
-            if idx >= rules.len() {
-                return Err(invalid("dispatch rule index", idx));
+    // A version-1 body ends with the plan's dispatch tables: group
+    // offsets, group rule indices, lookahead group offsets (u32 each)
+    // and lookahead (state, rule) pairs. `Plan::compile` derives them
+    // again, so they are read past unchecked.
+    if version == 1 {
+        for (width, what) in [
+            (4, "group offsets"),
+            (4, "group indices"),
+            (4, "lookahead group offsets"),
+            (8, "lookahead pairs"),
+        ] {
+            let n = r.take_count(width, what)?;
+            for _ in 0..n * width / 4 {
+                r.take_u32(what)?;
             }
-            if rules[idx].ctor.0 != c {
-                return Err(ArtifactError::Malformed(
-                    "dispatch row constructor mismatch",
-                ));
-            }
-            if seen[q.0][idx] {
-                return Err(ArtifactError::Malformed("duplicate rule in dispatch table"));
-            }
-            seen[q.0][idx] = true;
         }
     }
-    if seen.iter().any(|s| s.iter().any(|&v| !v)) {
-        return Err(ArtifactError::Malformed("rule missing from dispatch table"));
-    }
-
-    let la_group_offsets = read_offsets(r, n_ctors + 1, "lookahead group offset count")?;
-    let n_la = r.take_count(8, "lookahead pairs")?;
-    if n_la as u32 != *la_group_offsets.last().unwrap() {
-        return Err(ArtifactError::Malformed("lookahead group count mismatch"));
-    }
-    let mut la_pairs = Vec::with_capacity(n_la);
-    for _ in 0..n_la {
-        let s = r.take_u32("lookahead pair state")?;
-        let idx = r.take_u32("lookahead pair index")?;
-        la_pairs.push((s, idx));
-    }
-    let la_ref = sttr.lookahead_sta();
-    let mut la_seen: Vec<Vec<bool>> = la_ref
-        .states()
-        .map(|s| vec![false; la_ref.rules(s).len()])
-        .collect();
-    for c in 0..n_ctors {
-        for k in la_group_offsets[c]..la_group_offsets[c + 1] {
-            let (s, idx) = la_pairs[k as usize];
-            let (s, idx) = (s as usize, idx as usize);
-            if s >= la_states {
-                return Err(invalid("lookahead state", s));
-            }
-            let rules = la_ref.rules(StateId(s));
-            if idx >= rules.len() {
-                return Err(invalid("lookahead rule index", idx));
-            }
-            if rules[idx].ctor.0 != c {
-                return Err(ArtifactError::Malformed(
-                    "lookahead row constructor mismatch",
-                ));
-            }
-            if la_seen[s][idx] {
-                return Err(ArtifactError::Malformed(
-                    "duplicate lookahead rule in dispatch table",
-                ));
-            }
-            la_seen[s][idx] = true;
-        }
-    }
-    if la_seen.iter().any(|s| s.iter().any(|&v| !v)) {
-        return Err(ArtifactError::Malformed(
-            "lookahead rule missing from dispatch table",
-        ));
-    }
-
-    Ok(Plan::from_flat(
-        sttr,
-        group_offsets,
-        &group_idxs,
-        la_group_offsets,
-        &la_pairs,
-    ))
+    // States and constructors cost a few bytes each, but the plan's
+    // dispatch table is their product: without this cap a buffer of a
+    // megabyte could ask for billions of cells.
+    let need = Plan::table_cells(&sttr);
+    *cells = cells.checked_sub(need).ok_or(ArtifactError::Malformed(
+        "plan tables too large for the buffer",
+    ))?;
+    Ok(Plan::compile_owned(sttr))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::FusionStrategy;
     use fast_smt::{CmpOp, Formula, Sort, Term};
     use fast_trees::Tree;
 
@@ -1296,6 +1234,35 @@ mod tests {
         assert_eq!(loaded.encode(), bytes);
     }
 
+    /// A pipeline report whose boundary verdicts contradict its segments
+    /// is rejected: flipping the one boundary of the fused `chain` (and
+    /// of a cascaded copy) must not decode.
+    #[test]
+    fn boundary_verdicts_must_match_segments() {
+        let stages = [Arc::new(inc(1, "inc1")), Arc::new(inc(2, "inc2"))];
+        for (strategy, n_segments) in [(FusionStrategy::Auto, 1), (FusionStrategy::Never, 2)] {
+            let compiled = Pipeline::compile_with(&stages, strategy);
+            assert_eq!(compiled.segment_count(), n_segments);
+            let segments = (0..n_segments)
+                .map(|i| {
+                    let (plan, first, last) = compiled.segment(i);
+                    let plan = Arc::new(Plan::compile(plan.sttr()));
+                    Segment { plan, first, last }
+                })
+                .collect();
+            let mut report = compiled.report().clone();
+            report.boundaries[0].fused ^= true;
+            let mut art = sample_artifact();
+            art.pipelines[0].pipeline = compiled;
+            assert!(Artifact::decode(&art.encode()).is_ok());
+            art.pipelines[0].pipeline = Pipeline::from_parts(segments, report);
+            assert_eq!(
+                Artifact::decode(&art.encode()).unwrap_err(),
+                ArtifactError::Malformed("boundary verdicts disagree with segments")
+            );
+        }
+    }
+
     #[test]
     fn header_errors_are_typed() {
         let bytes = sample_artifact().encode();
@@ -1319,6 +1286,12 @@ mod tests {
                 found: 99,
                 supported: VERSION
             })
+        ));
+        let mut zero = bytes.clone();
+        zero[4..8].copy_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            Artifact::decode(&zero),
+            Err(ArtifactError::UnsupportedVersion { found: 0, .. })
         ));
 
         let mut flipped = bytes.clone();
@@ -1382,7 +1355,8 @@ mod tests {
     }
 
     /// A minimal valid body: one state "q", no lookahead states, one nil
-    /// rule, consistent flat tables. `patch` mutates one field choice.
+    /// rule. The arguments choose the initial state, the guard id, and
+    /// optionally an output call (to a given state) instead of a node.
     fn body(w: &mut ByteWriter, initial: u32, guard: u32, call_state: Option<u32>) {
         w.put_u32(1); // states
         w.put_str("q");
@@ -1406,18 +1380,6 @@ mod tests {
                 w.put_u32(0); // no children
             }
         }
-        // flat tables: 1 state × 2 ctors + 1 offsets
-        w.put_u32(3);
-        for v in [0u32, 1, 1] {
-            w.put_u32(v);
-        }
-        w.put_u32(1); // one group entry
-        w.put_u32(0); // rule idx 0
-        w.put_u32(3); // la offsets: 2 ctors + 1
-        for _ in 0..3 {
-            w.put_u32(0);
-        }
-        w.put_u32(0); // no la pairs
     }
 
     #[test]
@@ -1437,64 +1399,5 @@ mod tests {
                 other => panic!("{what}: expected typed rejection, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn broken_dispatch_tables_are_rejected() {
-        // Non-monotone offsets.
-        let bytes = hostile(|w| {
-            body_prefix(w);
-            w.put_u32(3);
-            for v in [0u32, 1, 0] {
-                w.put_u32(v);
-            }
-            w.put_u32(1);
-            w.put_u32(0);
-            w.put_u32(3);
-            for _ in 0..3 {
-                w.put_u32(0);
-            }
-            w.put_u32(0);
-        });
-        assert!(matches!(
-            Artifact::decode(&bytes),
-            Err(ArtifactError::Malformed(_))
-        ));
-
-        // Rule missing from the table (empty groups).
-        let bytes = hostile(|w| {
-            body_prefix(w);
-            w.put_u32(3);
-            for _ in 0..3 {
-                w.put_u32(0);
-            }
-            w.put_u32(0);
-            w.put_u32(3);
-            for _ in 0..3 {
-                w.put_u32(0);
-            }
-            w.put_u32(0);
-        });
-        assert!(matches!(
-            Artifact::decode(&bytes),
-            Err(ArtifactError::Malformed("rule missing from dispatch table"))
-        ));
-    }
-
-    /// The states/rules part of [`body`] with default choices, leaving
-    /// the flat tables to the caller.
-    fn body_prefix(w: &mut ByteWriter) {
-        w.put_u32(1);
-        w.put_str("q");
-        w.put_u32(0);
-        w.put_u32(0);
-        w.put_u32(0);
-        w.put_u32(1);
-        w.put_u32(0);
-        w.put_u32(0);
-        w.put_u8(1);
-        w.put_u32(0);
-        w.put_u32(0);
-        w.put_u32(0);
     }
 }

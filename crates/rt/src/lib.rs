@@ -13,8 +13,9 @@
 //!   pre-indexed by constructor and every rule's lookahead sets
 //!   precomputed as bit masks over the lookahead states. Compilation is
 //!   done once; the plan is immutable and shared by every worker.
-//!   Loading a `.fastc` [`Artifact`] builds the plan through the same
-//!   constructor.
+//!   A `.fastc` [`Artifact`] stores the transducer, not these tables:
+//!   loading one runs [`Plan::compile`] too, so a loaded plan is built
+//!   exactly as a fresh one.
 //! * [`Plan::run_batch`] evaluates each item on a **table of its own**:
 //!   one slot per distinct node ([`TreeId`](fast_trees::TreeId), the
 //!   structural identity the global hash-cons table in

@@ -1,4 +1,5 @@
-//! The bounded map backing the shared result memo.
+//! The shared root memo ([`RootMemo`]) and the integer-key hashing
+//! `fast-rt` uses.
 //!
 //! The shared memo maps `(initial state, item root TreeId)` to the
 //! finished output set of a whole item. It is the one table `fast-rt`
@@ -38,11 +39,13 @@
 //! key) and bumps `rt.memo_evictions`.
 
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::mem::{size_of, size_of_val};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use fast_obs::Gauge;
+use fast_trees::{Tree, TreeId};
 
 /// Locks `m`, recovering from poisoning. A cache is structurally sound
 /// even if a worker panicked while holding its lock (entries are
@@ -99,60 +102,58 @@ pub(crate) struct CacheStats {
     pub evictions: AtomicU64,
 }
 
-/// Process-wide residency gauges a [`Bounded`] map reports into:
-/// `entries` counts resident entries, `bytes` their estimated heap
-/// weight as computed by `weigh`. Several maps may share one gauge pair
-/// (every batch memo reports into `rt.memo.*`); each map subtracts its
-/// own contribution on eviction and on drop, so the gauges track *live*
-/// residency across all concurrently-alive maps.
-///
-/// `weigh` is a plain `fn` pointer (not a closure/trait bound) so the
-/// map can have an unconditional `Drop` impl.
-pub(crate) struct ResidencyGauges<K, V> {
-    pub entries: &'static Gauge,
-    pub bytes: &'static Gauge,
-    pub weigh: fn(&K, &V) -> u64,
-}
+/// A root-memo key: `(initial state, item root TreeId)`.
+type Key = (usize, TreeId);
 
-// Manual impls: `derive` would wrongly bound K/V.
-impl<K, V> Clone for ResidencyGauges<K, V> {
-    fn clone(&self) -> Self {
-        *self
-    }
+/// Estimated heap weight of one entry with output set `outs`: the key
+/// (held twice: in the map and in the eviction order), the vector, and
+/// one interned handle per output tree (the trees themselves are owned
+/// by the interner and counted there).
+fn weigh(outs: &[Tree]) -> u64 {
+    (2 * size_of::<Key>() + size_of::<Vec<Tree>>() + size_of_val(outs)) as u64
 }
-impl<K, V> Copy for ResidencyGauges<K, V> {}
 
 /// The map plus its keys in insertion order, the eviction cursor.
 /// Entries leave only by eviction, so every resident key is in `order`
 /// exactly once.
-struct Table<K, V> {
-    map: MixMap<K, V>,
-    order: VecDeque<K>,
+struct Table {
+    map: MixMap<Key, Vec<Tree>>,
+    order: VecDeque<Key>,
 }
 
-/// A capacity-bounded concurrent hash map behind one lock.
-pub(crate) struct Bounded<K, V> {
-    table: Mutex<Table<K, V>>,
+/// The shared root memo: `(initial state, item root TreeId)` → the
+/// item's output set, at most `cap` entries behind one lock.
+///
+/// It reports into two process-wide gauges given at construction:
+/// `entries` counts resident entries, `bytes` their estimated weight
+/// ([`weigh`]). Several memos may share one gauge pair (every batch
+/// memo reports into `rt.memo.*`); each subtracts its own contribution
+/// on eviction and on drop, so the gauges track *live* residency across
+/// all memos.
+pub(crate) struct RootMemo {
+    table: Mutex<Table>,
     cap: usize,
-    gauges: ResidencyGauges<K, V>,
+    entries: &'static Gauge,
+    bytes: &'static Gauge,
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> Bounded<K, V> {
-    /// A map holding at most `capacity` entries (at least one),
-    /// reporting residency into `gauges`.
-    pub fn new(capacity: usize, gauges: ResidencyGauges<K, V>) -> Self {
-        Bounded {
+impl RootMemo {
+    /// A memo holding at most `capacity` entries (at least one),
+    /// reporting residency into the `entries` and `bytes` gauges.
+    pub fn new(capacity: usize, entries: &'static Gauge, bytes: &'static Gauge) -> Self {
+        RootMemo {
             table: Mutex::new(Table {
                 map: MixMap::default(),
                 order: VecDeque::new(),
             }),
             cap: capacity.max(1),
-            gauges,
+            entries,
+            bytes,
         }
     }
 
     /// Looks up `key`, recording a hit or miss in `stats`.
-    pub fn get(&self, key: &K, stats: &CacheStats) -> Option<V> {
+    pub fn get(&self, key: &Key, stats: &CacheStats) -> Option<Vec<Tree>> {
         let found = lock_unpoisoned(&self.table).map.get(key).cloned();
         match &found {
             Some(_) => stats.hits.fetch_add(1, Ordering::Relaxed),
@@ -161,31 +162,30 @@ impl<K: Eq + Hash + Clone, V: Clone> Bounded<K, V> {
         found
     }
 
-    /// Inserts `key → value`, evicting the oldest entry if the map is
+    /// Inserts `key → outs`, evicting the oldest entry if the memo is
     /// full.
-    pub fn insert(&self, key: K, value: V, stats: &CacheStats) {
+    pub fn insert(&self, key: Key, outs: Vec<Tree>, stats: &CacheStats) {
         let mut guard = lock_unpoisoned(&self.table);
         let table = &mut *guard;
-        let g = &self.gauges;
         if let Some(old) = table.map.get_mut(&key) {
-            g.bytes.sub((g.weigh)(&key, old));
-            g.bytes.add((g.weigh)(&key, &value));
-            *old = value;
+            self.bytes.sub(weigh(old));
+            self.bytes.add(weigh(&outs));
+            *old = outs;
             return;
         }
         if table.map.len() >= self.cap {
             if let Some(victim) = table.order.pop_front() {
                 if let Some(evicted) = table.map.remove(&victim) {
                     stats.evictions.fetch_add(1, Ordering::Relaxed);
-                    g.entries.sub(1);
-                    g.bytes.sub((g.weigh)(&victim, &evicted));
+                    self.entries.sub(1);
+                    self.bytes.sub(weigh(&evicted));
                 }
             }
         }
-        g.entries.add(1);
-        g.bytes.add((g.weigh)(&key, &value));
-        table.order.push_back(key.clone());
-        table.map.insert(key, value);
+        self.entries.add(1);
+        self.bytes.add(weigh(&outs));
+        table.order.push_back(key);
+        table.map.insert(key, outs);
     }
 
     /// Resident entries (test/diagnostic use).
@@ -195,50 +195,57 @@ impl<K: Eq + Hash + Clone, V: Clone> Bounded<K, V> {
     }
 }
 
-impl<K, V> Drop for Bounded<K, V> {
-    /// A dropped map's residency must leave the process-wide gauges:
+impl Drop for RootMemo {
+    /// A dropped memo's residency must leave the process-wide gauges:
     /// subtract everything still resident.
     fn drop(&mut self) {
-        let (g, table) = (&self.gauges, lock_unpoisoned(&self.table));
-        g.entries.sub(table.map.len() as u64);
-        g.bytes
-            .sub(table.map.iter().map(|(k, v)| (g.weigh)(k, v)).sum());
+        let table = lock_unpoisoned(&self.table);
+        self.entries.sub(table.map.len() as u64);
+        self.bytes.sub(table.map.values().map(|v| weigh(v)).sum());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fast_smt::{Label, Value};
+    use fast_trees::CtorId;
 
-    /// Gauges under test-only names, apart from the live `rt.memo.*`
-    /// ones other tests touch.
-    fn gauges<K, V>() -> ResidencyGauges<K, V> {
-        ResidencyGauges {
-            entries: fast_obs::gauge("test.bounded.entries"),
-            bytes: fast_obs::gauge("test.bounded.bytes"),
-            weigh: |_, _| 1,
-        }
+    /// A distinct leaf per `i`.
+    fn leaf(i: i64) -> Tree {
+        Tree::new(CtorId(0), Label::new(vec![Value::Int(i)]), vec![])
+    }
+
+    /// A memo under test-only gauge names, apart from the live
+    /// `rt.memo.*` ones other tests touch.
+    fn memo(capacity: usize) -> RootMemo {
+        RootMemo::new(
+            capacity,
+            fast_obs::gauge("test.root_memo.entries"),
+            fast_obs::gauge("test.root_memo.bytes"),
+        )
     }
 
     #[test]
     fn hits_misses_and_eviction() {
         let stats = CacheStats::default();
-        let m: Bounded<(usize, usize), u64> = Bounded::new(16, gauges());
-        assert_eq!(m.get(&(0, 0), &stats), None);
-        m.insert((0, 0), 7, &stats);
-        assert_eq!(m.get(&(0, 0), &stats), Some(7));
+        let id = leaf(0).id();
+        let m = memo(16);
+        assert_eq!(m.get(&(0, id), &stats), None);
+        m.insert((0, id), vec![leaf(7)], &stats);
+        assert_eq!(m.get(&(0, id), &stats), Some(vec![leaf(7)]));
         assert_eq!(stats.hits.load(Ordering::Relaxed), 1);
         assert_eq!(stats.misses.load(Ordering::Relaxed), 1);
-        // Flood the map far past its capacity: size stays at capacity.
+        // Flood the memo far past its capacity: size stays at capacity.
         for i in 0..1000 {
-            m.insert((i, i), i as u64, &stats);
+            m.insert((i, id), vec![], &stats);
         }
         assert_eq!(m.len(), 16);
         assert_eq!(stats.evictions.load(Ordering::Relaxed), 1000 - 16);
         // A zero capacity rounds up to one entry.
-        let tiny: Bounded<usize, usize> = Bounded::new(0, gauges());
+        let tiny = memo(0);
         for i in 0..10 {
-            tiny.insert(i, i, &stats);
+            tiny.insert((i, id), vec![], &stats);
         }
         assert_eq!(tiny.len(), 1);
     }
@@ -248,32 +255,35 @@ mod tests {
     #[test]
     fn residency_gauges_balance_to_zero() {
         let stats = CacheStats::default();
-        let gauges: ResidencyGauges<usize, u64> = ResidencyGauges {
-            entries: fast_obs::gauge("test.bounded.balance.entries"),
-            bytes: fast_obs::gauge("test.bounded.balance.bytes"),
-            weigh: |_k, v| *v,
-        };
-        let m: Bounded<usize, u64> = Bounded::new(32, gauges);
-        m.insert(1, 10, &stats);
-        m.insert(2, 5, &stats);
-        assert_eq!(gauges.entries.get(), 2);
-        assert_eq!(gauges.bytes.get(), 15);
+        let entries = fast_obs::gauge("test.root_memo.balance.entries");
+        let bytes = fast_obs::gauge("test.root_memo.balance.bytes");
+        let id = leaf(0).id();
+        let (w0, w1, w3) = (
+            weigh(&[]),
+            weigh(&[leaf(1)]),
+            weigh(&[leaf(1), leaf(2), leaf(3)]),
+        );
+        let m = RootMemo::new(32, entries, bytes);
+        m.insert((1, id), vec![leaf(1)], &stats);
+        m.insert((2, id), vec![], &stats);
+        assert_eq!(entries.get(), 2);
+        assert_eq!(bytes.get(), w1 + w0);
         // Replacing a key adjusts bytes without growing entries.
-        m.insert(1, 30, &stats);
-        assert_eq!(gauges.entries.get(), 2);
-        assert_eq!(gauges.bytes.get(), 35);
+        m.insert((1, id), vec![leaf(1), leaf(2), leaf(3)], &stats);
+        assert_eq!(entries.get(), 2);
+        assert_eq!(bytes.get(), w3 + w0);
         // Evictions subtract the victim's weight: flood far past cap.
         for i in 10..1000 {
-            m.insert(i, 1, &stats);
+            m.insert((i, id), vec![], &stats);
         }
         assert!(stats.evictions.load(Ordering::Relaxed) > 0);
-        assert_eq!(gauges.entries.get() as usize, m.len());
-        assert_eq!(gauges.bytes.get(), 32);
-        // Dropping the map returns both gauges to zero — residency of a
+        assert_eq!(entries.get() as usize, m.len());
+        assert_eq!(bytes.get(), 32 * w0);
+        // Dropping the memo returns both gauges to zero — residency of a
         // dead table must not linger in the process-wide reading.
         drop(m);
-        assert_eq!(gauges.entries.get(), 0);
-        assert_eq!(gauges.bytes.get(), 0);
+        assert_eq!(entries.get(), 0);
+        assert_eq!(bytes.get(), 0);
     }
 
     /// Eviction rotates through insertion order: the oldest key goes
@@ -281,19 +291,21 @@ mod tests {
     #[test]
     fn eviction_takes_the_oldest_key() {
         let stats = CacheStats::default();
-        let m: Bounded<u64, u64> = Bounded::new(2, gauges());
-        m.insert(0, 0, &stats);
-        m.insert(1, 1, &stats);
-        m.insert(0, 10, &stats); // replace in place, no eviction
+        let id = leaf(0).id();
+        let key = |i: usize| (i, id);
+        let m = memo(2);
+        m.insert(key(0), vec![leaf(0)], &stats);
+        m.insert(key(1), vec![leaf(1)], &stats);
+        m.insert(key(0), vec![leaf(10)], &stats); // replace in place, no eviction
         assert_eq!(stats.evictions.load(Ordering::Relaxed), 0);
-        assert_eq!(m.get(&0, &stats), Some(10));
-        m.insert(2, 2, &stats); // evicts 0, the oldest
-        assert_eq!(m.get(&0, &stats), None);
-        assert_eq!(m.get(&1, &stats), Some(1));
-        m.insert(3, 3, &stats); // evicts 1
-        assert_eq!(m.get(&1, &stats), None);
-        assert_eq!(m.get(&2, &stats), Some(2));
-        assert_eq!(m.get(&3, &stats), Some(3));
+        assert_eq!(m.get(&key(0), &stats), Some(vec![leaf(10)]));
+        m.insert(key(2), vec![leaf(2)], &stats); // evicts 0, the oldest
+        assert_eq!(m.get(&key(0), &stats), None);
+        assert_eq!(m.get(&key(1), &stats), Some(vec![leaf(1)]));
+        m.insert(key(3), vec![leaf(3)], &stats); // evicts 1
+        assert_eq!(m.get(&key(1), &stats), None);
+        assert_eq!(m.get(&key(2), &stats), Some(vec![leaf(2)]));
+        assert_eq!(m.get(&key(3), &stats), Some(vec![leaf(3)]));
         assert_eq!(stats.evictions.load(Ordering::Relaxed), 2);
     }
 }

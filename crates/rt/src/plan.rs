@@ -1,6 +1,6 @@
 //! Compiled evaluation plans and the batch evaluator.
 
-use crate::memo::{Bounded, CacheStats, MixMap};
+use crate::memo::{CacheStats, MixMap, RootMemo};
 use crate::pool::{self, PoolStats};
 use crate::profile::{self, ProfileData, RuleProfile, RuleProfileEntry};
 use fast_automata::StateId;
@@ -16,22 +16,22 @@ use std::time::{Duration, Instant};
 /// A rule reference inside a dispatch group: the index into the owning
 /// state's rule list and what enables the rule.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CRule {
-    pub(crate) idx: u32,
-    pub(crate) sel: Select,
+struct CRule {
+    idx: u32,
+    sel: Select,
 }
 
-/// A lookahead-STA rule reference, pre-indexed by constructor.
+/// A lookahead-STA rule, pre-indexed by constructor: the state it
+/// belongs to and what enables it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct LaRule {
-    pub(crate) state: u32,
-    pub(crate) idx: u32,
-    pub(crate) sel: Select,
+struct LaRule {
+    state: u32,
+    sel: Select,
 }
 
 /// What enables a rule at a node: its guard and its lookahead.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Select {
+struct Select {
     /// Index of the guard in [`Plan::guard_pool`].
     guard: u32,
     /// Guard is syntactically ⊤ — skip label evaluation entirely.
@@ -163,7 +163,7 @@ impl BatchStats {
 /// handle to the same underlying table.
 #[derive(Clone)]
 pub struct BatchMemo {
-    out: Arc<Bounded<(usize, TreeId), Vec<Tree>>>,
+    out: Arc<RootMemo>,
 }
 
 impl BatchMemo {
@@ -172,21 +172,12 @@ impl BatchMemo {
     /// reports into the process-wide `rt.memo.entries` / `rt.memo.bytes`
     /// gauges and subtracts its share on eviction and drop.
     pub fn new(capacity: usize) -> BatchMemo {
-        let gauges = crate::memo::ResidencyGauges {
-            entries: fast_obs::gauge("rt.memo.entries"),
-            bytes: fast_obs::gauge("rt.memo.bytes"),
-            // Estimate: the key (held twice: in the map and in the
-            // eviction order), the vector, and one interned handle per
-            // output tree (the trees themselves are owned by the
-            // interner and counted there).
-            weigh: |k, v: &Vec<Tree>| {
-                (2 * std::mem::size_of_val(k)
-                    + std::mem::size_of::<Vec<Tree>>()
-                    + v.len() * std::mem::size_of::<Tree>()) as u64
-            },
-        };
         BatchMemo {
-            out: Arc::new(Bounded::new(capacity, gauges)),
+            out: Arc::new(RootMemo::new(
+                capacity,
+                fast_obs::gauge("rt.memo.entries"),
+                fast_obs::gauge("rt.memo.bytes"),
+            )),
         }
     }
 }
@@ -273,10 +264,11 @@ struct ItemRun<'b, 'p, 't> {
 /// rules are flattened by constructor the same way. Every rule's
 /// per-child lookahead sets are precomputed as bit masks over the
 /// lookahead STA's states, so a lookahead check is a few word
-/// operations. Dispatch is pure index arithmetic — the same shape the
-/// plan has after round-tripping through a `.fastc` binary artifact (see
-/// `fast_rt::Artifact`). The plan is immutable and `Sync`; one plan
-/// serves any number of concurrent batches.
+/// operations. Dispatch is pure index arithmetic. A `.fastc` binary
+/// artifact stores the transducer, not these tables: its loader builds
+/// the plan with `Plan::compile` too (see `fast_rt::Artifact`). The plan
+/// is immutable and `Sync`; one plan serves any number of concurrent
+/// batches.
 ///
 /// # Examples
 ///
@@ -342,55 +334,15 @@ pub struct Plan {
 
 impl Plan {
     /// Compiles `sttr` into flat dispatch tables. The transducer is
-    /// cloned (cheap: `Arc`-shared type/algebra, rule vectors copied
-    /// once).
+    /// cloned (`Arc`-shared type/algebra, rule vectors copied once).
     pub fn compile(sttr: &Sttr) -> Plan {
-        let sttr = sttr.clone();
-        let tt = sttr.alg().tt();
-        let n_ctors = sttr.ty().ctor_count();
-        // Guard order: trivially-true guards first (stable on the
-        // original index). The output set is a union over enabled rules,
-        // so reordering is semantics-preserving.
-        let mut buckets: Vec<Vec<(bool, u32)>> = vec![Vec::new(); sttr.state_count() * n_ctors];
-        for q in sttr.states() {
-            for (idx, r) in sttr.rules(q).iter().enumerate() {
-                buckets[q.0 * n_ctors + r.ctor.0].push((r.guard != tt, idx as u32));
-            }
-        }
-        let (group_offsets, group_idxs) = flatten(buckets, |(_, idx)| idx);
-        let la = sttr.lookahead_sta();
-        let mut la_buckets: Vec<Vec<(u32, bool, u32)>> = vec![Vec::new(); n_ctors];
-        for s in la.states() {
-            for (idx, r) in la.rules(s).iter().enumerate() {
-                la_buckets[r.ctor.0].push((s.0 as u32, r.guard != tt, idx as u32));
-            }
-        }
-        let (la_group_offsets, la_pairs) = flatten(la_buckets, |(s, _, idx)| (s, idx));
-        Plan::from_flat(
-            sttr,
-            group_offsets,
-            &group_idxs,
-            la_group_offsets,
-            &la_pairs,
-        )
+        Plan::compile_owned(sttr.clone())
     }
 
-    /// Builds a plan from flat dispatch tables: the one constructor
-    /// behind [`Plan::compile`] and the artifact loader, so a loaded
-    /// plan derives its guards, flags and lookahead masks exactly as a
-    /// compiled one does. The tables must already be valid (offsets
-    /// monotone and in range, rule indices valid for their state, each
-    /// rule present exactly once per state — `artifact.rs` checks this
-    /// for decoded tables); everything else is recomputed from the
-    /// transducer itself, so a hostile artifact cannot smuggle in
-    /// mismatched semantics.
-    pub(crate) fn from_flat(
-        sttr: Sttr,
-        group_offsets: Vec<u32>,
-        group_idxs: &[u32],
-        la_group_offsets: Vec<u32>,
-        la_pairs: &[(u32, u32)],
-    ) -> Plan {
+    /// [`Plan::compile`] on a transducer the caller hands over, so it is
+    /// not cloned: the artifact loader compiles every decoded transducer
+    /// this way (a clone would add a third to its decode time).
+    pub(crate) fn compile_owned(sttr: Sttr) -> Plan {
         let tt = sttr.alg().tt();
         let n_ctors = sttr.ty().ctor_count();
         let la = sttr.lookahead_sta();
@@ -422,27 +374,36 @@ impl Plan {
                 reqs: (start, la_reqs.len() as u32),
             }
         };
-        let mut groups = Vec::with_capacity(group_idxs.len());
-        for base in 0..group_offsets.len() - 1 {
-            let q = StateId(base / n_ctors);
-            for k in group_offsets[base]..group_offsets[base + 1] {
-                let idx = group_idxs[k as usize];
-                let r = &sttr.rules(q)[idx as usize];
-                groups.push(CRule {
-                    idx,
-                    sel: select(&r.guard, &r.lookahead),
-                });
+        // Guard order: trivially-true guards first (stable on the
+        // original index). The output set is a union over enabled rules,
+        // so reordering is semantics-preserving.
+        let mut keyed = Vec::new();
+        for q in sttr.states() {
+            for (idx, r) in sttr.rules(q).iter().enumerate() {
+                keyed.push((q.0 * n_ctors + r.ctor.0, (r.guard != tt, idx as u32)));
             }
         }
-        let mut la_groups = Vec::with_capacity(la_pairs.len());
-        for &(state, idx) in la_pairs {
-            let r = &la.rules(StateId(state as usize))[idx as usize];
-            la_groups.push(LaRule {
-                state,
+        let cells = sttr.state_count() * n_ctors;
+        let (group_offsets, groups) = flatten(cells, keyed, |base, (_, idx)| {
+            let r = &sttr.rules(StateId(base / n_ctors))[idx as usize];
+            CRule {
                 idx,
                 sel: select(&r.guard, &r.lookahead),
-            });
+            }
+        });
+        let mut la_keyed = Vec::new();
+        for s in la.states() {
+            for (idx, r) in la.rules(s).iter().enumerate() {
+                la_keyed.push((r.ctor.0, (s.0 as u32, r.guard != tt, idx as u32)));
+            }
         }
+        let (la_group_offsets, la_groups) = flatten(n_ctors, la_keyed, |_, (state, _, idx)| {
+            let r = &la.rules(StateId(state as usize))[idx as usize];
+            LaRule {
+                state,
+                sel: select(&r.guard, &r.lookahead),
+            }
+        });
         let mut rule_offsets = Vec::with_capacity(sttr.state_count());
         let mut total_rules = 0;
         for q in sttr.states() {
@@ -463,6 +424,31 @@ impl Plan {
             rule_offsets,
             total_rules,
         }
+    }
+
+    /// The table cells [`Plan::compile`] allocates for `sttr` beyond
+    /// one entry per rule: a group offset per `(state, constructor)`
+    /// pair and `ceil(n / 64)` mask words per non-empty lookahead set of
+    /// an `n`-state lookahead STA. Both are products of counts, so a
+    /// small transducer can ask for a large plan; the artifact loader
+    /// caps this figure against its buffer length.
+    pub(crate) fn table_cells(sttr: &Sttr) -> usize {
+        let la = sttr.lookahead_sta();
+        let la_words = la.state_count().div_ceil(64).max(1);
+        let nonempty = |sets: &[BTreeSet<StateId>]| sets.iter().filter(|s| !s.is_empty()).count();
+        let sets: usize = sttr
+            .states()
+            .flat_map(|q| sttr.rules(q))
+            .map(|r| nonempty(&r.lookahead))
+            .chain(
+                la.states()
+                    .flat_map(|s| la.rules(s))
+                    .map(|r| nonempty(&r.lookahead)),
+            )
+            .sum();
+        sttr.state_count()
+            .saturating_mul(sttr.ty().ctor_count())
+            .saturating_add(sets.saturating_mul(la_words))
     }
 
     /// The dispatch group for `(state, ctor)` — a contiguous,
@@ -495,16 +481,6 @@ impl Plan {
     #[inline]
     fn mask(&self, req: &LaReq) -> &[u64] {
         &self.la_masks[req.mask as usize..][..self.la_words]
-    }
-
-    /// Flat-table views for the artifact encoder.
-    pub(crate) fn flat_tables(&self) -> (&[u32], &[CRule], &[u32], &[LaRule]) {
-        (
-            &self.group_offsets,
-            &self.groups,
-            &self.la_group_offsets,
-            &self.la_groups,
-        )
     }
 
     /// The compiled transducer.
@@ -611,17 +587,26 @@ impl Plan {
     }
 }
 
-/// Sorts each bucket and concatenates them through `f`, returning the
-/// prefix-sum offsets and the flat entries.
-fn flatten<T: Ord, U>(buckets: Vec<Vec<T>>, f: impl Fn(T) -> U) -> (Vec<u32>, Vec<U>) {
-    let mut offsets = Vec::with_capacity(buckets.len() + 1);
-    let mut flat = Vec::new();
+/// Groups `keyed` entries by their cell in `0..cells`, sorted within a
+/// cell, and maps each through `f` (given its cell), returning the
+/// prefix-sum offsets and the flat entries. Memory is one offset per
+/// cell plus the entries: no per-cell allocation.
+fn flatten<T: Ord, U>(
+    cells: usize,
+    mut keyed: Vec<(usize, T)>,
+    mut f: impl FnMut(usize, T) -> U,
+) -> (Vec<u32>, Vec<U>) {
+    keyed.sort_unstable();
+    let mut offsets = Vec::with_capacity(cells + 1);
+    let mut flat = Vec::with_capacity(keyed.len());
     offsets.push(0);
-    for mut bucket in buckets {
-        bucket.sort_unstable();
-        flat.extend(bucket.into_iter().map(&f));
-        offsets.push(flat.len() as u32);
+    for (cell, e) in keyed {
+        while offsets.len() <= cell {
+            offsets.push(flat.len() as u32);
+        }
+        flat.push(f(cell, e));
     }
+    offsets.resize(cells + 1, flat.len() as u32);
     (offsets, flat)
 }
 

@@ -223,16 +223,55 @@ fn type_section_invariants_are_enforced() {
     ));
 }
 
+/// A version-1 artifact, whose transducer bodies still end with
+/// dispatch tables (see `artifact_v1.rs`).
+const V1: &[u8] = include_bytes!("data/sanitizer_pipeline.v1.fastc");
+
+/// States and constructors cost a few bytes each, but a plan's dispatch
+/// table holds one cell per `(state, constructor)` pair. A small buffer
+/// whose product is far larger than it must be refused before the plan
+/// is built; the same type with a handful of states still loads.
+#[test]
+fn dispatch_table_product_is_capped_by_buffer_length() {
+    let names: Vec<String> = (0..1000).map(|i| format!("c{i}")).collect();
+    let ty = TreeType::new(
+        "Wide",
+        LabelSig::single("i", Sort::Int),
+        names.iter().map(|n| (n.as_str(), 0)).collect(),
+    );
+    let alg = Arc::new(LabelAlg::new(ty.sig().clone()));
+    let artifact = |states: usize| {
+        let mut b = SttrBuilder::new(ty.clone(), alg.clone());
+        let qs: Vec<_> = (0..states).map(|i| b.state(&format!("q{i}"))).collect();
+        let mut a = ArtifactBuilder::new();
+        a.add_transducer("wide", &b.build(qs[0]));
+        a.build().encode()
+    };
+
+    let small = artifact(4);
+    assert!(Artifact::decode(&small).is_ok());
+
+    let wide = artifact(1000);
+    let cells = 1000 * 1000;
+    assert!(cells > 4 * wide.len(), "{} bytes", wide.len());
+    match Artifact::decode(&wide) {
+        Err(ArtifactError::Malformed(_)) => {}
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
 #[test]
 fn every_truncation_is_rejected_without_panic() {
-    let bytes = sample();
-    for len in 0..bytes.len() {
-        let mut cut = bytes[..len].to_vec();
-        refix(&mut cut);
-        assert!(
-            Artifact::decode(&cut).is_err(),
-            "truncation to {len} bytes must not decode"
-        );
+    for bytes in [sample(), V1.to_vec()] {
+        for len in 0..bytes.len() {
+            let mut cut = bytes[..len].to_vec();
+            refix(&mut cut);
+            assert!(
+                Artifact::decode(&cut).is_err(),
+                "truncation to {len} of {} bytes must not decode",
+                bytes.len()
+            );
+        }
     }
 }
 

@@ -44,7 +44,7 @@
 //! | `intern.contended` | a shard lock was busy and the call had to block |
 //!
 //! Residency is tracked by gauges, so a windowed view (`fastc watch`,
-//! the future `fast-serve`) can watch it without replaying counters:
+//! `fast-serve`) can watch it without replaying counters:
 //! `intern.resident_nodes.shard00..15` count canonical nodes per shard
 //! (their sum equals [`table_len`]; imbalance means a skewed structural
 //! hash), and `intern.resident_bytes` estimates the heap bytes the
