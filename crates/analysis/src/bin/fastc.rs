@@ -758,6 +758,16 @@ fn build_mode(args: &[String]) -> ExitCode {
             .into_owned()
     });
     let bytes = art.encode();
+    // The loader caps the plan tables an artifact may ask for at a few
+    // cells per byte; refuse here what it would refuse there.
+    if let Some(what) = art.oversized_plan(bytes.len()) {
+        eprintln!(
+            "fastc: {what} is too wide to load: its plan tables pass the \
+             artifact loader's cap for a {}-byte artifact; nothing written",
+            bytes.len()
+        );
+        return ExitCode::FAILURE;
+    }
     if let Err(e) = std::fs::write(&out_path, &bytes) {
         eprintln!("fastc: cannot write artifact '{out_path}': {e}");
         return ExitCode::from(2);

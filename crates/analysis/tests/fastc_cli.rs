@@ -680,6 +680,64 @@ fn build_mode_arguments_and_defaults() {
     assert!(stdout.contains("transducers"), "{stdout}");
 }
 
+/// A program over a 1000-constructor type with `n` one-rule
+/// transformations. Each plan holds a dispatch cell per (state,
+/// constructor) pair, 1000 cells, while its source costs the artifact a
+/// few dozen bytes.
+fn wide_program(n: usize) -> String {
+    let ctors: Vec<String> = (0..1000).map(|i| format!("c{i}(0)")).collect();
+    let mut src = format!("type Wide[i: Int] {{ {} }}\n", ctors.join(", "));
+    for k in 0..n {
+        src.push_str(&format!(
+            "trans t{k}: Wide -> Wide {{ c0() to (c0 [i]) }}\n"
+        ));
+    }
+    src
+}
+
+/// `fastc build` refuses what `Artifact::decode` would refuse as "plan
+/// tables too large for the buffer": it names the transducer, writes no
+/// file and exits non-zero. A handful of the same transformations
+/// builds and loads.
+#[test]
+fn build_refuses_plans_the_loader_would_refuse() {
+    let dir = std::env::temp_dir().join("fastc_test");
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let small = write_temp("wide_small.fast", &wide_program(4));
+    let small_out = dir.join("wide_small.fastc");
+    let out = fastc()
+        .arg("build")
+        .arg(&small)
+        .arg("-o")
+        .arg(&small_out)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let bytes = std::fs::read(&small_out).unwrap();
+    assert!(fast_rt::Artifact::decode(&bytes).is_ok());
+
+    let wide = write_temp("wide_many.fast", &wide_program(100));
+    let wide_out = dir.join("wide_many.fastc");
+    let _ = std::fs::remove_file(&wide_out);
+    let out = fastc()
+        .arg("build")
+        .arg(&wide)
+        .arg("-o")
+        .arg(&wide_out)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("transducer 't"), "{stderr}");
+    assert!(stderr.contains("too wide to load"), "{stderr}");
+    assert!(!wide_out.exists(), "a refused artifact was written");
+}
+
 #[test]
 fn pipeline_mode_rejects_unknown_stage_and_empty_list() {
     let path = programs_dir().join("deforestation.fast");

@@ -390,6 +390,29 @@ impl Artifact {
             .map(|p| p.stage_names.as_slice())
     }
 
+    /// The first stored plan, in decode order, that [`Artifact::decode`]
+    /// refuses as "plan tables too large for the buffer" when this
+    /// artifact is encoded into `encoded_len` bytes: named as
+    /// `transducer 'name'` or `pipeline 'name' segment i`. `None` when
+    /// every plan fits. `fastc build` checks this before it writes an
+    /// artifact, so it never writes one the loader refuses.
+    pub fn oversized_plan(&self, encoded_len: usize) -> Option<String> {
+        let mut cells = cell_budget(encoded_len);
+        for e in &self.transducers {
+            if !take_cells(&mut cells, e.plan.sttr()) {
+                return Some(format!("transducer '{}'", e.name));
+            }
+        }
+        for p in &self.pipelines {
+            for i in 0..p.pipeline.segment_count() {
+                if !take_cells(&mut cells, p.pipeline.segment(i).0.sttr()) {
+                    return Some(format!("pipeline '{}' segment {i}", p.name));
+                }
+            }
+        }
+        None
+    }
+
     /// Serializes the artifact. Encoding is deterministic: the same
     /// artifact contents produce byte-identical output in every process
     /// (all pools are in first-use order, all maps are only lookup
@@ -562,7 +585,7 @@ impl Artifact {
 
         // Plan table cells all bodies may still allocate (see
         // `read_sttr_body`).
-        let mut cells = bytes.len().saturating_mul(CELLS_PER_BYTE);
+        let mut cells = cell_budget(bytes.len());
 
         // TRANSDUCERS
         let mut r = section(3);
@@ -1137,11 +1160,30 @@ fn read_sttr_body(
     // States and constructors cost a few bytes each, but the plan's
     // dispatch table is their product: without this cap a buffer of a
     // megabyte could ask for billions of cells.
-    let need = Plan::table_cells(&sttr);
-    *cells = cells.checked_sub(need).ok_or(ArtifactError::Malformed(
-        "plan tables too large for the buffer",
-    ))?;
+    if !take_cells(cells, &sttr) {
+        return Err(ArtifactError::Malformed(
+            "plan tables too large for the buffer",
+        ));
+    }
     Ok(Plan::compile_owned(sttr))
+}
+
+/// The plan table cells an artifact of `len` bytes may make the loader
+/// allocate, summed over its bodies.
+fn cell_budget(len: usize) -> usize {
+    len.saturating_mul(CELLS_PER_BYTE)
+}
+
+/// Takes the plan table cells of `sttr` from the budget `cells`, or
+/// returns false (leaving it unchanged) when they do not fit.
+fn take_cells(cells: &mut usize, sttr: &Sttr) -> bool {
+    match cells.checked_sub(Plan::table_cells(sttr)) {
+        Some(left) => {
+            *cells = left;
+            true
+        }
+        None => false,
+    }
 }
 
 #[cfg(test)]
@@ -1232,6 +1274,49 @@ mod tests {
 
         // Decode → encode is byte-stable.
         assert_eq!(loaded.encode(), bytes);
+    }
+
+    /// `oversized_plan` names the entry `decode` refuses for its plan
+    /// tables, and names none when `decode` accepts: a 1000-constructor
+    /// type with `n` one-rule transducers fits at `n = 4`, not at
+    /// `n = 100`, and the entry named is the first past the budget.
+    #[test]
+    fn oversized_plan_agrees_with_decode() {
+        let names: Vec<String> = (0..1000).map(|i| format!("c{i}")).collect();
+        let ty = TreeType::new(
+            "Wide",
+            LabelSig::single("i", Sort::Int),
+            names.iter().map(|n| (n.as_str(), 0)).collect(),
+        );
+        let alg = Arc::new(LabelAlg::new(ty.sig().clone()));
+        let mut b = SttrBuilder::new(ty.clone(), alg);
+        let q = b.state("q");
+        let c0 = CtorId(0);
+        b.plain_rule(
+            q,
+            c0,
+            Formula::True,
+            Out::node(c0, LabelFn::identity(1), vec![]),
+        );
+        let sttr = b.build(q);
+        for n in [4, 100] {
+            let mut b = ArtifactBuilder::new();
+            for k in 0..n {
+                b.add_transducer(&format!("t{k:03}"), &sttr);
+            }
+            let art = b.build();
+            let bytes = art.encode();
+            match (art.oversized_plan(bytes.len()), Artifact::decode(&bytes)) {
+                (None, Ok(_)) => assert_eq!(n, 4),
+                (Some(what), Err(ArtifactError::Malformed(_))) => {
+                    assert_eq!(n, 100);
+                    let mut cells = cell_budget(bytes.len());
+                    let fit = (0..n).take_while(|_| take_cells(&mut cells, &sttr)).count();
+                    assert_eq!(what, format!("transducer 't{fit:03}'"));
+                }
+                (what, decoded) => panic!("n = {n}: {what:?} vs {decoded:?}"),
+            }
+        }
     }
 
     /// A pipeline report whose boundary verdicts contradict its segments

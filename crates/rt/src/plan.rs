@@ -4,20 +4,21 @@ use crate::memo::{CacheStats, MixMap, RootMemo};
 use crate::pool::{self, PoolStats};
 use crate::profile::{self, ProfileData, RuleProfile, RuleProfileEntry};
 use fast_automata::StateId;
-use fast_core::{Out, Sttr, TransducerError, DEFAULT_RUN_CAP};
-use fast_smt::bin::FormulaPool;
+use fast_core::{Out, Sttr, TRule, TransducerError, DEFAULT_RUN_CAP};
 use fast_smt::{BoolAlg, Formula, Interned, Label, LabelAlg, TransAlg};
 use fast_trees::{Tree, TreeId};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A rule reference inside a dispatch group: the index into the owning
-/// state's rule list and what enables the rule.
+/// state's rule list, whether it is a copy rule ([`is_copy_rule`]), and
+/// what enables the rule.
 #[derive(Debug, Clone, Copy)]
 struct CRule {
     idx: u32,
+    copy: bool,
     sel: Select,
 }
 
@@ -32,7 +33,9 @@ struct LaRule {
 /// What enables a rule at a node: its guard and its lookahead.
 #[derive(Debug, Clone, Copy)]
 struct Select {
-    /// Index of the guard in [`Plan::guard_pool`].
+    /// Position of the guard in the list of the guards reading the
+    /// rule's constructor ([`Plan::guards`]), so bit `guard` of a slot's
+    /// guard bits.
     guard: u32,
     /// Guard is syntactically ⊤ — skip label evaluation entirely.
     trivial_guard: bool,
@@ -228,8 +231,8 @@ struct Pair {
 
 /// One item's evaluation: [`ItemRun::lower`] the input to slots, then
 /// [`ItemRun::dispatch`] top-down and [`ItemRun::build`] bottom-up over
-/// them, on tables the item owns (no lock, no hashing after lowering,
-/// all dropped with the item).
+/// them, on tables the item owns (no lock, no hashing and no guard
+/// evaluation after lowering, all dropped with the item).
 struct ItemRun<'b, 'p, 't> {
     cx: &'b BatchCtx<'p>,
     deadline: Option<Instant>,
@@ -237,8 +240,15 @@ struct ItemRun<'b, 'p, 't> {
     slots: Vec<Slot<'t>>,
     /// Child slot indices, one run per slot.
     kids: Vec<u32>,
+    /// The guard bits, `Plan::guard_words` words per slot: bit `i` is
+    /// set when guard `i` of the slot constructor's list holds of the
+    /// node's label.
+    guards: Vec<u64>,
     /// The lookahead state sets, `Plan::la_words` words per slot.
     la: Vec<u64>,
+    /// The copy bits, `Plan::copy_words` words per slot: state `q`'s bit
+    /// is set when `T_q(node) = {node}` ([`ItemRun::copies`]).
+    copy: Vec<u64>,
     pairs: Vec<Pair>,
     /// Per pair and enabled rule: the rule's index in its state, then in
     /// template pre-order a [`ItemRun::labels`] index per node and a
@@ -258,17 +268,21 @@ struct ItemRun<'b, 'p, 't> {
 /// `Plan::compile` flattens the transducer's rules into dense arrays:
 /// the rules dispatching `(state q, ctor c)` are the contiguous slice
 /// `groups[group_offsets[q*n_ctors+c] .. group_offsets[q*n_ctors+c+1]]`
-/// (guard-ordered: syntactically trivial guards first, so the common
-/// unguarded rules skip label evaluation), guards are deduplicated into
-/// a formula pool referenced by small indices, and the lookahead STA's
-/// rules are flattened by constructor the same way. Every rule's
-/// per-child lookahead sets are precomputed as bit masks over the
-/// lookahead STA's states, so a lookahead check is a few word
-/// operations. Dispatch is pure index arithmetic. A `.fastc` binary
-/// artifact stores the transducer, not these tables: its loader builds
-/// the plan with `Plan::compile` too (see `fast_rt::Artifact`). The plan
-/// is immutable and `Sync`; one plan serves any number of concurrent
-/// batches.
+/// (guard-ordered: syntactically trivial guards first), and the
+/// lookahead STA's rules are flattened by constructor the same way.
+/// Each constructor gets the list of the distinct non-trivial guards
+/// reading it, so an item evaluates each guard once per node, into
+/// guard bits, while it lowers the input. Every rule's per-child
+/// lookahead sets are precomputed as bit masks over the lookahead STA's
+/// states, so deciding whether a rule is enabled is a few word
+/// operations. *Copy rules* — same constructor, identity label
+/// function, child `i` output in place as `q_i(x_i)` — are flagged, so
+/// lowering can also mark the subtrees a state copies unchanged and
+/// dispatch can skip them. Dispatch is pure index arithmetic. A `.fastc`
+/// binary artifact stores the transducer, not these tables: its loader
+/// builds the plan with `Plan::compile` too (see `fast_rt::Artifact`).
+/// The plan is immutable and `Sync`; one plan serves any number of
+/// concurrent batches.
 ///
 /// # Examples
 ///
@@ -315,9 +329,24 @@ pub struct Plan {
     la_group_offsets: Vec<u32>,
     /// Lookahead rules flattened by the constructor they read.
     la_groups: Vec<LaRule>,
-    /// Distinct guard formulas, referenced by `CRule::guard` /
-    /// `LaRule::guard` pool indices (deduplicated by interned identity).
-    guard_pool: Vec<Interned<Formula>>,
+    /// Prefix sums over `guards`, indexed by constructor.
+    guard_offsets: Vec<u32>,
+    /// Per constructor, the distinct non-trivial guards of the
+    /// transducer's and the lookahead STA's rules reading it
+    /// (deduplicated by interned identity); [`Select::guard`] is a
+    /// position in its constructor's list.
+    guards: Vec<Interned<Formula>>,
+    /// Width in words of a slot's guard bits: `ceil(n / 64)` for the
+    /// longest per-constructor guard list of `n` guards.
+    guard_words: usize,
+    /// Prefix sums over `copy_states`, indexed by constructor.
+    copy_offsets: Vec<u32>,
+    /// Per constructor, the states with a copy rule reading it: the only
+    /// states whose copy bit can be set at a node of that constructor.
+    copy_states: Vec<u32>,
+    /// Width in words of a slot's copy bits: `ceil(n / 64)` for `n`
+    /// states, zero for a transducer without copy rules.
+    copy_words: usize,
     /// Width in words of a lookahead state set: `ceil(n / 64)` for an
     /// STA with `n` states, at least one.
     la_words: usize,
@@ -347,14 +376,15 @@ impl Plan {
         let n_ctors = sttr.ty().ctor_count();
         let la = sttr.lookahead_sta();
         let la_words = la.state_count().div_ceil(64).max(1);
-        let mut pool = FormulaPool::new();
+        let mut guard_at: HashMap<(usize, u64), u32> = HashMap::new();
+        let mut ctor_guards: Vec<Vec<Interned<Formula>>> = vec![Vec::new(); n_ctors];
         let mut la_reqs = Vec::new();
         let mut la_masks = Vec::new();
-        // Pools the guard and appends the masks of a rule's non-empty
-        // lookahead sets.
-        let mut select = |guard: &Interned<Formula>, lookahead: &[BTreeSet<StateId>]| {
+        // Lists a non-trivial guard for the constructor `ctor` reads and
+        // appends the masks of the rule's non-empty lookahead sets.
+        let mut select = |ctor: usize, guard: &Interned<Formula>, sets: &[BTreeSet<StateId>]| {
             let start = la_reqs.len() as u32;
-            for (child, set) in lookahead.iter().enumerate() {
+            for (child, set) in sets.iter().enumerate() {
                 if set.is_empty() {
                     continue;
                 }
@@ -368,9 +398,18 @@ impl Plan {
                     mask: mask as u32,
                 });
             }
+            let trivial_guard = *guard == tt;
+            let guard = if trivial_guard {
+                0
+            } else {
+                *guard_at.entry((ctor, guard.id())).or_insert_with(|| {
+                    ctor_guards[ctor].push(guard.clone());
+                    ctor_guards[ctor].len() as u32 - 1
+                })
+            };
             Select {
-                guard: pool.index_of(guard),
-                trivial_guard: *guard == tt,
+                guard,
+                trivial_guard,
                 reqs: (start, la_reqs.len() as u32),
             }
         };
@@ -384,13 +423,26 @@ impl Plan {
             }
         }
         let cells = sttr.state_count() * n_ctors;
+        let mut copy_keyed = Vec::new();
         let (group_offsets, groups) = flatten(cells, keyed, |base, (_, idx)| {
             let r = &sttr.rules(StateId(base / n_ctors))[idx as usize];
+            let copy = is_copy_rule(&sttr, r);
+            if copy {
+                copy_keyed.push((r.ctor.0, (base / n_ctors) as u32));
+            }
             CRule {
                 idx,
-                sel: select(&r.guard, &r.lookahead),
+                copy,
+                sel: select(r.ctor.0, &r.guard, &r.lookahead),
             }
         });
+        copy_keyed.dedup();
+        let copy_words = if copy_keyed.is_empty() {
+            0
+        } else {
+            sttr.state_count().div_ceil(64)
+        };
+        let (copy_offsets, copy_states) = flatten(n_ctors, copy_keyed, |_, q| q);
         let mut la_keyed = Vec::new();
         for s in la.states() {
             for (idx, r) in la.rules(s).iter().enumerate() {
@@ -401,9 +453,22 @@ impl Plan {
             let r = &la.rules(StateId(state as usize))[idx as usize];
             LaRule {
                 state,
-                sel: select(&r.guard, &r.lookahead),
+                sel: select(r.ctor.0, &r.guard, &r.lookahead),
             }
         });
+        let guard_words = ctor_guards
+            .iter()
+            .map(Vec::len)
+            .max()
+            .unwrap_or(0)
+            .div_ceil(64);
+        let mut guard_offsets = Vec::with_capacity(n_ctors + 1);
+        guard_offsets.push(0);
+        let mut guards = Vec::new();
+        for list in ctor_guards {
+            guards.extend(list);
+            guard_offsets.push(guards.len() as u32);
+        }
         let mut rule_offsets = Vec::with_capacity(sttr.state_count());
         let mut total_rules = 0;
         for q in sttr.states() {
@@ -417,7 +482,12 @@ impl Plan {
             groups,
             la_group_offsets,
             la_groups,
-            guard_pool: pool.items().to_vec(),
+            guard_offsets,
+            guards,
+            guard_words,
+            copy_offsets,
+            copy_states,
+            copy_words,
             la_words,
             la_reqs,
             la_masks,
@@ -428,10 +498,11 @@ impl Plan {
 
     /// The table cells [`Plan::compile`] allocates for `sttr` beyond
     /// one entry per rule: a group offset per `(state, constructor)`
-    /// pair and `ceil(n / 64)` mask words per non-empty lookahead set of
-    /// an `n`-state lookahead STA. Both are products of counts, so a
-    /// small transducer can ask for a large plan; the artifact loader
-    /// caps this figure against its buffer length.
+    /// pair, `ceil(n / 64)` mask words per non-empty lookahead set of an
+    /// `n`-state lookahead STA, and the guard and copy-state offsets per
+    /// constructor. The first two are products of counts, so a small
+    /// transducer can ask for a large plan; the artifact loader caps
+    /// this figure against its buffer length.
     pub(crate) fn table_cells(sttr: &Sttr) -> usize {
         let la = sttr.lookahead_sta();
         let la_words = la.state_count().div_ceil(64).max(1);
@@ -446,9 +517,11 @@ impl Plan {
                     .map(|r| nonempty(&r.lookahead)),
             )
             .sum();
+        let n_ctors = sttr.ty().ctor_count();
         sttr.state_count()
-            .saturating_mul(sttr.ty().ctor_count())
+            .saturating_mul(n_ctors)
             .saturating_add(sets.saturating_mul(la_words))
+            .saturating_add(n_ctors.saturating_add(1).saturating_mul(2))
     }
 
     /// The dispatch group for `(state, ctor)` — a contiguous,
@@ -466,9 +539,16 @@ impl Plan {
             [self.la_group_offsets[ctor] as usize..self.la_group_offsets[ctor + 1] as usize]
     }
 
+    /// The distinct non-trivial guards reading `ctor`.
     #[inline]
-    fn guard(&self, id: u32) -> &Interned<Formula> {
-        &self.guard_pool[id as usize]
+    fn ctor_guards(&self, ctor: usize) -> &[Interned<Formula>] {
+        &self.guards[self.guard_offsets[ctor] as usize..self.guard_offsets[ctor + 1] as usize]
+    }
+
+    /// The states with a copy rule reading `ctor`.
+    #[inline]
+    fn copy_states(&self, ctor: usize) -> &[u32] {
+        &self.copy_states[self.copy_offsets[ctor] as usize..self.copy_offsets[ctor + 1] as usize]
     }
 
     /// A rule's lookahead requirements ([`Select::reqs`]).
@@ -610,6 +690,19 @@ fn flatten<T: Ord, U>(
     (offsets, flat)
 }
 
+/// Whether `r` is a *copy rule*: it rebuilds the node it reads, with
+/// the same constructor, the identity label function over the full
+/// signature, and child `i` output in place as `q_i(x_i)`. If the only
+/// rule of `q` enabled at `t` is a copy rule whose callees `q_i` copy
+/// `t_i`, then `T_q(t) = {t}` by induction on `t` (`ItemRun::copies`).
+fn is_copy_rule(sttr: &Sttr, r: &TRule<LabelAlg>) -> bool {
+    matches!(&r.output, Out::Node { ctor, fun, children }
+        if *ctor == r.ctor
+            && sttr.alg().is_identity_fun(fun)
+            && children.len() == sttr.ty().rank(r.ctor)
+            && children.iter().enumerate().all(|(i, c)| matches!(c, Out::Call(_, j) if *j == i)))
+}
+
 /// Evaluates one item under the batch context, recording its latency in
 /// the `rt.item` histogram (and, when tracing is on, an `rt.item` span
 /// wrapping a `plan.dispatch` span around the evaluation). Errored
@@ -629,7 +722,9 @@ fn run_item(cx: &BatchCtx<'_>, t: &Tree) -> Result<Vec<Tree>, TransducerError> {
         ticks: 0,
         slots: Vec::new(),
         kids: Vec::new(),
+        guards: Vec::new(),
         la: Vec::new(),
+        copy: Vec::new(),
         pairs: Vec::new(),
         tape: Vec::new(),
         labels: Vec::new(),
@@ -757,12 +852,14 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
     }
 
     /// Lowers `t` to one slot per distinct node, in post-order, with an
-    /// explicit stack (depth costs heap, not thread stack), and labels
-    /// each slot with the lookahead states accepting it once its
-    /// children's sets are known.
+    /// explicit stack (depth costs heap, not thread stack). Once a
+    /// node's children are lowered it labels the slot with its guard
+    /// bits (each guard reading the constructor evaluated once), then
+    /// the lookahead states accepting it, then the states copying it.
     fn lower(&mut self, t: &'t Tree) -> Result<(), TransducerError> {
         let plan = self.cx.plan;
-        let w = plan.la_words;
+        let alg = plan.sttr.alg();
+        let (gw, w, cw) = (plan.guard_words, plan.la_words, plan.copy_words);
         let mut at: MixMap<TreeId, u32> = MixMap::default();
         let mut stack: Vec<(&'t Tree, bool)> = vec![(t, false)];
         while let Some((node, expanded)) = stack.pop() {
@@ -775,18 +872,33 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
                 stack.extend(node.children().iter().map(|c| (c, false)));
                 continue;
             }
+            let (slot, ctor) = (self.slots.len(), node.ctor().0);
             let kids = self.kids.len();
             self.kids
                 .extend(node.children().iter().map(|c| at[&c.id()]));
+            let g = self.guards.len();
+            self.guards.resize(g + gw, 0);
+            for (i, f) in plan.ctor_guards(ctor).iter().enumerate() {
+                if alg.eval(f, node.label()) {
+                    self.guards[g + i / 64] |= 1 << (i % 64);
+                }
+            }
             let la = self.la.len();
             self.la.resize(la + w, 0);
-            for lr in plan.la_group(node.ctor().0) {
+            for lr in plan.la_group(ctor) {
                 let (word, bit) = (la + lr.state as usize / 64, 1u64 << (lr.state % 64));
-                if self.la[word] & bit == 0 && self.enabled(lr.sel, node, kids) {
+                if self.la[word] & bit == 0 && self.enabled(lr.sel, slot, kids) {
                     self.la[word] |= bit;
                 }
             }
-            at.insert(node.id(), self.slots.len() as u32);
+            let c = self.copy.len();
+            self.copy.resize(c + cw, 0);
+            for &q in plan.copy_states(ctor) {
+                if self.copies(q as usize, ctor, slot, kids) {
+                    self.copy[c + q as usize / 64] |= 1 << (q % 64);
+                }
+            }
+            at.insert(node.id(), slot as u32);
             self.slots.push(Slot {
                 tree: node,
                 kids: kids as u32,
@@ -796,16 +908,52 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
         Ok(())
     }
 
-    /// Whether a rule's guard holds of `node`'s label and its lookahead
-    /// of the child slots at `kids`.
-    fn enabled(&self, sel: Select, node: &Tree, kids: usize) -> bool {
+    /// Whether a rule's guard holds at `slot` (its guard bit) and its
+    /// lookahead of the child slots at `kids`.
+    fn enabled(&self, sel: Select, slot: usize, kids: usize) -> bool {
         let plan = self.cx.plan;
-        let w = plan.la_words;
-        (sel.trivial_guard || plan.sttr.alg().eval(plan.guard(sel.guard), node.label()))
+        let (gw, w) = (plan.guard_words, plan.la_words);
+        let g = sel.guard as usize;
+        (sel.trivial_guard || self.guards[slot * gw + g / 64] >> (g % 64) & 1 == 1)
             && plan.reqs(sel.reqs).iter().all(|req| {
                 let child = self.kids[kids + req.child as usize] as usize;
                 covers(&self.la[child * w..][..w], plan.mask(req))
             })
+    }
+
+    /// Whether state `q` copies the node at `slot` (constructor `ctor`,
+    /// child slots at `kids`): exactly one rule of `q` is enabled there,
+    /// it is a copy rule, and each of its callees `q_i` copies child
+    /// `i`. Then `T_q(node) = {node}` by induction, and every pair below
+    /// yields one tree before deduplication, so `Sttr::run_bounded`
+    /// fails there only at cap 0, as the copied pair does. (Two enabled
+    /// copy rules also give `{node}`, but `run_bounded` counts both
+    /// outputs against the cap, so they are evaluated, not copied.)
+    fn copies(&self, q: usize, ctor: usize, slot: usize, kids: usize) -> bool {
+        let plan = self.cx.plan;
+        let mut enabled = plan
+            .group(q, ctor)
+            .iter()
+            .filter(|cr| self.enabled(cr.sel, slot, kids));
+        match (enabled.next(), enabled.next()) {
+            (Some(cr), None) if cr.copy => {
+                let rule = &plan.sttr.rules(StateId(q))[cr.idx as usize];
+                let Out::Node { children, .. } = &rule.output else {
+                    return false;
+                };
+                children.iter().enumerate().all(|(i, c)| {
+                    matches!(c, Out::Call(qi, _) if self.copied(qi.0, self.kids[kids + i] as usize))
+                })
+            }
+            _ => false,
+        }
+    }
+
+    /// Whether `q`'s copy bit is set at `slot`.
+    #[inline]
+    fn copied(&self, q: usize, slot: usize) -> bool {
+        let cw = self.cx.plan.copy_words;
+        cw > 0 && self.copy[slot * cw + q / 64] >> (q % 64) & 1 == 1
     }
 
     /// The pair `(state, slot)`, added if the item does not need it yet.
@@ -840,7 +988,9 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
 
     /// The top-down pass: records each needed pair's enabled rules.
     /// Slots are in post-order, so visiting them in reverse reaches every
-    /// pair after all the pairs that call it.
+    /// pair after all the pairs that call it. A pair whose state copies
+    /// its slot records nothing and marks none of its children: its
+    /// output is the slot's tree ([`ItemRun::build`]).
     fn dispatch(&mut self) -> Result<(), TransducerError> {
         let plan = self.cx.plan;
         let profile = self.cx.profile.as_ref();
@@ -851,7 +1001,12 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
                 self.tick()?;
                 let q = self.pairs[p as usize].state as usize;
                 let start = self.tape.len() as u32;
-                for cr in plan.group(q, tree.ctor().0) {
+                let group = if self.copied(q, s) {
+                    &[][..]
+                } else {
+                    plan.group(q, tree.ctor().0)
+                };
+                for cr in group {
                     let prof_idx = plan.rule_offsets[q] + cr.idx as usize;
                     let rule_start = profile.map(|p| {
                         if !cr.sel.trivial_guard {
@@ -859,7 +1014,7 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
                         }
                         Instant::now()
                     });
-                    if self.enabled(cr.sel, tree, kids as usize) {
+                    if self.enabled(cr.sel, s, kids as usize) {
                         self.tape.push(cr.idx);
                         let r = &plan.sttr.rules(StateId(q))[cr.idx as usize];
                         self.mark(&r.output, tree, kids as usize);
@@ -901,7 +1056,7 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
     /// The bottom-up pass: in post-order, each pair's output set is the
     /// deduplicated union over its enabled rules, built from its
     /// callees' finished sets and bounded by the cap exactly like
-    /// `Sttr::run_bounded`.
+    /// `Sttr::run_bounded`. A copied pair's set is its slot's tree.
     fn build(&mut self) -> Result<(), TransducerError> {
         let plan = self.cx.plan;
         let cap = self.cx.cap;
@@ -915,6 +1070,16 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
                 let Pair {
                     state, next, tape, ..
                 } = self.pairs[p as usize];
+                if self.copied(state as usize, s) {
+                    let start = profile.map(|_| Instant::now());
+                    out.push(self.slots[s].tree.clone());
+                    if let Some(prof) = profile {
+                        self.charge_copy(prof, state as usize, s, start);
+                    }
+                    if out.len() > cap {
+                        return Err(budget(cap));
+                    }
+                }
                 let mut at = tape.0 as usize;
                 while at < tape.1 as usize {
                     let idx = self.tape[at] as usize;
@@ -942,6 +1107,22 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
             }
         }
         Ok(())
+    }
+
+    /// Charges a copied pair to the copy rule of `state` enabled at
+    /// `slot`: one firing and the time since `start`.
+    fn charge_copy(&self, prof: &ProfileData, state: usize, slot: usize, start: Option<Instant>) {
+        let plan = self.cx.plan;
+        let Slot { tree, kids, .. } = self.slots[slot];
+        let enabled = plan
+            .group(state, tree.ctor().0)
+            .iter()
+            .find(|cr| self.enabled(cr.sel, slot, kids as usize));
+        if let Some(cr) = enabled {
+            let idx = plan.rule_offsets[state] + cr.idx as usize;
+            prof.fired[idx].fetch_add(1, Ordering::Relaxed);
+            charge(Some(prof), idx, start);
+        }
     }
 
     /// Appends the output trees of the enabled template `out`, read from

@@ -3,12 +3,15 @@
 //! When [`RunOptions::profile`](crate::RunOptions::profile) is set, the
 //! plan's dispatch loop attributes its work to individual transducer
 //! rules: how often each `(state, ctor, rule-index)` fired (produced
-//! output), how many non-trivial guard evaluations it cost, and its
-//! cumulative *self* nanoseconds: the time spent selecting the rule
-//! (guard and lookahead) and building its output from the finished
-//! sub-transductions, which are charged to their own rules. Memo hits
-//! are attributed per state — a hit is found before any rule is
-//! selected.
+//! output for a `(state, node)` pair), how often dispatch consulted its
+//! non-trivial guard, and its cumulative *self* nanoseconds: the time
+//! spent selecting the rule (guard and lookahead bits) and building its
+//! output from the finished sub-transductions, which are charged to
+//! their own rules. A pair whose state copies its node is one firing of
+//! the enabled copy rule, with its time; nothing below it fires. Guards
+//! themselves are evaluated once per node while the input is lowered,
+//! outside any rule's time. Memo hits are attributed per state — a hit
+//! is found before any rule is selected.
 //!
 //! Collection is an array of relaxed atomics indexed by a precomputed
 //! flat rule index, so profiled batches stay parallel; with profiling
@@ -24,7 +27,8 @@ pub(crate) struct ProfileData {
     /// Per flat rule index: rule fired (guard + lookahead passed,
     /// output evaluated).
     pub fired: Vec<AtomicU64>,
-    /// Per flat rule index: non-trivial guard evaluations.
+    /// Per flat rule index: dispatch consultations of a non-trivial
+    /// guard.
     pub guard_evals: Vec<AtomicU64>,
     /// Per flat rule index: cumulative self nanoseconds.
     pub ns: Vec<AtomicU64>,
@@ -56,10 +60,13 @@ pub struct RuleProfileEntry {
     pub ctor_name: String,
     /// Index into the state's rule list.
     pub rule_idx: usize,
-    /// Times the rule fired (guard and lookahead passed, output
-    /// evaluated).
+    /// Times the rule fired: `(state, node)` pairs where its guard and
+    /// lookahead held and it produced the pair's output (a copied
+    /// subtree is one firing at its root).
     pub fired: u64,
-    /// Non-trivial guard evaluations charged to the rule.
+    /// Times dispatch consulted the rule's non-trivial guard (each
+    /// guard is evaluated once per node, however often it is
+    /// consulted).
     pub guard_evals: u64,
     /// Memo hits recorded against the rule's state (shared by every rule
     /// of that state — a hit happens before rule selection).

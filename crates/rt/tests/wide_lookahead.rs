@@ -1,8 +1,10 @@
-//! Lookahead STAs with more than 64 states: the plan keeps a subtree's
-//! accepting lookahead states as bit words, 64 states a word, so an STA
-//! with 130–140 states needs three words and rules whose required sets
-//! straddle a word boundary. Over random batches, `Plan::run_batch`
-//! and the same plan reloaded from an encoded
+//! Lookahead STAs with more than 64 states, and constructors read by
+//! more than 64 distinct guards: the plan keeps a subtree's accepting
+//! lookahead states, and a node's guard outcomes, as bit words, 64 a
+//! word. An STA with 130–140 states needs three words and rules whose
+//! required sets straddle a word boundary; a constructor with 70–130
+//! guards needs two or three guard words. Over random batches,
+//! `Plan::run_batch` and the same plan reloaded from an encoded
 //! `Artifact` must agree with the reference interpreter `Sttr::run`,
 //! item by item, errors included, also when a second batch reuses the
 //! first batch's memo under roots whose lookahead is computed afresh.
@@ -310,4 +312,75 @@ fn lookahead_on_a_dag_is_linear_in_distinct_nodes() {
     assert_eq!(want, vec![t.clone()]);
     assert_eq!(Plan::compile(&s).run(&t).unwrap(), want);
     assert_eq!(reloaded(&s).run(&t).unwrap(), want);
+}
+
+/// A one-state transducer with `n` (70–130) node rules, so `n` distinct
+/// guards read `N`: rule `k` holds at label `k` (`x0 == k`), or at `k`
+/// and `k + 1` (`k <= x0 < k + 2`), and writes `k` as the label, so the
+/// output names the rules that fired at each node.
+fn wide_guard_sttr() -> impl Strategy<Value = Sttr> {
+    proptest::collection::vec(any::<bool>(), 70..131).prop_map(|exact| {
+        let (ty, alg) = bt();
+        let leaf = ty.ctor_id("L").unwrap();
+        let node = ty.ctor_id("N").unwrap();
+        let mut b = SttrBuilder::new(ty, alg);
+        let q = b.state("q");
+        b.plain_rule(
+            q,
+            leaf,
+            Formula::True,
+            Out::node(leaf, LabelFn::identity(1), vec![]),
+        );
+        for (k, exact) in exact.into_iter().enumerate() {
+            let guard = if exact {
+                x0_cmp(CmpOp::Eq, k)
+            } else {
+                x0_cmp(CmpOp::Ge, k).and(x0_cmp(CmpOp::Lt, k + 2))
+            };
+            b.plain_rule(
+                q,
+                node,
+                guard,
+                Out::node(
+                    node,
+                    LabelFn::new(vec![Term::int(k as i64)]),
+                    vec![Out::Call(q, 1), Out::Call(q, 0)],
+                ),
+            );
+        }
+        b.build(q)
+    })
+}
+
+/// Trees whose node labels span every guard word.
+fn wide_guard_tree() -> impl Strategy<Value = Tree> {
+    let (ty, _) = bt();
+    let leaf_id = ty.ctor_id("L").unwrap();
+    let node_id = ty.ctor_id("N").unwrap();
+    let leaf = (0i64..4).prop_map(move |v| Tree::leaf(leaf_id, Label::single(v)));
+    leaf.prop_recursive(3, 12, 2, move |inner| {
+        ((0i64..135), inner.clone(), inner)
+            .prop_map(move |(v, a, b)| Tree::new(node_id, Label::single(v), vec![a, b]))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Each node's guard bits span two or three words: the plan and the
+    /// reloaded plan read rule `k`'s outcome from word `k / 64` and
+    /// agree with `Sttr::run`.
+    #[test]
+    fn wide_guard_plans_agree_with_sttr_run(
+        s in wide_guard_sttr(),
+        batch in proptest::collection::vec(wide_guard_tree(), 1..4),
+    ) {
+        let got = Plan::compile(&s).run_batch(&batch);
+        let from_artifact = reloaded(&s).run_batch(&batch);
+        for (i, t) in batch.iter().enumerate() {
+            let want = canon(s.run(t));
+            prop_assert_eq!(canon(got[i].clone()), want.clone());
+            prop_assert_eq!(canon(from_artifact[i].clone()), want);
+        }
+    }
 }

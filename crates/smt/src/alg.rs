@@ -91,7 +91,8 @@ pub trait TransAlg: BoolAlg {
     fn apply_fun(&self, f: &Self::Fun, e: &Self::Elem) -> Option<Self::Elem>;
     /// `x ↦ p(f(x))` — predicate pre-composition with a function.
     fn subst_pred(&self, p: &Self::Pred, f: &Self::Fun) -> Self::Pred;
-    /// True if `f` is (syntactically) the identity.
+    /// True if `f` is (syntactically) the identity on the algebra's
+    /// elements: a function that keeps only some of them is not.
     fn is_identity_fun(&self, f: &Self::Fun) -> bool;
     /// A predicate satisfied exactly by the elements on which `f` and `g`
     /// produce *different* outputs, or `None` when the algebra cannot
@@ -391,7 +392,7 @@ impl TransAlg for LabelAlg {
         })
     }
     fn is_identity_fun(&self, f: &Self::Fun) -> bool {
-        f.is_identity()
+        f.terms().len() == self.sig.arity() && f.is_identity()
     }
     fn funs_differ(&self, f: &Self::Fun, g: &Self::Fun) -> Option<Self::Pred> {
         if f.terms().len() != g.terms().len() {
@@ -462,7 +463,7 @@ mod tests {
     use super::*;
     use crate::formula::CmpOp;
     use crate::sort::Sort;
-    use crate::term::Term;
+    use crate::term::{LabelFn, Term};
 
     fn alg() -> LabelAlg {
         LabelAlg::new(LabelSig::single("i", Sort::Int))
@@ -482,6 +483,23 @@ mod tests {
         assert!(a.implies(&a.ff(), &odd));
         assert!(a.implies(&odd, &a.tt()));
         assert!(!a.implies(&a.tt(), &odd));
+    }
+
+    /// The identity on fewer or more fields than the signature has is
+    /// not the identity: over a two-field signature `[x0]` drops a field
+    /// and `[x0, x1, x2]` reads one that does not exist.
+    #[test]
+    fn identity_fun_covers_the_full_signature() {
+        let a = LabelAlg::new(LabelSig::new(vec![
+            ("a".into(), Sort::Int),
+            ("b".into(), Sort::Int),
+        ]));
+        assert!(a.is_identity_fun(&LabelFn::identity(2)));
+        assert!(a.is_identity_fun(&a.identity_fun()));
+        assert!(!a.is_identity_fun(&LabelFn::identity(1)));
+        assert!(!a.is_identity_fun(&LabelFn::identity(3)));
+        assert!(!a.is_identity_fun(&LabelFn::new(vec![Term::field(1), Term::field(0)])));
+        assert!(!alg().is_identity_fun(&LabelFn::identity(0)));
     }
 
     #[test]

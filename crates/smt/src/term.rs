@@ -498,7 +498,10 @@ impl LabelFn {
         &self.terms
     }
 
-    /// True if this is syntactically the identity.
+    /// True if output field `i` is input field `i` for every output
+    /// field: the identity on labels of exactly `self.terms().len()`
+    /// fields. Over a wider signature this is a projection, not the
+    /// identity; `LabelAlg::is_identity_fun` checks the arity too.
     pub fn is_identity(&self) -> bool {
         self.terms
             .iter()
