@@ -1079,20 +1079,24 @@ fn pipeline_check(
         );
         return Ok(0);
     };
-    let Some(l2) = compiled.lang(&out_name) else {
-        eprintln!("fastc: no language '{out_name}' in '{path}'");
-        return Err(ExitCode::from(2));
+    // Both languages must exist and be over the stages' tree type.
+    let stage_ty = ty_name.unwrap_or_default();
+    let lang = |n: &str| match (compiled.lang(n), compiled.lang_type(n)) {
+        (Some(sta), Some(t)) if t == stage_ty => Ok(sta),
+        (Some(_), Some(t)) => {
+            eprintln!(
+                "fastc: language '{n}' is over tree type '{t}', but the pipeline's stages \
+                 are over '{stage_ty}'"
+            );
+            Err(ExitCode::from(2))
+        }
+        _ => {
+            eprintln!("fastc: no language '{n}' in '{path}'");
+            Err(ExitCode::from(2))
+        }
     };
-    let l1 = match &in_name {
-        Some(n) => match compiled.lang(n) {
-            Some(sta) => Some(sta),
-            None => {
-                eprintln!("fastc: no language '{n}' in '{path}'");
-                return Err(ExitCode::from(2));
-            }
-        },
-        None => None,
-    };
+    let l2 = lang(&out_name)?;
+    let l1 = in_name.as_deref().map(lang).transpose()?;
 
     let outcome = fast_obs::time("analysis.check.fa101", || {
         fast_analysis::check_pipeline(&stages, l1, l2)
@@ -1108,19 +1112,8 @@ fn pipeline_check(
         }
         fast_analysis::PipelineOutcome::Violated(v) => {
             eprintln!("  contract {contract}: VIOLATED (FA101)");
-            eprintln!("    counterexample input: {}", v.input.display(ty));
-            for (i, t) in v.intermediates.iter().enumerate() {
-                let marker = if i == v.offending_stage {
-                    "   <- offending stage"
-                } else {
-                    ""
-                };
-                eprintln!(
-                    "    after stage {} ('{}'): {}{marker}",
-                    i + 1,
-                    names[i],
-                    t.display(ty)
-                );
+            for note in v.notes(&names, ty) {
+                eprintln!("    {note}");
             }
             Ok(1)
         }

@@ -17,25 +17,31 @@
 //! | `FA005` | warning | vacuous lookahead: a `given` clause names a language that accepts *every* tree |
 //! | `FA006` | warning | pipeline boundary not fusable: in a `(compose S T)`, `S` is not single-valued **and** `T` is not linear, so the composed transducer over-approximates `T_T ∘ T_S` (Theorem 4); the FA007 verdict for `S` and the witness rule of `T` are reported |
 //! | `FA007` | warning | not single-valued (semantic): a concrete, run-verified input produces ≥ 2 distinct outputs, so the transformation can never be the left factor of an exact composition (Theorem 4) and pipelines cascade at its boundaries |
-//! | `FA100` | error | contract violation: for `trans f : L1 -> L2` over languages, `L(L1) ∩ preimage(f, ¬L(L2)) ≠ ∅`; a concrete counterexample input tree is reported |
-//! | `FA101` | error | pipeline contract violation: for a `def` chain `t1; …; tn : L1 -> L2`, iterated pre-images prove some input in `L1` reaches an output outside `L2`; the counterexample is replayed forward through the actual stages and the offending stage's concrete bad intermediate is reported |
+//! | `FA100` | error | contract violation: for `trans f : L1 -> L2` over languages, `L(L1) ∩ preimage(f, ¬L(L2)) ≠ ∅`; a concrete counterexample input tree and its replayed output are reported (a warning when the contract is neither proved nor refuted) |
+//! | `FA101` | error | pipeline contract violation: for a `def` chain `t1; …; tn : L1 -> L2`, iterated pre-images prove some input in `L1` reaches an output outside `L2`; the counterexample is replayed forward through the actual stages and the offending stage's concrete bad intermediate is reported (a warning when the contract is neither proved nor refuted) |
 //!
-//! Contract checking (`FA100`) is the pre-image-based typechecking
-//! recipe: backward application of the transducer to the complement of
-//! the output language, intersected with the input language — exact for
-//! this class because pre-images of STTRs are regular.
+//! Contract checking is the pre-image-based typechecking recipe:
+//! backward application of the transducer to the complement of the
+//! output language, intersected with the input language — exact for
+//! this class because pre-images of STTRs are regular. Both codes decide
+//! through one procedure, [`check_pipeline`] (defined in [`fast_core`]
+//! and re-exported here with [`PipelineOutcome`] and
+//! [`PipelineViolation`]).
 //!
-//! Pipeline typechecking (`FA101`, [`check_pipeline`]) extends the same
-//! recipe to chains: when a `def` body is a pure `(compose …)` chain of
-//! named stages, the bad-output language `¬L2` is pulled backward one
-//! stage at a time (`Bn = preimage(tn, ¬L2)`, `Bi = preimage(ti,
-//! Bi+1)`) and the contract is violated iff `L(L1) ∩ B1 ≠ ∅`. The
-//! stage-wise pre-images stay exact where checking the eagerly composed
-//! product could over-approximate (Theorem 4), and the violation
-//! witness is replayed forward through the real stages to locate the
-//! first one whose concrete intermediate can no longer reach a good
-//! final output. `fastc check` exits 2 on `FA100`/`FA101` errors and 1
-//! on warnings under `--deny-warnings`.
+//! When a `def` body is a pure `(compose …)` chain of named stages, its
+//! contract is checked as that chain (`FA101`): the bad-output language
+//! `¬L2` is pulled backward one stage at a time (`Bn = preimage(tn,
+//! ¬L2)`, `Bi = preimage(ti, Bi+1)`) and the contract is violated iff
+//! `L(L1) ∩ B1 ≠ ∅`. The stage-wise pre-images stay exact where checking
+//! the eagerly composed product could over-approximate (Theorem 4), and
+//! the violation witness is replayed forward through the real stages to
+//! locate the first one whose concrete intermediate can no longer reach
+//! a good final output. Every other contract is the one-stage chain of
+//! its transformation (`FA100`). A contract is reported satisfied only
+//! when the offending language is proved empty and violated only with a
+//! replayed counterexample; anything else is a warning under the same
+//! code. `fastc check` exits 2 on `FA100`/`FA101` errors and 1 on
+//! warnings under `--deny-warnings`.
 //!
 //! ## Telemetry
 //!
@@ -65,13 +71,9 @@
 
 #![warn(missing_docs)]
 
-use fast_automata::{
-    complement, intersect, is_empty, is_universal, nonempty_states, normalize_rooted, witness, Sta,
-    StaBuilder, StateId,
-};
-use fast_core::{
-    compose_exactness, preimage, type_check, Exactness, Out, Sttr, SvBudget, SvVerdict,
-};
+use fast_automata::{is_empty, is_universal, nonempty_states, normalize_rooted, Sta, StateId};
+pub use fast_core::{check_pipeline, PipelineOutcome, PipelineViolation};
+use fast_core::{compose_exactness, Exactness, Out, Sttr, SvBudget, SvVerdict};
 use fast_json::Json;
 use fast_lang::{
     Compiled, Contract, Decl, DefTransDecl, Diagnostic, LangDecl, LangRule, Program, TExpr,
@@ -79,7 +81,7 @@ use fast_lang::{
 };
 use fast_obs::count;
 use fast_smt::{BoolAlg, Formula, Label, LabelAlg, LabelSig, TransAlg};
-use fast_trees::{Tree, TreeType};
+use fast_trees::TreeType;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -135,142 +137,6 @@ pub fn guards_exhaustive(alg: &LabelAlg, guards: &[Formula]) -> (bool, Option<La
     } else {
         (true, None)
     }
-}
-
-/// Outcome of a pipeline-wide contract check (`FA101`, [`check_pipeline`]).
-#[derive(Debug, Clone)]
-pub enum PipelineOutcome {
-    /// No input in `L1` can drive the chain to an output outside `L2`.
-    Satisfied,
-    /// The contract is violated; carries the replayed counterexample.
-    Violated(PipelineViolation),
-    /// An automaton construction or the replay exceeded its budget.
-    Unknown(String),
-}
-
-/// A replay-verified counterexample to a pipeline contract.
-#[derive(Debug, Clone)]
-pub struct PipelineViolation {
-    /// Input tree in `L1` whose staged evaluation escapes `L2`.
-    pub input: Tree,
-    /// One chosen output per stage (`intermediates[i]` is the replayed
-    /// output of stage `i`); the last entry is the bad final output.
-    pub intermediates: Vec<Tree>,
-    /// First stage index (0-based) whose replayed output can no longer
-    /// reach any output in `L2` — the stage that commits the violation;
-    /// later stages only propagate it.
-    pub offending_stage: usize,
-}
-
-/// Pipeline-wide contract typechecking (`FA101`): decides whether the
-/// staged chain `stages[0]; …; stages[n-1]` maps every input of `l1`
-/// (every input, when `None`) into `l2`, **without composing stages**.
-///
-/// The bad-output language `¬l2` is pulled backward through the chain
-/// with [`preimage`] — exact for STTRs, where checking the eagerly
-/// composed product could over-approximate (Theorem 4). On violation
-/// the witness input is replayed forward through the actual stages,
-/// choosing at each step an output that still reaches a bad final
-/// output, and the offending stage — the first whose intermediate
-/// cannot reach `l2` anymore — is identified against the good-output
-/// pre-image chain.
-///
-/// Every failure mode (pre-image budgets, replay budgets) degrades to
-/// [`PipelineOutcome::Unknown`], never to a wrong verdict.
-///
-/// # Panics
-///
-/// Panics when `stages` is empty.
-pub fn check_pipeline(stages: &[&Sttr], l1: Option<&Sta>, l2: &Sta) -> PipelineOutcome {
-    assert!(!stages.is_empty(), "pipeline needs at least one stage");
-    let n = stages.len();
-    // bad[i]: trees entering stage i that can reach a final output
-    // outside l2; bad[n] = ¬l2.
-    count!("analysis.solver_calls");
-    let mut bad = match complement(l2) {
-        Ok(s) => vec![s],
-        Err(e) => {
-            return PipelineOutcome::Unknown(format!(
-                "complementing the output language failed: {e}"
-            ))
-        }
-    };
-    for (i, s) in stages.iter().enumerate().rev() {
-        count!("analysis.solver_calls");
-        match preimage(s, bad.last().expect("seeded")) {
-            Ok(p) => bad.push(p),
-            Err(e) => {
-                return PipelineOutcome::Unknown(format!(
-                    "pre-image through stage {} failed: {e}",
-                    i + 1
-                ))
-            }
-        }
-    }
-    bad.reverse();
-    let offending_inputs = match l1 {
-        Some(l) => intersect(l, &bad[0]),
-        None => bad[0].clone(),
-    };
-    count!("analysis.solver_calls");
-    let input = match witness(&offending_inputs) {
-        Ok(Some(w)) => w,
-        Ok(None) => return PipelineOutcome::Satisfied,
-        Err(e) => {
-            return PipelineOutcome::Unknown(format!(
-                "witness extraction from the offending-input language failed: {e}"
-            ))
-        }
-    };
-    // good[i]: trees entering stage i that can still reach an output in
-    // l2; good[n] = l2. Locates the offending stage during replay.
-    let mut good = vec![l2.clone()];
-    for (i, s) in stages.iter().enumerate().rev() {
-        count!("analysis.solver_calls");
-        match preimage(s, good.last().expect("seeded")) {
-            Ok(p) => good.push(p),
-            Err(e) => {
-                return PipelineOutcome::Unknown(format!(
-                    "good-output pre-image through stage {} failed: {e}",
-                    i + 1
-                ))
-            }
-        }
-    }
-    good.reverse();
-    // Forward replay: stay inside the bad chain so the final output is
-    // guaranteed to land outside l2.
-    let mut cur = input.clone();
-    let mut intermediates = Vec::with_capacity(n);
-    for (i, s) in stages.iter().enumerate() {
-        let outs = match s.run(&cur) {
-            Ok(o) => o,
-            Err(e) => {
-                return PipelineOutcome::Unknown(format!(
-                    "replaying the counterexample through stage {} failed: {e}",
-                    i + 1
-                ))
-            }
-        };
-        // Exact pre-images guarantee such an output exists; the guard is
-        // purely defensive.
-        let Some(next) = outs.into_iter().find(|o| bad[i + 1].accepts(o)) else {
-            return PipelineOutcome::Unknown(format!(
-                "replay diverged from the pre-image chain at stage {}",
-                i + 1
-            ));
-        };
-        intermediates.push(next.clone());
-        cur = next;
-    }
-    let offending_stage = (0..n)
-        .find(|&i| !good[i + 1].accepts(&intermediates[i]))
-        .unwrap_or(n - 1);
-    PipelineOutcome::Violated(PipelineViolation {
-        input,
-        intermediates,
-        offending_stage,
-    })
 }
 
 /// Renders diagnostics as a machine-readable JSON object:
@@ -773,137 +639,103 @@ impl Analyzer<'_> {
     }
 
     /// FA100/FA101: every declared contract `f : L1 -> L2` must satisfy
-    /// `L(L1) ∩ preimage(f, ¬L(L2)) = ∅` (pre-image typechecking). On
-    /// violation, a concrete counterexample input tree is extracted.
+    /// `L(L1) ∩ preimage(f, ¬L(L2)) = ∅` (pre-image typechecking), decided
+    /// by [`check_pipeline`] with a replayed counterexample on violation.
     ///
-    /// Contracts on a `def` whose body is a pure compose chain of named
-    /// stages are routed to the stage-wise FA101 check ([`check_pipeline`])
-    /// instead: iterating `preimage` backward through the stages stays
-    /// exact where the eagerly composed product may over-approximate.
+    /// A contract on a `def` whose body is a pure compose chain of named
+    /// stages is checked as that chain (FA101): iterating `preimage`
+    /// backward through the stages stays exact where the eagerly composed
+    /// product may over-approximate. Every other contract is the
+    /// one-stage chain of its transformation (FA100).
     fn check_contracts(&mut self) {
-        for c in self.compiled.contracts() {
+        let compiled = self.compiled;
+        for c in compiled.contracts() {
             let Some(out_name) = c.output.as_deref() else {
                 continue; // input-only contracts constrain nothing checkable
             };
-            let (Some(sttr), Some(l2), Some(ty), Some(alg)) = (
-                self.compiled.transducer(&c.trans),
-                self.compiled.lang(out_name),
-                self.compiled.tree_type(&c.ty),
-                self.compiled.alg(&c.ty),
+            let (Some(sttr), Some(l2), Some(ty)) = (
+                compiled.transducer(&c.trans),
+                compiled.lang(out_name),
+                compiled.tree_type(&c.ty),
             ) else {
                 continue;
             };
             let l1 = match c.input.as_deref() {
-                Some(name) => match self.compiled.lang(name) {
-                    Some(sta) => sta.clone(),
+                Some(name) => match compiled.lang(name) {
+                    Some(sta) => Some(sta),
                     None => continue,
                 },
-                None => universal_sta(ty, alg),
+                None => None,
             };
-            if let Some(names) = self.chains.get(&c.trans).cloned() {
+            let chain = self.chains.get(&c.trans).and_then(|names| {
                 let stages: Option<Vec<&Sttr>> =
-                    names.iter().map(|n| self.compiled.transducer(n)).collect();
-                if let Some(stages) = stages {
-                    fast_obs::time("analysis.check.fa101", || {
-                        self.pipeline_contract_check(c, &names, &stages, &l1, l2, out_name, ty);
-                    });
-                    continue;
-                }
-            }
+                    names.iter().map(|n| compiled.transducer(n)).collect();
+                Some((names.clone(), stages?))
+            });
             count!("analysis.solver_calls");
-            match type_check(&l1, sttr, l2) {
-                Ok(true) => {}
-                Ok(false) => {
-                    let input_desc = match c.input.as_deref() {
-                        Some(n) => format!("some input in '{n}'"),
-                        None => "some input".to_string(),
-                    };
-                    let mut d = Diagnostic::new(
-                        c.span,
-                        format!(
-                            "transformation '{}' violates its contract: {input_desc} can \
-                             produce an output outside '{out_name}'",
-                            c.trans
-                        ),
-                    )
-                    .with_code("FA100");
-                    if let Some(cx) = contract_counterexample(&l1, sttr, l2, ty) {
-                        d = d.with_note(format!("counterexample input: {cx}"));
-                    }
-                    self.diags.push(d);
-                }
-                Err(e) => {
-                    self.diags.push(
-                        Diagnostic::warning(
-                            c.span,
-                            format!("contract of '{}' could not be verified: {e}", c.trans),
-                        )
-                        .with_code("FA100"),
-                    );
+            match chain {
+                Some((names, stages)) => fast_obs::time("analysis.check.fa101", || {
+                    let outcome = check_pipeline(&stages, l1, l2);
+                    self.report_contract(c, "FA101", &names, outcome, out_name, ty);
+                }),
+                None => {
+                    let outcome = check_pipeline(&[sttr], l1, l2);
+                    self.report_contract(c, "FA100", &[&c.trans], outcome, out_name, ty);
                 }
             }
         }
     }
 
-    /// FA101 proper: runs [`check_pipeline`] over the resolved stages of
-    /// a chain `def` and renders the outcome, replay trace included.
-    #[allow(clippy::too_many_arguments)]
-    fn pipeline_contract_check(
+    /// Reports the [`check_pipeline`] outcome of contract `c` under `code`:
+    /// `FA100` for a single transformation, `FA101` for the staged chain
+    /// of `names`. A violation is an error carrying the replayed
+    /// counterexample; an unproved contract is a warning.
+    fn report_contract<S: AsRef<str>>(
         &mut self,
         c: &Contract,
-        names: &[String],
-        stages: &[&Sttr],
-        l1: &Sta,
-        l2: &Sta,
+        code: &'static str,
+        names: &[S],
+        outcome: PipelineOutcome,
         out_name: &str,
-        ty: &Arc<TreeType>,
+        ty: &TreeType,
     ) {
-        match check_pipeline(stages, Some(l1), l2) {
-            PipelineOutcome::Satisfied => {}
+        let pipeline = code == "FA101";
+        let d = match outcome {
+            PipelineOutcome::Satisfied => return,
             PipelineOutcome::Violated(v) => {
-                let input_desc = match c.input.as_deref() {
-                    Some(n) => format!("an input in '{n}'"),
-                    None => "an input".to_string(),
-                };
-                let mut d = Diagnostic::new(
-                    c.span,
+                let input = c.input.as_deref();
+                let message = if pipeline {
+                    let input = input.map_or("an input".into(), |n| format!("an input in '{n}'"));
+                    let chain: Vec<&str> = names.iter().map(AsRef::as_ref).collect();
                     format!(
-                        "pipeline '{}' violates its contract: {input_desc} drives the staged \
-                         chain {} to an output outside '{out_name}'",
+                        "pipeline '{}' violates its contract: {input} drives the staged chain \
+                         {} to an output outside '{out_name}'",
                         c.trans,
-                        names.join(" ; "),
-                    ),
-                )
-                .with_code("FA101")
-                .with_note(format!("counterexample input: {}", v.input.display(ty)));
-                for (i, t) in v.intermediates.iter().enumerate() {
-                    let marker = if i == v.offending_stage {
-                        " <- offending stage: no good final output is reachable from here"
-                    } else {
-                        ""
-                    };
-                    d = d.with_note(format!(
-                        "after stage {} ('{}'): {}{marker}",
-                        i + 1,
-                        names[i],
-                        t.display(ty),
-                    ));
-                }
-                self.diags.push(d);
-            }
-            PipelineOutcome::Unknown(reason) => {
-                self.diags.push(
-                    Diagnostic::warning(
-                        c.span,
-                        format!(
-                            "pipeline contract of '{}' could not be verified: {reason}",
-                            c.trans
-                        ),
+                        chain.join(" ; "),
                     )
-                    .with_code("FA101"),
-                );
+                } else {
+                    let input =
+                        input.map_or("some input".into(), |n| format!("some input in '{n}'"));
+                    format!(
+                        "transformation '{}' violates its contract: {input} can produce an \
+                         output outside '{out_name}'",
+                        c.trans,
+                    )
+                };
+                let mut d = Diagnostic::new(c.span, message);
+                d.notes = v.notes(names, ty);
+                d
             }
-        }
+            PipelineOutcome::Unknown(reason) => Diagnostic::warning(
+                c.span,
+                format!(
+                    "{}contract of '{}' could not be verified: {reason}",
+                    if pipeline { "pipeline " } else { "" },
+                    c.trans
+                ),
+            ),
+        };
+        self.diags.push(d.with_code(code));
     }
 }
 
@@ -965,32 +797,6 @@ fn outputs_provably_equal(
         }
         _ => false,
     }
-}
-
-/// The universal language over `ty`: one state accepting every tree.
-/// Used as the input side of output-only contracts.
-fn universal_sta(ty: &Arc<TreeType>, alg: &Arc<LabelAlg>) -> Sta {
-    let mut b = StaBuilder::new(ty.clone(), alg.clone());
-    let u = b.state("any");
-    for ctor in ty.ctor_ids() {
-        b.rule(
-            u,
-            ctor,
-            Formula::True,
-            vec![BTreeSet::from([u]); ty.rank(ctor)],
-        );
-    }
-    b.build(u)
-}
-
-/// Recomputes the offending-input language `L1 ∩ preimage(f, ¬L2)` of a
-/// failed contract and extracts a witness tree.
-fn contract_counterexample(l1: &Sta, sttr: &Sttr, l2: &Sta, ty: &Arc<TreeType>) -> Option<String> {
-    let bad_out = complement(l2).ok()?;
-    let pre = preimage(sttr, &bad_out).ok()?;
-    let off = intersect(l1, &pre);
-    let w = witness(&off).ok().flatten()?;
-    Some(w.display(ty).to_string())
 }
 
 /// Renders a label as `name = value` pairs (or `the empty label` for
@@ -1365,36 +1171,6 @@ mod tests {
         );
         assert!(!codes(&diags).contains(&"FA101"), "{diags:?}");
         assert!(!codes(&diags).contains(&"FA100"), "{diags:?}");
-    }
-
-    #[test]
-    fn check_pipeline_agrees_with_single_stage_contract() {
-        // A single-stage "pipeline" against a satisfied contract: the
-        // public entry point must agree with FA100's verdict.
-        let program = fast_lang::parse(
-            r#"
-            type T[i: Int] { z(0), s(1) }
-            lang evens: T { z() where (i % 2 = 0) | s(x) where (i % 2 = 0) given (evens x) }
-            trans keep: T -> T { z() to (z [i]) | s(x) to (s [i] (keep x)) }
-            "#,
-        )
-        .expect("parse");
-        let mut sink = DiagSink::new();
-        let compiled = fast_lang::compile_ast(&program, &mut sink).expect("compile");
-        let keep = compiled.transducer("keep").unwrap();
-        let evens = compiled.lang("evens").unwrap();
-        match check_pipeline(&[keep], Some(evens), evens) {
-            PipelineOutcome::Satisfied => {}
-            other => panic!("expected Satisfied, got {other:?}"),
-        }
-        // And without an input restriction, odd inputs violate it.
-        match check_pipeline(&[keep], None, evens) {
-            PipelineOutcome::Violated(v) => {
-                assert_eq!(v.intermediates.len(), 1);
-                assert!(!evens.accepts(&v.intermediates[0]));
-            }
-            other => panic!("expected Violated, got {other:?}"),
-        }
     }
 
     #[test]

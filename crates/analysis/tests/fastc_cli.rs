@@ -1,6 +1,6 @@
 //! End-to-end tests of the `fastc` binary against the sample programs in
 //! `programs/`: the classic run mode (compile + evaluate + assertions) and
-//! the `fastc check` analysis mode (FA001-FA100 diagnostics, JSON output,
+//! the `fastc check` analysis mode (FA001-FA101 diagnostics, JSON output,
 //! and the documented exit-code contract).
 
 use std::path::PathBuf;
@@ -401,6 +401,112 @@ fn profile_rejects_unknown_transducer_and_bad_args() {
     assert_eq!(out.status.code(), Some(2));
     let out = fastc().arg("profile").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+}
+
+// ------------------------------------------------- check --pipeline mode
+
+fn check_pipeline(path: &std::path::Path, args: &[&str]) -> (Option<i32>, String) {
+    let out = fastc()
+        .arg("check")
+        .arg(path)
+        .arg("--pipeline")
+        .args(args)
+        .output()
+        .unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+const SANITIZER_CONTRACT: [&str; 5] = [
+    "remScript,esc",
+    "--input",
+    "nodeTree",
+    "--output",
+    "goodOutput",
+];
+
+#[test]
+fn check_pipeline_fixed_sanitizer_is_satisfied() {
+    let path = programs_dir().join("sanitizer_pipeline.fast");
+    let (code, stderr) = check_pipeline(&path, &SANITIZER_CONTRACT);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stderr.contains("contract nodeTree -> goodOutput: satisfied (FA101)"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn check_pipeline_buggy_sanitizer_replays_the_counterexample() {
+    let path = programs_dir().join("sanitizer_pipeline_buggy.fast");
+    let (code, stderr) = check_pipeline(&path, &SANITIZER_CONTRACT);
+    assert_eq!(code, Some(2), "a violated contract exits 2:\n{stderr}");
+    assert!(stderr.contains("VIOLATED (FA101)"), "{stderr}");
+    assert!(stderr.contains("counterexample input:"), "{stderr}");
+    let marked = stderr
+        .lines()
+        .find(|l| l.contains("offending stage"))
+        .unwrap_or_else(|| panic!("no offending-stage marker:\n{stderr}"));
+    assert!(marked.contains("after stage 1 ('remScript')"), "{marked}");
+    assert!(!stderr.contains("satisfied"), "{stderr}");
+}
+
+/// The guard `i * i = 2147395600` holds at `i = 46340`, so the contract
+/// is violated, but the solver finds no model of it. FA100 and
+/// `--pipeline` must give the same verdict — not verified — and neither
+/// may call the contract satisfied or report an unreplayed error.
+#[test]
+fn check_never_calls_an_unproved_contract_satisfied() {
+    let path = write_temp(
+        "unproved_contract.fast",
+        r#"
+        type T[i: Int] { z(0), s(1) }
+        lang anyT: T { z() | s(x) given (anyT x) }
+        lang zero: T { z() where (i = 0) }
+        trans f: anyT -> zero { z() where (i * i = 2147395600) to (z [1]) }
+        "#,
+    );
+    let (code, stderr) = check_pipeline(&path, &["f"]);
+    assert_eq!(code, Some(0), "an unproved contract is no error:\n{stderr}");
+    assert!(!stderr.contains("satisfied"), "{stderr}");
+    assert!(!stderr.contains("error[FA100]"), "{stderr}");
+    assert!(
+        stderr.contains("warning[FA100]") && stderr.contains("could not be verified"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("contract anyT -> zero: not verified"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn check_pipeline_rejects_a_language_over_another_type() {
+    let path = write_temp(
+        "two_types.fast",
+        r#"
+        type T[i: Int] { z(0), s(1) }
+        type U[j: Int] { a(0), b(1) }
+        lang anyT: T { z() | s(x) given (anyT x) }
+        lang anyU: U { a() | b(x) given (anyU x) }
+        trans f: T -> T { z() to (z [i]) | s(x) to (s [i] (f x)) }
+        "#,
+    );
+    for args in [
+        &["f", "--output", "anyU"][..],
+        &["f", "--input", "anyU", "--output", "anyT"][..],
+    ] {
+        let (code, stderr) = check_pipeline(&path, args);
+        assert_eq!(code, Some(2), "{args:?} is a usage error:\n{stderr}");
+        assert!(
+            stderr.contains("language 'anyU' is over tree type 'U'")
+                && stderr.contains("stages are over 'T'"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
 }
 
 // ---------------------------------------------------------- pipeline mode

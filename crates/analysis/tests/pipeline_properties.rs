@@ -7,6 +7,11 @@
 //! end-to-end: the input is in the declared input language, every
 //! intermediate really is an output of its stage on the previous tree,
 //! and the final tree falls outside the output language.
+//!
+//! The same oracle covers FA100, the one-stage case of the same check: a
+//! `trans` contract `evens -> evens` on a transformation shifting by
+//! `a + b`, whose reported counterexample is parsed back from the
+//! diagnostic and replayed.
 
 use fast_analysis::{check_pipeline, PipelineOutcome};
 use proptest::prelude::*;
@@ -28,6 +33,24 @@ fn program(a: u8, b: u8) -> String {
         | cons(x) to (cons [i + {b}] (bumpB x))
         }}
         def pipe: evens -> evens := (compose bumpA bumpB)
+        "#
+    )
+}
+
+/// One transformation shifting every label by `a + b`, under a `trans`
+/// contract: the FA100 path of the same parity oracle.
+fn trans_program(a: u8, b: u8) -> String {
+    format!(
+        r#"
+        type T[i: Int] {{ nil(0), cons(1) }}
+        lang evens: T {{
+          nil() where (i % 2 = 0)
+        | cons(x) where (i % 2 = 0) given (evens x)
+        }}
+        trans bump: evens -> evens {{
+          nil() to (nil [i + {a} + {b}])
+        | cons(x) to (cons [i + {a} + {b}] (bump x))
+        }}
         "#
     )
 }
@@ -98,6 +121,39 @@ proptest! {
             PipelineOutcome::Unknown(reason) => {
                 prop_assert!(false, "checker punted on a decidable chain: {}", reason);
             }
+        }
+    }
+
+    /// FA100 agrees with the parity oracle, and its counterexample notes
+    /// replay: the input is in `evens`, and the reported output is an
+    /// output of `bump` on it that falls outside `evens`.
+    #[test]
+    fn fa100_agrees_with_the_parity_oracle(a in 0u8..4, b in 0u8..4) {
+        let src = trans_program(a, b);
+        let (ast, compiled) = compile(&src);
+        let bump = compiled.transducer("bump").unwrap();
+        let evens = compiled.lang("evens").unwrap();
+        let ty = compiled.tree_type("T").unwrap();
+        let should_violate = (a + b) % 2 == 1;
+
+        let diags = fast_analysis::analyze(&ast, &compiled);
+        let fa100: Vec<_> = diags.iter().filter(|d| d.code == Some("FA100")).collect();
+        prop_assert_eq!(fa100.len(), usize::from(should_violate), "a={} b={}: {:?}", a, b, diags);
+        if let Some(d) = fa100.first() {
+            prop_assert!(d.is_error(), "{:?}", d);
+            let tree_after = |prefix: &str| {
+                let note = d.notes.iter().find_map(|n| n.strip_prefix(prefix));
+                note.map(|t| fast_trees::Tree::parse(ty, t).expect("a rendered tree parses"))
+            };
+            let input = tree_after("counterexample input: ").expect("counterexample note");
+            let output = tree_after("after stage 1 ('bump'): ").expect("replayed output note");
+            prop_assert!(evens.accepts(&input), "input {} outside evens", input.display(ty));
+            prop_assert!(
+                bump.run(&input).unwrap().contains(&output),
+                "{} is not an output of bump on {}",
+                output.display(ty), input.display(ty),
+            );
+            prop_assert!(!evens.accepts(&output), "output {} inside evens", output.display(ty));
         }
     }
 }

@@ -30,7 +30,22 @@ pub fn is_empty<A: BoolAlg<Elem = Label>>(sta: &Sta<A>) -> Result<bool, Automata
 ///
 /// Propagates state-budget errors from normalization.
 pub fn witness<A: BoolAlg<Elem = Label>>(sta: &Sta<A>) -> Result<Option<Tree>, AutomataError> {
-    let norm = normalize(sta)?;
+    Ok(normalized_witness(&normalize(sta)?))
+}
+
+/// [`witness`] on an automaton that is already normalized (as returned
+/// by [`normalize`]), for callers that decide emptiness with
+/// [`nonempty_states`] on the same normalized automaton and should not
+/// normalize twice. The returned tree is verified with [`Sta::accepts`].
+///
+/// # Panics
+///
+/// Panics if the automaton is not normalized.
+pub fn normalized_witness<A: BoolAlg<Elem = Label>>(norm: &Sta<A>) -> Option<Tree> {
+    assert!(
+        norm.is_normalized(),
+        "normalized_witness requires a normalized STA"
+    );
     let alg = norm.alg().clone();
     let n = norm.state_count();
     let mut best: Vec<Option<Tree>> = vec![None; n];
@@ -60,10 +75,7 @@ pub fn witness<A: BoolAlg<Elem = Label>>(sta: &Sta<A>) -> Result<Option<Tree>, A
             break;
         }
     }
-    match best[norm.initial().0].take() {
-        Some(t) if sta.accepts(&t) => Ok(Some(t)),
-        _ => Ok(None),
-    }
+    best[norm.initial().0].take().filter(|t| norm.accepts(t))
 }
 
 /// Language inclusion `L(a) ⊆ L(b)`.

@@ -13,8 +13,9 @@
 //!   minimization live on this form;
 //! * [`union`], [`intersect`], [`complement`], [`difference`],
 //!   [`minimize`] — the language operations of §3.5;
-//! * [`is_empty`], [`witness`], [`includes`], [`equivalent`],
-//!   [`is_universal`] — decision procedures (Proposition 1);
+//! * [`is_empty`], [`witness`], [`normalized_witness`], [`includes`],
+//!   [`equivalent`], [`is_universal`] — decision procedures
+//!   (Proposition 1);
 //! * [`includes_antichain`] / [`is_universal_antichain`] — antichain
 //!   variants that avoid the full subset construction and return verified
 //!   counterexample trees (§7's CIAA'08 open direction, implemented).
@@ -66,7 +67,7 @@ pub use antichain::{
     universality_counterexample, MAX_ANTICHAIN,
 };
 pub use bottomup::{determinize, Dbta, MAX_DET_STATES};
-pub use decide::{equivalent, includes, is_empty, is_universal, witness};
+pub use decide::{equivalent, includes, is_empty, is_universal, normalized_witness, witness};
 pub use error::AutomataError;
 pub use normalize::{clean, nonempty_states, normalize, normalize_rooted, MAX_MERGED_STATES};
 pub use ops::{complement, difference, intersect, minimize, union};

@@ -15,6 +15,12 @@
 //!   (Theorem 4) — see [`Sttr::is_deterministic`] and [`Sttr::is_linear`];
 //! * [`preimage`], [`restrict`], [`restrict_out`], [`type_check`] — the
 //!   derived analyses of §3.5;
+//! * [`check_pipeline`] — the contract check `l1 t1; …; tn l2`: one
+//!   backward pre-image procedure that decides the contract and, on
+//!   violation, replays a counterexample forward through the stages
+//!   ([`PipelineOutcome`], [`PipelineViolation`]). Every contract verdict
+//!   in the workspace — the `FA100`/`FA101` diagnostics, the DSL's
+//!   `type-check` assertion and `fastc check --pipeline` — comes from it;
 //! * [`identity`], [`identity_restricted`] — the identity STTR and
 //!   `restrict I l`, the single-valued *and* linear workhorse that makes
 //!   the derived operations exact.
@@ -69,7 +75,10 @@ pub use compose::{
 };
 pub use equiv::{find_inequivalence, EquivConfig};
 pub use error::TransducerError;
-pub use ops::{is_empty_transducer, restrict, restrict_out, type_check};
+pub use ops::{
+    check_pipeline, is_empty_transducer, restrict, restrict_out, type_check, PipelineOutcome,
+    PipelineViolation,
+};
 pub use out::Out;
 pub use sttr::{identity, identity_restricted, Sttr, SttrBuilder, TRule, DEFAULT_RUN_CAP};
 pub use sv::{SvBudget, SvProof, SvVerdict};

@@ -1,13 +1,18 @@
 //! Derived transducer operations (§3.5): input/output restriction and
-//! type-checking. All are special applications of composition with the
-//! restricted identity transducer, which is single-valued *and* linear, so
-//! they are always exact (Theorem 4).
+//! type-checking. Restriction is a special application of composition
+//! with the restricted identity transducer, which is single-valued *and*
+//! linear, so it is always exact (Theorem 4). Type-checking pulls the bad
+//! outputs backward with [`preimage`]; [`check_pipeline`] is the one
+//! contract check built on it, for a single transducer or a staged chain.
 
 use crate::compose::{preimage, try_compose_exact};
 use crate::error::TransducerError;
 use crate::sttr::{identity_restricted, Sttr};
-use fast_automata::{complement, intersect, is_empty, Sta};
+use fast_automata::{
+    complement, intersect, is_empty, nonempty_states, normalize, normalized_witness, Sta,
+};
 use fast_smt::{Label, TransAlg};
+use fast_trees::{Tree, TreeType};
 
 /// `restrict t l`: behaves like `t` but is only defined on inputs in the
 /// language of `l`'s designated state.
@@ -82,6 +87,166 @@ pub fn type_check<A: TransAlg<Elem = Label>>(
     let bad_inputs = preimage(t, &bad_outputs)?;
     let offending = intersect(l1, &bad_inputs);
     is_empty(&offending).map_err(TransducerError::from)
+}
+
+/// Outcome of a contract check ([`check_pipeline`]).
+#[derive(Debug, Clone)]
+pub enum PipelineOutcome {
+    /// Proved: no input in `L1` can drive the chain to an output outside
+    /// `L2` (the offending-input language is empty).
+    Satisfied,
+    /// The contract is violated; carries the replayed counterexample.
+    Violated(PipelineViolation),
+    /// Neither proved nor refuted: an automaton construction exceeded its
+    /// budget, or the offending-input language is not provably empty but
+    /// no counterexample could be constructed or replayed.
+    Unknown(String),
+}
+
+/// A replay-verified counterexample to a contract.
+#[derive(Debug, Clone)]
+pub struct PipelineViolation {
+    /// Input tree in `L1` whose staged evaluation escapes `L2`.
+    pub input: Tree,
+    /// One chosen output per stage (`intermediates[i]` is the replayed
+    /// output of stage `i`); the last entry is the bad final output.
+    pub intermediates: Vec<Tree>,
+    /// First stage index (0-based) whose replayed output can no longer
+    /// reach any output in `L2` — the stage that commits the violation;
+    /// later stages only propagate it.
+    pub offending_stage: usize,
+}
+
+impl PipelineViolation {
+    /// Renders the counterexample as report lines: the input, then the
+    /// replayed output of each stage (named by `names`, in stage order),
+    /// with the offending stage marked when the chain has more than one.
+    pub fn notes<S: AsRef<str>>(&self, names: &[S], ty: &TreeType) -> Vec<String> {
+        let mut notes = vec![format!("counterexample input: {}", self.input.display(ty))];
+        for (i, (t, name)) in self.intermediates.iter().zip(names).enumerate() {
+            let marker = if i == self.offending_stage && names.len() > 1 {
+                " <- offending stage: no good final output is reachable from here"
+            } else {
+                ""
+            };
+            notes.push(format!(
+                "after stage {} ('{}'): {}{marker}",
+                i + 1,
+                name.as_ref(),
+                t.display(ty),
+            ));
+        }
+        notes
+    }
+}
+
+/// The contract check: decides whether the staged chain `stages[0]; …;
+/// stages[n-1]` maps every input of `l1` (every input, when `None`) into
+/// `l2`, **without composing stages**. A single transducer is the
+/// one-stage chain, and then this is [`type_check`] with a counterexample.
+///
+/// The bad-output language `¬l2` is pulled backward through the chain
+/// with [`preimage`] — exact for STTRs, where checking the eagerly
+/// composed product could over-approximate (Theorem 4) — and intersected
+/// with `l1`. That offending-input language is normalized once, both to
+/// decide its emptiness and to extract a witness input. The witness is
+/// replayed forward through the actual stages, choosing at each step an
+/// output that still reaches a bad final output, and the offending stage
+/// — the first whose intermediate cannot reach `l2` anymore — is
+/// identified against the good-output pre-images of the later stages
+/// (with one stage, it is that stage).
+///
+/// The verdict is never wrong: [`PipelineOutcome::Satisfied`] only when
+/// the offending-input language is proved empty,
+/// [`PipelineOutcome::Violated`] only with a replayed counterexample, and
+/// [`PipelineOutcome::Unknown`] otherwise — budget errors, and a
+/// language the solver cannot prove empty but yields no witness for.
+///
+/// # Panics
+///
+/// Panics when `stages` is empty, or when the stages and languages are
+/// over different tree types.
+pub fn check_pipeline(stages: &[&Sttr], l1: Option<&Sta>, l2: &Sta) -> PipelineOutcome {
+    assert!(!stages.is_empty(), "pipeline needs at least one stage");
+    decide_pipeline(stages, l1, l2).unwrap_or_else(PipelineOutcome::Unknown)
+}
+
+/// [`check_pipeline`]'s procedure; `Err` carries the reason for
+/// [`PipelineOutcome::Unknown`].
+fn decide_pipeline(
+    stages: &[&Sttr],
+    l1: Option<&Sta>,
+    l2: &Sta,
+) -> Result<PipelineOutcome, String> {
+    let n = stages.len();
+    let bad_outputs =
+        complement(l2).map_err(|e| format!("complementing the output language failed: {e}"))?;
+    // bad[i]: trees entering stage i that can reach a final output
+    // outside l2; bad[n] = ¬l2.
+    let bad = pull_back(stages, 0, bad_outputs)?;
+    let offending_inputs = match l1 {
+        Some(l) => intersect(l, &bad[0]),
+        None => bad[0].clone(),
+    };
+    let norm = normalize(&offending_inputs)
+        .map_err(|e| format!("normalizing the offending-input language failed: {e}"))?;
+    if !nonempty_states(&norm)[norm.initial().0] {
+        return Ok(PipelineOutcome::Satisfied);
+    }
+    let input = normalized_witness(&norm).ok_or(
+        "the offending-input language is not provably empty, but no counterexample could be \
+         constructed from it",
+    )?;
+    // Forward replay: stay inside the bad chain so the final output is
+    // guaranteed to land outside l2.
+    let mut cur = input.clone();
+    let mut intermediates = Vec::with_capacity(n);
+    for (i, s) in stages.iter().enumerate() {
+        let outs = s.run(&cur).map_err(|e| {
+            format!(
+                "replaying the counterexample through stage {} failed: {e}",
+                i + 1
+            )
+        })?;
+        // Exact pre-images guarantee such an output exists; the check is
+        // purely defensive.
+        cur = outs
+            .into_iter()
+            .find(|o| bad[i + 1].accepts(o))
+            .ok_or_else(|| {
+                format!(
+                    "replay diverged from the pre-image chain at stage {}",
+                    i + 1
+                )
+            })?;
+        intermediates.push(cur.clone());
+    }
+    // good[i]: outputs of stage i that can still reach a final output in
+    // l2; good[n - 1] = l2, so one stage needs no pre-image. The offending
+    // stage is the first whose replayed output falls outside good[i].
+    let good = pull_back(stages, 1, l2.clone())?;
+    let offending_stage = (0..n)
+        .find(|&i| !good[i].accepts(&intermediates[i]))
+        .unwrap_or(n - 1);
+    Ok(PipelineOutcome::Violated(PipelineViolation {
+        input,
+        intermediates,
+        offending_stage,
+    }))
+}
+
+/// Pulls `target` backward through `stages[first..]`: entry `i` of the
+/// result holds the trees entering stage `first + i` that the rest of
+/// the chain can map into `target`, and the last entry is `target`.
+fn pull_back(stages: &[&Sttr], first: usize, target: Sta) -> Result<Vec<Sta>, String> {
+    let mut chain = vec![target];
+    for (i, s) in stages.iter().enumerate().skip(first).rev() {
+        let pre = preimage(s, chain.last().expect("seeded"))
+            .map_err(|e| format!("pre-image through stage {} failed: {e}", i + 1))?;
+        chain.push(pre);
+    }
+    chain.reverse();
+    Ok(chain)
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@ use fast_automata::{
     StaBuilder, StateId,
 };
 use fast_core::{
-    compose, is_empty_transducer, preimage, restrict, restrict_out, type_check, Out, Sttr,
-    SttrBuilder,
+    check_pipeline, compose, is_empty_transducer, preimage, restrict, restrict_out, Out,
+    PipelineOutcome, Sttr, SttrBuilder,
 };
 use fast_smt::{Atom, CmpOp, Formula, Label, LabelAlg, LabelFn, LabelSig, Sort, Term};
 use fast_trees::{Tree, TreeType};
@@ -1052,17 +1052,14 @@ impl Compiler {
                 let (t2, s2) = self.eval_lexpr(l2)?;
                 same_type(&t1, &tt, a.span)?;
                 same_type(&tt, &t2, a.span)?;
-                let ok = type_check(&s1, &sttr, &s2).map_err(|e| err(a.span, e.to_string()))?;
-                let cx = if !ok {
-                    // Recompute the offending-input language for a witness.
-                    complement(&s2)
-                        .ok()
-                        .and_then(|bad_out| preimage(&sttr, &bad_out).ok())
-                        .map(|pre| intersect(&s1, &pre))
-                        .and_then(|off| witness(&off).ok().flatten())
-                        .map(|w| w.display(&self.types[&t1]).to_string())
-                } else {
-                    None
+                let (ok, cx) = match check_pipeline(&[&sttr], Some(&s1), &s2) {
+                    PipelineOutcome::Satisfied => (true, None),
+                    PipelineOutcome::Violated(v) => {
+                        (false, Some(v.input.display(&self.types[&t1]).to_string()))
+                    }
+                    PipelineOutcome::Unknown(reason) => {
+                        return Err(err(a.span, format!("type-check undecided: {reason}")))
+                    }
                 };
                 (ok, "type-check".to_string(), cx)
             }

@@ -200,3 +200,19 @@ fn failed_assertions_are_not_compile_errors() {
     assert_eq!(c.report().assertions.len(), 1);
     assert!(c.report().assertions[0].counterexample.is_some());
 }
+
+/// `z[46340]` breaks the contract (46340² = 2147395600 and `z[1]` is not
+/// in `zero`), but the solver finds no model of the guard. A `type-check`
+/// it can neither prove nor refute has no truth value: it is reported,
+/// not evaluated to `false`.
+#[test]
+fn undecided_type_check_is_an_error() {
+    let src = r#"
+        type T[i: Int] { z(0), s(1) }
+        lang anyT: T { z() | s(x) given (anyT x) }
+        lang zero: T { z() where (i = 0) }
+        trans f: T -> T { z() where (i * i = 2147395600) to (z [1]) }
+        assert-false (type-check anyT f zero)
+    "#;
+    assert!(err(src).contains("type-check undecided"), "{}", err(src));
+}
