@@ -1,7 +1,7 @@
-//! `fastc` — compile, run, build, serve, profile, watch, and statically
-//! check Fast programs.
+//! `fastc` — compile, run, build, serve, profile, and statically check
+//! Fast programs.
 //!
-//! Six modes:
+//! Five modes:
 //!
 //! - **run** (default): `fastc <file.fast> [--quiet|-q] [--stats|-s]
 //!   [--trace FILE]` compiles the program, evaluates every definition
@@ -31,9 +31,10 @@
 //!   [--slo FILE]` loads one or more `.fastc` artifacts and serves
 //!   their transducers and pipelines over TCP (`fast-serve`:
 //!   length-prefixed JSON frames, admission control, shared memos, a
-//!   background telemetry engine, and — with `--slo` — continuous SLO
-//!   evaluation surfaced through the `stats` operation). Runs until
-//!   killed.
+//!   background telemetry engine, and — with `--slo` — an SLO verdict
+//!   on every closed telemetry window, surfaced through the `stats`
+//!   operation). A malformed or unknown SLO spec exits 2 before the
+//!   server binds. Runs until killed.
 //! - **check**: `fastc check <file.fast> [--json] [--deny-warnings]
 //!   [--stats|-s] [--trace FILE]` runs the `fast-analysis` semantic
 //!   checks (dead rules, guard overlap, exhaustiveness, reachability,
@@ -58,19 +59,6 @@
 //!   line-delimited JSON. The slow-items table (the process-wide
 //!   `rt.item` exemplars: TreeId, state, latency, output size) is
 //!   printed after the hot-rules table.
-//! - **watch**: `fastc watch <file.fast> [--slo FILE] [--ticks N]
-//!   [--trees N] [--seed S] [--window W] [--trans NAME] [--jsonl FILE]
-//!   [--bench-json FILE]` drives the windowed telemetry engine
-//!   (`fast_obs::engine`) over a continuous workload: each tick runs a
-//!   fresh generated batch through the transducer (sharing a
-//!   `BatchMemo` across ticks, so the memo hit rate is a real signal),
-//!   closes one sampler window, and prints a one-line summary of the
-//!   sliding view (items/s, windowed p99/max, memo hit rate, resident
-//!   interner bytes, errors). With `--slo FILE` the declarative SLO
-//!   spec (`fast_obs::slo`) is evaluated against the view every tick;
-//!   any violation is reported and the run exits 1. `--jsonl` exports
-//!   every retained window as JSON lines; `--bench-json` writes the
-//!   `BENCH_obs.json` summary CI validates.
 //!
 //! `--trace FILE` on any mode enables span tracing for the whole
 //! invocation and writes the Chrome trace on exit.
@@ -93,9 +81,6 @@ const USAGE: &str = "usage: fastc <file.fast> [--quiet|-q] [--stats|-s] [--trace
              [--pipeline t1,t2,... [--input LANG] [--output LANG]]
        fastc profile <file.fast> [--trees N] [--seed S] [--top K] [--trans NAME]
                      [--trace FILE] [--jsonl FILE] [--stats|-s]
-       fastc watch <file.fast> [--slo FILE] [--ticks N] [--trees N] [--seed S]
-                     [--window W] [--trans NAME] [--jsonl FILE]
-                     [--bench-json FILE] [--quiet|-q]
        fastc --help
 
 modes:
@@ -115,11 +100,6 @@ modes:
   profile          batch-run one transducer over generated trees and
                    report phase times, the hottest rules, and the
                    slowest items (exemplars)
-  watch            run a continuous workload through one transducer,
-                   printing one line of windowed telemetry per tick
-                   (items/s, p99/max latency, memo hit rate, resident
-                   interner bytes); with --slo, evaluate a declarative
-                   SLO spec each tick and exit 1 on any violation
 
 options:
   --trace FILE     record hierarchical spans and write a Chrome
@@ -146,29 +126,21 @@ options:
   --output LANG    (check --pipeline) output language the chain must
                    land in [last stage's contract output]
   --jsonl FILE     (profile) write the span buffer as JSON lines
-                   (watch) write one JSON object per retained window
-  --trees N        (profile/pipeline/trans/watch) number of generated
-                   input trees, per tick in watch mode [200 / 100]
-  --seed S         (profile/pipeline/trans/watch) tree-generator seed,
-                   advanced every watch tick [42]
+  --trees N        (profile/pipeline/trans) number of generated input
+                   trees [200 / 100]
+  --seed S         (profile/pipeline/trans) tree-generator seed [42]
   --top K          (profile) rows in the hot-rules table [10]
-  --slo FILE       (watch) JSON SLO spec: any of p99_latency_ms,
+  --slo FILE       (serve) JSON SLO spec: any of p99_latency_ms,
                    min_memo_hit_rate, max_intern_resident_bytes,
-                   max_error_rate; violations exit 1
-                   (serve) the same spec, evaluated continuously over
-                   the server's sliding window; the violation state is
-                   reported by the 'stats' operation
+                   max_error_rate; evaluated over the server's sliding
+                   window each time a telemetry window closes, the
+                   violation state reported by the 'stats' operation
   --addr HOST:PORT (serve) listen address [127.0.0.1:7878]
   --workers N      (serve) executor threads [one per core, max 8]
   --queue N        (serve) bounded work-queue depth; a full queue sheds
                    requests with 429 responses [64]
   --max-conns N    (serve) concurrent connection cap [64]
   --timeout-ms N   (serve) per-request deadline ceiling [10000]
-  --ticks N        (watch) number of workload ticks = sampler windows [8]
-  --window W       (watch) sliding-view width in windows [5]
-  --bench-json FILE
-                   (watch) write a BENCH_obs.json summary (schema_version
-                   header, windowed p99, interner bytes, violations)
 
 exit codes:
   0  clean (run: all assertions passed; check: no errors, and no
@@ -185,7 +157,6 @@ fn main() -> ExitCode {
         Some("serve") => serve_mode(&args[1..]),
         Some("check") => check_mode(&args[1..]),
         Some("profile") => profile_mode(&args[1..]),
-        Some("watch") => watch_mode(&args[1..]),
         _ => run_mode(&args),
     }
 }
@@ -1147,7 +1118,7 @@ fn resolve_transducer<'c>(
     Ok((sttr, ty))
 }
 
-/// Resolves the transducer the profile/watch workload drives, with its
+/// Resolves the transducer the profile workload drives, with its
 /// name and input type: the `--trans` name if given (checked by
 /// [`resolve_transducer`]), else the largest transducer by (states,
 /// rules) with the name as a deterministic tie-break.
@@ -1192,18 +1163,6 @@ fn format_ns(ns: u64) -> String {
         format!("{:.1}ms", ns / 1_000_000.0)
     } else {
         format!("{:.2}s", ns / 1_000_000_000.0)
-    }
-}
-
-/// Renders a byte count human-readably (`312B`, `4.1KiB`, `7.3MiB`).
-fn format_bytes(b: u64) -> String {
-    let b = b as f64;
-    if b < 1024.0 {
-        format!("{b:.0}B")
-    } else if b < 1024.0 * 1024.0 {
-        format!("{:.1}KiB", b / 1024.0)
-    } else {
-        format!("{:.1}MiB", b / (1024.0 * 1024.0))
     }
 }
 
@@ -1353,217 +1312,4 @@ fn profile_mode(args: &[String]) -> ExitCode {
         println!("{}", fast_obs::snapshot().to_json().pretty());
     }
     ExitCode::SUCCESS
-}
-
-fn watch_mode(args: &[String]) -> ExitCode {
-    use fast_json::Json;
-
-    let mut ticks = 8usize;
-    let mut trees = 100usize;
-    let mut seed = 42u64;
-    let mut window = 5usize;
-    let mut trans: Option<String> = None;
-    let mut slo_path: Option<String> = None;
-    let mut jsonl: Option<String> = None;
-    let mut bench_json: Option<String> = None;
-    let mut quiet = false;
-    let mut path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quiet" | "-q" => quiet = true,
-            flag @ ("--ticks" | "--trees" | "--seed" | "--window") => {
-                let n = match flag_number(args, i) {
-                    Ok(n) => n,
-                    Err(code) => return code,
-                };
-                match flag {
-                    "--ticks" => ticks = n as usize,
-                    "--trees" => trees = n as usize,
-                    "--seed" => seed = n,
-                    _ => window = n as usize,
-                }
-                i += 1;
-            }
-            flag @ ("--trans" | "--slo" | "--jsonl" | "--bench-json") => {
-                let v = match flag_value(args, i) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                match flag {
-                    "--trans" => trans = Some(v),
-                    "--slo" => slo_path = Some(v),
-                    "--jsonl" => jsonl = Some(v),
-                    _ => bench_json = Some(v),
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
-            other => return usage_error(&format!("unexpected argument '{other}'")),
-        }
-        i += 1;
-    }
-    if ticks == 0 || window == 0 {
-        return usage_error("'--ticks' and '--window' must be at least 1");
-    }
-    let Some(path) = path else {
-        return usage_error("watch mode needs a <file.fast> argument");
-    };
-    let spec = match &slo_path {
-        Some(p) => {
-            let text = match read_source(p) {
-                Ok(t) => t,
-                Err(code) => return code,
-            };
-            match fast_obs::slo::SloSpec::parse(&text) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    eprintln!("fastc: bad SLO spec '{p}': {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        None => None,
-    };
-    let src = match read_source(&path) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let compiled = match fast_lang::compile(&src) {
-        Ok(c) => c,
-        Err(d) => {
-            eprintln!("{path}:{d}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (name, sttr, ty) = match pick_transducer(&compiled, trans.as_deref(), &path) {
-        Ok(found) => found,
-        Err(code) => return code,
-    };
-
-    let plan = fast_rt::Plan::compile(sttr);
-    let opts = fast_rt::RunOptions::default();
-    // One memo shared across all ticks: the run's memo hit rate is a
-    // real cross-tick signal, not a per-batch artifact.
-    let memo = fast_rt::BatchMemo::new(opts.memo_capacity);
-    // Retain every tick's window so --jsonl and --bench-json cover the
-    // whole run; the printed view still slides over the last `window`.
-    let mut sampler = fast_obs::engine::Sampler::new(ticks);
-
-    if !quiet {
-        println!(
-            "watch {path}: transducer '{name}', {trees} trees/tick x {ticks} ticks \
-             (seed {seed}), view over last {window} window(s){}",
-            match &slo_path {
-                Some(p) => format!(", SLO {p}"),
-                None => String::new(),
-            }
-        );
-    }
-
-    let mut violations: Vec<fast_obs::slo::SloViolation> = Vec::new();
-    let mut total_errs = 0usize;
-    for tick in 1..=ticks {
-        // A fresh corpus every tick (seed advanced per tick) keeps the
-        // interner growing — exactly the residency signal watch exists
-        // to surface — while repeated subtrees still hit the memo.
-        let inputs = fast_trees::TreeGen::new(seed.wrapping_add(tick as u64)).trees(ty, trees);
-        let (results, _stats) = plan.run_batch_shared(&inputs, &opts, &memo);
-        let errs = results.iter().filter(|r| r.is_err()).count();
-        total_errs += errs;
-        sampler.tick();
-        let view = sampler.view(window);
-        if !quiet {
-            let dash = || "-".to_string();
-            let p99 = view
-                .quantile_ns("rt.item", 0.99)
-                .map(format_ns)
-                .unwrap_or_else(dash);
-            let max = view.max_ns("rt.item").map(format_ns).unwrap_or_else(dash);
-            let hit = view
-                .hit_rate("rt.memo_hits", "rt.memo_misses")
-                .map(|r| format!("{:.0}%", r * 100.0))
-                .unwrap_or_else(dash);
-            println!(
-                "tick {tick:>3}/{ticks}: {:>9.0} items/s | p99 {p99:>8} | max {max:>8} | \
-                 memo {hit:>4} | intern {:>9} | {errs} err",
-                view.rate("rt.batch_items"),
-                format_bytes(view.snap.gauge("intern.resident_bytes")),
-            );
-        }
-        if let Some(spec) = &spec {
-            for v in spec.evaluate(&view) {
-                eprintln!("fastc: tick {tick}: {v}");
-                violations.push(v);
-            }
-        }
-    }
-
-    if let Some(out) = &jsonl {
-        let write = std::fs::File::create(out)
-            .map(std::io::BufWriter::new)
-            .and_then(|w| sampler.export_jsonl(w));
-        if let Err(e) = write {
-            eprintln!("fastc: cannot write jsonl '{out}': {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(out) = &bench_json {
-        let all = sampler.view(ticks);
-        let snap = fast_obs::snapshot();
-        let exemplar_count = snap.exemplars.get("rt.item").map(Vec::len).unwrap_or(0);
-        let json = Json::obj([
-            ("schema_version", Json::Int(fast_obs::BENCH_SCHEMA_VERSION)),
-            ("bench", Json::Str("obs_watch".to_string())),
-            ("transducer", Json::Str(name.clone())),
-            ("ticks", Json::Int(ticks as i64)),
-            ("windows", Json::Int(sampler.len() as i64)),
-            ("trees_per_tick", Json::Int(trees as i64)),
-            ("items_per_sec", Json::Float(all.rate("rt.batch_items"))),
-            (
-                "p99_ns",
-                Json::Int(all.quantile_ns("rt.item", 0.99).unwrap_or(0) as i64),
-            ),
-            (
-                "max_ns",
-                Json::Int(all.max_ns("rt.item").unwrap_or(0) as i64),
-            ),
-            (
-                "memo_hit_rate",
-                match all.hit_rate("rt.memo_hits", "rt.memo_misses") {
-                    Some(r) => Json::Float(r),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "intern_resident_bytes",
-                Json::Int(snap.gauge("intern.resident_bytes") as i64),
-            ),
-            ("exemplar_count", Json::Int(exemplar_count as i64)),
-            ("errors", Json::Int(total_errs as i64)),
-            (
-                "slo_violations",
-                Json::Array(violations.iter().map(|v| v.to_json()).collect()),
-            ),
-        ]);
-        if let Err(e) = std::fs::write(out, json.pretty()) {
-            eprintln!("fastc: cannot write bench json '{out}': {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if !quiet {
-        println!(
-            "watch done: {ticks} tick(s), {total_errs} error(s), {} SLO violation(s)",
-            violations.len()
-        );
-    }
-    if violations.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }

@@ -864,145 +864,37 @@ fn pipeline_mode_rejects_unknown_stage_and_empty_list() {
     assert_eq!(out.status.code(), Some(2));
 }
 
-// -------------------------------------------------------------- watch mode
+// -------------------------------------------------------------- serve mode
 
-/// End-to-end `fastc watch`: one stats line per tick, a closing summary,
-/// windowed JSONL export, and a schema-versioned BENCH summary.
+/// `fastc serve --slo` rejects a spec it cannot enforce before it loads
+/// an artifact or binds a port: malformed JSON and a typoed rule both
+/// exit 2. `watch` is not a mode, so `fastc watch <prog>` is a usage
+/// error too.
 #[test]
-fn watch_prints_windowed_stats_and_writes_artifacts() {
-    let path = programs_dir().join("sanitizer.fast");
-    let dir = std::env::temp_dir().join("fastc_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let jsonl = dir.join("watch_windows.jsonl");
-    let bench = dir.join("watch_bench.json");
-    let out = fastc()
-        .arg("watch")
-        .arg(&path)
-        .args(["--ticks", "3", "--trees", "20", "--window", "2"])
-        .args(["--jsonl", jsonl.to_str().unwrap()])
-        .args(["--bench-json", bench.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "watch failed:\n{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    // One line per tick with the windowed signals, then the summary.
-    for tick in 1..=3 {
-        assert!(stdout.contains(&format!("tick   {tick}/3")), "{stdout}");
-    }
-    assert!(stdout.contains("items/s"), "{stdout}");
-    assert!(stdout.contains("p99"), "{stdout}");
-    assert!(stdout.contains("intern"), "{stdout}");
-    assert!(stdout.contains("0 SLO violation(s)"), "{stdout}");
-
-    // JSONL: one object per retained window, each with a seq and delta.
-    let lines: Vec<String> = std::fs::read_to_string(&jsonl)
-        .unwrap()
-        .lines()
-        .map(String::from)
-        .collect();
-    assert_eq!(lines.len(), 3, "{lines:?}");
-    for line in &lines {
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        assert!(line.contains("\"seq\""), "{line}");
-        assert!(line.contains("\"delta\""), "{line}");
-    }
-
-    // BENCH summary: common header plus the windowed headline numbers.
-    let bench_text = std::fs::read_to_string(&bench).unwrap();
-    assert!(bench_text.contains("\"schema_version\": 1"), "{bench_text}");
-    assert!(
-        bench_text.contains("\"bench\": \"obs_watch\""),
-        "{bench_text}"
-    );
-    assert!(bench_text.contains("\"p99_ns\""), "{bench_text}");
-    assert!(
-        bench_text.contains("\"intern_resident_bytes\""),
-        "{bench_text}"
-    );
-    assert!(bench_text.contains("\"exemplar_count\""), "{bench_text}");
-}
-
-/// The committed CI fixtures drive the exit-code contract: the sanitizer
-/// SLO passes (exit 0), the deliberately-unmeetable spec fails every
-/// tick (exit 1, violations on stderr).
-#[test]
-fn watch_slo_fixtures_pass_and_fail_as_committed() {
-    let path = programs_dir().join("sanitizer.fast");
-    let ci = programs_dir().parent().unwrap().join("ci");
-    let out = fastc()
-        .arg("watch")
-        .arg(&path)
-        .args(["--ticks", "2", "--trees", "10", "-q"])
-        .args(["--slo", ci.join("slo_sanitizer.json").to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "sanitizer SLO must pass:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let out = fastc()
-        .arg("watch")
-        .arg(&path)
-        .args(["--ticks", "2", "--trees", "10", "-q"])
-        .args(["--slo", ci.join("slo_failing.json").to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1), "unmeetable SLO must exit 1");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("SLO violated: max_intern_resident_bytes"),
-        "{stderr}"
-    );
-}
-
-/// Usage errors: a malformed SLO spec, an unknown rule, and zero ticks
-/// are all rejected up front with exit 2.
-#[test]
-fn watch_rejects_bad_slo_and_bad_args() {
-    let path = programs_dir().join("sanitizer.fast");
+fn serve_rejects_bad_slo_before_binding() {
+    let missing = std::env::temp_dir().join("fastc_test").join("x.fastc");
     let bad_json = write_temp("slo_bad.json", "{not json");
-    let out = fastc()
-        .arg("watch")
-        .arg(&path)
-        .args(["--slo", bad_json.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("bad SLO spec"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
     let typo = write_temp("slo_typo.json", r#"{"p99_latency_sm": 5}"#);
-    let out = fastc()
-        .arg("watch")
-        .arg(&path)
-        .args(["--slo", typo.to_str().unwrap()])
-        .output()
-        .unwrap();
+    for (spec, expected) in [(&bad_json, "bad SLO spec"), (&typo, "unknown SLO rule")] {
+        let out = fastc()
+            .arg("serve")
+            .arg(&missing)
+            .args(["--slo", spec.to_str().unwrap()])
+            .args(["--addr", "127.0.0.1:0"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains(expected), "{stderr}");
+        assert!(!stderr.contains("cannot load artifact"), "{stderr}");
+    }
+
+    let path = programs_dir().join("sanitizer.fast");
+    let out = fastc().arg("watch").arg(&path).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("unknown SLO rule"),
+        String::from_utf8_lossy(&out.stderr).contains("usage:"),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-
-    let out = fastc()
-        .arg("watch")
-        .arg(&path)
-        .args(["--ticks", "0"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-
-    let out = fastc().arg("watch").output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
 }

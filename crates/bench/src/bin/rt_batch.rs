@@ -172,7 +172,8 @@ fn main() {
     // sides equally instead of biasing whichever side ran later.
     for _ in 0..3 {
         unsampled_ms = unsampled_ms.min(timed_run());
-        let engine = fast_obs::engine::Engine::start(std::time::Duration::from_millis(10), 4096);
+        let engine =
+            fast_obs::engine::Engine::start(std::time::Duration::from_millis(10), 4096, |_| {});
         sampled_ms = sampled_ms.min(timed_run());
         engine_windows += engine.stop().len();
     }

@@ -38,7 +38,8 @@ pub fn world_alg(ty: &TreeType) -> Arc<LabelAlg> {
 
 /// Generates `n` random taggers with the §5.2 properties: non-empty
 /// domains (they are total on worlds), each tags a node at most once, and
-/// state counts spanning up to 95.
+/// 2–32 states each (the paper's taggers have 1–95; see
+/// [`random_tagger`]).
 pub fn generate_taggers(ty: &Arc<TreeType>, alg: &Arc<LabelAlg>, n: usize, seed: u64) -> Vec<Sttr> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
@@ -77,8 +78,8 @@ fn random_guard(rng: &mut StdRng) -> Formula {
 }
 
 /// Builds one random tagger with the given id. State count is drawn from
-/// 1..=31 control states plus one tag-list copy state — smaller than the
-/// paper's 1–95 so the 4,950-pair sweep stays minutes, not hours, on one
+/// 1..=31 control states plus one tag-list copy state, so 2–32 states —
+/// smaller than the paper's 1–95 so the 4,950-pair sweep stays minutes, not hours, on one
 /// vCPU (EXPERIMENTS.md records the deviation). Each tagger has
 /// a single tagging guard; active states tag elements satisfying it,
 /// inactive states never tag, and transitions are random — so a tagger
@@ -163,7 +164,7 @@ pub fn random_tagger(ty: &Arc<TreeType>, alg: &Arc<LabelAlg>, id: i64, rng: &mut
 }
 
 /// The input-restriction language of §5.2: worlds where no element
-/// carries a tag (3 states).
+/// carries a tag (2 states; the paper's has 3).
 pub fn no_tags_lang(ty: &Arc<TreeType>, alg: &Arc<LabelAlg>) -> Sta {
     let nil = ty.ctor_id("nil").unwrap();
     let elem = ty.ctor_id("elem").unwrap();
@@ -182,7 +183,7 @@ pub fn no_tags_lang(ty: &Arc<TreeType>, alg: &Arc<LabelAlg>) -> Sta {
 }
 
 /// The output-restriction language of §5.2: worlds where some element
-/// carries at least two tags (5 states with the helper chain).
+/// carries at least two tags (3 states; the paper's has 5).
 pub fn double_tag_lang(ty: &Arc<TreeType>, alg: &Arc<LabelAlg>) -> Sta {
     let tag = ty.ctor_id("tag").unwrap();
     let elem = ty.ctor_id("elem").unwrap();

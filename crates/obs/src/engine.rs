@@ -13,8 +13,7 @@
 //! the last *n* windows and answers rates (items/s), hit rates, and
 //! per-window-correct p50/p99/max, while gauges are read from the
 //! newest window (residency is a point-in-time value, not a sum over
-//! windows). [`Sampler::export_jsonl`] writes one JSON object per
-//! retained window for offline analysis.
+//! windows).
 //!
 //! ## The window-max correction
 //!
@@ -29,20 +28,19 @@
 //!
 //! ## Driving the sampler
 //!
-//! Deterministic consumers (`fastc watch`, tests) call
-//! [`Sampler::tick`] themselves between units of work. The background
-//! [`Engine`] wraps a sampler in a thread that ticks on a fixed
-//! interval, for workloads that cannot yield — its overhead is one
-//! registry snapshot per interval, measured at under 2% on the
-//! `rt_batch` bench (the bench emits `engine_overhead_pct`).
+//! Deterministic consumers (tests) call [`Sampler::tick`] themselves
+//! between units of work. The background [`Engine`] wraps a sampler in
+//! a thread that ticks on a fixed interval, for workloads that cannot
+//! yield, and runs a caller-supplied hook after every tick, so a
+//! consumer judges each window exactly once as it closes (`fast-serve`
+//! evaluates its SLO there). Its overhead is one registry snapshot per
+//! interval, measured at under 2% on the `rt_batch` bench (the bench
+//! emits `engine_overhead_pct`).
 
 use std::collections::VecDeque;
-use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use fast_json::Json;
 
 use crate::{snapshot, Snapshot};
 
@@ -53,8 +51,6 @@ use crate::{snapshot, Snapshot};
 pub struct WindowSample {
     /// Tick ordinal, starting at 1 for the first window.
     pub seq: u64,
-    /// Milliseconds from sampler creation to the end of this window.
-    pub elapsed_ms: u64,
     /// Length of this window in milliseconds (wall clock between
     /// ticks).
     pub dur_ms: u64,
@@ -62,19 +58,6 @@ pub struct WindowSample {
     /// per-window; gauges and exemplars are the point-in-time values at
     /// the window's end ([`Snapshot::delta_from`] semantics).
     pub delta: Snapshot,
-}
-
-impl WindowSample {
-    /// Renders the window as one flat JSON object (a JSONL line):
-    /// `seq`/`elapsed_ms`/`dur_ms` plus the delta snapshot's sections.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("seq", Json::Int(self.seq as i64)),
-            ("elapsed_ms", Json::Int(self.elapsed_ms as i64)),
-            ("dur_ms", Json::Int(self.dur_ms as i64)),
-            ("delta", self.delta.to_json()),
-        ])
-    }
 }
 
 /// A merged read-only view over the newest windows of a [`Sampler`]
@@ -155,7 +138,6 @@ pub struct Sampler {
     capacity: usize,
     last: Snapshot,
     seq: u64,
-    started: Instant,
     last_tick: Instant,
 }
 
@@ -164,14 +146,12 @@ impl Sampler {
     /// (clamped to ≥ 1), with the current telemetry as its baseline —
     /// the first tick's window covers only activity after this call.
     pub fn new(capacity: usize) -> Sampler {
-        let now = Instant::now();
         Sampler {
             ring: VecDeque::with_capacity(capacity.max(1)),
             capacity: capacity.max(1),
             last: snapshot(),
             seq: 0,
-            started: now,
-            last_tick: now,
+            last_tick: Instant::now(),
         }
     }
 
@@ -193,7 +173,6 @@ impl Sampler {
         }
         self.ring.push_back(WindowSample {
             seq: self.seq,
-            elapsed_ms: now.duration_since(self.started).as_millis() as u64,
             dur_ms: now.duration_since(self.last_tick).as_millis() as u64,
             delta,
         });
@@ -242,21 +221,12 @@ impl Sampler {
             snap,
         }
     }
-
-    /// Writes every retained window as one JSON object per line
-    /// (oldest first) — the offline-analysis export.
-    pub fn export_jsonl(&self, mut w: impl Write) -> std::io::Result<()> {
-        for sample in &self.ring {
-            writeln!(w, "{}", sample.to_json())?;
-        }
-        Ok(())
-    }
 }
 
 /// A background thread ticking a [`Sampler`] on a fixed interval, for
-/// workloads that cannot yield between items. [`Engine::stop`] joins
-/// the thread, takes one final tick (so trailing activity is never
-/// lost), and hands the sampler back.
+/// workloads that cannot yield between items, and running a hook after
+/// each tick. [`Engine::stop`] joins the thread, takes one final tick
+/// (so trailing activity is never lost), and hands the sampler back.
 #[derive(Debug)]
 pub struct Engine {
     shared: Arc<Shared>,
@@ -281,13 +251,22 @@ impl Shared {
 
 impl Engine {
     /// Starts the sampling thread: one [`Sampler::tick`] every
-    /// `interval`, retaining `capacity` windows.
+    /// `interval`, retaining `capacity` windows. After each of its
+    /// ticks the thread calls `on_tick` with the sampler it just ticked
+    /// (still under the sampler lock, so no reader sees the new window
+    /// before the hook has judged it): the hook runs exactly once per
+    /// window the thread closes. The closing tick of [`Engine::stop`]
+    /// does not run it.
     ///
     /// If the OS refuses to spawn the thread, the engine degrades to a
     /// passive sampler: no background ticks, but [`Engine::with_sampler`]
     /// and the closing tick of [`Engine::stop`] still work — telemetry
     /// loses granularity, the process keeps serving.
-    pub fn start(interval: Duration, capacity: usize) -> Engine {
+    pub fn start(
+        interval: Duration,
+        capacity: usize,
+        mut on_tick: impl FnMut(&Sampler) + Send + 'static,
+    ) -> Engine {
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             sampler: Mutex::new(Sampler::new(capacity)),
@@ -307,7 +286,9 @@ impl Engine {
                     slept += slice;
                     if slept >= interval {
                         slept = Duration::ZERO;
-                        thread_shared.sampler().tick();
+                        let mut sampler = thread_shared.sampler();
+                        sampler.tick();
+                        on_tick(&sampler);
                     }
                 }
             })
@@ -431,26 +412,8 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_export_is_one_valid_object_per_window() {
-        let mut s = Sampler::new(4);
-        crate::counter("test.engine.jsonl").incr();
-        s.tick();
-        s.tick();
-        let mut buf = Vec::new();
-        s.export_jsonl(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for (i, line) in lines.iter().enumerate() {
-            let j = fast_json::Json::parse(line).expect("valid JSON line");
-            assert_eq!(j.get("seq").unwrap().as_int().unwrap(), i as i64 + 1);
-            assert!(j.get("delta").unwrap().get("counters").is_some());
-        }
-    }
-
-    #[test]
     fn engine_thread_ticks_and_stops() {
-        let engine = Engine::start(Duration::from_millis(5), 64);
+        let engine = Engine::start(Duration::from_millis(5), 64, |_| {});
         crate::counter("test.engine.bg").add(7);
         std::thread::sleep(Duration::from_millis(40));
         let sampler = engine.stop();
@@ -462,5 +425,34 @@ mod tests {
             .map(|w| w.delta.get("test.engine.bg"))
             .sum();
         assert_eq!(total, 7);
+    }
+
+    #[test]
+    fn tick_hook_runs_once_per_background_tick() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let hook_seen = Arc::clone(&seen);
+        let engine = Engine::start(Duration::from_millis(5), 2, move |s| {
+            let newest = s.windows().last().expect("the hook follows a tick");
+            hook_seen.lock().unwrap().push(newest.seq);
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while seen.lock().unwrap().len() < 4 {
+            assert!(
+                Instant::now() < deadline,
+                "the engine thread never ran the hook"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let sampler = engine.stop();
+        let seen = seen.lock().unwrap().clone();
+        // Each call saw the window its own tick closed: seq 1, 2, 3, …
+        // with none judged twice and none skipped, even though the ring
+        // keeps only two windows.
+        let expected: Vec<u64> = (1..=seen.len() as u64).collect();
+        assert_eq!(seen, expected);
+        // Every background tick ran the hook; only the closing tick of
+        // `stop` did not.
+        let last = sampler.windows().last().unwrap().seq;
+        assert_eq!(last, seen.len() as u64 + 1);
     }
 }

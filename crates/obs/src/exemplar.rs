@@ -4,8 +4,9 @@
 //! are in it. Each family (e.g. `rt.item`) keeps the
 //! [`MAX_EXEMPLARS`] slowest records seen so far — item identity (the
 //! input tree's interned `TreeId` as a raw `u64`), the evaluation
-//! state, the latency, and the output size — so a `fastc profile` or
-//! `fastc watch` run can name the exact documents behind a p99 spike.
+//! state, the latency, and the output size — so a `fastc profile` run
+//! or a `fast-serve` `stats` reply can name the exact documents behind
+//! a p99 spike.
 //!
 //! Capture is always on and cheap by design: the common case (an item
 //! faster than the current K-th slowest) pays one relaxed atomic load

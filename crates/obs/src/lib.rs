@@ -21,12 +21,11 @@
 //!    or an aggregated phase tree (see [`trace`]).
 //!
 //! Cold paths (CLI `--stats`, bench binaries, `fastc profile`) capture
-//! everything as a [`Snapshot`] and print it as JSON. Long-running
-//! paths (`fastc watch`, `fast-serve`) run the windowing
-//! sampler in [`engine`] — periodic snapshot deltas into a fixed ring,
-//! with per-window rates, percentiles, a correctly-reset window max,
-//! and JSONL export — and evaluate declarative SLOs against the
-//! windows via [`slo`].
+//! everything as a [`Snapshot`] and print it as JSON. The long-running
+//! path (`fast-serve`) runs the windowing sampler in [`engine`] —
+//! periodic snapshot deltas into a fixed ring, with per-window rates,
+//! percentiles and a correctly-reset window max — and evaluates
+//! declarative SLOs against each window as it closes via [`slo`].
 //!
 //! ## Counter naming
 //!
@@ -76,7 +75,7 @@
 //! | `serve.shed` | `fast-serve` sheds a request because the work queue is full |
 //! | `serve.errors` | a `fast-serve` request finishes with an error response |
 //! | `serve.conn_rejected` | `fast-serve` rejects a connection over the connection cap |
-//! | `serve.slo_violations` | the `fast-serve` SLO watcher observes a window in violation |
+//! | `serve.slo_violations` | a closed telemetry window of `fast-serve` violates its SLO spec |
 //! | `artifact.bytes` | — bumped by the byte length of a `.fastc` artifact on a successful decode |
 //! | `artifact.load_ns` | — bumped by the wall-clock nanoseconds a successful `Artifact::decode` took |
 //! | `obs.trace_dropped` | the span buffer is full and an event is discarded |

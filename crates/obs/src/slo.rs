@@ -4,9 +4,10 @@
 //! p99 item latency, minimum memo hit rate, maximum resident interner
 //! bytes, maximum item error rate — evaluated against a
 //! [`WindowView`] (not a cumulative
-//! snapshot: an SLO is a statement about *recent* behaviour). `fastc
-//! watch --slo <file>` evaluates the spec every tick and exits
-//! non-zero on any [`SloViolation`].
+//! snapshot: an SLO is a statement about *recent* behaviour).
+//! `fastc serve --slo <file>` evaluates the spec once per closed
+//! telemetry window and reports the current [`SloViolation`]s through
+//! the `stats` operation.
 //!
 //! Rules whose signal is absent from the window are **skipped**, not
 //! failed: a window where the memo was never consulted says nothing
@@ -86,16 +87,21 @@ impl std::fmt::Display for SloViolation {
 }
 
 impl SloSpec {
-    /// Parses a spec from its JSON text. Unknown keys and non-numeric
-    /// values are errors (a typoed rule must not silently never fire);
-    /// rates outside `0..=1` and negative limits are rejected.
+    /// Parses a spec from its JSON text. Unknown keys, repeated keys and
+    /// non-numeric values are errors (a typoed rule must not silently
+    /// never fire, nor a repeated one silently replace the first);
+    /// rates outside `0..=1`, negative limits and a fractional byte
+    /// count are rejected.
     pub fn parse(text: &str) -> Result<SloSpec, String> {
         let json = Json::parse(text).map_err(|e| format!("invalid SLO JSON: {e}"))?;
         let Json::Object(fields) = &json else {
             return Err("SLO spec must be a JSON object".to_string());
         };
         let mut spec = SloSpec::default();
-        for (key, value) in fields {
+        for (i, (key, value)) in fields.iter().enumerate() {
+            if fields[..i].iter().any(|(k, _)| k == key) {
+                return Err(format!("SLO rule {key:?} is given more than once"));
+            }
             let num = value
                 .as_f64()
                 .ok_or_else(|| format!("SLO rule {key:?} must be a number"))?;
@@ -114,7 +120,14 @@ impl SloSpec {
                         spec.max_error_rate = Some(num);
                     }
                 }
-                "max_intern_resident_bytes" => spec.max_intern_resident_bytes = Some(num as u64),
+                "max_intern_resident_bytes" => {
+                    if num.fract() != 0.0 {
+                        return Err(format!(
+                            "SLO rule {key:?} is a whole number of bytes, got {num}"
+                        ));
+                    }
+                    spec.max_intern_resident_bytes = Some(num as u64);
+                }
                 _ => return Err(format!("unknown SLO rule {key:?}")),
             }
         }
@@ -233,6 +246,24 @@ mod tests {
         assert!(SloSpec::parse(r#"{"min_memo_hit_rate": 1.5}"#).is_err());
         assert!(SloSpec::parse(r#"{"p99_latency_ms": -1}"#).is_err());
         assert_eq!(SloSpec::parse("{}").unwrap(), SloSpec::default());
+    }
+
+    #[test]
+    fn parse_rejects_a_repeated_rule() {
+        let err = SloSpec::parse(r#"{"p99_latency_ms": 5, "p99_latency_ms": 500}"#).unwrap_err();
+        assert!(err.contains("more than once"), "{err}");
+        // Two different rules are fine.
+        assert!(SloSpec::parse(r#"{"p99_latency_ms": 5, "max_error_rate": 0}"#).is_ok());
+    }
+
+    #[test]
+    fn parse_rejects_a_fractional_byte_ceiling() {
+        // Truncated, 0.5 would become a ceiling of 0 bytes and fire on
+        // every reading.
+        let err = SloSpec::parse(r#"{"max_intern_resident_bytes": 0.5}"#).unwrap_err();
+        assert!(err.contains("whole number of bytes"), "{err}");
+        let spec = SloSpec::parse(r#"{"max_intern_resident_bytes": 2.0}"#).unwrap();
+        assert_eq!(spec.max_intern_resident_bytes, Some(2));
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! and one per segment of each pipeline target, across every
 //! connection, runs a background telemetry
 //! [`Engine`](fast_obs::engine::Engine) for its whole lifetime, and —
-//! when started with an SLO spec — continuously evaluates
-//! [`fast_obs::slo`] objectives over the windowed view, exposing the
-//! violation state through the `stats` operation.
+//! when started with an SLO spec — evaluates [`fast_obs::slo`]
+//! objectives on the engine's thread each time a window closes,
+//! exposing the violation state through the `stats` operation.
 
 #![warn(missing_docs)]
 

@@ -33,7 +33,7 @@
 use crate::proto::{self, FrameError, Op, Request};
 use fast_core::TransducerError;
 use fast_json::Json;
-use fast_obs::engine::Engine;
+use fast_obs::engine::{Engine, Sampler};
 use fast_obs::slo::{SloSpec, SloViolation};
 use fast_rt::{Artifact, BatchMemo, RunOptions};
 use fast_trees::{ParseError, Tree};
@@ -80,12 +80,11 @@ pub struct ServeConfig {
     pub memo_capacity: usize,
     /// Telemetry sampling interval (window width).
     pub engine_interval: Duration,
-    /// Telemetry window-ring capacity.
-    pub engine_capacity: usize,
-    /// Windows merged into each `stats` / SLO evaluation.
+    /// Windows merged into each `stats` / SLO evaluation; the telemetry
+    /// ring retains exactly this many.
     pub stats_windows: usize,
-    /// Service-level objectives, evaluated continuously over the
-    /// windowed view when set.
+    /// Service-level objectives, evaluated over the windowed view each
+    /// time a window closes, when set.
     pub slo: Option<SloSpec>,
 }
 
@@ -103,7 +102,6 @@ impl Default for ServeConfig {
             idle_timeout: Some(Duration::from_secs(60)),
             memo_capacity: RunOptions::default().memo_capacity,
             engine_interval: Duration::from_millis(500),
-            engine_capacity: 240,
             stats_windows: 20,
             slo: None,
         }
@@ -125,15 +123,29 @@ struct TargetEntry {
     artifact: usize,
 }
 
-/// Continuous SLO evaluation state, updated by the watcher thread.
+/// SLO evaluation state, updated on the telemetry engine's thread each
+/// time it closes a window.
 #[derive(Debug, Default, Clone)]
 struct SloState {
     /// Violations in the most recent evaluation (empty = healthy).
     current: Vec<SloViolation>,
-    /// Evaluations performed.
+    /// Windows closed since the server started, one evaluation each
+    /// (0 without a spec).
     checks: u64,
-    /// Evaluations that found at least one violation.
+    /// Closed windows whose evaluation found at least one violation.
     violated_checks: u64,
+}
+
+impl SloState {
+    /// Judges the view ending at a just-closed window.
+    fn record(&mut self, violations: Vec<SloViolation>) {
+        self.checks += 1;
+        if !violations.is_empty() {
+            self.violated_checks += 1;
+            fast_obs::count!("serve.slo_violations");
+        }
+        self.current = violations;
+    }
 }
 
 struct Shared {
@@ -141,7 +153,7 @@ struct Shared {
     artifacts: Vec<Artifact>,
     targets: HashMap<String, TargetEntry>,
     engine: Engine,
-    slo_state: Mutex<SloState>,
+    slo_state: Arc<Mutex<SloState>>,
     stop: AtomicBool,
     /// Cooperative cancellation token threaded into every run; tripped
     /// on shutdown so in-flight items fail fast with `Cancelled`.
@@ -168,7 +180,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<std::thread::JoinHandle<()>>,
-    watcher: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -177,8 +188,7 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stops accepting, cancels in-flight runs, joins the acceptor and
-    /// SLO watcher.
+    /// Stops accepting, cancels in-flight runs, and joins the acceptor.
     pub fn shutdown(self) {
         drop(self);
     }
@@ -197,9 +207,6 @@ impl ServerHandle {
         // Unblock the acceptor's blocking `accept`.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.watcher.take() {
             let _ = h.join();
         }
     }
@@ -244,13 +251,26 @@ pub fn start(artifacts: Vec<Artifact>, addr: &str, cfg: ServeConfig) -> io::Resu
         }
     }
 
-    let engine = Engine::start(cfg.engine_interval, cfg.engine_capacity);
+    // The SLO is judged on the engine's own thread, once per closed
+    // window, over the same view `stats` reads.
+    let slo_state = Arc::new(Mutex::new(SloState::default()));
+    let on_tick = {
+        let spec = cfg.slo.clone();
+        let windows = cfg.stats_windows;
+        let state = Arc::clone(&slo_state);
+        move |sampler: &Sampler| {
+            if let Some(spec) = &spec {
+                lock_unpoisoned(&state).record(spec.evaluate(&sampler.view(windows)));
+            }
+        }
+    };
+    let engine = Engine::start(cfg.engine_interval, cfg.stats_windows, on_tick);
     let shared = Arc::new(Shared {
         cfg,
         artifacts,
         targets,
         engine,
-        slo_state: Mutex::new(SloState::default()),
+        slo_state,
         stop: AtomicBool::new(false),
         cancel: Arc::new(AtomicBool::new(false)),
         conns: AtomicUsize::new(0),
@@ -293,12 +313,6 @@ pub fn start(artifacts: Vec<Artifact>, addr: &str, cfg: ServeConfig) -> io::Resu
         );
     }
 
-    // SLO watcher: evaluates the windowed view each interval.
-    let watcher = shared.cfg.slo.as_ref().map(|_| {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || watcher_loop(&shared))
-    });
-
     // Acceptor.
     let acceptor = {
         let shared = Arc::clone(&shared);
@@ -309,7 +323,6 @@ pub fn start(artifacts: Vec<Artifact>, addr: &str, cfg: ServeConfig) -> io::Resu
         addr: local,
         shared,
         acceptor: Some(acceptor),
-        watcher: Some(watcher.unwrap_or_else(|| std::thread::spawn(|| {}))),
     })
 }
 
@@ -617,40 +630,13 @@ fn execute(shared: &Shared, req: &Request) -> Json {
     )
 }
 
-fn watcher_loop(shared: &Arc<Shared>) {
-    let Some(spec) = shared.cfg.slo.as_ref() else {
-        return;
-    };
-    let step = Duration::from_millis(25);
-    let mut next = Instant::now() + shared.cfg.engine_interval;
-    while !shared.stop.load(Ordering::SeqCst) {
-        // Sleep in short steps so shutdown is prompt.
-        if Instant::now() < next {
-            std::thread::sleep(step.min(shared.cfg.engine_interval));
-            continue;
-        }
-        next = Instant::now() + shared.cfg.engine_interval;
-        let view = shared
-            .engine
-            .with_sampler(|s| s.view(shared.cfg.stats_windows));
-        let violations = spec.evaluate(&view);
-        let mut state = lock_unpoisoned(&shared.slo_state);
-        state.checks += 1;
-        if !violations.is_empty() {
-            state.violated_checks += 1;
-            fast_obs::count!("serve.slo_violations");
-        }
-        state.current = violations;
-    }
-}
-
 fn quantile_json(view: &fast_obs::engine::WindowView, name: &str, q: f64) -> Json {
     view.quantile_ns(name, q)
         .map_or(Json::Null, |ns| Json::Int(ns as i64))
 }
 
 /// Builds the `stats` response from the windowed view, the cumulative
-/// snapshot, and the SLO watcher's state.
+/// snapshot, and the SLO state.
 fn stats_response(shared: &Shared, id: &Json) -> Json {
     let view = shared
         .engine

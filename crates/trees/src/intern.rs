@@ -43,8 +43,8 @@
 //! | `intern.hash_collisions` | two distinct nodes share a 64-bit structural hash |
 //! | `intern.contended` | a shard lock was busy and the call had to block |
 //!
-//! Residency is tracked by gauges, so a windowed view (`fastc watch`,
-//! `fast-serve`) can watch it without replaying counters:
+//! Residency is tracked by gauges, so a windowed view (`fast-serve`'s
+//! `stats` and SLO) can read it without replaying counters:
 //! `intern.resident_nodes.shard00..15` count canonical nodes per shard
 //! (their sum equals [`table_len`]; imbalance means a skewed structural
 //! hash), and `intern.resident_bytes` estimates the heap bytes the
