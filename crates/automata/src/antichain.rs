@@ -103,7 +103,10 @@ pub fn universality_counterexample<A: BoolAlg<Elem = Label>>(
                     let witness = Tree::new(
                         ctor,
                         label,
-                        tuple.iter().map(|&i| chain[i].witness.clone()).collect(),
+                        tuple
+                            .iter()
+                            .map(|&i| chain[i].witness.clone())
+                            .collect::<Vec<_>>(),
                     );
                     if !target.contains(&q0) {
                         debug_assert!(!sta.accepts(&witness));
@@ -250,7 +253,10 @@ pub fn inclusion_counterexample<A: BoolAlg<Elem = Label>>(
                     let witness = Tree::new(
                         ctor,
                         label,
-                        tuple.iter().map(|&i| chain[i].witness.clone()).collect(),
+                        tuple
+                            .iter()
+                            .map(|&i| chain[i].witness.clone())
+                            .collect::<Vec<_>>(),
                     );
                     if ta.contains(&a0) && !tb.contains(&b0) {
                         debug_assert!(a.accepts(&witness) && !b.accepts(&witness));

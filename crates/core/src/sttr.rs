@@ -325,7 +325,7 @@ impl<A: TransAlg<Elem = Label>> Sttr<A> {
                 // Fast path for the deterministic case: exactly one
                 // alternative per child, no cartesian machinery.
                 if per_child.iter().all(|v| v.len() == 1) {
-                    let kids = per_child
+                    let kids: Vec<Tree> = per_child
                         .into_iter()
                         .map(|mut v| v.pop().unwrap())
                         .collect();

@@ -42,7 +42,7 @@
 //! | `smt.minterms_enumerated` | a satisfiable minterm is produced |
 //! | `intern.hits` | tree interning returns an existing canonical node |
 //! | `intern.misses` | tree interning allocates a new canonical node (== table size: the table never evicts) |
-//! | `intern.hash_collisions` | a new tree lands in a non-empty hash bucket (structural-hash collision) |
+//! | `intern.hash_collisions` | a new tree node's 64-bit structural hash is already taken (it goes to the shard's overflow map) |
 //! | `intern.contended` | a shard `try_lock` fails and the interner falls back to blocking |
 //! | `automata.product_states` | `intersect` emits a satisfiable product rule |
 //! | `automata.det_states` | determinization creates a subset state |

@@ -7,6 +7,7 @@ use fast_automata::StateId;
 use fast_core::{Out, Sttr, TRule, TransducerError, DEFAULT_RUN_CAP};
 use fast_smt::{BoolAlg, Formula, Interned, Label, LabelAlg, TransAlg};
 use fast_trees::{Tree, TreeId};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -254,8 +255,9 @@ struct ItemRun<'b, 'p, 't> {
     /// template pre-order a [`ItemRun::labels`] index per node and a
     /// pair per call ([`ItemRun::mark`]).
     tape: Vec<u32>,
-    /// Template-node labels, `None` where the label function is undefined.
-    labels: Vec<Option<Label>>,
+    /// Template-node labels, `None` where the label function is
+    /// undefined; borrowed from the input node where it is the identity.
+    labels: Vec<Option<Cow<'t, Label>>>,
     /// Every pair's finished output set, deduplicated.
     outs: Vec<Tree>,
     /// Pair lookups that found an existing pair, and pairs added.
@@ -1032,15 +1034,21 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
     /// Records an enabled template on the tape. Like `Sttr::run`, a node
     /// whose label function is undefined (`apply_fun` is `None`, e.g. on
     /// overflow) does not evaluate its subtemplates, so their calls add
-    /// no pairs.
-    fn mark(&mut self, out: &'p Out<LabelAlg>, t: &Tree, kids: usize) {
+    /// no pairs. An identity label function borrows `t`'s label, which
+    /// it would copy value for value.
+    fn mark(&mut self, out: &'p Out<LabelAlg>, t: &'t Tree, kids: usize) {
         match out {
             Out::Call(q, i) => {
                 let p = self.pair(q.0 as u32, self.kids[kids + i] as usize);
                 self.tape.push(p);
             }
             Out::Node { fun, children, .. } => {
-                let label = self.cx.plan.sttr.alg().apply_fun(fun, t.label());
+                let alg = self.cx.plan.sttr.alg();
+                let label = if alg.is_identity_fun(fun) && t.label().arity() == fun.terms().len() {
+                    Some(Cow::Borrowed(t.label()))
+                } else {
+                    alg.apply_fun(fun, t.label()).map(Cow::Owned)
+                };
                 let defined = label.is_some();
                 self.tape.push(self.labels.len() as u32);
                 self.labels.push(label);
@@ -1130,7 +1138,7 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
     fn emit(
         &self,
         out: &Out<LabelAlg>,
-        labels: &mut [Option<Label>],
+        labels: &mut [Option<Cow<'t, Label>>],
         at: &mut usize,
         dst: &mut Vec<Tree>,
     ) -> Result<(), TransducerError> {
@@ -1146,26 +1154,29 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
                 let Some(label) = labels[step].take() else {
                     return Ok(());
                 };
-                // Single-valued children (the common case) fill one child
-                // vector in place. The first child with zero or several
-                // outputs switches to the product below.
-                let mut kids: Vec<Tree> = Vec::with_capacity(children.len());
+                // Single-valued children (the common case) are appended to
+                // `dst` and interned from there, borrowed, so an interner
+                // hit allocates nothing. The first child with zero or
+                // several outputs switches to the product below.
+                let base = dst.len();
                 for (k, c) in children.iter().enumerate() {
-                    self.emit(c, labels, at, &mut kids)?;
-                    if kids.len() != k + 1 {
-                        let rest = kids.split_off(k);
+                    self.emit(c, labels, at, dst)?;
+                    if dst.len() != base + k + 1 {
+                        let rest = dst.split_off(base + k);
                         let mut per_child: Vec<Vec<Tree>> =
-                            kids.into_iter().map(|o| vec![o]).collect();
+                            dst.drain(base..).map(|o| vec![o]).collect();
                         per_child.push(rest);
                         for c in &children[k + 1..] {
                             let mut alts = Vec::new();
                             self.emit(c, labels, at, &mut alts)?;
                             per_child.push(alts);
                         }
-                        return product(*ctor, label, &per_child, self.cx.cap, dst);
+                        return product(*ctor, &label, &per_child, self.cx.cap, dst);
                     }
                 }
-                dst.push(Tree::new(*ctor, label, kids));
+                let node = Tree::new(*ctor, label, &dst[base..]);
+                dst.truncate(base);
+                dst.push(node);
                 Ok(())
             }
         }
@@ -1183,7 +1194,7 @@ fn charge(profile: Option<&ProfileData>, idx: usize, start: Option<Instant>) {
 /// alternatives, bounded by `cap` exactly like `Sttr::run_bounded`.
 fn product(
     ctor: fast_trees::CtorId,
-    label: Label,
+    label: &Label,
     per_child: &[Vec<Tree>],
     cap: usize,
     dst: &mut Vec<Tree>,
@@ -1203,9 +1214,6 @@ fn product(
         }
         acc = next;
     }
-    dst.extend(
-        acc.into_iter()
-            .map(|kids| Tree::new(ctor, label.clone(), kids)),
-    );
+    dst.extend(acc.into_iter().map(|kids| Tree::new(ctor, label, kids)));
     Ok(())
 }

@@ -187,6 +187,51 @@ fn cap_zero_on_a_copied_input_is_a_budget_error() {
     assert_eq!(out.unwrap(), vec![t]);
 }
 
+/// A node under an identity label function whose child changes is not
+/// copied: the plan rebuilds it with the input node's label (borrowed,
+/// not recomputed). Beside it, a relabelling rule on the same node adds
+/// a second output. Both must be the oracle's trees, id for id.
+#[test]
+fn identity_label_on_a_rebuilt_node_matches_the_oracle() {
+    let (ty, alg) = bt();
+    let (leaf, node) = (ty.ctor_id("L").unwrap(), ty.ctor_id("N").unwrap());
+    let bump = || LabelFn::new(vec![Term::field(0).add(Term::int(1))]);
+    let mut b = SttrBuilder::new(ty.clone(), alg);
+    let q = b.state("q");
+    b.plain_rule(q, leaf, x0_cmp(CmpOp::Ge, 0), copy_leaf(&ty));
+    b.plain_rule(
+        q,
+        leaf,
+        x0_cmp(CmpOp::Lt, 0),
+        Out::node(leaf, bump(), vec![]),
+    );
+    b.plain_rule(q, node, Formula::True, copy_node(&ty, q, q));
+    b.plain_rule(
+        q,
+        node,
+        x0_cmp(CmpOp::Ge, 5),
+        Out::node(node, bump(), vec![Out::Call(q, 0), Out::Call(q, 1)]),
+    );
+    let s = b.build(q);
+    let t = Tree::parse(&ty, "N[7](N[2](L[-1], L[1]), L[3])").unwrap();
+    let (out, _) = agree(&s, &t, DEFAULT_RUN_CAP);
+    let out = out.unwrap();
+    let want = canon(s.run_bounded(&t, DEFAULT_RUN_CAP)).unwrap();
+    let ids = |v: &[Tree]| v.iter().map(Tree::id).collect::<Vec<_>>();
+    assert_eq!(ids(&canon(Ok(out.clone())).unwrap()), ids(&want));
+    let expect = |text| Tree::parse(&ty, text).unwrap();
+    let mut both = vec![
+        expect("N[7](N[2](L[0], L[1]), L[3])"),
+        expect("N[8](N[2](L[0], L[1]), L[3])"),
+    ];
+    both.sort();
+    assert_eq!(ids(&want), ids(&both));
+    assert!(
+        out.iter().all(|o| o.id() != t.id()),
+        "a changed child forbids the copy"
+    );
+}
+
 /// A lookahead STA with one state accepting exactly the trees whose
 /// leaves are all labelled `>= 0`.
 fn nonneg_leaves() -> Sta {

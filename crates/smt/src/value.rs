@@ -1,6 +1,7 @@
 //! Concrete values and labels.
 
 use crate::sort::{LabelSig, Sort};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A concrete value of one of the base sorts.
@@ -197,6 +198,18 @@ impl Label {
                 .map(|(_, s)| Value::default_of(*s))
                 .collect(),
         }
+    }
+}
+
+impl From<Label> for Cow<'_, Label> {
+    fn from(label: Label) -> Self {
+        Cow::Owned(label)
+    }
+}
+
+impl<'a> From<&'a Label> for Cow<'a, Label> {
+    fn from(label: &'a Label) -> Self {
+        Cow::Borrowed(label)
     }
 }
 

@@ -114,7 +114,7 @@ impl TreeGen {
             .collect();
         let ctor = candidates[self.rng.gen_range(0..candidates.len())];
         let label = self.label(ty);
-        let children = (0..ty.rank(ctor))
+        let children: Vec<Tree> = (0..ty.rank(ctor))
             .map(|_| self.tree_at(ty, fuel - 1))
             .collect();
         Tree::new(ctor, label, children)

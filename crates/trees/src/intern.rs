@@ -26,6 +26,33 @@
 //! what callers may and may not rely on — is written out in
 //! `ARCHITECTURE.md` §6 ("Tree interning").
 //!
+//! # Table layout
+//!
+//! Each shard is an open-addressed table keyed by the structural hash.
+//! Its entries — hash, id, node — sit inline in the slot array, so a
+//! probe that lands on another hash is rejected on one `u64` compare,
+//! without touching the node. Two distinct nodes under one 64-bit hash
+//! (a true collision, counted in `intern.hash_collisions`) are the only
+//! case that leaves the slot array: the first stays inline, the rest go
+//! to a small per-shard overflow map, in insertion order.
+//!
+//! Labels come from clients, so a crafted input could aim many nodes at
+//! one slot run. The shard and the first slot are therefore not read
+//! off the structural hash itself but off a mix of it with a random key
+//! drawn once per process: without the key, an attacker cannot tell
+//! which hashes share a slot.
+//!
+//! # The hit path
+//!
+//! `intern::intern` is the one entry every construction path ends in: the
+//! caller hands it the node's hash, constructor, label and child
+//! handles, and it compares them in place against the canonical node
+//! under that hash. The label and the children are only *read* on a
+//! hit: [`Tree::new`] takes them as [`Cow`]s, so a caller that borrows
+//! them (the runtime, for a label it copies from the input) allocates
+//! nothing, and a caller that owns them (the parser, whose arena
+//! already missed) moves them into the node on a miss without a clone.
+//!
 //! # Memory
 //!
 //! The table is append-only: entries are never evicted, so every
@@ -40,49 +67,154 @@
 //! |---|---|
 //! | `intern.hits` | nodes resolved to an existing canonical node: one per intern call that found its node, plus a parsed subtree's whole size when the parser verifies it at its root |
 //! | `intern.misses` | a new canonical node was allocated (= table size) |
-//! | `intern.hash_collisions` | two distinct nodes share a 64-bit structural hash |
+//! | `intern.hash_collisions` | a new node's 64-bit structural hash was already taken by another node (it went to the overflow map) |
 //! | `intern.contended` | a shard lock was busy and the call had to block |
 //!
 //! Residency is tracked by gauges, so a windowed view (`fast-serve`'s
 //! `stats` and SLO) can read it without replaying counters:
 //! `intern.resident_nodes.shard00..15` count canonical nodes per shard
-//! (their sum equals [`table_len`]; imbalance means a skewed structural
-//! hash), and `intern.resident_bytes` estimates the heap bytes the
-//! whole table pins ([`resident_bytes`]). Because the table never
-//! evicts, these gauges only rise — the point of exposing them is to
-//! see *how fast*, which bounded-memory evaluation work needs.
+//! (their sum equals [`table_len`]; imbalance means a skewed slot
+//! mix), and `intern.resident_bytes` estimates the heap bytes the
+//! whole table pins ([`resident_bytes`]): each node's own allocations,
+//! plus every shard's slot array at its current capacity. Because the
+//! table never evicts, these gauges only rise — the point of exposing
+//! them is to see *how fast*, which bounded-memory evaluation work
+//! needs.
 
 use crate::tree::{Node, Tree, TreeId};
 use crate::ty::CtorId;
 use fast_smt::{Label, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
 /// Number of intern-table shards (matches `fast_smt::intern::SHARDS`).
 pub const SHARDS: usize = 16;
 
-/// One canonical node and its id.
+/// Slots a shard allocates on its first insert.
+const MIN_SLOTS: usize = 16;
+
+/// One canonical node, its id and its structural hash. In the slot
+/// array the hash is read first, so a probe that lands on another hash
+/// never dereferences the node.
 struct Entry {
-    node: Arc<Node>,
+    hash: u64,
     id: TreeId,
+    node: Arc<Node>,
 }
 
-/// Buckets keyed by the full 64-bit structural hash; a bucket with more
-/// than one entry is a genuine hash collision (counted).
-type Shard = HashMap<u64, Vec<Entry>>;
+/// One shard: an open-addressed table of inline entries keyed by
+/// structural hash, with linear probing from the keyed mix of the hash.
+#[derive(Default)]
+struct Shard {
+    /// Empty, or a power-of-two number of slots at most 3/4 full.
+    slots: Box<[Option<Entry>]>,
+    /// Occupied slots.
+    len: usize,
+    /// The second and later nodes under a hash whose first node is in
+    /// `slots` (true 64-bit collisions), in insertion order.
+    overflow: HashMap<u64, Vec<Entry>>,
+}
+
+impl Shard {
+    /// The index of the slot holding `hash`, or of the empty slot where
+    /// it would go (`mixed` is the hash's keyed mix). The array must not
+    /// be empty.
+    fn find(&self, hash: u64, mixed: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = mixed as usize & mask;
+        while let Some(e) = &self.slots[i] {
+            if e.hash == hash {
+                break;
+            }
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The first node stored under `hash`.
+    fn first(&self, hash: u64, mixed: u64) -> Option<&Entry> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.slots[self.find(hash, mixed)].as_ref()
+    }
+
+    /// The node under `hash` that `is` accepts.
+    fn get(&self, hash: u64, mixed: u64, is: impl Fn(&Node) -> bool) -> Option<&Entry> {
+        let first = self.first(hash, mixed)?;
+        if is(&first.node) {
+            return Some(first);
+        }
+        self.overflow.get(&hash)?.iter().find(|e| is(&e.node))
+    }
+
+    /// Stores a new node; true when its hash was taken (a collision).
+    fn insert(&mut self, key: &Key, e: Entry) -> bool {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            self.grow(key);
+        }
+        let i = self.find(e.hash, key.mix(e.hash));
+        if self.slots[i].is_some() {
+            bytes_gauge().add(std::mem::size_of::<Entry>() as u64);
+            self.overflow.entry(e.hash).or_default().push(e);
+            return true;
+        }
+        self.slots[i] = Some(e);
+        self.len += 1;
+        false
+    }
+
+    /// Doubles the slot array and re-places every entry.
+    fn grow(&mut self, key: &Key) {
+        let cap = (self.slots.len() * 2).max(MIN_SLOTS);
+        let slot = std::mem::size_of::<Option<Entry>>() as u64;
+        bytes_gauge().add((cap - self.slots.len()) as u64 * slot);
+        let old = std::mem::replace(&mut self.slots, (0..cap).map(|_| None).collect());
+        for e in old.into_vec().into_iter().flatten() {
+            let i = self.find(e.hash, key.mix(e.hash));
+            self.slots[i] = Some(e);
+        }
+    }
+
+    /// Canonical nodes in the shard.
+    fn nodes(&self) -> usize {
+        self.len + self.overflow.values().map(Vec::len).sum::<usize>()
+    }
+}
+
+/// The per-process random key that picks a hash's shard and first slot.
+struct Key(u64, u64);
+
+impl Key {
+    fn random() -> Key {
+        let s = RandomState::new();
+        Key(s.hash_one(0u64), s.hash_one(1u64) | 1)
+    }
+
+    /// A keyed folded multiply of `hash`: the shard is its top bits, the
+    /// first slot its low bits.
+    #[inline]
+    fn mix(&self, hash: u64) -> u64 {
+        let p = u128::from(hash ^ self.0) * u128::from(self.1);
+        p as u64 ^ (p >> 64) as u64
+    }
+}
 
 struct Interner {
     shards: [Mutex<Shard>; SHARDS],
     next_id: AtomicU64,
+    key: Key,
 }
 
 fn interner() -> &'static Interner {
     static TABLE: OnceLock<Interner> = OnceLock::new();
     TABLE.get_or_init(|| Interner {
-        shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+        shards: std::array::from_fn(|_| Mutex::default()),
         next_id: AtomicU64::new(0),
+        key: Key::random(),
     })
 }
 
@@ -109,10 +241,10 @@ impl<'a> From<&'a Value> for ValueRef<'a> {
 }
 
 /// Deterministic structural hash of a prospective node: the one hash
-/// both [`intern`] and the parser's arena compute, so a parsed subtree
-/// can be probed for before any of it is interned. Children contribute
-/// their precomputed hashes (not their ids), so the result depends only
-/// on structure — the same in every thread and run.
+/// both [`Tree::new`] and the parser's arena compute, so a parsed
+/// subtree can be probed for before any of it is interned. Children
+/// contribute their precomputed hashes (not their ids), so the result
+/// depends only on structure — the same in every thread and run.
 pub(crate) fn structural_hash<'v>(
     ctor: CtorId,
     label: impl ExactSizeIterator<Item = ValueRef<'v>>,
@@ -130,10 +262,10 @@ pub(crate) fn structural_hash<'v>(
     h.finish()
 }
 
-/// Shard index for a structural hash (top bits, like the solver cache).
+/// Shard index for a hash's keyed mix (its top bits).
 #[inline]
-fn shard_of(hash: u64) -> usize {
-    (hash >> 60) as usize & (SHARDS - 1)
+fn shard_of(mixed: u64) -> usize {
+    (mixed >> 60) as usize & (SHARDS - 1)
 }
 
 /// Per-shard resident-node gauge names (`&'static` literals, as the
@@ -167,11 +299,12 @@ fn bytes_gauge() -> &'static fast_obs::Gauge {
     G.get_or_init(|| fast_obs::gauge("intern.resident_bytes"))
 }
 
-/// Estimated heap bytes a newly interned node pins for the life of the
-/// process: the canonical [`Node`] allocation, its label's field values
-/// (plus string heap storage), the child-handle vector, and the bucket
-/// [`Entry`] bookkeeping. An estimate — allocator slack and `HashMap`
-/// load factor are not modelled — but a stable one, so the
+/// Estimated heap bytes a newly interned node's own allocations pin for
+/// the life of the process: the `Arc` allocation (reference counts and
+/// [`Node`]), its label's field values (plus string heap storage) and
+/// the child-handle vector. Its inline entry is part of the shard's slot
+/// array, which [`Shard::grow`] accounts for whole. An estimate —
+/// allocator slack is not modelled — but a stable one, so the
 /// `intern.resident_bytes` gauge is comparable across runs.
 fn node_bytes(node: &Node) -> u64 {
     let label_heap: usize = node
@@ -183,11 +316,11 @@ fn node_bytes(node: &Node) -> u64 {
             _ => 0,
         })
         .sum();
-    (std::mem::size_of::<Node>()
+    (2 * std::mem::size_of::<usize>()
+        + std::mem::size_of::<Node>()
         + std::mem::size_of_val(node.label.values())
         + label_heap
-        + node.children.len() * std::mem::size_of::<Tree>()
-        + std::mem::size_of::<Entry>()) as u64
+        + node.children.len() * std::mem::size_of::<Tree>()) as u64
 }
 
 /// Locks shard `i`, counting `intern.contended` when it is busy.
@@ -203,58 +336,65 @@ fn lock_shard(i: usize) -> MutexGuard<'static, Shard> {
     }
 }
 
-/// Interns a node, returning the canonical handle for this structure.
+/// Interns the node `(ctor, label, children)` whose [`structural_hash`]
+/// is `hash`, returning the canonical handle for this structure.
 ///
+/// A hit compares the parts in place and drops them; only a miss builds
+/// the owned node, moving owned parts in and copying borrowed ones.
 /// Children must already be interned handles (they always are — `Tree`
-/// cannot be built any other way), so the equality scan compares child
-/// ids in O(arity) instead of deep-comparing subtrees.
-pub(crate) fn intern(ctor: CtorId, label: Label, children: Vec<Tree>) -> Tree {
-    let hash = structural_hash(
-        ctor,
-        label.values().iter().map(ValueRef::from),
-        children.iter().map(Tree::precomputed_hash),
-    );
-    intern_hashed(hash, ctor, label, children)
-}
-
-/// [`intern`] for a caller that already holds the node's
-/// [`structural_hash`] (the parser computes it while reading).
-pub(crate) fn intern_hashed(hash: u64, ctor: CtorId, label: Label, children: Vec<Tree>) -> Tree {
-    let mut shard = lock_shard(shard_of(hash));
-    let bucket = shard.entry(hash).or_default();
-    for e in bucket.iter() {
-        if e.node.ctor == ctor && e.node.children == children && e.node.label == label {
-            fast_obs::count!("intern.hits");
-            return Tree::from_parts(Arc::clone(&e.node), e.id, hash);
-        }
+/// cannot be built any other way), so the comparison checks child ids
+/// in O(arity) instead of deep-comparing subtrees.
+pub(crate) fn intern(
+    hash: u64,
+    ctor: CtorId,
+    label: Cow<'_, Label>,
+    children: Cow<'_, [Tree]>,
+) -> Tree {
+    let table = interner();
+    let mixed = table.key.mix(hash);
+    let mut shard = lock_shard(shard_of(mixed));
+    let found = shard.get(hash, mixed, |n| {
+        n.ctor == ctor && n.children[..] == children[..] && n.label == *label
+    });
+    if let Some(e) = found {
+        fast_obs::count!("intern.hits");
+        return Tree::from_parts(Arc::clone(&e.node), e.id, hash);
     }
     fast_obs::count!("intern.misses");
-    if !bucket.is_empty() {
-        fast_obs::count!("intern.hash_collisions");
-    }
-    let id = TreeId(interner().next_id.fetch_add(1, Ordering::Relaxed));
+    let id = TreeId(table.next_id.fetch_add(1, Ordering::Relaxed));
     let node = Arc::new(Node {
         ctor,
-        label,
-        children,
+        label: label.into_owned(),
+        children: children.into_owned(),
     });
-    shard_gauge(shard_of(hash)).add(1);
+    shard_gauge(shard_of(mixed)).add(1);
     bytes_gauge().add(node_bytes(&node));
-    bucket.push(Entry {
-        node: Arc::clone(&node),
+    let entry = Entry {
+        hash,
         id,
-    });
+        node: Arc::clone(&node),
+    };
+    if shard.insert(&table.key, entry) {
+        fast_obs::count!("intern.hash_collisions");
+    }
     Tree::from_parts(node, id, hash)
 }
 
 /// The `k`-th canonical node stored under structural hash `hash`, if
-/// any (a bucket holds more than one only on a 64-bit hash collision).
-/// Buckets are append-only, so `k` indexes the same node on every call.
-/// The shard lock is held only for the lookup: the caller verifies the
-/// candidate against its own structure after the lock is released.
+/// any (there is more than one only on a 64-bit hash collision: `k = 0`
+/// is the inline entry, the rest are the overflow in insertion order).
+/// The table is append-only, so `k` indexes the same node on every
+/// call. The shard lock is held only for the lookup: the caller
+/// verifies the candidate against its own structure after the lock is
+/// released.
 pub(crate) fn probe(hash: u64, k: usize) -> Option<Tree> {
-    let shard = lock_shard(shard_of(hash));
-    let e = shard.get(&hash)?.get(k)?;
+    let mixed = interner().key.mix(hash);
+    let shard = lock_shard(shard_of(mixed));
+    let first = shard.first(hash, mixed)?;
+    let e = match k {
+        0 => first,
+        _ => shard.overflow.get(&hash)?.get(k - 1)?,
+    };
     Some(Tree::from_parts(Arc::clone(&e.node), e.id, hash))
 }
 
@@ -267,11 +407,7 @@ pub(crate) fn count_hits(nodes: u64) {
 /// Number of distinct trees currently interned (all shards). Equals the
 /// process-lifetime `intern.misses` count: the table never evicts.
 pub fn table_len() -> usize {
-    interner()
-        .shards
-        .iter()
-        .map(|s| s.lock().unwrap().values().map(Vec::len).sum::<usize>())
-        .sum()
+    shard_lens().iter().sum()
 }
 
 /// Resident canonical nodes per shard (sums to [`table_len`]) — the
@@ -281,10 +417,8 @@ pub fn shard_lens() -> [usize; SHARDS] {
     std::array::from_fn(|i| {
         interner().shards[i]
             .lock()
-            .unwrap()
-            .values()
-            .map(Vec::len)
-            .sum()
+            .unwrap_or_else(PoisonError::into_inner)
+            .nodes()
     })
 }
 
@@ -353,6 +487,35 @@ mod tests {
                 assert_eq!(snap.gauge(name) as usize, lens_after[i], "shard {i}");
             }
         }
+    }
+
+    /// Two distinct nodes forced under one structural hash: the first
+    /// is the inline entry, the second goes to the overflow, and both
+    /// stay findable in insertion order (the parser's `lookup` walks
+    /// `probe(hash, 0..)`). The hash is not the nodes' own, so the label
+    /// values are used by no other test.
+    #[test]
+    fn colliding_nodes_keep_their_ids_and_order() {
+        let ty = bt();
+        let l = ty.ctor_id("L").unwrap();
+        let hash = 0x0123_4567_89ab_cdef;
+        let node = |n: i64| intern(hash, l, Cow::Owned(Label::single(n)), Cow::Borrowed(&[]));
+        let collisions = || fast_obs::snapshot().get("intern.hash_collisions");
+        let before = collisions();
+        let a = node(606_000_001);
+        let b = node(606_000_002);
+        assert_ne!(a.id(), b.id());
+        assert_eq!(collisions(), before + 1);
+        assert_eq!(node(606_000_001).id(), a.id());
+        assert_eq!(node(606_000_002).id(), b.id());
+        assert_eq!(probe(hash, 0).map(|t| t.id()), Some(a.id()));
+        assert_eq!(probe(hash, 1).map(|t| t.id()), Some(b.id()));
+        assert!(probe(hash, 2).is_none());
+        assert_eq!(
+            collisions(),
+            before + 1,
+            "re-interning collides with nothing"
+        );
     }
 
     #[test]

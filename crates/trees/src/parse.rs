@@ -18,8 +18,9 @@
 //!    hit yields the canonical subtree without probing any of its
 //!    descendants; only on a miss does resolution descend, and the
 //!    missing nodes are then built bottom-up through the interner's
-//!    ordinary insert path. Parsing a document that is already interned
-//!    therefore costs one probe, not one per node.
+//!    one entry, [`intern::intern`], with the hash already computed.
+//!    Parsing a document that is already interned therefore costs one
+//!    probe, not one per node.
 
 use crate::intern::{self, ValueRef};
 use crate::tree::Tree;
@@ -461,11 +462,11 @@ impl<'a> Parser<'a> {
                         .iter_mut()
                         .map(Lit::take)
                         .collect();
-                    done.push(intern::intern_hashed(
+                    done.push(intern::intern(
                         s.hash,
                         s.ctor,
-                        Label::new(label),
-                        children,
+                        Cow::Owned(Label::new(label)),
+                        Cow::Owned(children),
                     ));
                 }
             }

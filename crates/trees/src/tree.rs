@@ -1,8 +1,10 @@
 //! σ-labeled finite trees, globally hash-consed.
 
+use crate::intern::{self, ValueRef};
 use crate::parse::ParseError;
 use crate::ty::{CtorId, TreeType};
 use fast_smt::Label;
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -69,8 +71,24 @@ pub(crate) struct Node {
 impl Tree {
     /// Creates a tree node (interned: structurally equal trees share one
     /// canonical node and [`TreeId`], whoever builds them).
-    pub fn new(ctor: CtorId, label: Label, children: Vec<Tree>) -> Tree {
-        crate::intern::intern(ctor, label, children)
+    ///
+    /// The label and the children are taken owned (`Label`,
+    /// `Vec<Tree>`) or borrowed (`&Label`, `&[Tree]`). When the node is
+    /// already interned they are only read, so borrowing them costs no
+    /// allocation; otherwise owned parts move into the new node and
+    /// borrowed ones are copied.
+    pub fn new<'l, 'c>(
+        ctor: CtorId,
+        label: impl Into<Cow<'l, Label>>,
+        children: impl Into<Cow<'c, [Tree]>>,
+    ) -> Tree {
+        let (label, children) = (label.into(), children.into());
+        let hash = intern::structural_hash(
+            ctor,
+            label.values().iter().map(ValueRef::from),
+            children.iter().map(Tree::precomputed_hash),
+        );
+        intern::intern(hash, ctor, label, children)
     }
 
     /// Assembles a handle around an already-interned node (interner
@@ -79,9 +97,9 @@ impl Tree {
         Tree { node, id, hash }
     }
 
-    /// Creates a leaf (nullary node).
-    pub fn leaf(ctor: CtorId, label: Label) -> Tree {
-        Tree::new(ctor, label, Vec::new())
+    /// Creates a leaf (nullary node), taking the label like [`Tree::new`].
+    pub fn leaf<'l>(ctor: CtorId, label: impl Into<Cow<'l, Label>>) -> Tree {
+        Tree::new(ctor, label, &[][..])
     }
 
     /// The constructor at the root.

@@ -109,7 +109,7 @@ fn build(sh: &Shape, salt: i64) -> Tree {
     Tree::new(
         ctor,
         label,
-        sh.kids.iter().map(|k| build(k, salt)).collect(),
+        sh.kids.iter().map(|k| build(k, salt)).collect::<Vec<_>>(),
     )
 }
 
