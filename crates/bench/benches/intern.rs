@@ -6,6 +6,9 @@
 //!   owned parts — a cloned label and child vector — as a caller that
 //!   builds its parts does;
 //! * `hit_borrowed` re-interns the same positions from borrowed parts;
+//! * `hit_handle` re-interns them from borrowed children and the
+//!   label's canonical handle, as the plan's build pass does for an
+//!   identity label function: no label lookup;
 //! * `miss` rebuilds the corpus bottom-up with every label salted anew
 //!   per iteration, so each node is new to the table (which grows by
 //!   the corpus's size each iteration). The salted labels are made
@@ -79,6 +82,13 @@ fn intern(c: &mut Criterion) {
         b.iter(|| {
             for t in &nodes {
                 black_box(Tree::new(t.ctor(), t.label(), t.children()));
+            }
+        });
+    });
+    g.bench_function("hit_handle", |b| {
+        b.iter(|| {
+            for t in &nodes {
+                black_box(Tree::new(t.ctor(), t.interned_label(), t.children()));
             }
         });
     });

@@ -42,8 +42,10 @@
 //! | `smt.minterms_enumerated` | a satisfiable minterm is produced |
 //! | `intern.hits` | tree interning returns an existing canonical node |
 //! | `intern.misses` | tree interning allocates a new canonical node (== table size: the table never evicts) |
-//! | `intern.hash_collisions` | a new tree node's 64-bit structural hash is already taken (it goes to the shard's overflow map) |
-//! | `intern.contended` | a shard `try_lock` fails and the interner falls back to blocking |
+//! | `intern.label_hits` | a label lookup in the interner's label table finds the canonical label |
+//! | `intern.label_misses` | the label table allocates a new canonical label (== label table size: it never evicts) |
+//! | `intern.hash_collisions` | a new tree node's or label's 64-bit hash is already taken (it goes to the shard's overflow map) |
+//! | `intern.contended` | a shard `try_lock` of either interner table fails and the interner falls back to blocking |
 //! | `automata.product_states` | `intersect` emits a satisfiable product rule |
 //! | `automata.det_states` | determinization creates a subset state |
 //! | `compose.reduce_iterations` | one `Reduce` step runs during §4.1 composition |
@@ -60,6 +62,7 @@
 //! | `rt.memo_hits` | an item root is found in the shared memo, or an item's `(state, node)` lookup finds a pair the item already needs |
 //! | `rt.memo_misses` | an item root is not in the shared memo, or an item adds a `(state, node)` pair |
 //! | `rt.memo_evictions` | a full shared memo evicts an entry |
+//! | `rt.guard_evals` | an item evaluates a guard formula while lowering its input (once per guard and distinct `(constructor, label)` pair of the item) |
 //! | `rt.pool_steals` | a pool worker steals a job from a sibling's deque |
 //! | `rt.pool_fallbacks` | a worker thread fails to spawn and the batch degrades |
 //! | `rt.timeouts` | a batch item exceeds its per-item deadline |
@@ -98,7 +101,7 @@
 //! | gauge | meaning |
 //! |---|---|
 //! | `intern.resident_nodes.shard00`..`shard15` | canonical tree nodes resident per interner shard (the table never evicts) |
-//! | `intern.resident_bytes` | estimated heap bytes held by the tree interner, all shards |
+//! | `intern.resident_bytes` | estimated heap bytes held by the tree interner's node and label tables, all shards |
 //! | `rt.memo.entries` | item-root entries resident across every live shared memo |
 //! | `rt.memo.bytes` | estimated heap bytes held by those memos |
 //! | `smt.cache.entries` | satisfiability results resident across every live solver cache |
@@ -179,6 +182,8 @@ pub const DOCUMENTED_COUNTERS: &[&str] = &[
     "smt.minterms_enumerated",
     "intern.hits",
     "intern.misses",
+    "intern.label_hits",
+    "intern.label_misses",
     "intern.hash_collisions",
     "intern.contended",
     "automata.product_states",
@@ -197,6 +202,7 @@ pub const DOCUMENTED_COUNTERS: &[&str] = &[
     "rt.memo_hits",
     "rt.memo_misses",
     "rt.memo_evictions",
+    "rt.guard_evals",
     "rt.pool_steals",
     "rt.pool_fallbacks",
     "rt.timeouts",

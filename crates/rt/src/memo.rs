@@ -23,13 +23,14 @@
 //!
 //! # Hashing
 //!
-//! Keys are `(state, TreeId)` pairs here and bare `TreeId`s in the map
-//! that lowers an item to its table. Both are hashed with
-//! [`MixHasher`], one multiply-mix step per integer, not SipHash. A
-//! keyed hash guards against keys chosen to collide, and clients
-//! cannot choose `TreeId`s: the interner hands them out from one
-//! monotonic counter. The interner itself hashes client-chosen labels
-//! and keeps SipHash.
+//! Keys are `(state, TreeId)` pairs here, bare `TreeId`s in the map
+//! that lowers an item to its table, and `(constructor, LabelId)` pairs
+//! in the map that shares guard bits between an item's slots. All are
+//! hashed with [`MixHasher`], one multiply-mix step per integer, not
+//! SipHash. A keyed hash guards against keys chosen to collide, and
+//! clients cannot choose these ids: the interner hands each kind out
+//! from one monotonic counter. The interner itself hashes client-chosen
+//! labels, with a keyed hash of its own.
 //!
 //! # Capacity
 //!

@@ -5,11 +5,11 @@ use crate::pool::{self, PoolStats};
 use crate::profile::{self, ProfileData, RuleProfile, RuleProfileEntry};
 use fast_automata::StateId;
 use fast_core::{Out, Sttr, TRule, TransducerError, DEFAULT_RUN_CAP};
-use fast_smt::{BoolAlg, Formula, Interned, Label, LabelAlg, TransAlg};
-use fast_trees::{Tree, TreeId};
-use std::borrow::Cow;
+use fast_smt::{BoolAlg, Formula, Interned, LabelAlg, TransAlg};
+use fast_trees::{LabelArg, LabelId, Tree, TreeId};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -203,6 +203,8 @@ struct BatchCtx<'p> {
     /// [`Plan::run_batch_with`].
     memo: &'p BatchMemo,
     memo_stats: CacheStats,
+    /// Guard formulas the batch's items evaluated while lowering.
+    guard_evals: AtomicU64,
     /// Per-rule attribution, present when [`RunOptions::profile`] is set.
     profile: Option<ProfileData>,
 }
@@ -256,13 +258,16 @@ struct ItemRun<'b, 'p, 't> {
     /// pair per call ([`ItemRun::mark`]).
     tape: Vec<u32>,
     /// Template-node labels, `None` where the label function is
-    /// undefined; borrowed from the input node where it is the identity.
-    labels: Vec<Option<Cow<'t, Label>>>,
+    /// undefined; the input node's canonical label where it is the
+    /// identity.
+    labels: Vec<Option<LabelArg<'t>>>,
     /// Every pair's finished output set, deduplicated.
     outs: Vec<Tree>,
     /// Pair lookups that found an existing pair, and pairs added.
     hits: u64,
     misses: u64,
+    /// Guard formulas evaluated while lowering.
+    guard_evals: u64,
 }
 
 /// A compiled evaluation plan for one [`Sttr`].
@@ -273,11 +278,11 @@ struct ItemRun<'b, 'p, 't> {
 /// (guard-ordered: syntactically trivial guards first), and the
 /// lookahead STA's rules are flattened by constructor the same way.
 /// Each constructor gets the list of the distinct non-trivial guards
-/// reading it, so an item evaluates each guard once per node, into
-/// guard bits, while it lowers the input. Every rule's per-child
-/// lookahead sets are precomputed as bit masks over the lookahead STA's
-/// states, so deciding whether a rule is enabled is a few word
-/// operations. *Copy rules* — same constructor, identity label
+/// reading it, so an item evaluates each guard once per distinct
+/// (constructor, label) pair, into guard bits, while it lowers the
+/// input. Every rule's per-child lookahead sets are precomputed as bit
+/// masks over the lookahead STA's states, so deciding whether a rule is
+/// enabled is a few word operations. *Copy rules* — same constructor, identity label
 /// function, child `i` output in place as `q_i(x_i)` — are flagged, so
 /// lowering can also mark the subtrees a state copies unchanged and
 /// dispatch can skip them. Dispatch is pure index arithmetic. A `.fastc`
@@ -623,6 +628,7 @@ impl Plan {
                 cancel: opts.cancel.clone(),
                 memo,
                 memo_stats: CacheStats::default(),
+                guard_evals: AtomicU64::new(0),
                 profile: opts
                     .profile
                     .then(|| ProfileData::new(self.total_rules, self.sttr.state_count())),
@@ -733,6 +739,7 @@ fn run_item(cx: &BatchCtx<'_>, t: &Tree) -> Result<Vec<Tree>, TransducerError> {
         outs: Vec::new(),
         hits: 0,
         misses: 0,
+        guard_evals: 0,
     };
     let out = {
         let _dispatch = fast_obs::span!("plan.dispatch");
@@ -742,6 +749,8 @@ fn run_item(cx: &BatchCtx<'_>, t: &Tree) -> Result<Vec<Tree>, TransducerError> {
     cx.memo_stats
         .misses
         .fetch_add(item.misses, Ordering::Relaxed);
+    cx.guard_evals
+        .fetch_add(item.guard_evals, Ordering::Relaxed);
     drop(item);
     let ns = start.elapsed().as_nanos() as u64;
     hist.record_ns(ns);
@@ -791,6 +800,7 @@ fn finish_stats(
     fast_obs::count!("rt.memo_hits", stats.memo_hits);
     fast_obs::count!("rt.memo_misses", stats.memo_misses);
     fast_obs::count!("rt.memo_evictions", stats.memo_evictions);
+    fast_obs::count!("rt.guard_evals", cx.guard_evals.load(Ordering::Relaxed));
     stats
 }
 
@@ -856,13 +866,18 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
     /// Lowers `t` to one slot per distinct node, in post-order, with an
     /// explicit stack (depth costs heap, not thread stack). Once a
     /// node's children are lowered it labels the slot with its guard
-    /// bits (each guard reading the constructor evaluated once), then
-    /// the lookahead states accepting it, then the states copying it.
+    /// bits, then the lookahead states accepting it, then the states
+    /// copying it. Guard bits are a function of the constructor and the
+    /// label alone, so each guard reading the constructor is evaluated
+    /// at the first slot with a given (constructor, label) pair, and
+    /// later such slots copy that slot's words.
     fn lower(&mut self, t: &'t Tree) -> Result<(), TransducerError> {
         let plan = self.cx.plan;
         let alg = plan.sttr.alg();
         let (gw, w, cw) = (plan.guard_words, plan.la_words, plan.copy_words);
         let mut at: MixMap<TreeId, u32> = MixMap::default();
+        // Per (constructor, label), the offset of its guard words.
+        let mut decided: MixMap<(usize, LabelId), u32> = MixMap::default();
         let mut stack: Vec<(&'t Tree, bool)> = vec![(t, false)];
         while let Some((node, expanded)) = stack.pop() {
             self.tick()?;
@@ -880,9 +895,22 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
                 .extend(node.children().iter().map(|c| at[&c.id()]));
             let g = self.guards.len();
             self.guards.resize(g + gw, 0);
-            for (i, f) in plan.ctor_guards(ctor).iter().enumerate() {
-                if alg.eval(f, node.label()) {
-                    self.guards[g + i / 64] |= 1 << (i % 64);
+            let guards = plan.ctor_guards(ctor);
+            if !guards.is_empty() {
+                match decided.entry((ctor, node.label_id())) {
+                    Entry::Occupied(first) => {
+                        let first = *first.get() as usize;
+                        self.guards.copy_within(first..first + gw, g);
+                    }
+                    Entry::Vacant(first) => {
+                        first.insert(g as u32);
+                        self.guard_evals += guards.len() as u64;
+                        for (i, f) in guards.iter().enumerate() {
+                            if alg.eval(f, node.label()) {
+                                self.guards[g + i / 64] |= 1 << (i % 64);
+                            }
+                        }
+                    }
                 }
             }
             let la = self.la.len();
@@ -1034,8 +1062,9 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
     /// Records an enabled template on the tape. Like `Sttr::run`, a node
     /// whose label function is undefined (`apply_fun` is `None`, e.g. on
     /// overflow) does not evaluate its subtemplates, so their calls add
-    /// no pairs. An identity label function borrows `t`'s label, which
-    /// it would copy value for value.
+    /// no pairs. An identity label function takes `t`'s canonical label,
+    /// which it would copy value for value: the node it builds then
+    /// reaches the node table without a label lookup.
     fn mark(&mut self, out: &'p Out<LabelAlg>, t: &'t Tree, kids: usize) {
         match out {
             Out::Call(q, i) => {
@@ -1045,9 +1074,9 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
             Out::Node { fun, children, .. } => {
                 let alg = self.cx.plan.sttr.alg();
                 let label = if alg.is_identity_fun(fun) && t.label().arity() == fun.terms().len() {
-                    Some(Cow::Borrowed(t.label()))
+                    Some(LabelArg::Interned(t.interned_label()))
                 } else {
-                    alg.apply_fun(fun, t.label()).map(Cow::Owned)
+                    alg.apply_fun(fun, t.label()).map(LabelArg::Owned)
                 };
                 let defined = label.is_some();
                 self.tape.push(self.labels.len() as u32);
@@ -1138,7 +1167,7 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
     fn emit(
         &self,
         out: &Out<LabelAlg>,
-        labels: &mut [Option<Cow<'t, Label>>],
+        labels: &mut [Option<LabelArg<'t>>],
         at: &mut usize,
         dst: &mut Vec<Tree>,
     ) -> Result<(), TransducerError> {
@@ -1171,7 +1200,7 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
                             self.emit(c, labels, at, &mut alts)?;
                             per_child.push(alts);
                         }
-                        return product(*ctor, &label, &per_child, self.cx.cap, dst);
+                        return product(*ctor, label, &per_child, self.cx.cap, dst);
                     }
                 }
                 let node = Tree::new(*ctor, label, &dst[base..]);
@@ -1191,10 +1220,11 @@ fn charge(profile: Option<&ProfileData>, idx: usize, start: Option<Instant>) {
 }
 
 /// Appends one `ctor[label]` node per combination of the per-child
-/// alternatives, bounded by `cap` exactly like `Sttr::run_bounded`.
+/// alternatives, bounded by `cap` exactly like `Sttr::run_bounded`. The
+/// label is resolved by the first node; the rest take its handle.
 fn product(
     ctor: fast_trees::CtorId,
-    label: &Label,
+    label: LabelArg<'_>,
     per_child: &[Vec<Tree>],
     cap: usize,
     dst: &mut Vec<Tree>,
@@ -1214,6 +1244,12 @@ fn product(
         }
         acc = next;
     }
-    dst.extend(acc.into_iter().map(|kids| Tree::new(ctor, label, kids)));
+    let mut acc = acc.into_iter();
+    if let Some(kids) = acc.next() {
+        let first = Tree::new(ctor, label, kids);
+        let label = first.interned_label().clone();
+        dst.push(first);
+        dst.extend(acc.map(|kids| Tree::new(ctor, &label, kids)));
+    }
     Ok(())
 }

@@ -51,6 +51,60 @@ fn million_deep_input_runs_on_a_default_stack() {
         .expect("the deep run must not overflow the stack");
 }
 
+/// Two outputs that differ only at the bottom of a 10⁵-deep chain are
+/// deduplicated through a `BTreeSet` on a thread with the default
+/// stack: the structural order walks the chain with a heap stack, not
+/// one frame per level. States `a` and `b` rebuild the chain down to
+/// `L[1]` and `L[2]`, and `q` offers both, so the two chains meet in
+/// one comparison, at the root. (With one state offering both leaves,
+/// every level would compare its two outputs, quadratic in the depth.)
+#[test]
+fn deep_outputs_compare_on_a_default_stack() {
+    const DEPTH: i64 = 100_000;
+    let (ty, alg) = bt();
+    let (leaf, unary) = (ty.ctor_id("L").unwrap(), ty.ctor_id("U").unwrap());
+    let mut b = SttrBuilder::new(ty.clone(), alg);
+    let q = b.state("q");
+    for (d, name) in [(1, "a"), (2, "b")] {
+        let s = b.state(name);
+        b.plain_rule(
+            s,
+            leaf,
+            Formula::True,
+            Out::node(leaf, label(Term::int(d)), vec![]),
+        );
+        let down = Out::node(unary, label(Term::int(0)), vec![Out::Call(s, 0)]);
+        b.plain_rule(s, unary, Formula::True, down.clone());
+        b.plain_rule(q, unary, Formula::True, down);
+    }
+    let plan = Plan::compile(&b.build(q));
+    let worker = std::thread::spawn(move || {
+        let mut t = Tree::leaf(leaf, Label::single(0i64));
+        for i in 1..=DEPTH {
+            t = Tree::new(unary, Label::single(i), vec![t]);
+        }
+        let out = plan.run(&t).expect("two outputs are within the cap");
+        let bottoms: Vec<i64> = out
+            .iter()
+            .map(|o| {
+                let mut node = o;
+                let mut depth = 0;
+                while let [child] = node.children() {
+                    assert_eq!(node.label(), &Label::single(0i64));
+                    node = child;
+                    depth += 1;
+                }
+                assert_eq!(depth, DEPTH);
+                node.label().get(0).as_int().unwrap()
+            })
+            .collect();
+        assert_eq!(bottoms, vec![1, 2], "both outputs, in structural order");
+    });
+    worker
+        .join()
+        .expect("comparing deep outputs must not overflow the stack");
+}
+
 /// Two states over binary trees. `left` copies a node and sends its
 /// children to `left` and `right`; `right` swaps them and offers two
 /// labels at every leaf, so its outputs come in sets.

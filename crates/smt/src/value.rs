@@ -1,7 +1,6 @@
 //! Concrete values and labels.
 
 use crate::sort::{LabelSig, Sort};
-use std::borrow::Cow;
 use std::fmt;
 
 /// A concrete value of one of the base sorts.
@@ -198,18 +197,6 @@ impl Label {
                 .map(|(_, s)| Value::default_of(*s))
                 .collect(),
         }
-    }
-}
-
-impl From<Label> for Cow<'_, Label> {
-    fn from(label: Label) -> Self {
-        Cow::Owned(label)
-    }
-}
-
-impl<'a> From<&'a Label> for Cow<'a, Label> {
-    fn from(label: &'a Label) -> Self {
-        Cow::Borrowed(label)
     }
 }
 

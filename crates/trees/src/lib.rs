@@ -7,7 +7,9 @@
 //!   printing/parsing, globally **hash-consed** ([`intern`]): every
 //!   structurally distinct subtree exists once, equality/hashing are
 //!   O(1), and [`TreeId`] gives a stable, never-reused identity that
-//!   the runtime uses as its memo key;
+//!   the runtime uses as its memo key. Labels are interned once each
+//!   ([`InternedLabel`], [`LabelId`]), and a node points at its label's
+//!   canonical entry;
 //! * [`html`] — the paper's Fig. 3 encoding of unranked HTML documents
 //!   into the `HtmlE` ranked type, and its inverse;
 //! * [`TreeGen`] / [`HtmlGen`] — seeded workload generators.
@@ -39,5 +41,5 @@ pub mod intern;
 pub use gen::{HtmlGen, TreeGen};
 pub use html::{html_type, HtmlCtors, HtmlDoc, HtmlElem};
 pub use parse::ParseError;
-pub use tree::{DisplayTree, Iter, Tree, TreeId};
+pub use tree::{DisplayTree, InternedLabel, Iter, LabelArg, LabelId, Tree, TreeId};
 pub use ty::{Ctor, CtorId, TreeType};

@@ -7,11 +7,11 @@
 //! 1. **Read.** One byte-level pass builds a local post-order arena:
 //!    per node its constructor, its label values (strings borrowed from
 //!    the input unless an escape forced a copy), its children's arena
-//!    indices, its subtree size, and its structural hash — computed
-//!    bottom-up by [`intern::structural_hash`], the same function the
-//!    interner uses. Arity, label-signature conformance and the depth
-//!    limit are all checked here, so a rejected input touches no shared
-//!    state.
+//!    indices, its subtree size, its label's hash and its structural
+//!    hash — computed bottom-up by [`intern::label_hash`] and
+//!    [`intern::node_hash`], the functions the interner uses. Arity,
+//!    label-signature conformance and the depth limit are all checked
+//!    here, so a rejected input touches no shared state.
 //! 2. **Resolve.** The arena is resolved against the global interner
 //!    top-down: the largest unresolved subtree is probed by its hash and
 //!    the candidate verified structurally against the arena. A verified
@@ -19,6 +19,9 @@
 //!    descendants; only on a miss does resolution descend, and the
 //!    missing nodes are then built bottom-up through the interner's
 //!    one entry, [`intern::intern`], with the hash already computed.
+//!    A missing node's label is looked up in the label table by its
+//!    arena hash and compared there while still borrowed, so a label
+//!    the table holds is never copied out of the input.
 //!    Parsing a document that is already interned therefore costs one
 //!    probe, not one per node.
 
@@ -100,13 +103,14 @@ impl Lit<'_> {
 }
 
 /// One arena node. Its label is `vals[vals..vals + sig arity]` (every
-/// accepted label has exactly the signature's arity) and its children
-/// are `kids[kids..kids + rank]`.
+/// accepted label has exactly the signature's arity), hashed to
+/// `label`, and its children are `kids[kids..kids + rank]`.
 struct Slot {
     ctor: CtorId,
     vals: usize,
     kids: usize,
     size: usize,
+    label: u64,
     hash: u64,
 }
 
@@ -278,11 +282,8 @@ impl<'a> Parser<'a> {
             )));
         }
         let label = &self.vals[vals..vals + self.ty.sig().arity()];
-        let hash = intern::structural_hash(
-            ctor,
-            label.iter().map(Lit::as_ref),
-            children.iter().map(|&k| self.nodes[k].hash),
-        );
+        let label = intern::label_hash(label.iter().map(Lit::as_ref));
+        let hash = intern::node_hash(ctor, label, children.iter().map(|&k| self.nodes[k].hash));
         let size = 1 + children.iter().map(|&k| self.nodes[k].size).sum::<usize>();
         let kids = self.kids.len();
         self.kids.extend_from_slice(children);
@@ -291,6 +292,7 @@ impl<'a> Parser<'a> {
             vals,
             kids,
             size,
+            label,
             hash,
         });
         Ok(self.nodes.len() - 1)
@@ -458,16 +460,17 @@ impl<'a> Parser<'a> {
                 Task::Build(i) => {
                     let s = &self.nodes[i];
                     let children = done.split_off(done.len() - self.ty.rank(s.ctor));
-                    let label = self.vals[s.vals..s.vals + arity]
-                        .iter_mut()
-                        .map(Lit::take)
-                        .collect();
-                    done.push(intern::intern(
-                        s.hash,
-                        s.ctor,
-                        Cow::Owned(Label::new(label)),
-                        Cow::Owned(children),
-                    ));
+                    let label = intern::intern_label(
+                        s.label,
+                        &mut self.vals[s.vals..s.vals + arity],
+                        |vals, l| {
+                            vals.iter()
+                                .map(Lit::as_ref)
+                                .eq(l.values().iter().map(ValueRef::from))
+                        },
+                        |vals| Label::new(vals.iter_mut().map(Lit::take).collect()),
+                    );
+                    done.push(intern::intern(s.hash, s.ctor, &label, Cow::Owned(children)));
                 }
             }
         }

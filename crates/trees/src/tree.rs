@@ -29,6 +29,109 @@ impl TreeId {
     }
 }
 
+/// The stable identity of an interned label: equal ids ⇔ equal labels,
+/// for the life of the process. Allocated and never reused by the label
+/// table in [`crate::intern`], like [`TreeId`] by the node table, and
+/// not `Ord` for the same reason.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LabelId(pub(crate) u64);
+
+impl LabelId {
+    /// The raw 64-bit id.
+    pub fn as_u64(self) -> u64 {
+        self.0
+    }
+}
+
+/// A label's canonical handle in the label table: every distinct label
+/// is stored once, with its hash and its [`LabelId`], and every node
+/// carrying it points at that one entry. Obtained from
+/// [`Tree::interned_label`]; passing it to [`Tree::new`] builds a node
+/// without a label-table lookup. Cloning is one `Arc` bump.
+#[derive(Clone)]
+pub struct InternedLabel(pub(crate) Arc<CanonLabel>);
+
+/// The label table's entry behind an [`InternedLabel`].
+pub(crate) struct CanonLabel {
+    pub(crate) hash: u64,
+    pub(crate) id: LabelId,
+    pub(crate) label: Label,
+}
+
+impl InternedLabel {
+    /// The label.
+    pub fn label(&self) -> &Label {
+        &self.0.label
+    }
+
+    /// The label's stable identity.
+    pub fn id(&self) -> LabelId {
+        self.0.id
+    }
+
+    /// True if both handles are the one canonical entry — for interned
+    /// labels, the same as label equality.
+    pub fn ptr_eq(&self, other: &InternedLabel) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl fmt::Debug for InternedLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.0.label)
+    }
+}
+
+/// A node's label as [`Tree::new`] takes it: owned, borrowed, or a
+/// tree's canonical handle. An owned or borrowed label is looked up in
+/// the label table (a borrowed one is copied only when it is new); a
+/// handle is already canonical.
+#[derive(Debug)]
+pub enum LabelArg<'a> {
+    /// An owned label, moved into the label table if it is new.
+    Owned(Label),
+    /// A borrowed label, copied into the label table if it is new.
+    Borrowed(&'a Label),
+    /// A canonical handle: no lookup at all.
+    Interned(&'a InternedLabel),
+}
+
+impl From<Label> for LabelArg<'_> {
+    fn from(label: Label) -> Self {
+        LabelArg::Owned(label)
+    }
+}
+
+impl<'a> From<&'a Label> for LabelArg<'a> {
+    fn from(label: &'a Label) -> Self {
+        LabelArg::Borrowed(label)
+    }
+}
+
+impl<'a> From<&'a InternedLabel> for LabelArg<'a> {
+    fn from(label: &'a InternedLabel) -> Self {
+        LabelArg::Interned(label)
+    }
+}
+
+impl<'a> LabelArg<'a> {
+    /// The canonical handle, through the label table unless it is one.
+    pub(crate) fn intern(self) -> Cow<'a, InternedLabel> {
+        let label = match self {
+            LabelArg::Interned(l) => return Cow::Borrowed(l),
+            LabelArg::Owned(l) => Cow::Owned(l),
+            LabelArg::Borrowed(l) => Cow::Borrowed(l),
+        };
+        let hash = intern::label_hash(label.values().iter().map(ValueRef::from));
+        Cow::Owned(intern::intern_label(
+            hash,
+            label,
+            |l, c| **l == *c,
+            Cow::into_owned,
+        ))
+    }
+}
+
 /// An immutable σ-labeled tree, hash-consed in a process-wide table:
 /// every structurally distinct subtree exists once, behind one
 /// canonical `Arc`, with a stable [`TreeId`].
@@ -36,7 +139,7 @@ impl TreeId {
 /// Cloning is O(1) (one `Arc` bump). Equality is an id comparison and
 /// hashing writes a precomputed structural hash — both O(1) regardless
 /// of tree size. Ordering is structural (deterministic across runs),
-/// with an id fast path for the equal case.
+/// with id fast paths for equal subtrees and equal labels.
 ///
 /// # Examples
 ///
@@ -64,7 +167,7 @@ pub struct Tree {
 
 pub(crate) struct Node {
     pub(crate) ctor: CtorId,
-    pub(crate) label: Label,
+    pub(crate) label: InternedLabel,
     pub(crate) children: Vec<Tree>,
 }
 
@@ -72,23 +175,25 @@ impl Tree {
     /// Creates a tree node (interned: structurally equal trees share one
     /// canonical node and [`TreeId`], whoever builds them).
     ///
-    /// The label and the children are taken owned (`Label`,
-    /// `Vec<Tree>`) or borrowed (`&Label`, `&[Tree]`). When the node is
-    /// already interned they are only read, so borrowing them costs no
-    /// allocation; otherwise owned parts move into the new node and
-    /// borrowed ones are copied.
+    /// The label is taken owned (`Label`), borrowed (`&Label`) or as a
+    /// tree's canonical handle (`&InternedLabel`, see
+    /// [`Tree::interned_label`]), and the children owned (`Vec<Tree>`)
+    /// or borrowed (`&[Tree]`). Parts that are already interned are only
+    /// read, so borrowing them costs no allocation; otherwise owned parts
+    /// move into the tables and borrowed ones are copied. A handle skips
+    /// the label lookup altogether.
     pub fn new<'l, 'c>(
         ctor: CtorId,
-        label: impl Into<Cow<'l, Label>>,
+        label: impl Into<LabelArg<'l>>,
         children: impl Into<Cow<'c, [Tree]>>,
     ) -> Tree {
-        let (label, children) = (label.into(), children.into());
-        let hash = intern::structural_hash(
+        let (label, children) = (label.into().intern(), children.into());
+        let hash = intern::node_hash(
             ctor,
-            label.values().iter().map(ValueRef::from),
+            label.0.hash,
             children.iter().map(Tree::precomputed_hash),
         );
-        intern::intern(hash, ctor, label, children)
+        intern::intern(hash, ctor, &label, children)
     }
 
     /// Assembles a handle around an already-interned node (interner
@@ -98,7 +203,7 @@ impl Tree {
     }
 
     /// Creates a leaf (nullary node), taking the label like [`Tree::new`].
-    pub fn leaf<'l>(ctor: CtorId, label: impl Into<Cow<'l, Label>>) -> Tree {
+    pub fn leaf<'l>(ctor: CtorId, label: impl Into<LabelArg<'l>>) -> Tree {
         Tree::new(ctor, label, &[][..])
     }
 
@@ -109,6 +214,18 @@ impl Tree {
 
     /// The label at the root.
     pub fn label(&self) -> &Label {
+        &self.node.label.0.label
+    }
+
+    /// The identity of the label at the root: equal ids ⇔ equal labels.
+    pub fn label_id(&self) -> LabelId {
+        self.node.label.id()
+    }
+
+    /// The canonical handle of the label at the root. Passing it to
+    /// [`Tree::new`] builds a node with the same label without a label
+    /// lookup.
+    pub fn interned_label(&self) -> &InternedLabel {
         &self.node.label
     }
 
@@ -166,8 +283,9 @@ impl Tree {
         self.id
     }
 
-    /// The precomputed structural hash (deterministic across runs and
-    /// threads; equal trees have equal hashes).
+    /// The precomputed structural hash: equal trees have equal hashes.
+    /// It is keyed per process, so it is the same in every thread of a
+    /// process but differs from one run to the next.
     pub fn precomputed_hash(&self) -> u64 {
         self.hash
     }
@@ -245,18 +363,49 @@ impl PartialOrd for Tree {
 }
 
 impl Ord for Tree {
+    /// Structural order: constructor, then label, then the children
+    /// lexicographically (the pre-interning derived order), so iteration
+    /// is deterministic across runs; ids depend on interning order, so
+    /// they only serve the equal case. Iterative: the first differing
+    /// node pair is found with a heap stack, so any depth compares on any
+    /// thread stack.
     fn cmp(&self, other: &Tree) -> std::cmp::Ordering {
-        // Structural order (ctor, label, children — the pre-interning
-        // derived order) keeps iteration deterministic across runs; ids
-        // depend on interning order, so they only serve the equal case.
-        if self.id == other.id {
-            return std::cmp::Ordering::Equal;
+        use std::cmp::Ordering;
+        // Child lists whose earlier siblings compared equal.
+        let mut open: Vec<(&[Tree], &[Tree])> = Vec::new();
+        let (mut a, mut b) = (self, other);
+        loop {
+            if a.id != b.id {
+                let ord = a.ctor().cmp(&b.ctor()).then_with(|| {
+                    if a.label_id() == b.label_id() {
+                        Ordering::Equal
+                    } else {
+                        a.label().cmp(b.label())
+                    }
+                });
+                if ord != Ordering::Equal {
+                    return ord;
+                }
+                open.push((a.children(), b.children()));
+            }
+            loop {
+                let Some((xs, ys)) = open.last_mut() else {
+                    return Ordering::Equal;
+                };
+                match (xs.split_first(), ys.split_first()) {
+                    (Some((x, xr)), Some((y, yr))) => {
+                        (*xs, *ys) = (xr, yr);
+                        (a, b) = (x, y);
+                        break;
+                    }
+                    (None, None) => {
+                        open.pop();
+                    }
+                    (None, Some(_)) => return Ordering::Less,
+                    (Some(_), None) => return Ordering::Greater,
+                }
+            }
         }
-        self.node
-            .ctor
-            .cmp(&other.node.ctor)
-            .then_with(|| self.node.label.cmp(&other.node.label))
-            .then_with(|| self.node.children.cmp(&other.node.children))
     }
 }
 

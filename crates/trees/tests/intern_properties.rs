@@ -10,11 +10,15 @@
 //!   shared by all of them;
 //! * **top-down resolution** — the parser's probe-and-verify path
 //!   returns the same id as node-by-node construction, for documents
-//!   already interned, never seen, or partly seen, at any depth.
+//!   already interned, never seen, or partly seen, at any depth;
+//! * **label identity** — label ids are equal iff labels are equal,
+//!   whichever way the label reached the table: owned, borrowed, a
+//!   tree's canonical handle, the parser, or the HTML encoder.
 
 use fast_smt::{Label, LabelSig, Sort, Value};
-use fast_trees::{html_type, HtmlDoc, HtmlElem, HtmlGen, Tree, TreeGen, TreeType};
+use fast_trees::{html_type, HtmlDoc, HtmlElem, HtmlGen, LabelId, Tree, TreeGen, TreeType};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -162,6 +166,89 @@ proptest! {
         let same_structure =
             a.display(&ty).to_string() == b.display(&ty).to_string();
         prop_assert_eq!(a.id() == b.id(), same_structure);
+    }
+}
+
+/// A type whose label has one field of each of the four sorts.
+fn all_sorts_type() -> Arc<TreeType> {
+    TreeType::new(
+        "S4",
+        LabelSig::new(vec![
+            ("n".into(), Sort::Int),
+            ("s".into(), Sort::Str),
+            ("b".into(), Sort::Bool),
+            ("c".into(), Sort::Char),
+        ]),
+        vec![("z", 0), ("u", 1)],
+    )
+}
+
+/// Labels over small domains of every sort, so two draws are often
+/// equal and often differ in one field only.
+fn all_sorts_label() -> impl Strategy<Value = Label> {
+    (
+        -2i64..3,
+        prop_oneof![Just(String::new()), "[ab\"\\\\]{1,9}"],
+        any::<bool>(),
+        prop_oneof![Just('a'), Just('\0'), Just('é'), Just('\'')],
+    )
+        .prop_map(|(n, s, b, c)| {
+            Label::new(vec![
+                Value::Int(n),
+                Value::Str(s),
+                Value::Bool(b),
+                Value::Char(c),
+            ])
+        })
+}
+
+/// The label id `label` gets through every source: owned, borrowed,
+/// another tree's canonical handle, and a parse of the printed node.
+/// All must agree.
+fn label_id_via_every_source(ty: &TreeType, label: &Label) -> LabelId {
+    let (z, u) = (ty.ctor_id("z").unwrap(), ty.ctor_id("u").unwrap());
+    let owned = Tree::leaf(z, label.clone());
+    let borrowed = Tree::leaf(z, label);
+    let handle = Tree::new(u, owned.interned_label(), vec![borrowed.clone()]);
+    let parsed = Tree::parse(ty, &handle.display(ty).to_string()).unwrap();
+    let id = owned.label_id();
+    for t in [&borrowed, &handle, &parsed, parsed.child(0)] {
+        assert_eq!(t.label_id(), id, "{label}");
+        assert_eq!(t.label(), label);
+    }
+    assert!(handle.interned_label().ptr_eq(owned.interned_label()));
+    id
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Label ids are equal iff labels are equal, over all four value
+    /// sorts and every construction source.
+    #[test]
+    fn label_ids_coincide_iff_labels_are_equal(a in all_sorts_label(), b in all_sorts_label()) {
+        let ty = all_sorts_type();
+        let (ia, ib) = (label_id_via_every_source(&ty, &a), label_id_via_every_source(&ty, &b));
+        prop_assert_eq!(ia == ib, a == b);
+    }
+
+    /// The HTML encoder is one more source: across an encoded document,
+    /// nodes share a label id iff their labels are equal, and a borrowed
+    /// lookup of each label finds the encoder's entry.
+    #[test]
+    fn html_labels_intern_once(seed in 0u64..1_000) {
+        let ty = html_type();
+        let doc = HtmlGen::new(seed).doc_of_size(300).encode(&ty);
+        let mut by_label: HashMap<&Label, LabelId> = HashMap::new();
+        let mut by_id: HashMap<LabelId, &Label> = HashMap::new();
+        for t in doc.iter() {
+            prop_assert_eq!(*by_label.entry(t.label()).or_insert(t.label_id()), t.label_id());
+            prop_assert_eq!(*by_id.entry(t.label_id()).or_insert(t.label()), t.label());
+        }
+        let nil = ty.ctor_id("nil").unwrap();
+        for (label, id) in &by_label {
+            prop_assert_eq!(Tree::leaf(nil, *label).label_id(), *id);
+        }
     }
 }
 
