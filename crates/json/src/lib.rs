@@ -8,6 +8,17 @@
 //! `fast-serve` wire protocol; compiled programs persist in the binary
 //! `.fastc` format instead (`fast_smt::bin`, `fast_rt::Artifact`).
 //!
+//! There is one parser, and it borrows: [`JsonRef::parse`] returns a
+//! value whose strings are [`RawStr`]s — spans of the input with their
+//! escapes checked but not yet decoded. [`Json::parse`] is that parse
+//! followed by [`JsonRef::to_json`]. A reader that only needs a few
+//! fields of a large document (the `fast-serve` request decoder) reads
+//! them from the borrowed value and decodes only those, once, with
+//! [`unescape_into`] into a buffer it reuses. The writing side
+//! has the same split: [`Escaped`] is a `fmt::Write` that escapes what
+//! it is given as the content of a string literal, so text can be
+//! rendered into a JSON document without a `String` of its own.
+//!
 //! Objects preserve insertion order (helpful for stable telemetry
 //! snapshots and golden files); duplicate keys keep the last value on
 //! lookup, as in `serde_json`.
@@ -24,6 +35,7 @@
 
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Maximum container nesting [`Json::parse`] accepts. The parser is
@@ -146,18 +158,7 @@ impl Json {
     /// Returns a positioned [`JsonError`] on malformed input, including
     /// containers nested deeper than [`MAX_PARSE_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters"));
-        }
-        Ok(v)
+        JsonRef::parse(input).map(|v| v.to_json())
     }
 
     /// Pretty-prints with two-space indentation.
@@ -259,36 +260,289 @@ impl Json {
     }
 }
 
-/// Writes `s` as a JSON string literal. Each run of bytes that needs no
-/// escaping is copied in one write; every escaped byte is ASCII, so the
-/// runs always split on char boundaries.
+/// Writes `s` as a JSON string literal.
 fn write_str_literal(out: &mut String, s: &str) -> fmt::Result {
-    use fmt::Write as _;
     out.push('"');
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let esc = match b {
-            b'"' => Some("\\\""),
-            b'\\' => Some("\\\\"),
-            b'\n' => Some("\\n"),
-            b'\r' => Some("\\r"),
-            b'\t' => Some("\\t"),
-            0..=0x1f => None,
-            _ => continue,
-        };
-        out.push_str(&s[run..i]);
-        match esc {
-            Some(esc) => out.push_str(esc),
-            None => write!(out, "\\u{b:04x}")?,
-        }
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
+    escape_into(out, s);
     out.push('"');
     Ok(())
 }
 
+/// Appends `s` escaped as the content of a JSON string literal (no
+/// quotes). Each run of bytes that needs no escaping is copied in one
+/// write; every escaped byte is ASCII, so the runs always split on char
+/// boundaries.
+#[inline]
+fn escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        escape_byte(out, b);
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// Appends the escape of one byte that JSON requires escaped.
+#[inline]
+fn escape_byte(out: &mut String, b: u8) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    match b {
+        b'"' => out.push_str("\\\""),
+        b'\\' => out.push_str("\\\\"),
+        b'\n' => out.push_str("\\n"),
+        b'\r' => out.push_str("\\r"),
+        b'\t' => out.push_str("\\t"),
+        _ => {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+    }
+}
+
+/// A `fmt::Write` that appends what it is given to a `String`, escaped
+/// as the content of a JSON string literal: writing `Display` output
+/// through it renders that text straight into a JSON document, with no
+/// `String` of its own and no second pass. The quotes are the caller's.
+///
+/// ```
+/// use fast_json::{Escaped, Json};
+/// use std::fmt::Write as _;
+/// let mut out = String::from("\"");
+/// let mut esc = Escaped::new(&mut out);
+/// write!(esc, "say {:?}", "hi").unwrap();
+/// assert_eq!(esc.text_len(), 8);
+/// out.push('"');
+/// assert_eq!(out, Json::Str("say \"hi\"".into()).to_string());
+/// ```
+pub struct Escaped<'a> {
+    out: &'a mut String,
+    text_len: usize,
+}
+
+impl<'a> Escaped<'a> {
+    /// An escaping writer appending to `out`.
+    pub fn new(out: &'a mut String) -> Escaped<'a> {
+        Escaped { out, text_len: 0 }
+    }
+
+    /// Bytes of text written so far, counted before escaping.
+    pub fn text_len(&self) -> usize {
+        self.text_len
+    }
+}
+
+impl fmt::Write for Escaped<'_> {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.text_len += s.len();
+        // Rendered text arrives in many one-byte pieces (brackets,
+        // quotes, single chars): those skip the run scan.
+        match *s.as_bytes() {
+            [b] if b < 0x20 || b == b'"' || b == b'\\' => escape_byte(self.out, b),
+            [b] => self.out.push(char::from(b)),
+            _ => escape_into(self.out, s),
+        }
+        Ok(())
+    }
+}
+
+/// A string literal's content as it appears in the text it was parsed
+/// from: its escapes were checked by the parse but are not decoded yet.
+/// Decoding happens on demand, and borrows when there is nothing to
+/// decode. The default is the empty string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RawStr<'a> {
+    raw: &'a str,
+    escaped: bool,
+}
+
+impl<'a> RawStr<'a> {
+    /// The content between the quotes, escapes as written.
+    pub fn raw(&self) -> &'a str {
+        self.raw
+    }
+
+    /// The decoded string: borrowed when nothing is escaped.
+    pub fn decode(&self) -> Cow<'a, str> {
+        if self.escaped {
+            let mut out = String::with_capacity(self.raw.len());
+            unescape_into(self.raw, &mut out)
+                .expect("escapes are checked when the literal is parsed");
+            Cow::Owned(out)
+        } else {
+            Cow::Borrowed(self.raw)
+        }
+    }
+
+    /// True if the decoded string equals `s` (no allocation when
+    /// nothing is escaped).
+    pub fn is(&self, s: &str) -> bool {
+        if self.escaped {
+            self.decode() == s
+        } else {
+            self.raw == s
+        }
+    }
+}
+
+/// Decodes the content of a string literal, escapes as written (what
+/// [`RawStr::raw`] returns), appending the result to `out`. This is the
+/// parser's own escape decoder: a span the parser accepted always
+/// decodes.
+///
+/// # Errors
+///
+/// A malformed escape, positioned in `raw`; `out` then holds the text
+/// decoded before it.
+pub fn unescape_into(raw: &str, out: &mut String) -> Result<(), JsonError> {
+    let bytes = raw.as_bytes();
+    // `run` starts the text not yet copied, `from` where to look for
+    // the next escape.
+    let (mut run, mut from) = (0, 0);
+    while let Some(off) = bytes[from..].iter().position(|&b| b == b'\\') {
+        let at = from + off;
+        out.push_str(&raw[run..at]);
+        if let Some(b'"' | b'\\' | b'/') = bytes.get(at + 1) {
+            // The escaped byte stands for itself: it starts the next run.
+            (run, from) = (at + 1, at + 2);
+        } else {
+            let (c, next) = unescape_at(bytes, at)?;
+            out.push(c);
+            (run, from) = (next, next);
+        }
+    }
+    out.push_str(&raw[run..]);
+    Ok(())
+}
+
+/// The four hex digits of a `\u` escape starting at `at`.
+fn hex4(bytes: &[u8], at: usize) -> Option<u32> {
+    let digits = bytes.get(at..at + 4)?;
+    digits
+        .iter()
+        .try_fold(0, |n, &d| char::from(d).to_digit(16).map(|d| n << 4 | d))
+}
+
+/// Decodes the escape whose `\` is at `at`: the char it stands for and
+/// the index just past it. A `\uXXXX` high surrogate must be followed
+/// by a `\uXXXX` low one; together they stand for one char.
+fn unescape_at(bytes: &[u8], at: usize) -> Result<(char, usize), JsonError> {
+    let err = |message: &str, offset: usize| JsonError {
+        message: message.to_string(),
+        offset,
+    };
+    let Some(&esc) = bytes.get(at + 1) else {
+        return Err(err("dangling escape", at + 1));
+    };
+    let c = match esc {
+        b'"' => '"',
+        b'\\' => '\\',
+        b'/' => '/',
+        b'n' => '\n',
+        b'r' => '\r',
+        b't' => '\t',
+        b'b' => '\u{8}',
+        b'f' => '\u{c}',
+        b'u' => {
+            let cp = hex4(bytes, at + 2).ok_or_else(|| err("bad \\u escape", at + 2))?;
+            if (0xD800..0xDC00).contains(&cp) && bytes.get(at + 6..at + 8) == Some(b"\\u") {
+                let lo = hex4(bytes, at + 8)
+                    .filter(|lo| (0xDC00..0xE000).contains(lo))
+                    .ok_or_else(|| err("bad surrogate", at + 8))?;
+                let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                let c = char::from_u32(c).expect("a surrogate pair is a scalar value");
+                return Ok((c, at + 12));
+            }
+            let c = char::from_u32(cp).ok_or_else(|| err("invalid codepoint", at + 6))?;
+            return Ok((c, at + 6));
+        }
+        _ => return Err(err("unknown escape", at + 2)),
+    };
+    Ok((c, at + 2))
+}
+
+/// A JSON value borrowed from the text it was parsed from: what
+/// [`JsonRef::parse`] returns. Strings and object keys are [`RawStr`]s;
+/// [`JsonRef::to_json`] decodes them into an owned [`Json`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonRef<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// An integer (JSON numbers without `.`/`e`).
+    Int(i64),
+    /// A floating-point number.
+    Float(f64),
+    /// A string, not yet decoded.
+    Str(RawStr<'a>),
+    /// An array.
+    Array(Vec<JsonRef<'a>>),
+    /// An object, in input order.
+    Object(Vec<(RawStr<'a>, JsonRef<'a>)>),
+}
+
+impl<'a> JsonRef<'a> {
+    /// Parses a JSON document (strict: exactly one value, full input),
+    /// borrowing its strings from `input`. This is the crate's one
+    /// parser.
+    ///
+    /// # Errors
+    ///
+    /// Returns a positioned [`JsonError`] on malformed input, including
+    /// malformed escapes and containers nested deeper than
+    /// [`MAX_PARSE_DEPTH`].
+    pub fn parse(input: &'a str) -> Result<JsonRef<'a>, JsonError> {
+        let mut p = Parser {
+            text: input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        p.skip_ws();
+        let v = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.err("trailing characters"));
+        }
+        Ok(v)
+    }
+
+    /// Object field lookup (last occurrence wins on duplicate keys, as
+    /// in [`Json::get`]).
+    pub fn get(&self, key: &str) -> Option<&JsonRef<'a>> {
+        match self {
+            JsonRef::Object(fields) => fields.iter().rev().find(|(k, _)| k.is(key)).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The owned value, every string decoded.
+    pub fn to_json(&self) -> Json {
+        match self {
+            JsonRef::Null => Json::Null,
+            JsonRef::Bool(b) => Json::Bool(*b),
+            JsonRef::Int(n) => Json::Int(*n),
+            JsonRef::Float(x) => Json::Float(*x),
+            JsonRef::Str(s) => Json::Str(s.decode().into_owned()),
+            JsonRef::Array(xs) => Json::Array(xs.iter().map(JsonRef::to_json).collect()),
+            JsonRef::Object(fields) => Json::Object(
+                fields
+                    .iter()
+                    .map(|(k, v)| (k.decode().into_owned(), v.to_json()))
+                    .collect(),
+            ),
+        }
+    }
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Current container nesting, checked against [`MAX_PARSE_DEPTH`].
@@ -326,7 +580,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn lit(&mut self, s: &str, v: Json) -> Result<Json, JsonError> {
+    fn lit(&mut self, s: &str, v: JsonRef<'a>) -> Result<JsonRef<'a>, JsonError> {
         if self.bytes[self.pos..].starts_with(s.as_bytes()) {
             self.pos += s.len();
             Ok(v)
@@ -335,12 +589,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    fn value(&mut self) -> Result<JsonRef<'a>, JsonError> {
         match self.peek() {
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'n') => self.lit("null", JsonRef::Null),
+            Some(b't') => self.lit("true", JsonRef::Bool(true)),
+            Some(b'f') => self.lit("false", JsonRef::Bool(false)),
+            Some(b'"') => Ok(JsonRef::Str(self.string()?)),
             Some(b'[') => self.nested(Parser::array),
             Some(b'{') => self.nested(Parser::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
@@ -352,8 +606,8 @@ impl<'a> Parser<'a> {
     /// recursing past [`MAX_PARSE_DEPTH`].
     fn nested(
         &mut self,
-        container: fn(&mut Self) -> Result<Json, JsonError>,
-    ) -> Result<Json, JsonError> {
+        container: fn(&mut Self) -> Result<JsonRef<'a>, JsonError>,
+    ) -> Result<JsonRef<'a>, JsonError> {
         if self.depth >= MAX_PARSE_DEPTH {
             return Err(JsonError {
                 message: format!("nesting deeper than the {MAX_PARSE_DEPTH}-level limit"),
@@ -366,13 +620,13 @@ impl<'a> Parser<'a> {
         v
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self) -> Result<JsonRef<'a>, JsonError> {
         self.eat(b'[', "expected '['")?;
         let mut out = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Array(out));
+            return Ok(JsonRef::Array(out));
         }
         loop {
             self.skip_ws();
@@ -382,20 +636,20 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Array(out));
+                    return Ok(JsonRef::Array(out));
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self) -> Result<JsonRef<'a>, JsonError> {
         self.eat(b'{', "expected '{'")?;
         let mut out = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Object(out));
+            return Ok(JsonRef::Object(out));
         }
         loop {
             self.skip_ws();
@@ -410,93 +664,43 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Object(out));
+                    return Ok(JsonRef::Object(out));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string literal: its content is sliced from the input, and each
+    /// escape in it is checked (decoded and dropped) on the way past.
+    /// `"` and `\` are ASCII, so they never split a UTF-8 char.
+    fn string(&mut self) -> Result<RawStr<'a>, JsonError> {
         self.eat(b'"', "expected string")?;
-        let mut out = String::new();
+        let start = self.pos;
+        let mut escaped = false;
         loop {
-            // Copy the maximal run of unescaped bytes in one shot and
-            // validate only that run — `"` and `\` (0x22, 0x5C) never
-            // appear as UTF-8 continuation bytes, so the byte scan
-            // cannot split a multi-byte character. Validating from
-            // `pos` to the end of the *input* here instead would make
-            // parsing quadratic in the string length.
-            let run_start = self.pos;
-            while !matches!(self.bytes.get(self.pos), None | Some(b'"') | Some(b'\\')) {
+            let Some(off) = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += off;
+            if self.bytes[self.pos] == b'"' {
+                let raw = &self.text[start..self.pos];
                 self.pos += 1;
+                return Ok(RawStr { raw, escaped });
             }
-            if self.pos > run_start {
-                let run = std::str::from_utf8(&self.bytes[run_start..self.pos]).map_err(|e| {
-                    JsonError {
-                        message: "invalid UTF-8".to_string(),
-                        offset: run_start + e.valid_up_to(),
-                    }
-                })?;
-                out.push_str(run);
-            }
-            match self.bytes.get(self.pos).copied() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(_) => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("dangling escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pair?
-                            let c = if (0xD800..0xDC00).contains(&cp)
-                                && self.bytes.get(self.pos) == Some(&b'\\')
-                                && self.bytes.get(self.pos + 1) == Some(&b'u')
-                            {
-                                let hex2 = self
-                                    .bytes
-                                    .get(self.pos + 2..self.pos + 6)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .ok_or_else(|| self.err("bad surrogate"))?;
-                                let lo = u32::from_str_radix(hex2, 16)
-                                    .map_err(|_| self.err("bad surrogate"))?;
-                                self.pos += 6;
-                                0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                cp
-                            };
-                            out.push(
-                                char::from_u32(c).ok_or_else(|| self.err("invalid codepoint"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-            }
+            escaped = true;
+            self.pos = match self.bytes.get(self.pos + 1) {
+                Some(b'"' | b'\\' | b'/') => self.pos + 2,
+                _ => unescape_at(self.bytes, self.pos)?.1,
+            };
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<JsonRef<'a>, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -512,14 +716,14 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         if float {
             text.parse::<f64>()
-                .map(Json::Float)
+                .map(JsonRef::Float)
                 .map_err(|_| self.err("invalid number"))
         } else {
             text.parse::<i64>()
-                .map(Json::Int)
+                .map(JsonRef::Int)
                 .map_err(|_| self.err("invalid number"))
         }
     }
@@ -576,6 +780,61 @@ mod tests {
             assert_eq!(Json::Str(s.into()).to_string(), reference(s), "{s:?}");
             let obj = Json::obj([(s, Json::Null)]);
             assert_eq!(obj.to_string(), format!("{{{}:null}}", reference(s)));
+        }
+    }
+
+    /// The borrowing parse keeps strings as spans of the input and
+    /// decodes them on demand, to what `Json::parse` holds.
+    #[test]
+    fn borrowed_strings_decode_on_demand() {
+        let text =
+            r#"{"plain": "abc", "esc": "a\"b\\c\/d\n\u00e9\uD83D\uDE00", "k": 1, "k": "last"}"#;
+        let doc = JsonRef::parse(text).unwrap();
+        let Some(JsonRef::Str(plain)) = doc.get("plain") else {
+            panic!("plain is a string")
+        };
+        assert!(matches!(plain.decode(), Cow::Borrowed("abc")));
+        let Some(JsonRef::Str(esc)) = doc.get("esc") else {
+            panic!("esc is a string")
+        };
+        assert_eq!(esc.raw(), r#"a\"b\\c\/d\n\u00e9\uD83D\uDE00"#);
+        assert_eq!(esc.decode(), "a\"b\\c/d\né😀");
+        let mut buf = String::from("x");
+        unescape_into(esc.raw(), &mut buf).unwrap();
+        assert_eq!(buf, "xa\"b\\c/d\né😀");
+        assert!(esc.is("a\"b\\c/d\né😀"));
+        // Last key wins, as in `Json::get`.
+        assert_eq!(
+            doc.get("k").map(JsonRef::to_json),
+            Some(Json::Str("last".into()))
+        );
+        assert_eq!(doc.to_json(), Json::parse(text).unwrap());
+    }
+
+    /// Every malformed escape fails the parse, positioned, and
+    /// `unescape_into` rejects it the same way. A high surrogate must
+    /// pair with a low one (`\uD800\u0041` once decoded to U+2441 in
+    /// release builds).
+    #[test]
+    fn malformed_escapes_are_rejected() {
+        for (bad, what) in [
+            (r#""\u12""#, "bad \\u escape"),
+            (r#""\u+041""#, "bad \\u escape"),
+            (r#""\uD800""#, "invalid codepoint"),
+            (r#""\uDC00""#, "invalid codepoint"),
+            (r#""\uD800\u0041""#, "bad surrogate"),
+            (r#""\uD800\uD800""#, "bad surrogate"),
+            (r#""\x""#, "unknown escape"),
+            (r#""\"#, "dangling escape"),
+        ] {
+            let err = Json::parse(bad).unwrap_err();
+            assert_eq!(err.message, what, "{bad}");
+            let raw = &bad[1..bad.len() - usize::from(bad.len() > 2 && bad.ends_with('"'))];
+            assert_eq!(
+                unescape_into(raw, &mut String::new()).unwrap_err().message,
+                what,
+                "{raw}"
+            );
         }
     }
 

@@ -122,7 +122,13 @@
 //! (`rt.pipeline.compile` per chain compilation, `rt.pipeline.run` per
 //! pipeline batch, `rt.pipeline.stage` per segment pass — also a span
 //! and a histogram), the serving path (`serve.request` per admitted
-//! request: executor time, queue wait excluded), and the `fastc profile` phases
+//! request: executor time, queue wait excluded; and one histogram per
+//! request phase, each recorded once per admitted request that reaches
+//! it, never per node: `serve.phase.queue` the wait in the work queue,
+//! `serve.phase.decode` the connection's in-place frame decode plus the
+//! executor's unescaping of the input, `serve.phase.parse` the tree
+//! parse and intern, `serve.phase.eval` the transducer run, and
+//! `serve.phase.render` writing the response), and the `fastc profile` phases
 //! (`profile.compile`, `profile.plan_compile`, `profile.run`).
 //!
 //! ## Reading a snapshot
@@ -270,6 +276,11 @@ pub const DOCUMENTED_DURATIONS: &[&str] = &[
     "rt.pipeline.run",
     "rt.pipeline.stage",
     "serve.request",
+    "serve.phase.queue",
+    "serve.phase.decode",
+    "serve.phase.parse",
+    "serve.phase.eval",
+    "serve.phase.render",
     "plan.dispatch",
     "profile.compile",
     "profile.plan_compile",

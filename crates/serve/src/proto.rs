@@ -24,8 +24,20 @@
 //! `"ok": false` with a `code` (HTTP-flavored: 400 malformed, 404
 //! unknown target, 408 deadline, 413 over budget, 429 shed, 500
 //! internal fault, 503 shutting down) and a human-readable `error`.
+//!
+//! The server reads a request once and writes a response once.
+//! [`decode_request`] decodes a frame in place into a [`RequestRef`],
+//! whose `input` is still the escaped span of the frame (a [`RawStr`]);
+//! the executor unescapes it into a buffer of its own.
+//! [`write_outputs`] writes a `run`/`pipeline` response with each output
+//! tree rendered JSON-escaped straight into the response buffer, byte
+//! for byte what [`write_json`] of the [`ok_response`] would write.
+//! [`parse_request`] and [`write_json`] remain the owned forms, for
+//! clients and for replaying a request outside the server.
 
-use fast_json::Json;
+use fast_json::{Escaped, Json, JsonRef, RawStr};
+use fast_trees::{Tree, TreeType};
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
 
 /// Bytes in the frame length prefix.
@@ -158,60 +170,100 @@ pub struct Request {
     pub cap: Option<usize>,
 }
 
-/// Parses raw frame bytes into a [`Request`]. On error, returns the
-/// best-effort echoed id plus a 400-style message — the connection
+impl Op {
+    /// The op's name on the wire.
+    pub fn name(self) -> &'static str {
+        match self {
+            Op::Run => "run",
+            Op::Pipeline => "pipeline",
+            Op::Check => "check",
+            Op::Stats => "stats",
+            Op::Ping => "ping",
+        }
+    }
+}
+
+/// A request decoded in place: what [`decode_request`] returns. The
+/// target and the input borrow from the frame text; the input is not
+/// even unescaped yet ([`fast_json::unescape_into`] does that, on
+/// demand).
+#[derive(Debug, Clone)]
+pub struct RequestRef<'a> {
+    /// Client correlation id, echoed verbatim (Null when absent).
+    pub id: Json,
+    /// The operation.
+    pub op: Op,
+    /// Transducer or pipeline name (`run`/`pipeline`/`check`; empty
+    /// otherwise).
+    pub target: Cow<'a, str>,
+    /// Input tree in `Tree::parse` syntax, as the frame spells it
+    /// (`run`/`pipeline`/`check`; empty otherwise).
+    pub input: RawStr<'a>,
+    /// Optional per-request deadline; the server clamps it to its own.
+    pub timeout_ms: Option<u64>,
+    /// Optional per-request output-set budget; clamped likewise.
+    pub cap: Option<usize>,
+}
+
+/// Parses raw frame bytes into a [`Request`]: [`decode_request`], with
+/// the target and input decoded into owned strings. On error, returns
+/// the best-effort echoed id plus a 400-style message — the connection
 /// survives a malformed request.
 pub fn parse_request(bytes: &[u8]) -> Result<Request, (Json, String)> {
     let text = std::str::from_utf8(bytes).map_err(|_| (Json::Null, "frame is not UTF-8".into()))?;
-    let doc = Json::parse(text).map_err(|e| (Json::Null, format!("bad JSON: {e}")))?;
-    let id = doc.get("id").cloned().unwrap_or(Json::Null);
-    let Json::Object(mut fields) = doc else {
+    let req = decode_request(text)?;
+    Ok(Request {
+        id: req.id,
+        op: req.op,
+        target: req.target.into_owned(),
+        input: req.input.decode().into_owned(),
+        timeout_ms: req.timeout_ms,
+        cap: req.cap,
+    })
+}
+
+/// Decodes a request frame's text in place: one pass of the borrowing
+/// JSON parser, after which only the id is copied. The server's
+/// connection threads decode every request this way; on error it
+/// returns what [`parse_request`] returns.
+pub fn decode_request(text: &str) -> Result<RequestRef<'_>, (Json, String)> {
+    let doc = JsonRef::parse(text).map_err(|e| (Json::Null, format!("bad JSON: {e}")))?;
+    let id = doc.get("id").map_or(Json::Null, JsonRef::to_json);
+    if !matches!(doc, JsonRef::Object(_)) {
         return Err((id, "request must be a JSON object".into()));
+    }
+    let op = match doc.get("op") {
+        Some(JsonRef::Str(s)) => match &*s.decode() {
+            "run" => Op::Run,
+            "pipeline" => Op::Pipeline,
+            "check" => Op::Check,
+            "stats" => Op::Stats,
+            "ping" => Op::Ping,
+            other => return Err((id, format!("unknown op {other:?}"))),
+        },
+        _ => return Err((id, "missing \"op\" field".into())),
     };
-    // Moved out of the decoded document, not copied: `input` is the
-    // whole tree text.
-    let mut take = |name: &str| match fields.iter_mut().rev().find(|(k, _)| k == name) {
-        Some((_, Json::Str(s))) => Some(std::mem::take(s)),
-        _ => None,
-    };
-    let (target, input) = (take("target"), take("input"));
-    let doc = Json::Object(fields);
-    let op = match doc.get("op").and_then(Json::as_str) {
-        Some("run") => Op::Run,
-        Some("pipeline") => Op::Pipeline,
-        Some("check") => Op::Check,
-        Some("stats") => Op::Stats,
-        Some("ping") => Op::Ping,
-        Some(other) => return Err((id, format!("unknown op {other:?}"))),
-        None => return Err((id, "missing \"op\" field".into())),
-    };
-    let required = |value: Option<String>, name: &str| {
-        value.ok_or_else(|| (id.clone(), format!("missing string field {name:?}")))
+    let required = |name: &str| match doc.get(name) {
+        Some(JsonRef::Str(s)) => Ok(*s),
+        _ => Err((id.clone(), format!("missing string field {name:?}"))),
     };
     let (target, input) = match op {
-        Op::Run | Op::Pipeline | Op::Check => {
-            (required(target, "target")?, required(input, "input")?)
-        }
-        Op::Stats | Op::Ping => (String::new(), String::new()),
+        Op::Run | Op::Pipeline | Op::Check => (required("target")?.decode(), required("input")?),
+        Op::Stats | Op::Ping => (Cow::Borrowed(""), RawStr::default()),
     };
     let uint = |name: &str| -> Result<Option<u64>, (Json, String)> {
         match doc.get(name) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => v
-                .as_int()
-                .filter(|n| *n >= 0)
-                .map(|n| Some(n as u64))
-                .ok_or_else(|| {
-                    (
-                        id.clone(),
-                        format!("{name:?} must be a non-negative integer"),
-                    )
-                }),
+            None | Some(JsonRef::Null) => Ok(None),
+            Some(JsonRef::Int(n)) if *n >= 0 => Ok(Some(*n as u64)),
+            Some(_) => Err((
+                id.clone(),
+                format!("{name:?} must be a non-negative integer"),
+            )),
         }
     };
     let timeout_ms = uint("timeout_ms")?;
     let cap = uint("cap")?.map(|n| n as usize);
-    Ok(Request {
+    Ok(RequestRef {
         id,
         op,
         target,
@@ -236,6 +288,55 @@ pub fn error_response(id: &Json, code: i64, error: impl Into<String>) -> Json {
         ("code", Json::Int(code)),
         ("error", Json::Str(error.into())),
     ])
+}
+
+/// Writes the `"ok": true` response of a `run` or `pipeline` request
+/// into `out`: byte for byte what [`write_json`] writes for
+/// `ok_response(id, [op, target, count, outputs])`, with each output
+/// tree's text rendered JSON-escaped straight into `out` (no `String`
+/// per output, no second escaping pass).
+///
+/// The response-size cap counts the outputs' text as printed, before
+/// escaping, as the server always has: when it exceeds `max_text`
+/// bytes the write stops and returns `Err` with the count so far, and
+/// `out` holds a partial response.
+///
+/// # Errors
+///
+/// The text byte count, once it exceeds `max_text`.
+pub fn write_outputs(
+    out: &mut String,
+    id: &Json,
+    op: Op,
+    target: &str,
+    ty: &TreeType,
+    outputs: &[Tree],
+    max_text: usize,
+) -> Result<(), usize> {
+    use std::fmt::Write as _;
+    write!(
+        out,
+        "{{\"id\":{id},\"ok\":true,\"op\":{},\"target\":{},\"count\":{},\"outputs\":[",
+        Json::Str(op.name().into()),
+        Json::Str(target.into()),
+        outputs.len(),
+    )
+    .expect("writing to a String cannot fail");
+    let mut total = 0;
+    for (i, t) in outputs.iter().enumerate() {
+        out.push_str(if i == 0 { "\"" } else { ",\"" });
+        let mut w = Escaped::new(out);
+        t.display(ty)
+            .write_to(&mut w)
+            .expect("writing to a String cannot fail");
+        total += w.text_len();
+        if total > max_text {
+            return Err(total);
+        }
+        out.push('"');
+    }
+    out.push_str("]}");
+    Ok(())
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 //! repeated document is transduced once per process, not once per
 //! request.
 
-use crate::proto::{self, FrameError, Op, Request};
+use crate::proto::{self, FrameError, Op};
 use fast_core::TransducerError;
 use fast_json::Json;
 use fast_obs::engine::{Engine, Sampler};
@@ -38,8 +38,10 @@ use fast_obs::slo::{SloSpec, SloViolation};
 use fast_rt::{Artifact, BatchMemo, RunOptions};
 use fast_trees::{ParseError, Tree};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -166,9 +168,24 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// An admitted `run`/`pipeline`/`check` request on its way to an
+/// executor. The connection thread decoded the frame in place and moved
+/// it here, not a copy of its input; the executor unescapes the input
+/// from `frame[input]` itself. The reply is the response payload.
 struct Job {
-    req: Request,
-    reply: SyncSender<Json>,
+    frame: String,
+    /// Where the input lies in `frame`, escapes as written.
+    input: Range<usize>,
+    id: Json,
+    op: Op,
+    target: String,
+    timeout_ms: Option<u64>,
+    cap: Option<usize>,
+    /// Time the connection thread spent decoding the frame.
+    decode: Duration,
+    /// When the job entered the work queue.
+    queued: Instant,
+    reply: SyncSender<Vec<u8>>,
 }
 
 /// A running server. Dropping the handle (or calling
@@ -407,9 +424,9 @@ fn handle_conn(shared: &Arc<Shared>, jobs_tx: &SyncSender<Job>, stream: TcpStrea
         }
         match proto::read_frame(&mut reader, shared.cfg.max_request_bytes) {
             Ok(None) => return,
-            Ok(Some(bytes)) => {
-                let resp = dispatch(shared, jobs_tx, &bytes);
-                if proto::write_json(&mut writer, &resp).is_err() {
+            Ok(Some(frame)) => {
+                let response = dispatch(shared, jobs_tx, frame);
+                if proto::write_frame(&mut writer, &response).is_err() {
                     return;
                 }
             }
@@ -432,17 +449,25 @@ fn handle_conn(shared: &Arc<Shared>, jobs_tx: &SyncSender<Job>, stream: TcpStrea
     }
 }
 
-/// Routes one raw frame: parse, answer `ping`/`stats` inline, enqueue
-/// everything else through the bounded work queue.
-fn dispatch(shared: &Arc<Shared>, jobs_tx: &SyncSender<Job>, bytes: &[u8]) -> Json {
-    let req = match proto::parse_request(bytes) {
-        Ok(r) => r,
-        Err((id, msg)) => {
-            fast_obs::count!("serve.errors");
-            return proto::error_response(&id, proto::CODE_BAD_REQUEST, msg);
-        }
+/// Routes one raw frame and returns the response payload: decode it in
+/// place, answer `ping`/`stats` inline, and move everything else, frame
+/// and all, through the bounded work queue.
+fn dispatch(shared: &Arc<Shared>, jobs_tx: &SyncSender<Job>, frame: Vec<u8>) -> Vec<u8> {
+    let started = Instant::now();
+    let bad_request = |id: &Json, msg: String| {
+        fast_obs::count!("serve.errors");
+        proto::error_response(id, proto::CODE_BAD_REQUEST, msg)
+            .to_string()
+            .into_bytes()
     };
-    match req.op {
+    let Ok(text) = String::from_utf8(frame) else {
+        return bad_request(&Json::Null, "frame is not UTF-8".into());
+    };
+    let req = match proto::decode_request(&text) {
+        Ok(r) => r,
+        Err((id, msg)) => return bad_request(&id, msg),
+    };
+    let resp = match req.op {
         Op::Ping => proto::ok_response(
             &req.id,
             vec![("op", Json::Str("ping".into())), ("pong", Json::Bool(true))],
@@ -450,16 +475,34 @@ fn dispatch(shared: &Arc<Shared>, jobs_tx: &SyncSender<Job>, bytes: &[u8]) -> Js
         // The telemetry plane is never shed: answered inline, no queue.
         Op::Stats => stats_response(shared, &req.id),
         Op::Run | Op::Pipeline | Op::Check => {
+            let raw = req.input.raw();
+            let at = raw.as_ptr() as usize - text.as_ptr() as usize;
             let id = req.id.clone();
             let (reply_tx, reply_rx) = sync_channel(1);
-            match jobs_tx.try_send(Job {
-                req,
+            let job = Job {
+                input: at..at + raw.len(),
+                id: req.id,
+                op: req.op,
+                target: req.target.into_owned(),
+                timeout_ms: req.timeout_ms,
+                cap: req.cap,
+                decode: started.elapsed(),
+                queued: Instant::now(),
+                frame: text,
                 reply: reply_tx,
-            }) {
-                Ok(()) => reply_rx.recv().unwrap_or_else(|_| {
-                    fast_obs::count!("serve.errors");
-                    proto::error_response(&id, proto::CODE_INTERNAL, "executor dropped the request")
-                }),
+            };
+            match jobs_tx.try_send(job) {
+                Ok(()) => match reply_rx.recv() {
+                    Ok(response) => return response,
+                    Err(_) => {
+                        fast_obs::count!("serve.errors");
+                        proto::error_response(
+                            &id,
+                            proto::CODE_INTERNAL,
+                            "executor dropped the request",
+                        )
+                    }
+                },
                 Err(TrySendError::Full(_)) => {
                     fast_obs::count!("serve.shed");
                     proto::error_response(&id, proto::CODE_SHED, "work queue full, retry later")
@@ -469,10 +512,19 @@ fn dispatch(shared: &Arc<Shared>, jobs_tx: &SyncSender<Job>, bytes: &[u8]) -> Js
                 }
             }
         }
-    }
+    };
+    resp.to_string().into_bytes()
+}
+
+/// Records one request phase's duration in its `serve.phase.*`
+/// histogram.
+fn phase(hist: &fast_obs::Hist, d: Duration) {
+    hist.record_ns(d.as_nanos() as u64);
 }
 
 fn executor_loop(shared: &Arc<Shared>, rx: &Mutex<Receiver<Job>>) {
+    // The decoded input text, reused across requests.
+    let mut input = String::new();
     loop {
         // Hold the lock only for the dequeue, not the execution.
         let job = match lock_unpoisoned(rx).recv() {
@@ -481,13 +533,20 @@ fn executor_loop(shared: &Arc<Shared>, rx: &Mutex<Receiver<Job>>) {
         };
         fast_obs::count!("serve.requests");
         let start = Instant::now();
-        let resp = execute(shared, &job.req);
-        fast_obs::histogram("serve.request").record_ns(start.elapsed().as_nanos() as u64);
-        if resp.get("ok") == Some(&Json::Bool(false)) {
+        phase(
+            fast_obs::histogram("serve.phase.queue"),
+            start.duration_since(job.queued),
+        );
+        // A response about as long as the request is the common case.
+        let mut out = String::with_capacity(job.frame.len());
+        if let Err(resp) = execute(shared, &job, &mut input, &mut out) {
             fast_obs::count!("serve.errors");
+            out.clear();
+            write!(out, "{resp}").expect("writing to a String cannot fail");
         }
+        fast_obs::histogram("serve.request").record_ns(start.elapsed().as_nanos() as u64);
         // A vanished requester (connection handler gone) is fine.
-        let _ = job.reply.send(resp);
+        let _ = job.reply.send(out.into_bytes());
     }
 }
 
@@ -503,131 +562,131 @@ fn run_error_response(id: &Json, e: &TransducerError) -> Json {
     proto::error_response(id, code, e.to_string())
 }
 
-/// Executes an admitted `run`/`pipeline`/`check` request.
-fn execute(shared: &Shared, req: &Request) -> Json {
-    let Some(entry) = shared.targets.get(&req.target) else {
-        return proto::error_response(
-            &req.id,
+/// Executes an admitted `run`/`pipeline`/`check` request, writing the
+/// `ok` response payload into `out`, or returning the error response.
+/// `input` is the executor's reused buffer for the decoded input text.
+/// Each phase it reaches is timed into its `serve.phase.*` histogram:
+/// decode (the connection's in-place decode plus the input's
+/// unescaping), parse, eval and render.
+fn execute(shared: &Shared, job: &Job, input: &mut String, out: &mut String) -> Result<(), Json> {
+    let Some(entry) = shared.targets.get(&job.target) else {
+        return Err(proto::error_response(
+            &job.id,
             proto::CODE_NOT_FOUND,
-            format!("unknown transducer or pipeline {:?}", req.target),
-        );
+            format!("unknown transducer or pipeline {:?}", job.target),
+        ));
     };
     let art = &shared.artifacts[entry.artifact];
     let ty = match entry.kind {
-        TargetKind::Transducer(_) => art.transducer_type(&req.target),
-        TargetKind::Pipeline(_) => art.pipeline_type(&req.target),
+        TargetKind::Transducer(_) => art.transducer_type(&job.target),
+        TargetKind::Pipeline(_) => art.pipeline_type(&job.target),
     };
     let Some(ty) = ty else {
-        return proto::error_response(
-            &req.id,
+        return Err(proto::error_response(
+            &job.id,
             proto::CODE_INTERNAL,
             "artifact is missing the target's input type",
-        );
+        ));
     };
 
-    let tree = match Tree::parse_bounded(ty, &req.input, shared.cfg.max_input_depth) {
+    let t = Instant::now();
+    input.clear();
+    if let Err(e) = fast_json::unescape_into(&job.frame[job.input.clone()], input) {
+        let msg = format!("bad JSON: {e}");
+        return Err(proto::error_response(&job.id, proto::CODE_BAD_REQUEST, msg));
+    }
+    phase(
+        fast_obs::histogram("serve.phase.decode"),
+        job.decode + t.elapsed(),
+    );
+
+    let t = Instant::now();
+    let tree = Tree::parse_bounded(ty, input, shared.cfg.max_input_depth);
+    phase(fast_obs::histogram("serve.phase.parse"), t.elapsed());
+    let tree = match tree {
         Ok(t) => t,
         Err(ParseError::TooDeep { limit }) => {
-            return proto::error_response(
-                &req.id,
+            return Err(proto::error_response(
+                &job.id,
                 proto::CODE_TOO_LARGE,
                 format!("input nesting depth exceeds the limit of {limit}"),
-            )
+            ))
         }
         Err(e) => {
-            return proto::error_response(
-                &req.id,
+            return Err(proto::error_response(
+                &job.id,
                 proto::CODE_BAD_REQUEST,
                 format!("input does not parse: {e}"),
-            )
+            ))
         }
     };
 
     // Per-request limits tighten the server's ceilings, never exceed
     // them. Runs are single-threaded: parallelism comes from the
     // executor pool, not nested worker pools per request.
-    let timeout = req
+    let timeout = job
         .timeout_ms
         .map(Duration::from_millis)
         .unwrap_or(shared.cfg.timeout)
         .min(shared.cfg.timeout);
     let opts = RunOptions {
-        cap: req.cap.unwrap_or(shared.cfg.cap).min(shared.cfg.cap).max(1),
+        cap: job.cap.unwrap_or(shared.cfg.cap).min(shared.cfg.cap).max(1),
         timeout: Some(timeout),
         workers: 1,
         cancel: Some(Arc::clone(&shared.cancel)),
         ..RunOptions::default()
     };
 
+    let t = Instant::now();
     let items = std::slice::from_ref(&tree);
     let mut results = match &entry.kind {
         TargetKind::Transducer(memo) => {
             let plan = art
-                .transducer(&req.target)
+                .transducer(&job.target)
                 .expect("target map points at a present transducer");
             plan.run_batch_shared(items, &opts, memo).0
         }
         TargetKind::Pipeline(memos) => {
             let pipe = art
-                .pipeline(&req.target)
+                .pipeline(&job.target)
                 .expect("target map points at a present pipeline");
             pipe.run_batch_shared(items, &opts, memos).0
         }
     };
-    let result = results.remove(0);
-
-    let outputs = match result {
+    phase(fast_obs::histogram("serve.phase.eval"), t.elapsed());
+    let outputs = match results.remove(0) {
         Ok(outs) => outs,
-        Err(e) => return run_error_response(&req.id, &e),
+        Err(e) => return Err(run_error_response(&job.id, &e)),
     };
 
-    if req.op == Op::Check {
-        return proto::ok_response(
-            &req.id,
+    let t = Instant::now();
+    if job.op == Op::Check {
+        let resp = proto::ok_response(
+            &job.id,
             vec![
                 ("op", Json::Str("check".into())),
-                ("target", Json::Str(req.target.clone())),
+                ("target", Json::Str(job.target.clone())),
                 ("in_domain", Json::Bool(!outputs.is_empty())),
                 ("outputs", Json::Int(outputs.len() as i64)),
             ],
         );
-    }
-
-    // Serialize under the response-size cap: over it, fail the request
-    // rather than truncate the output set. Rendering uses the target's
-    // tree type, so responses round-trip through `Tree::parse`.
-    let mut rendered = Vec::with_capacity(outputs.len());
-    let mut total = 0usize;
-    for t in &outputs {
-        let s = t.display(ty).to_string();
-        total += s.len();
-        if total > shared.cfg.max_response_bytes {
-            return proto::error_response(
-                &req.id,
+        write!(out, "{resp}").expect("writing to a String cannot fail");
+    } else {
+        // Rendered under the response-size cap: over it, fail the
+        // request rather than truncate the output set. Rendering uses
+        // the target's tree type, so responses round-trip through
+        // `Tree::parse`.
+        let max = shared.cfg.max_response_bytes;
+        if proto::write_outputs(out, &job.id, job.op, &job.target, ty, &outputs, max).is_err() {
+            return Err(proto::error_response(
+                &job.id,
                 proto::CODE_TOO_LARGE,
-                format!(
-                    "serialized output exceeds the {}-byte response limit",
-                    shared.cfg.max_response_bytes
-                ),
-            );
+                format!("serialized output exceeds the {max}-byte response limit"),
+            ));
         }
-        rendered.push(Json::Str(s));
     }
-    proto::ok_response(
-        &req.id,
-        vec![
-            (
-                "op",
-                Json::Str(match req.op {
-                    Op::Pipeline => "pipeline".into(),
-                    _ => "run".into(),
-                }),
-            ),
-            ("target", Json::Str(req.target.clone())),
-            ("count", Json::Int(rendered.len() as i64)),
-            ("outputs", Json::Array(rendered)),
-        ],
-    )
+    phase(fast_obs::histogram("serve.phase.render"), t.elapsed());
+    Ok(())
 }
 
 fn quantile_json(view: &fast_obs::engine::WindowView, name: &str, q: f64) -> Json {

@@ -214,6 +214,68 @@ fn input_depth_gate_ignores_parens_in_labels() {
     server.shutdown();
 }
 
+/// `s` as the body of a JSON string literal with every char written as
+/// a `\uXXXX` escape (astral chars as surrogate pairs) and every `/`
+/// as `\/`.
+fn all_escaped(s: &str) -> String {
+    let mut out = String::new();
+    for c in s.chars() {
+        if c == '/' {
+            out.push_str("\\/");
+            continue;
+        }
+        let mut units = [0u16; 2];
+        for u in c.encode_utf16(&mut units) {
+            out.push_str(&format!("\\u{u:04X}"));
+        }
+    }
+    out
+}
+
+/// An `input` spelled with JSON escapes — `\uXXXX` for every char,
+/// surrogate pairs, `\/` — parses to the same tree as the plain text,
+/// and a duplicated `input` key means its last value, as `Json::get`
+/// reads it. Malformed escapes are a 400 that leaves the connection
+/// open.
+#[test]
+fn escaped_input_parses_like_the_plain_text() {
+    let server = start_server(ServeConfig::default());
+    let mut client = Client::connect(server.addr()).unwrap();
+    let plain = r#"SN["a/b😀\"q\\"](SL["x</y>"], SL["é\t"])"#;
+    let want = client.run("copy", plain).unwrap();
+    assert_eq!(want.get("ok"), Some(&Json::Bool(true)), "{want}");
+    assert_eq!(
+        want.get("outputs").and_then(Json::as_array).unwrap()[0].as_str(),
+        Some(plain)
+    );
+    let frame = format!(
+        r#"{{"id":1,"op":"run","target":"copy","input":"SL[\"decoy\"]","input":"{}"}}"#,
+        all_escaped(plain)
+    );
+    assert!(frame.contains("\\uD83D\\uDE00") && frame.contains("\\/"));
+    let got = client.call_raw(frame.as_bytes()).unwrap();
+    assert_eq!(got.get("outputs"), want.get("outputs"), "{got}");
+
+    for bad in [
+        r#"\u12"#,
+        r#"\uD800"#,
+        r#"\uD800\u0041"#,
+        r#"\uDC00"#,
+        r#"\u+041"#,
+        r#"\x"#,
+    ] {
+        // Inside a label, so only the JSON layer can reject it.
+        let frame = format!(r#"{{"id":2,"op":"run","target":"copy","input":"SL[\"x{bad}\"]"}}"#);
+        let resp = client.call_raw(frame.as_bytes()).unwrap();
+        assert_eq!(resp.get("code"), Some(&Json::Int(400)), "{bad}: {resp}");
+        let msg = resp.get("error").and_then(Json::as_str).unwrap();
+        assert!(msg.starts_with("bad JSON"), "{bad}: {msg}");
+    }
+    let again = client.run("copy", plain).unwrap();
+    assert_eq!(again.get("outputs"), want.get("outputs"));
+    server.shutdown();
+}
+
 #[test]
 fn response_size_cap_fails_rather_than_truncates() {
     let server = start_server(ServeConfig {

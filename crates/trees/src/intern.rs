@@ -359,14 +359,33 @@ impl<'a> From<&'a Value> for ValueRef<'a> {
 }
 
 /// The keyed hash of a label with the given values: the one hash both
-/// [`Tree::new`] and the parser's arena compute. Each value is written
-/// as a word of its sort tag and small payload (a string's length),
-/// then an int's value or a string's bytes, eight to a word, so no two
-/// labels write the same words.
+/// [`Tree::new`] and the parser's arena compute (see [`LabelHasher`]).
 pub(crate) fn label_hash<'v>(values: impl ExactSizeIterator<Item = ValueRef<'v>>) -> u64 {
-    let mut h = Fold::new();
-    h.word(values.len() as u64);
+    let mut h = LabelHasher::new(values.len());
     for v in values {
+        h.value(v);
+    }
+    h.finish()
+}
+
+/// [`label_hash`] one value at a time, so the parser can hash each
+/// value as it reads it. The arity is written first, then each value as
+/// a word of its sort tag and small payload (a string's length), then
+/// an int's value or a string's bytes, eight to a word, so no two
+/// labels write the same words.
+pub(crate) struct LabelHasher(Fold);
+
+impl LabelHasher {
+    #[inline]
+    pub(crate) fn new(arity: usize) -> LabelHasher {
+        let mut h = Fold::new();
+        h.word(arity as u64);
+        LabelHasher(h)
+    }
+
+    #[inline]
+    pub(crate) fn value(&mut self, v: ValueRef<'_>) {
+        let h = &mut self.0;
         match v {
             ValueRef::Bool(b) => h.word(u64::from(b) << 8),
             ValueRef::Int(n) => {
@@ -389,7 +408,11 @@ pub(crate) fn label_hash<'v>(values: impl ExactSizeIterator<Item = ValueRef<'v>>
             ValueRef::Char(c) => h.word(u64::from(c) << 8 | 3),
         }
     }
-    h.h
+
+    #[inline]
+    pub(crate) fn finish(self) -> u64 {
+        self.0.h
+    }
 }
 
 /// The keyed structural hash of a prospective node: the one hash both

@@ -5,13 +5,19 @@
 //! memory, not by the thread stack:
 //!
 //! 1. **Read.** One byte-level pass builds a local post-order arena:
-//!    per node its constructor, its label values (strings borrowed from
-//!    the input unless an escape forced a copy), its children's arena
-//!    indices, its subtree size, its label's hash and its structural
-//!    hash — computed bottom-up by [`intern::label_hash`] and
-//!    [`intern::node_hash`], the functions the interner uses. Arity,
-//!    label-signature conformance and the depth limit are all checked
-//!    here, so a rejected input touches no shared state.
+//!    per node its constructor, its label, the arena index where its
+//!    subtree starts (a subtree is a contiguous run of a post-order
+//!    arena, so its size and its children follow from that one index)
+//!    and its structural hash, computed bottom-up by
+//!    [`intern::node_hash`], the function the interner uses. Each label
+//!    is hashed value by value as it is read ([`intern::LabelHasher`]),
+//!    and the document's distinct labels are kept once each, in a
+//!    per-parse table keyed by that hash: a node stores its label's
+//!    index there. A string value is a span of the input, or of one
+//!    per-parse buffer when an escape had to be decoded. Constructor
+//!    names are matched against the input in place.
+//!    Arity, label-signature conformance and the depth limit are all
+//!    checked here, so a rejected input touches no shared state.
 //! 2. **Resolve.** The arena is resolved against the global interner
 //!    top-down: the largest unresolved subtree is probed by its hash and
 //!    the candidate verified structurally against the arena. A verified
@@ -19,14 +25,18 @@
 //!    descendants; only on a miss does resolution descend, and the
 //!    missing nodes are then built bottom-up through the interner's
 //!    one entry, [`intern::intern`], with the hash already computed.
-//!    A missing node's label is looked up in the label table by its
-//!    arena hash and compared there while still borrowed, so a label
-//!    the table holds is never copied out of the input.
+//!    Each distinct label is resolved to its canonical entry at most
+//!    once per document: by the first verification that compares its
+//!    values against a canonical label (later nodes with that label
+//!    compare by pointer), or else by one label-table lookup when the
+//!    first node carrying it is built, compared there while still
+//!    borrowed, so a label the table holds is never copied out of the
+//!    input. A missing node then takes the node table's lock only.
 //!    Parsing a document that is already interned therefore costs one
 //!    probe, not one per node.
 
-use crate::intern::{self, ValueRef};
-use crate::tree::Tree;
+use crate::intern::{self, LabelHasher, ValueRef};
+use crate::tree::{InternedLabel, Tree};
 use crate::ty::{CtorId, TreeType};
 use fast_smt::{Label, Sort, Value};
 use std::borrow::Cow;
@@ -63,55 +73,87 @@ fn syntax(msg: impl Into<String>) -> ParseError {
     ParseError::Syntax(msg.into())
 }
 
-/// A parsed label value.
-enum Lit<'a> {
+/// A label value as read: strings are spans, of the input or of the
+/// parser's buffer of decoded escapes.
+#[derive(Clone, Copy)]
+enum Lit {
     Bool(bool),
     Int(i64),
-    Str(Cow<'a, str>),
     Char(char),
+    /// `src[start..end]`.
+    Src(usize, usize),
+    /// `buf[start..end]`.
+    Buf(usize, usize),
 }
 
-impl Lit<'_> {
-    fn as_ref(&self) -> ValueRef<'_> {
-        match self {
-            Lit::Bool(b) => ValueRef::Bool(*b),
-            Lit::Int(n) => ValueRef::Int(*n),
-            Lit::Str(s) => ValueRef::Str(s),
-            Lit::Char(c) => ValueRef::Char(*c),
-        }
-    }
-
-    fn sort(&self) -> Sort {
+impl Lit {
+    fn sort(self) -> Sort {
         match self {
             Lit::Bool(_) => Sort::Bool,
             Lit::Int(_) => Sort::Int,
-            Lit::Str(_) => Sort::Str,
             Lit::Char(_) => Sort::Char,
-        }
-    }
-
-    /// Moves the value out (leaving a placeholder): each arena label is
-    /// built into a node at most once.
-    fn take(&mut self) -> Value {
-        match std::mem::replace(self, Lit::Bool(false)) {
-            Lit::Bool(b) => Value::Bool(b),
-            Lit::Int(n) => Value::Int(n),
-            Lit::Str(s) => Value::Str(s.into_owned()),
-            Lit::Char(c) => Value::Char(c),
+            Lit::Src(..) | Lit::Buf(..) => Sort::Str,
         }
     }
 }
 
-/// One arena node. Its label is `vals[vals..vals + sig arity]` (every
-/// accepted label has exactly the signature's arity), hashed to
-/// `label`, and its children are `kids[kids..kids + rank]`.
+/// One arena node. Its subtree is `nodes[first..=self]`; its label is
+/// `labels[label]`.
 struct Slot {
-    ctor: CtorId,
-    vals: usize,
-    kids: usize,
-    size: usize,
-    label: u64,
     hash: u64,
+    first: usize,
+    ctor: u32,
+    label: u32,
+}
+
+/// One distinct label of the document: its hash, its values
+/// (`vals[vals..vals + arity]`) and, once known, its canonical entry.
+struct LabelSlot {
+    hash: u64,
+    vals: usize,
+    canon: Option<InternedLabel>,
+}
+
+/// The text a [`Lit`] span points into: the input and the buffer.
+#[derive(Clone, Copy)]
+struct Texts<'a> {
+    src: &'a str,
+    buf: &'a str,
+}
+
+impl<'a> Texts<'a> {
+    fn value(self, v: Lit) -> ValueRef<'a> {
+        match v {
+            Lit::Bool(b) => ValueRef::Bool(b),
+            Lit::Int(n) => ValueRef::Int(n),
+            Lit::Char(c) => ValueRef::Char(c),
+            Lit::Src(a, b) => ValueRef::Str(&self.src[a..b]),
+            Lit::Buf(a, b) => ValueRef::Str(&self.buf[a..b]),
+        }
+    }
+
+    fn owned(self, v: Lit) -> Value {
+        match self.value(v) {
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Int(n) => Value::Int(n),
+            ValueRef::Char(c) => Value::Char(c),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+        }
+    }
+
+    /// Whether two labels' values are equal; strings are compared as
+    /// bytes, without re-slicing them as `str`s.
+    fn eq(self, a: &[Lit], b: &[Lit]) -> bool {
+        let bytes = |v| match v {
+            Lit::Src(a, b) => Some(&self.src.as_bytes()[a..b]),
+            Lit::Buf(a, b) => Some(&self.buf.as_bytes()[a..b]),
+            _ => None,
+        };
+        a.iter().zip(b).all(|(&x, &y)| match (bytes(x), bytes(y)) {
+            (Some(x), Some(y)) => x == y,
+            _ => self.value(x) == self.value(y),
+        })
+    }
 }
 
 struct Parser<'a> {
@@ -119,26 +161,45 @@ struct Parser<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Per constructor, in id order: its name and its rank.
+    ctors: Vec<(&'a [u8], usize)>,
+    /// The label signature's arity.
+    arity: usize,
     /// The arena, in post-order: children before their parent.
     nodes: Vec<Slot>,
-    /// Label values, in pre-order (a label is read before the children).
-    vals: Vec<Lit<'a>>,
-    /// Child arena indices, one contiguous run per node.
-    kids: Vec<usize>,
+    /// The document's distinct labels, in order of first occurrence.
+    labels: Vec<LabelSlot>,
+    /// Open-addressed index of `labels` by hash: `label + 1`, or 0 for
+    /// an empty slot; a power-of-two length at most half full.
+    label_index: Vec<u32>,
+    /// Label values of `labels`, `arity` each.
+    vals: Vec<Lit>,
+    /// Strings whose escapes were decoded.
+    buf: String,
 }
 
 /// Parses `input` as a tree of type `ty`, failing with
 /// [`ParseError::TooDeep`] at the first `(` nested deeper than
 /// `max_depth`.
 pub(crate) fn parse(ty: &TreeType, input: &str, max_depth: usize) -> Result<Tree, ParseError> {
+    // HTML pages print about ten bytes of text per node.
+    let nodes = input.len() / 8 + 1;
     let mut p = Parser {
         ty,
         src: input,
         bytes: input.as_bytes(),
         pos: 0,
-        nodes: Vec::new(),
+        ctors: ty
+            .ctors()
+            .iter()
+            .map(|c| (c.name().as_bytes(), c.rank()))
+            .collect(),
+        arity: ty.sig().arity(),
+        nodes: Vec::with_capacity(nodes),
+        labels: Vec::new(),
+        label_index: vec![0; 64],
         vals: Vec::new(),
-        kids: Vec::new(),
+        buf: String::new(),
     };
     let root = p.read(max_depth)?;
     p.skip_ws();
@@ -165,6 +226,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Skips Unicode whitespace (`char::is_whitespace`), ASCII first.
+    #[inline]
     fn skip_ws(&mut self) {
         while let Some(b) = self.peek() {
             if matches!(b, b'\t'..=b'\r' | b' ') {
@@ -177,23 +239,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        self.skip_ws();
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.expected(b))
-        }
-    }
-
     fn expected(&self, b: u8) -> ParseError {
         syntax(format!("expected '{}' at position {}", b as char, self.pos))
     }
 
     /// An identifier: alphanumerics (Unicode) and `_`.
     fn ident(&mut self) -> Result<&'a str, ParseError> {
-        self.skip_ws();
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b.is_ascii_alphanumeric() || b == b'_' {
@@ -213,38 +264,60 @@ impl<'a> Parser<'a> {
         Ok(&self.src[start..self.pos])
     }
 
+    /// A constructor name, as its id. The names are tried against the
+    /// input directly; only a name followed by more identifier bytes
+    /// (or by a non-ASCII char) is read as a whole identifier first.
+    fn ctor(&mut self) -> Result<u32, ParseError> {
+        let rest = &self.bytes[self.pos..];
+        for (i, &(name, _)) in self.ctors.iter().enumerate() {
+            if rest.first() == name.first() && rest.starts_with(name) {
+                match rest.get(name.len()) {
+                    Some(&b) if b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80 => continue,
+                    _ => {
+                        self.pos += name.len();
+                        return Ok(i as u32);
+                    }
+                }
+            }
+        }
+        let name = self.ident()?;
+        self.ctors
+            .iter()
+            .position(|&(n, _)| n == name.as_bytes())
+            .map(|i| i as u32)
+            .ok_or_else(|| syntax(format!("unknown constructor '{name}'")))
+    }
+
     /// Reads the whole tree into the arena; returns the root's index.
     fn read(&mut self, max_depth: usize) -> Result<usize, ParseError> {
-        // Nodes whose `(` is open: (ctor, label start, index in
-        // `pending` of their first child).
-        let mut open: Vec<(CtorId, usize, usize)> = Vec::new();
+        // Nodes whose `(` is open: (ctor, label, index in `pending` of
+        // their first child).
+        let mut open: Vec<(u32, u32, usize)> = Vec::new();
         // Finished nodes still waiting for their parent's `)`.
         let mut pending: Vec<usize> = Vec::new();
         loop {
-            let name = self.ident()?;
-            let ctor = self
-                .ty
-                .ctor_id(name)
-                .ok_or_else(|| syntax(format!("unknown constructor '{name}'")))?;
-            let vals = self.label()?;
+            self.skip_ws();
+            let ctor = self.ctor()?;
+            self.skip_ws();
+            let label = self.label()?;
             self.skip_ws();
             if self.peek() == Some(b'(') {
                 self.pos += 1;
                 if open.len() >= max_depth {
                     return Err(ParseError::TooDeep { limit: max_depth });
                 }
-                open.push((ctor, vals, pending.len()));
+                open.push((ctor, label, pending.len()));
                 self.skip_ws();
                 if self.peek() != Some(b')') {
                     continue; // read the first child
                 }
             } else {
-                let leaf = self.finish(ctor, vals, &[])?;
+                let leaf = self.finish(ctor, label, &[])?;
                 pending.push(leaf);
             }
             // Close nodes until one expects another child.
             loop {
-                let Some(&(ctor, vals, first)) = open.last() else {
+                let Some(&(ctor, label, first)) = open.last() else {
                     return Ok(pending[0]);
                 };
                 self.skip_ws();
@@ -256,7 +329,7 @@ impl<'a> Parser<'a> {
                     Some(b')') => {
                         self.pos += 1;
                         open.pop();
-                        let node = self.finish(ctor, vals, &pending[first..])?;
+                        let node = self.finish(ctor, label, &pending[first..])?;
                         pending.truncate(first);
                         pending.push(node);
                     }
@@ -267,77 +340,128 @@ impl<'a> Parser<'a> {
     }
 
     /// Appends a finished node to the arena after checking its arity.
-    fn finish(
-        &mut self,
-        ctor: CtorId,
-        vals: usize,
-        children: &[usize],
-    ) -> Result<usize, ParseError> {
-        let rank = self.ty.rank(ctor);
+    fn finish(&mut self, ctor: u32, label: u32, children: &[usize]) -> Result<usize, ParseError> {
+        let rank = self.ctors[ctor as usize].1;
         if children.len() != rank {
             return Err(syntax(format!(
                 "constructor '{}' expects {rank} children, got {}",
-                self.ty.ctor_name(ctor),
+                self.ty.ctor_name(CtorId(ctor as usize)),
                 children.len()
             )));
         }
-        let label = &self.vals[vals..vals + self.ty.sig().arity()];
-        let label = intern::label_hash(label.iter().map(Lit::as_ref));
-        let hash = intern::node_hash(ctor, label, children.iter().map(|&k| self.nodes[k].hash));
-        let size = 1 + children.iter().map(|&k| self.nodes[k].size).sum::<usize>();
-        let kids = self.kids.len();
-        self.kids.extend_from_slice(children);
+        let here = self.nodes.len();
+        let hash = intern::node_hash(
+            CtorId(ctor as usize),
+            self.labels[label as usize].hash,
+            children.iter().map(|&k| self.nodes[k].hash),
+        );
+        let first = children.first().map_or(here, |&k| self.nodes[k].first);
         self.nodes.push(Slot {
-            ctor,
-            vals,
-            kids,
-            size,
-            label,
             hash,
+            first,
+            ctor,
+            label,
         });
-        Ok(self.nodes.len() - 1)
+        Ok(here)
     }
 
     /// Reads an optional `[v, …]` label, checks it against the
-    /// signature, and returns where its values start in `vals`.
-    fn label(&mut self) -> Result<usize, ParseError> {
+    /// signature, and returns its index in `labels`.
+    fn label(&mut self) -> Result<u32, ParseError> {
         let start = self.vals.len();
-        self.skip_ws();
+        let buf_mark = self.buf.len();
+        let mut hasher = LabelHasher::new(self.arity);
         if self.peek() == Some(b'[') {
             self.pos += 1;
             self.skip_ws();
             if self.peek() != Some(b']') {
                 loop {
-                    let v = self.value()?;
+                    let v = self.value(&mut hasher)?;
                     self.vals.push(v);
                     self.skip_ws();
-                    if self.peek() == Some(b',') {
-                        self.pos += 1;
-                    } else {
+                    if self.peek() != Some(b',') {
                         break;
                     }
+                    self.pos += 1;
+                    self.skip_ws();
+                }
+                if self.peek() != Some(b']') {
+                    return Err(self.expected(b']'));
                 }
             }
-            self.expect(b']')?;
+            self.pos += 1;
         }
         let sig = self.ty.sig();
         let got = &self.vals[start..];
-        if got.len() != sig.arity() || got.iter().enumerate().any(|(i, v)| v.sort() != sig.sort(i))
-        {
-            let label = Label::new(self.vals[start..].iter_mut().map(Lit::take).collect());
+        if got.len() != self.arity || got.iter().enumerate().any(|(i, v)| v.sort() != sig.sort(i)) {
+            let texts = self.texts();
+            let label = Label::new(got.iter().map(|&v| texts.owned(v)).collect());
             return Err(syntax(format!(
                 "label {label} does not conform to signature {sig}"
             )));
         }
-        Ok(start)
+        let hash = hasher.finish();
+        // Find the label among the document's, or add it.
+        let mask = self.label_index.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            match self.label_index[i] {
+                0 => break,
+                k => {
+                    let l = &self.labels[k as usize - 1];
+                    let same = l.hash == hash
+                        && self
+                            .texts()
+                            .eq(&self.vals[l.vals..l.vals + self.arity], &self.vals[start..]);
+                    if same {
+                        self.vals.truncate(start);
+                        self.buf.truncate(buf_mark);
+                        return Ok(k - 1);
+                    }
+                }
+            }
+            i = (i + 1) & mask;
+        }
+        let k = u32::try_from(self.labels.len())
+            .map_err(|_| syntax("more distinct labels than the parser can index"))?;
+        self.labels.push(LabelSlot {
+            hash,
+            vals: start,
+            canon: None,
+        });
+        self.label_index[i] = k + 1;
+        if self.labels.len() * 2 > self.label_index.len() {
+            self.grow_label_index();
+        }
+        Ok(k)
     }
 
-    fn value(&mut self) -> Result<Lit<'a>, ParseError> {
-        self.skip_ws();
-        match self.peek() {
+    /// Doubles the label index and re-places every label.
+    fn grow_label_index(&mut self) {
+        let len = self.label_index.len() * 2;
+        self.label_index = vec![0; len];
+        for (k, l) in self.labels.iter().enumerate() {
+            let mut i = l.hash as usize & (len - 1);
+            while self.label_index[i] != 0 {
+                i = (i + 1) & (len - 1);
+            }
+            self.label_index[i] = k as u32 + 1;
+        }
+    }
+
+    fn texts(&self) -> Texts<'_> {
+        Texts {
+            src: self.src,
+            buf: &self.buf,
+        }
+    }
+
+    /// A label value, fed to `hasher` as it is read.
+    fn value(&mut self, hasher: &mut LabelHasher) -> Result<Lit, ParseError> {
+        let v = match self.peek() {
             Some(b'"') => {
                 self.pos += 1;
-                self.string().map(Lit::Str)
+                return self.string(hasher);
             }
             Some(b'\'') => {
                 self.pos += 1;
@@ -346,8 +470,12 @@ impl<'a> Parser<'a> {
                     Some(c) => c,
                     None => return Err(syntax("unterminated char")),
                 };
-                self.expect(b'\'')?;
-                Ok(Lit::Char(c))
+                self.skip_ws();
+                if self.peek() != Some(b'\'') {
+                    return Err(self.expected(b'\''));
+                }
+                self.pos += 1;
+                Lit::Char(c)
             }
             Some(b) if b.is_ascii_digit() || b == b'-' => {
                 let start = self.pos;
@@ -358,20 +486,23 @@ impl<'a> Parser<'a> {
                 self.src[start..self.pos]
                     .parse::<i64>()
                     .map(Lit::Int)
-                    .map_err(|e| syntax(e.to_string()))
+                    .map_err(|e| syntax(e.to_string()))?
             }
             _ => match self.ident()? {
-                "true" => Ok(Lit::Bool(true)),
-                "false" => Ok(Lit::Bool(false)),
-                word => Err(syntax(format!("unexpected value '{word}'"))),
+                "true" => Lit::Bool(true),
+                "false" => Lit::Bool(false),
+                word => return Err(syntax(format!("unexpected value '{word}'"))),
             },
-        }
+        };
+        hasher.value(self.texts().value(v));
+        Ok(v)
     }
 
-    /// The rest of a string literal after its opening quote. Borrowed
-    /// from the input unless it contains an escape.
-    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
-        let mut owned: Option<String> = None;
+    /// The rest of a string literal after its opening quote, fed to
+    /// `hasher`: a span of the input, or of `buf` once an escape forced
+    /// a copy.
+    fn string(&mut self, hasher: &mut LabelHasher) -> Result<Lit, ParseError> {
+        let mut copied: Option<usize> = None;
         let mut run = self.pos;
         loop {
             // `"` and `\` are ASCII, so they never split a UTF-8 char.
@@ -380,20 +511,26 @@ impl<'a> Parser<'a> {
                 return Err(syntax("unterminated string"));
             };
             self.pos += i;
-            let text = &self.src[run..self.pos];
+            let end = self.pos;
             self.pos += 1;
             if rest[i] == b'"' {
-                return Ok(match owned {
-                    None => Cow::Borrowed(text),
-                    Some(mut s) => {
-                        s.push_str(text);
-                        Cow::Owned(s)
+                let text = &self.src[run..end];
+                return Ok(match copied {
+                    None => {
+                        hasher.value(ValueRef::Str(text));
+                        Lit::Src(run, end)
+                    }
+                    Some(start) => {
+                        self.buf.push_str(text);
+                        hasher.value(ValueRef::Str(&self.buf[start..]));
+                        Lit::Buf(start, self.buf.len())
                     }
                 });
             }
-            let s = owned.get_or_insert_with(String::new);
-            s.push_str(text);
-            s.push(self.escape("string")?);
+            copied.get_or_insert(self.buf.len());
+            self.buf.push_str(&self.src[run..end]);
+            let c = self.escape("string")?;
+            self.buf.push(c);
             run = self.pos;
         }
     }
@@ -440,7 +577,6 @@ impl<'a> Parser<'a> {
             /// Children resolved: intern the node itself.
             Build(usize),
         }
-        let arity = self.ty.sig().arity();
         let mut tasks = vec![Task::Enter(root)];
         // Resolved subtrees, in order: a node's children are the last
         // `rank` entries when its `Build` runs.
@@ -449,71 +585,125 @@ impl<'a> Parser<'a> {
             match task {
                 Task::Enter(i) => {
                     if let Some(t) = self.lookup(i) {
-                        intern::count_hits(self.nodes[i].size as u64);
+                        intern::count_hits((i + 1 - self.nodes[i].first) as u64);
                         done.push(t);
                     } else {
                         tasks.push(Task::Build(i));
-                        let kids = self.kids_of(&self.nodes[i]);
-                        tasks.extend(kids.iter().rev().map(|&k| Task::Enter(k)));
+                        // Children from the last, which precedes its
+                        // parent, back to the first, so the first is
+                        // entered first.
+                        let mut c = i;
+                        for _ in 0..self.ctors[self.nodes[i].ctor as usize].1 {
+                            c -= 1;
+                            tasks.push(Task::Enter(c));
+                            c = self.nodes[c].first;
+                        }
                     }
                 }
                 Task::Build(i) => {
                     let s = &self.nodes[i];
-                    let children = done.split_off(done.len() - self.ty.rank(s.ctor));
-                    let label = intern::intern_label(
-                        s.label,
-                        &mut self.vals[s.vals..s.vals + arity],
-                        |vals, l| {
-                            vals.iter()
-                                .map(Lit::as_ref)
-                                .eq(l.values().iter().map(ValueRef::from))
-                        },
-                        |vals| Label::new(vals.iter_mut().map(Lit::take).collect()),
-                    );
-                    done.push(intern::intern(s.hash, s.ctor, &label, Cow::Owned(children)));
+                    let rank = self.ctors[s.ctor as usize].1;
+                    let children = done.split_off(done.len() - rank);
+                    let label = self.canonical_label(s.label as usize);
+                    let s = &self.nodes[i];
+                    done.push(intern::intern(
+                        s.hash,
+                        CtorId(s.ctor as usize),
+                        &label,
+                        Cow::Owned(children),
+                    ));
                 }
             }
         }
         done.pop().expect("resolution yields the root")
     }
 
+    /// The canonical entry of document label `k`: known from a
+    /// verification, or looked up (and added) in the label table once.
+    fn canonical_label(&mut self, k: usize) -> InternedLabel {
+        let texts = Texts {
+            src: self.src,
+            buf: &self.buf,
+        };
+        let l = &mut self.labels[k];
+        let (hash, vals) = (l.hash, &self.vals[l.vals..l.vals + self.arity]);
+        l.canon
+            .get_or_insert_with(|| {
+                intern::intern_label(
+                    hash,
+                    vals,
+                    |vals, c| {
+                        vals.iter()
+                            .map(|&v| texts.value(v))
+                            .eq(c.values().iter().map(ValueRef::from))
+                    },
+                    |vals| Label::new(vals.iter().map(|&v| texts.owned(v)).collect()),
+                )
+            })
+            .clone()
+    }
+
     /// The canonical tree structurally equal to arena subtree `i`, if
     /// one is interned.
-    fn lookup(&self, i: usize) -> Option<Tree> {
-        (0..)
-            .map_while(|k| intern::probe(self.nodes[i].hash, k))
-            .find(|cand| self.matches(cand, i))
+    fn lookup(&mut self, i: usize) -> Option<Tree> {
+        let mut k = 0;
+        while let Some(cand) = intern::probe(self.nodes[i].hash, k) {
+            if self.matches(&cand, i) {
+                return Some(cand);
+            }
+            k += 1;
+        }
+        None
     }
 
     /// Whether canonical tree `cand` is structurally equal to arena
-    /// subtree `i` (an iterative walk of both).
-    fn matches(&self, cand: &Tree, i: usize) -> bool {
-        let mut stack = vec![(cand, i)];
-        while let Some((t, j)) = stack.pop() {
+    /// subtree `i` (an iterative walk of both). A label is compared by
+    /// value the first time, then by its canonical entry.
+    fn matches(&mut self, cand: &Tree, i: usize) -> bool {
+        let mut walk = Vec::new();
+        let (mut t, mut j) = (cand, i);
+        loop {
             let s = &self.nodes[j];
-            let kids = self.kids_of(s);
+            let (label, rank) = (s.label as usize, self.ctors[s.ctor as usize].1);
             if t.precomputed_hash() != s.hash
-                || t.ctor() != s.ctor
-                || t.children().len() != kids.len()
-                || !t
-                    .label()
-                    .values()
-                    .iter()
-                    .map(ValueRef::from)
-                    .eq(self.label_of(s).iter().map(Lit::as_ref))
+                || t.ctor().0 != s.ctor as usize
+                || t.children().len() != rank
+                || !self.same_label(t, label)
             {
                 return false;
             }
-            stack.extend(t.children().iter().zip(kids.iter().copied()));
+            // The last child precedes its parent in the arena; each
+            // earlier one precedes the subtree after it.
+            let mut c = j;
+            for kid in t.children().iter().rev() {
+                c -= 1;
+                walk.push((kid, c));
+                c = self.nodes[c].first;
+            }
+            match walk.pop() {
+                Some(next) => (t, j) = next,
+                None => return true,
+            }
         }
-        true
     }
 
-    fn label_of(&self, s: &Slot) -> &[Lit<'a>] {
-        &self.vals[s.vals..s.vals + self.ty.sig().arity()]
-    }
-
-    fn kids_of(&self, s: &Slot) -> &[usize] {
-        &self.kids[s.kids..s.kids + self.ty.rank(s.ctor)]
+    /// Whether `t`'s label is document label `k`.
+    fn same_label(&mut self, t: &Tree, k: usize) -> bool {
+        let l = &mut self.labels[k];
+        if let Some(c) = &l.canon {
+            return t.interned_label().ptr_eq(c);
+        }
+        let texts = Texts {
+            src: self.src,
+            buf: &self.buf,
+        };
+        let same = self.vals[l.vals..l.vals + self.arity]
+            .iter()
+            .map(|&v| texts.value(v))
+            .eq(t.label().values().iter().map(ValueRef::from));
+        if same {
+            l.canon = Some(t.interned_label().clone());
+        }
+        same
     }
 }

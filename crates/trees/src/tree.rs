@@ -5,7 +5,7 @@ use crate::parse::ParseError;
 use crate::ty::{CtorId, TreeType};
 use fast_smt::Label;
 use std::borrow::Cow;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -418,7 +418,9 @@ impl fmt::Debug for Tree {
 impl fmt::Display for Tree {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Constructor names are not known without a type; print the id.
-        write_tree(f, self, None)
+        let mut out = String::new();
+        write_tree(&mut out, self, None)?;
+        f.write_str(&out)
     }
 }
 
@@ -428,33 +430,45 @@ pub struct DisplayTree<'a> {
     ty: &'a TreeType,
 }
 
+impl DisplayTree<'_> {
+    /// Writes the text `Display` prints, generic over the writer like
+    /// [`Label::write_to`]: rendering into a `String`, or through a
+    /// writer that escapes it on the way (as `fast-serve` renders
+    /// outputs into its JSON responses), costs no dynamic dispatch per
+    /// piece and no intermediate `String`.
+    pub fn write_to(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        write_tree(w, self.tree, Some(self.ty))
+    }
+}
+
 impl fmt::Display for DisplayTree<'_> {
+    /// Built in a local `String` and handed to `f` in one write, so the
+    /// many small pieces cost no dynamic dispatch each.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_tree(f, self.tree, Some(self.ty))
+        let mut out = String::new();
+        self.write_to(&mut out)?;
+        f.write_str(&out)
     }
 }
 
 /// Writes `t` in the syntax [`Tree::parse`] reads, constructor names
-/// from `ty` (or `c<index>` without a type). The text is built in a
-/// local `String` and handed to `f` in one write: the many small pieces
-/// then cost no dynamic dispatch each. Iterative, so any depth prints
-/// on any stack.
-fn write_tree(f: &mut fmt::Formatter<'_>, t: &Tree, ty: Option<&TreeType>) -> fmt::Result {
-    let head = |out: &mut String, t: &Tree| -> fmt::Result {
+/// from `ty` (or `c<index>` without a type). Iterative, so any depth
+/// prints on any stack.
+fn write_tree<W: fmt::Write>(out: &mut W, t: &Tree, ty: Option<&TreeType>) -> fmt::Result {
+    let head = |out: &mut W, t: &Tree| -> fmt::Result {
         match ty {
-            Some(ty) => out.push_str(ty.ctor_name(t.ctor())),
+            Some(ty) => out.write_str(ty.ctor_name(t.ctor()))?,
             None => write!(out, "c{}", t.ctor().0)?,
         }
         if t.label().arity() > 0 {
             t.label().write_to(out)?;
         }
         if !t.children().is_empty() {
-            out.push('(');
+            out.write_str("(")?;
         }
         Ok(())
     };
-    let mut out = String::new();
-    head(&mut out, t)?;
+    head(out, t)?;
     // Open nodes and the index of the next child to print.
     let mut open: Vec<(&Tree, usize)> = Vec::new();
     if !t.children().is_empty() {
@@ -462,20 +476,20 @@ fn write_tree(f: &mut fmt::Formatter<'_>, t: &Tree, ty: Option<&TreeType>) -> fm
     }
     while let Some((node, next)) = open.last_mut() {
         let Some(child) = node.children().get(*next) else {
-            out.push(')');
+            out.write_str(")")?;
             open.pop();
             continue;
         };
         if *next > 0 {
-            out.push_str(", ");
+            out.write_str(", ")?;
         }
         *next += 1;
-        head(&mut out, child)?;
+        head(out, child)?;
         if !child.children().is_empty() {
             open.push((child, 0));
         }
     }
-    f.write_str(&out)
+    Ok(())
 }
 
 /// Pre-order iterator (see [`Tree::iter`]).

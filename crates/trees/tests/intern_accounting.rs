@@ -104,4 +104,17 @@ fn labels_are_counted_once_per_lookup(ty: &TreeType) {
     });
     assert_eq!(labels, (2, 1), "a new label, three times");
     assert_eq!(intern::label_table_len(), len + 5);
+
+    // A parse resolves each distinct label of the document once: two
+    // new nodes carrying one new label look it up once, not twice.
+    let (_, nodes, labels) = deltas(|| Tree::parse(ty, "N[21](L[21], L[22])").unwrap());
+    assert_eq!(nodes, (0, 3), "three new nodes");
+    assert_eq!(labels, (0, 2), "label 21 looked up once for both nodes");
+
+    // A label the parse has already compared against a canonical label
+    // (while verifying an interned subtree) needs no lookup at all.
+    let (_, nodes, labels) = deltas(|| Tree::parse(ty, "N[7](L[7], L[13])").unwrap());
+    assert_eq!(nodes, (2, 1), "two interned leaves, one new root");
+    assert_eq!(labels, (0, 0), "label 7 was verified on L[7]");
+    assert_eq!(intern::label_table_len(), len + 7);
 }
