@@ -515,8 +515,10 @@ fn run_one_trans(
         for (i, r) in results.iter().enumerate() {
             match r {
                 Ok(outs) => {
-                    // Sorted display strings: Tree's Ord is on interner
-                    // ids, which differ across processes.
+                    // Sorted display strings: outputs come in the order
+                    // the plan's rules fired, which nothing pins between
+                    // a source run and an artifact run, and CI diffs the
+                    // printed lines of the two.
                     let mut shown: Vec<String> =
                         outs.iter().map(|t| t.display(ty).to_string()).collect();
                     shown.sort();

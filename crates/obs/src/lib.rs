@@ -44,7 +44,7 @@
 //! | `intern.misses` | tree interning allocates a new canonical node (== table size: the table never evicts) |
 //! | `intern.label_hits` | a label lookup in the interner's label table finds the canonical label |
 //! | `intern.label_misses` | the label table allocates a new canonical label (== label table size: it never evicts) |
-//! | `intern.hash_collisions` | a new tree node's or label's 64-bit hash is already taken (it goes to the shard's overflow map) |
+//! | `intern.hash_collisions` | a new tree node's or label's 64-bit hash is already taken (both stay in the same probe run) |
 //! | `intern.contended` | a shard `try_lock` of either interner table fails and the interner falls back to blocking |
 //! | `automata.product_states` | `intersect` emits a satisfiable product rule |
 //! | `automata.det_states` | determinization creates a subset state |

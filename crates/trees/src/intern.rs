@@ -7,8 +7,8 @@
 //! parser ([`Tree::parse`]) first looks whole subtrees up by their
 //! structural hash and interns only the nodes it does not find. Each
 //! structurally distinct `(ctor, label, children)` node is stored
-//! exactly once behind an [`Arc`], and every `Tree` handle carries the
-//! canonical node plus:
+//! exactly once behind an [`Arc`], and a `Tree` is one pointer to it.
+//! The canonical node carries, besides its parts:
 //!
 //! * a **stable 64-bit [`TreeId`]** — equal ids ⇔ structurally equal
 //!   trees, for the life of the process. Ids are allocated from a
@@ -34,15 +34,14 @@
 //!
 //! # Table layout
 //!
-//! Both tables are one implementation, generic over the entry. Each
-//! shard is an open-addressed table keyed by the entry's 64-bit hash.
-//! The entries — hash, id, canonical value — sit inline in the slot
-//! array, so a probe that lands on another hash is rejected on one
-//! `u64` compare, without touching the value. Two distinct values under
-//! one 64-bit hash (a true collision, counted in
-//! `intern.hash_collisions`) are the only case that leaves the slot
-//! array: the first stays inline, the rest go to a small per-shard
-//! overflow map, in insertion order.
+//! Both tables are one implementation, generic over the canonical value.
+//! Each shard is an open-addressed table keyed by the value's 64-bit
+//! hash, with linear probing. An entry is the hash and the canonical
+//! `Arc`, inline in the slot array (16 bytes), so a probe that lands on
+//! another hash is rejected on one `u64` compare, without touching the
+//! value. Two distinct values under one 64-bit hash (a true collision,
+//! counted in `intern.hash_collisions`) sit in the same probe run: a
+//! lookup tests every entry of the run with a matching hash.
 //!
 //! # Hashing
 //!
@@ -67,12 +66,12 @@
 //!
 //! `intern::intern` is the one entry every node construction ends in:
 //! the caller hands it the node's hash, constructor, canonical label and
-//! child handles, and it compares them in place against the canonical
-//! node under that hash — the constructor, the label by pointer, and the
-//! child ids. The children are only *read* on a hit: [`Tree::new`]
-//! takes them as [`Cow`]s, so a caller that borrows them allocates
-//! nothing, and a caller that owns them moves them into the node on a
-//! miss without a clone. The label is resolved first: an owned or
+//! child handles, and it compares them in place against each canonical
+//! node under that hash — the constructor, and the label and the
+//! children by pointer. The children are only *read* on a hit:
+//! [`Tree::new`] takes them as [`Cow`]s, so a caller that borrows them
+//! allocates nothing, and a caller that owns them moves them into the
+//! node on a miss without a clone. The label is resolved first: an owned or
 //! borrowed label through the label table (a hit allocates nothing), a
 //! tree's [`InternedLabel`] not at all — which is how the runtime builds
 //! a node whose label it copies from the input.
@@ -93,7 +92,7 @@
 //! | `intern.misses` | a new canonical node was allocated (= node table size) |
 //! | `intern.label_hits` | a label lookup found its canonical label (a tree's [`InternedLabel`] needs no lookup and counts nothing) |
 //! | `intern.label_misses` | a new canonical label was allocated (= label table size) |
-//! | `intern.hash_collisions` | a new node's or label's 64-bit hash was already taken by another one (it went to the overflow map) |
+//! | `intern.hash_collisions` | a new node's or label's 64-bit hash was already taken by another one (both stay in the same probe run) |
 //! | `intern.contended` | a shard lock of either table was busy and the call had to block |
 //!
 //! Residency is tracked by gauges, so a windowed view (`fast-serve`'s
@@ -111,7 +110,6 @@ use crate::tree::{CanonLabel, InternedLabel, LabelId, Node, Tree, TreeId};
 use crate::ty::CtorId;
 use fast_smt::{Label, Value};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
@@ -122,142 +120,88 @@ pub const SHARDS: usize = 16;
 /// Slots a shard allocates on its first insert.
 const MIN_SLOTS: usize = 16;
 
-/// An entry of a keyed table, stored inline in its shard's slot array.
-trait Keyed {
-    /// The 64-bit hash the entry is stored under.
-    fn hash(&self) -> u64;
-}
-
-/// A node-table entry: one canonical node, its id and its structural
-/// hash. The hash is read first, so a probe that lands on another hash
-/// never dereferences the node.
-struct NodeEntry {
+/// A table entry, inline in its shard's slot array: a canonical value
+/// and the hash it is stored under. The hash is read first, so a probe
+/// that lands on another hash never dereferences the value.
+struct Entry<T> {
     hash: u64,
-    id: TreeId,
-    node: Arc<Node>,
-}
-
-impl Keyed for NodeEntry {
-    fn hash(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// A label-table entry: the canonical label's hash, inline, and the
-/// label itself (which carries its id and hash for the nodes pointing
-/// at it).
-struct LabelEntry {
-    hash: u64,
-    label: InternedLabel,
-}
-
-impl Keyed for LabelEntry {
-    fn hash(&self) -> u64 {
-        self.hash
-    }
+    canon: Arc<T>,
 }
 
 /// One shard: an open-addressed table of inline entries keyed by their
 /// hash, with linear probing from the hash's low bits.
-struct Shard<E> {
+struct Shard<T> {
     /// Empty, or a power-of-two number of slots at most 3/4 full.
-    slots: Box<[Option<E>]>,
+    slots: Box<[Option<Entry<T>>]>,
     /// Occupied slots.
     len: usize,
-    /// The second and later entries under a hash whose first entry is
-    /// in `slots` (true 64-bit collisions), in insertion order.
-    overflow: HashMap<u64, Vec<E>>,
 }
 
-impl<E> Default for Shard<E> {
+impl<T> Default for Shard<T> {
     fn default() -> Self {
         Shard {
             slots: Box::default(),
             len: 0,
-            overflow: HashMap::new(),
         }
     }
 }
 
-impl<E: Keyed> Shard<E> {
-    /// The index of the slot holding `hash`, or of the empty slot where
-    /// it would go. The array must not be empty.
-    fn find(&self, hash: u64) -> usize {
+impl<T> Shard<T> {
+    /// The values stored under `hash`, in probe order: the entries of
+    /// its probe run that carry it.
+    fn under(&self, hash: u64) -> impl Iterator<Item = &Arc<T>> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let home = hash as usize;
+        (0..self.slots.len())
+            .map_while(move |k| self.slots[home.wrapping_add(k) & mask].as_ref())
+            .filter(move |e| e.hash == hash)
+            .map(|e| &e.canon)
+    }
+
+    /// The first empty slot of `hash`'s probe run, and whether the run
+    /// holds another entry under `hash`. The array must not be empty.
+    fn vacancy(&self, hash: u64) -> (usize, bool) {
         let mask = self.slots.len() - 1;
-        let mut i = hash as usize & mask;
+        let (mut i, mut taken) = (hash as usize & mask, false);
         while let Some(e) = &self.slots[i] {
-            if e.hash() == hash {
-                break;
-            }
+            taken |= e.hash == hash;
             i = (i + 1) & mask;
         }
-        i
+        (i, taken)
     }
 
-    /// The first entry stored under `hash`.
-    fn first(&self, hash: u64) -> Option<&E> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        self.slots[self.find(hash)].as_ref()
-    }
-
-    /// The entry under `hash` that `is` accepts.
-    fn get(&self, hash: u64, is: impl Fn(&E) -> bool) -> Option<&E> {
-        let first = self.first(hash)?;
-        if is(first) {
-            return Some(first);
-        }
-        self.overflow.get(&hash)?.iter().find(|e| is(e))
-    }
-
-    /// The `k`-th entry under `hash`: `k = 0` is the inline one, the
-    /// rest are the overflow in insertion order.
-    fn nth(&self, hash: u64, k: usize) -> Option<&E> {
-        let first = self.first(hash)?;
-        match k {
-            0 => Some(first),
-            _ => self.overflow.get(&hash)?.get(k - 1),
-        }
-    }
-
-    /// Stores a new entry; true when its hash was taken (a collision).
-    fn insert(&mut self, e: E) -> bool {
+    /// Stores a new value; true when its hash was taken (a collision).
+    fn insert(&mut self, hash: u64, canon: Arc<T>) -> bool {
         if (self.len + 1) * 4 > self.slots.len() * 3 {
             self.grow();
         }
-        let i = self.find(e.hash());
-        if self.slots[i].is_some() {
-            bytes_gauge().add(std::mem::size_of::<E>() as u64);
-            self.overflow.entry(e.hash()).or_default().push(e);
-            return true;
-        }
-        self.slots[i] = Some(e);
+        let (i, taken) = self.vacancy(hash);
+        self.slots[i] = Some(Entry { hash, canon });
         self.len += 1;
-        false
+        taken
     }
 
     /// Doubles the slot array and re-places every entry.
     fn grow(&mut self) {
         let cap = (self.slots.len() * 2).max(MIN_SLOTS);
-        let slot = std::mem::size_of::<Option<E>>() as u64;
+        let slot = std::mem::size_of::<Option<Entry<T>>>() as u64;
         bytes_gauge().add((cap - self.slots.len()) as u64 * slot);
         let old = std::mem::replace(&mut self.slots, (0..cap).map(|_| None).collect());
         for e in old.into_vec().into_iter().flatten() {
-            let i = self.find(e.hash());
+            let (i, _) = self.vacancy(e.hash);
             self.slots[i] = Some(e);
         }
     }
 }
 
 /// A sharded keyed table and the counter its ids come from.
-struct Table<E> {
-    shards: [Mutex<Shard<E>>; SHARDS],
+struct Table<T> {
+    shards: [Mutex<Shard<T>>; SHARDS],
     next_id: AtomicU64,
 }
 
-impl<E> Table<E> {
-    fn new() -> Table<E> {
+impl<T> Table<T> {
+    fn new() -> Table<T> {
         Table {
             shards: std::array::from_fn(|_| Mutex::default()),
             next_id: AtomicU64::new(0),
@@ -270,7 +214,7 @@ impl<E> Table<E> {
     }
 
     /// Locks shard `i`, counting `intern.contended` when it is busy.
-    fn lock(&self, i: usize) -> MutexGuard<'_, Shard<E>> {
+    fn lock(&self, i: usize) -> MutexGuard<'_, Shard<T>> {
         let shard = &self.shards[i];
         match shard.try_lock() {
             Ok(guard) => guard,
@@ -285,21 +229,21 @@ impl<E> Table<E> {
     /// Entries per shard, counted from the table itself.
     fn shard_lens(&self) -> [usize; SHARDS] {
         std::array::from_fn(|i| {
-            let shard = self.shards[i]
+            self.shards[i]
                 .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            shard.len + shard.overflow.values().map(Vec::len).sum::<usize>()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len
         })
     }
 }
 
-fn nodes() -> &'static Table<NodeEntry> {
-    static TABLE: OnceLock<Table<NodeEntry>> = OnceLock::new();
+fn nodes() -> &'static Table<Node> {
+    static TABLE: OnceLock<Table<Node>> = OnceLock::new();
     TABLE.get_or_init(Table::new)
 }
 
-fn labels() -> &'static Table<LabelEntry> {
-    static TABLE: OnceLock<Table<LabelEntry>> = OnceLock::new();
+fn labels() -> &'static Table<CanonLabel> {
+    static TABLE: OnceLock<Table<CanonLabel>> = OnceLock::new();
     TABLE.get_or_init(Table::new)
 }
 
@@ -509,26 +453,22 @@ pub(crate) fn intern_label<P>(
 ) -> InternedLabel {
     let table = labels();
     let mut shard = table.lock(shard_of(hash));
-    if let Some(e) = shard.get(hash, |e| eq(&parts, e.label.label())) {
+    if let Some(c) = shard.under(hash).find(|c| eq(&parts, &c.label)) {
         fast_obs::count!("intern.label_hits");
-        return e.label.clone();
+        return InternedLabel(Arc::clone(c));
     }
     fast_obs::count!("intern.label_misses");
     let label = make(parts);
     bytes_gauge().add(label_bytes(&label));
-    let label = InternedLabel(Arc::new(CanonLabel {
+    let canon = Arc::new(CanonLabel {
         hash,
         id: LabelId(table.next_id()),
         label,
-    }));
-    let entry = LabelEntry {
-        hash,
-        label: label.clone(),
-    };
-    if shard.insert(entry) {
+    });
+    if shard.insert(hash, Arc::clone(&canon)) {
         fast_obs::count!("intern.hash_collisions");
     }
-    label
+    InternedLabel(canon)
 }
 
 /// Interns the node `(ctor, label, children)` whose [`node_hash`] is
@@ -538,8 +478,7 @@ pub(crate) fn intern_label<P>(
 /// the owned node, moving owned children in and copying borrowed ones.
 /// The label is canonical and the children are interned handles (they
 /// always are — `Tree` cannot be built any other way), so the
-/// comparison is a pointer compare and O(arity) id compares, never a
-/// deep compare.
+/// comparison is O(arity + 1) pointer compares, never a deep compare.
 pub(crate) fn intern(
     hash: u64,
     ctor: CtorId,
@@ -548,44 +487,39 @@ pub(crate) fn intern(
 ) -> Tree {
     let table = nodes();
     let mut shard = table.lock(shard_of(hash));
-    let found = shard.get(hash, |e| {
-        e.node.ctor == ctor && e.node.label.ptr_eq(label) && e.node.children[..] == children[..]
-    });
-    if let Some(e) = found {
+    let found = shard
+        .under(hash)
+        .find(|n| n.ctor == ctor && n.label.ptr_eq(label) && n.children[..] == children[..]);
+    if let Some(n) = found {
         fast_obs::count!("intern.hits");
-        return Tree::from_parts(Arc::clone(&e.node), e.id, hash);
+        return Tree::from_parts(Arc::clone(n));
     }
     fast_obs::count!("intern.misses");
-    let id = TreeId(table.next_id());
     let node = Arc::new(Node {
+        hash,
+        id: TreeId(table.next_id()),
         ctor,
         label: label.clone(),
         children: children.into_owned(),
     });
     shard_gauge(shard_of(hash)).add(1);
     bytes_gauge().add(node_bytes(&node));
-    let entry = NodeEntry {
-        hash,
-        id,
-        node: Arc::clone(&node),
-    };
-    if shard.insert(entry) {
+    if shard.insert(hash, Arc::clone(&node)) {
         fast_obs::count!("intern.hash_collisions");
     }
-    Tree::from_parts(node, id, hash)
+    Tree::from_parts(node)
 }
 
-/// The `k`-th canonical node stored under structural hash `hash`, if
-/// any (there is more than one only on a 64-bit hash collision: `k = 0`
-/// is the inline entry, the rest are the overflow in insertion order).
-/// The table is append-only, so `k` indexes the same node on every
-/// call. The shard lock is held only for the lookup: the caller
-/// verifies the candidate against its own structure after the lock is
-/// released.
-pub(crate) fn probe(hash: u64, k: usize) -> Option<Tree> {
+/// The first canonical node stored under structural hash `hash`, if
+/// any. There is more than one only on a 64-bit hash collision, so a
+/// caller that finds the candidate is not its structure builds it
+/// through [`intern`], which tests every node under the hash. The shard
+/// lock is held only for the lookup: the caller verifies the candidate
+/// against its own structure after the lock is released.
+pub(crate) fn probe(hash: u64) -> Option<Tree> {
     let shard = nodes().lock(shard_of(hash));
-    let e = shard.nth(hash, k)?;
-    Some(Tree::from_parts(Arc::clone(&e.node), e.id, hash))
+    let first = shard.under(hash).next()?;
+    Some(Tree::from_parts(Arc::clone(first)))
 }
 
 /// Counts `nodes` nodes resolved to existing canonical nodes without an
@@ -698,11 +632,19 @@ mod tests {
         }
     }
 
-    /// Two distinct nodes forced under one structural hash: the first
-    /// is the inline entry, the second goes to the overflow, and both
-    /// stay findable in insertion order (the parser's `lookup` walks
-    /// `probe(hash, 0..)`). The hash is not the nodes' own, so the label
-    /// values are used by no other test.
+    /// The handle is one pointer and a slot entry two words; a change
+    /// that widens either again fails here.
+    #[test]
+    fn handle_and_slot_stay_compact() {
+        assert_eq!(std::mem::size_of::<Tree>(), std::mem::size_of::<usize>());
+        assert_eq!(std::mem::size_of::<Option<Entry<Node>>>(), 16);
+        assert_eq!(std::mem::size_of::<Option<Entry<CanonLabel>>>(), 16);
+    }
+
+    /// Two distinct nodes forced under one structural hash keep distinct
+    /// ids, share one probe run (the first inserted is `probe`'s
+    /// candidate), and each is found again by `intern`. The hash is not
+    /// the nodes' own, so the label values are used by no other test.
     #[test]
     fn colliding_nodes_keep_their_ids_and_order() {
         let ty = bt();
@@ -720,14 +662,34 @@ mod tests {
         assert_eq!(collisions(), before + 1);
         assert_eq!(node(606_000_001).id(), a.id());
         assert_eq!(node(606_000_002).id(), b.id());
-        assert_eq!(probe(hash, 0).map(|t| t.id()), Some(a.id()));
-        assert_eq!(probe(hash, 1).map(|t| t.id()), Some(b.id()));
-        assert!(probe(hash, 2).is_none());
+        assert_eq!(probe(hash).map(|t| t.id()), Some(a.id()));
         assert_eq!(
             collisions(),
             before + 1,
             "re-interning collides with nothing"
         );
+    }
+
+    /// A parse whose first candidate under a subtree's hash is another
+    /// structure (a decoy interned under the leaf's real hash) descends
+    /// and builds the right node, the one `Tree::leaf` finds.
+    #[test]
+    fn parse_passes_a_colliding_candidate() {
+        let ty = bt();
+        let l = ty.ctor_id("L").unwrap();
+        let real = Label::single(606_000_100i64);
+        let hash = node_hash(
+            l,
+            label_hash(real.values().iter().map(ValueRef::from)),
+            std::iter::empty(),
+        );
+        let decoy_label = LabelArg::from(Label::single(606_000_101i64)).intern();
+        let decoy = intern(hash, l, &decoy_label, Cow::Borrowed(&[]));
+        let parsed = Tree::parse(&ty, "L[606000100]").unwrap();
+        assert_ne!(parsed.id(), decoy.id());
+        assert_eq!(parsed.label(), &real);
+        assert_eq!(Tree::leaf(l, real).id(), parsed.id());
+        assert_eq!(probe(hash).map(|t| t.id()), Some(decoy.id()));
     }
 
     /// The label table's twin: two distinct labels forced under one

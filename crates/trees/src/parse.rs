@@ -20,11 +20,12 @@
 //!    checked here, so a rejected input touches no shared state.
 //! 2. **Resolve.** The arena is resolved against the global interner
 //!    top-down: the largest unresolved subtree is probed by its hash and
-//!    the candidate verified structurally against the arena. A verified
-//!    hit yields the canonical subtree without probing any of its
-//!    descendants; only on a miss does resolution descend, and the
-//!    missing nodes are then built bottom-up through the interner's
-//!    one entry, [`intern::intern`], with the hash already computed.
+//!    the first candidate under it verified structurally against the
+//!    arena. A verified hit yields the canonical subtree without probing
+//!    any of its descendants; only on a miss (or a candidate that is
+//!    another structure under the same hash) does resolution descend,
+//!    and the nodes are then built bottom-up through the interner's one
+//!    entry, [`intern::intern`], with the hash already computed.
 //!    Each distinct label is resolved to its canonical entry at most
 //!    once per document: by the first verification that compares its
 //!    values against a canonical label (later nodes with that label
@@ -644,16 +645,12 @@ impl<'a> Parser<'a> {
     }
 
     /// The canonical tree structurally equal to arena subtree `i`, if
-    /// one is interned.
+    /// the first one interned under its hash is. On a 64-bit collision
+    /// that may be another structure: resolution then descends as on a
+    /// miss, and [`intern::intern`] finds the node among all under the
+    /// hash, or adds it.
     fn lookup(&mut self, i: usize) -> Option<Tree> {
-        let mut k = 0;
-        while let Some(cand) = intern::probe(self.nodes[i].hash, k) {
-            if self.matches(&cand, i) {
-                return Some(cand);
-            }
-            k += 1;
-        }
-        None
+        intern::probe(self.nodes[i].hash).filter(|cand| self.matches(cand, i))
     }
 
     /// Whether canonical tree `cand` is structurally equal to arena

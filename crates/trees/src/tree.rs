@@ -134,12 +134,14 @@ impl<'a> LabelArg<'a> {
 
 /// An immutable σ-labeled tree, hash-consed in a process-wide table:
 /// every structurally distinct subtree exists once, behind one
-/// canonical `Arc`, with a stable [`TreeId`].
+/// canonical `Arc` that holds its stable [`TreeId`] and structural
+/// hash. A `Tree` is one pointer to that node.
 ///
-/// Cloning is O(1) (one `Arc` bump). Equality is an id comparison and
-/// hashing writes a precomputed structural hash — both O(1) regardless
-/// of tree size. Ordering is structural (deterministic across runs),
-/// with id fast paths for equal subtrees and equal labels.
+/// Cloning is O(1) (one `Arc` bump). Equality is a pointer comparison
+/// and hashing writes the node's precomputed structural hash — both
+/// O(1) regardless of tree size. Ordering is structural (deterministic
+/// across runs), with pointer fast paths for equal subtrees and equal
+/// labels.
 ///
 /// # Examples
 ///
@@ -159,13 +161,17 @@ impl<'a> LabelArg<'a> {
 /// assert_eq!(t.id(), again.id());
 /// assert!(t.ptr_eq(&again));
 /// ```
+#[derive(Clone)]
 pub struct Tree {
     node: Arc<Node>,
-    id: TreeId,
-    hash: u64,
 }
 
+/// The canonical node behind a [`Tree`], owned by the node table: its
+/// structural hash and id, computed once when it is interned, and its
+/// parts.
 pub(crate) struct Node {
+    pub(crate) hash: u64,
+    pub(crate) id: TreeId,
     pub(crate) ctor: CtorId,
     pub(crate) label: InternedLabel,
     pub(crate) children: Vec<Tree>,
@@ -198,8 +204,8 @@ impl Tree {
 
     /// Assembles a handle around an already-interned node (interner
     /// use only — this is what keeps the interner the single chokepoint).
-    pub(crate) fn from_parts(node: Arc<Node>, id: TreeId, hash: u64) -> Tree {
-        Tree { node, id, hash }
+    pub(crate) fn from_parts(node: Arc<Node>) -> Tree {
+        Tree { node }
     }
 
     /// Creates a leaf (nullary node), taking the label like [`Tree::new`].
@@ -280,19 +286,18 @@ impl Tree {
     /// This is the memo key the runtime uses (`(state, TreeId)`), and
     /// the right key for any caller-side cache over trees.
     pub fn id(&self) -> TreeId {
-        self.id
+        self.node.id
     }
 
     /// The precomputed structural hash: equal trees have equal hashes.
     /// It is keyed per process, so it is the same in every thread of a
     /// process but differs from one run to the next.
     pub fn precomputed_hash(&self) -> u64 {
-        self.hash
+        self.node.hash
     }
 
     /// True if both handles share the canonical allocation. Because
-    /// trees are globally interned, this coincides with `==` (and with
-    /// `id()` equality) — it exists as a cheap sanity probe for tests.
+    /// trees are globally interned, this is `==` (and `id()` equality).
     pub fn ptr_eq(&self, other: &Tree) -> bool {
         Arc::ptr_eq(&self.node, &other.node)
     }
@@ -333,26 +338,18 @@ impl Tree {
     }
 }
 
-impl Clone for Tree {
-    fn clone(&self) -> Tree {
-        Tree {
-            node: Arc::clone(&self.node),
-            id: self.id,
-            hash: self.hash,
-        }
-    }
-}
-
+/// Pointer equality: the node table owns every canonical node, so two
+/// handles share an allocation exactly when their structures are equal.
 impl PartialEq for Tree {
     fn eq(&self, other: &Tree) -> bool {
-        self.id == other.id
+        self.ptr_eq(other)
     }
 }
 impl Eq for Tree {}
 
 impl Hash for Tree {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
+        state.write_u64(self.node.hash);
     }
 }
 
@@ -365,19 +362,21 @@ impl PartialOrd for Tree {
 impl Ord for Tree {
     /// Structural order: constructor, then label, then the children
     /// lexicographically (the pre-interning derived order), so iteration
-    /// is deterministic across runs; ids depend on interning order, so
-    /// they only serve the equal case. Iterative: the first differing
-    /// node pair is found with a heap stack, so any depth compares on any
-    /// thread stack.
+    /// is deterministic across runs. Addresses and ids depend on
+    /// interning order, so they only serve the equal case: a subtree or
+    /// a label that shares its canonical allocation with the other side
+    /// compares equal on one pointer compare, without a walk. Iterative:
+    /// the first differing node pair is found with a heap stack, so any
+    /// depth compares on any thread stack.
     fn cmp(&self, other: &Tree) -> std::cmp::Ordering {
         use std::cmp::Ordering;
         // Child lists whose earlier siblings compared equal.
         let mut open: Vec<(&[Tree], &[Tree])> = Vec::new();
         let (mut a, mut b) = (self, other);
         loop {
-            if a.id != b.id {
+            if !a.ptr_eq(b) {
                 let ord = a.ctor().cmp(&b.ctor()).then_with(|| {
-                    if a.label_id() == b.label_id() {
+                    if a.interned_label().ptr_eq(b.interned_label()) {
                         Ordering::Equal
                     } else {
                         a.label().cmp(b.label())
