@@ -65,11 +65,6 @@ impl<A: BoolAlg<Elem = Label>> Dbta<A> {
         self.contents.len()
     }
 
-    /// Total number of symbolic transitions.
-    pub fn transition_count(&self) -> usize {
-        self.trans.values().map(Vec::len).sum()
-    }
-
     /// The tree type.
     pub fn ty(&self) -> &Arc<TreeType> {
         &self.ty
@@ -82,15 +77,6 @@ impl<A: BoolAlg<Elem = Label>> Dbta<A> {
     /// Panics if `s` is out of range.
     pub fn contents(&self, s: usize) -> &BTreeSet<StateId> {
         &self.contents[s]
-    }
-
-    /// Whether state `s` is final.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    pub fn is_final(&self, s: usize) -> bool {
-        self.finals[s]
     }
 
     /// Sets the final-state predicate in terms of subset contents.

@@ -100,15 +100,6 @@ pub struct Composed<A: TransAlg<Elem = Label> = fast_smt::LabelAlg> {
     pub exactness: Exactness,
 }
 
-impl<A: TransAlg<Elem = Label>> Composed<A> {
-    /// Unwraps the transducer, discarding the verdict. Use only where
-    /// exactness was already established (or over-approximation is the
-    /// intended semantics, as in pre-image-style analyses).
-    pub fn into_sttr(self) -> Sttr<A> {
-        self.sttr
-    }
-}
-
 /// Decides the Theorem 4 exactness verdict for `compose(s, t)` without
 /// building the composition.
 ///

@@ -63,6 +63,7 @@
 //! | `rt.memo_misses` | an item root is not in the shared memo, or an item adds a `(state, node)` pair |
 //! | `rt.memo_evictions` | a full shared memo evicts an entry |
 //! | `rt.guard_evals` | an item evaluates a guard formula while lowering its input (once per guard and distinct `(constructor, label)` pair of the item) |
+//! | `rt.annotations` | an item builds a distinct node annotation while lowering its input (lookahead states, enabled rules and copying states; once per distinct value in the item) |
 //! | `rt.pool_steals` | a pool worker steals a job from a sibling's deque |
 //! | `rt.pool_fallbacks` | a worker thread fails to spawn and the batch degrades |
 //! | `rt.timeouts` | a batch item exceeds its per-item deadline |
@@ -209,6 +210,7 @@ pub const DOCUMENTED_COUNTERS: &[&str] = &[
     "rt.memo_misses",
     "rt.memo_evictions",
     "rt.guard_evals",
+    "rt.annotations",
     "rt.pool_steals",
     "rt.pool_fallbacks",
     "rt.timeouts",

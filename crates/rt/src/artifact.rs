@@ -45,8 +45,8 @@
 //! [`ArtifactError`] — never a panic and never an out-of-bounds access.
 //! Decode memory is linear in the buffer length: counts are checked
 //! against the bytes left, and the plan tables sized by a product of
-//! counts ((state, constructor) dispatch cells, lookahead mask words)
-//! are capped at a few cells per buffer byte. Dispatch is valid by
+//! counts ((state, constructor) dispatch cells) are capped at a few
+//! cells per buffer byte. Dispatch is valid by
 //! construction: it is derived from the decoded transducer, never read
 //! from the buffer.
 //!
@@ -109,7 +109,7 @@ pub const VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 16;
 /// Plan table cells (`Plan::table_cells`: dispatch-group offsets and
-/// lookahead mask words) an artifact may make the loader allocate,
+/// per-constructor offsets) an artifact may make the loader allocate,
 /// summed over its bodies, per byte of its length. Version 1 stored one
 /// u32 per `(state, constructor)` cell, a quarter cell per byte; the
 /// programs in `programs/` use under a tenth of one.

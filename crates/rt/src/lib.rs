@@ -10,9 +10,8 @@
 //!   **compiled evaluation plan**: rules grouped into per
 //!   `(state, constructor)` dispatch tables, the distinct non-trivial
 //!   guards listed per constructor, the lookahead STA pre-indexed by
-//!   constructor, every rule's lookahead sets precomputed as bit masks
-//!   over the lookahead states, and the *copy rules* (rules that rebuild
-//!   the node they read) flagged. Compilation is done once, with no
+//!   constructor, and the *copy rules* (rules that rebuild the node
+//!   they read) flagged. Compilation is done once, with no
 //!   solver call; the plan is immutable and shared by every worker.
 //!   A `.fastc` [`Artifact`] stores the transducer, not these tables:
 //!   loading one runs [`Plan::compile`] too, so a loaded plan is built
@@ -21,14 +20,17 @@
 //!   one slot per distinct node ([`TreeId`](fast_trees::TreeId), the
 //!   structural identity the global hash-cons table in
 //!   `fast_trees::intern` gives every tree, so a subtree repeated inside
-//!   the document is one slot), in post-order. Each slot carries three
-//!   bit sets: its **guard bits** (each guard reading its constructor
-//!   evaluated once), its lookahead states, and its **copy bits** (the
-//!   states `q` with `T_q(t) = {t}`, by induction over the children). A
-//!   top-down loop over the slots selects the rules of each needed
-//!   `(state, slot)` pair from those bits and marks the pairs their
-//!   calls read; a pair whose copy bit is set outputs its input node and
-//!   marks nothing below it. A bottom-up loop builds each pair's outputs
+//!   the document is one slot), in post-order. Each slot carries one
+//!   **annotation**: the lookahead states accepting the node, each
+//!   state's enabled rules there, and the states `q` that *copy* it
+//!   (`T_q(t) = {t}`, by induction over the children). Annotations are
+//!   the states of a bottom-up deterministic automaton that the item
+//!   builds lazily, keyed by `(constructor, label, child annotations)`:
+//!   a key seen before costs one probe. A top-down loop over the slots
+//!   reads each needed `(state, slot)` pair's rules from the slot's
+//!   annotation and marks the pairs their calls read; a pair whose
+//!   state copies its slot outputs its input node and marks nothing
+//!   below it. A bottom-up loop builds each pair's outputs
 //!   from its callees' finished sets. Nothing recurses on the input, so
 //!   depth costs heap, not stack.
 //! * Items share only a **root memo** keyed on `(initial state, root
@@ -39,9 +41,9 @@
 //!   ([`BatchStats`]) and globally (`rt.*` counters in `fast-obs`).
 //! * Per node, evaluation allocates only what it returns. Guards
 //!   compare label fields in place ([`fast_smt::Term::eval_ref`]) once
-//!   per node, deciding whether a rule is enabled is a few word
-//!   operations against guard bits and precomputed masks, and outputs go
-//!   to one buffer per item.
+//!   per distinct `(constructor, label)` pair of an item, rules are
+//!   tested against guards and lookahead once per distinct annotation
+//!   key, and outputs go to one buffer per item.
 //! * Every batch runs through one body: [`Plan::run_batch_shared`]
 //!   against a [`BatchMemo`] (caller-owned, so results persist across
 //!   batches, or fresh per call in [`Plan::run_batch_with`]).

@@ -4,7 +4,7 @@
 //! The shared memo maps `(initial state, item root TreeId)` to the
 //! finished output set of a whole item. It is the one table `fast-rt`
 //! shares between items and batches: the `(state, node)` results and
-//! lookahead state sets inside an item live in the item's own table
+//! node annotations inside an item live in the item's own table
 //! (`plan.rs`, `ItemRun`), which needs no lock and is dropped with the
 //! item. [`TreeId`](fast_trees::TreeId) is the stable identity a tree
 //! receives from the global hash-cons table in `fast_trees::intern`, so
@@ -24,12 +24,14 @@
 //! # Hashing
 //!
 //! Keys are `(state, TreeId)` pairs here, bare `TreeId`s in the map
-//! that lowers an item to its table, and `(constructor, LabelId)` pairs
-//! in the map that shares guard bits between an item's slots. All are
-//! hashed with [`MixHasher`], one multiply-mix step per integer, not
-//! SipHash. A keyed hash guards against keys chosen to collide, and
-//! clients cannot choose these ids: the interner hands each kind out
-//! from one monotonic counter. The interner itself hashes client-chosen
+//! that lowers an item to its table, `(constructor, LabelId)` pairs in
+//! the map that shares guard bits between an item's slots, and
+//! `(constructor, LabelId, child annotations)` in an item's annotation
+//! table. All are hashed with [`MixHasher`], one multiply-mix step per
+//! integer, not SipHash. A keyed hash guards against keys chosen to
+//! collide, and clients cannot choose these ids: the interner hands
+//! each kind out from one monotonic counter, and an item numbers its
+//! annotations by where it stores them. The interner itself hashes client-chosen
 //! labels, with a keyed hash of its own.
 //!
 //! # Capacity

@@ -3,15 +3,17 @@
 use crate::memo::{CacheStats, MixMap, RootMemo};
 use crate::pool::{self, PoolStats};
 use crate::profile::{self, ProfileData, RuleProfile, RuleProfileEntry};
+use annotate::Annotations;
 use fast_automata::StateId;
 use fast_core::{Out, Sttr, TRule, TransducerError, DEFAULT_RUN_CAP};
 use fast_smt::{BoolAlg, Formula, Interned, LabelAlg, TransAlg};
-use fast_trees::{LabelArg, LabelId, Tree, TreeId};
-use std::collections::hash_map::Entry;
+use fast_trees::{LabelArg, Tree, TreeId};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+mod annotate;
 
 /// A rule reference inside a dispatch group: the index into the owning
 /// state's rule list, whether it is a copy rule ([`is_copy_rule`]), and
@@ -24,42 +26,23 @@ struct CRule {
 }
 
 /// A lookahead-STA rule, pre-indexed by constructor: the state it
-/// belongs to and what enables it.
+/// belongs to, its index in that state's rules, and its guard.
 #[derive(Debug, Clone, Copy)]
 struct LaRule {
     state: u32,
+    idx: u32,
     sel: Select,
 }
 
-/// What enables a rule at a node: its guard and its lookahead.
+/// A rule's guard, as lowering decides it.
 #[derive(Debug, Clone, Copy)]
 struct Select {
     /// Position of the guard in the list of the guards reading the
-    /// rule's constructor ([`Plan::guards`]), so bit `guard` of a slot's
-    /// guard bits.
+    /// rule's constructor ([`Plan::guards`]), so bit `guard` of the
+    /// guard bits of a `(constructor, label)` pair.
     guard: u32,
     /// Guard is syntactically ⊤ — skip label evaluation entirely.
     trivial_guard: bool,
-    /// The rule's non-empty per-child lookahead sets, as a range of
-    /// [`Plan::la_reqs`] (empty for a rule without lookahead).
-    reqs: (u32, u32),
-}
-
-/// One non-empty lookahead requirement of a rule: child `child` must be
-/// accepted by every state in the mask at word offset `mask` of
-/// [`Plan::la_masks`].
-#[derive(Debug, Clone, Copy)]
-struct LaReq {
-    child: u32,
-    mask: u32,
-}
-
-/// Whether every state of the mask `req` is in the state set `have`
-/// (both `Plan::la_words` words; state `s` is bit `s % 64` of word
-/// `s / 64`): `req & !have == 0`, word by word.
-#[inline]
-fn covers(have: &[u64], req: &[u64]) -> bool {
-    req.iter().zip(have).all(|(r, h)| r & !h == 0)
 }
 
 /// Options controlling one batch run.
@@ -126,6 +109,10 @@ pub struct BatchStats {
     pub steals: u64,
     /// Worker spawn failures absorbed by degrading to fewer threads.
     pub spawn_fallbacks: u64,
+    /// Distinct node annotations the items built, summed over items:
+    /// each item builds its own, one per class of nodes that agree on
+    /// their lookahead states, enabled rules and copying states.
+    pub annotations: u64,
     /// Per-rule firings, guard evaluations, per-state memo hits and
     /// cumulative self nanoseconds for every `(state, ctor,
     /// rule-index)` — the data behind the `fastc profile` hot-rules
@@ -205,6 +192,8 @@ struct BatchCtx<'p> {
     memo_stats: CacheStats,
     /// Guard formulas the batch's items evaluated while lowering.
     guard_evals: AtomicU64,
+    /// Distinct annotations the batch's items built.
+    annotations: AtomicU64,
     /// Per-rule attribution, present when [`RunOptions::profile`] is set.
     profile: Option<ProfileData>,
 }
@@ -219,6 +208,8 @@ struct Slot<'t> {
     kids: u32,
     /// The slot's most recent pair, or [`NONE`].
     pairs: u32,
+    /// The node's annotation in [`ItemRun::anns`].
+    ann: u32,
 }
 
 /// A `(state, slot)` pair the item needs.
@@ -232,10 +223,10 @@ struct Pair {
     out: (u32, u32),
 }
 
-/// One item's evaluation: [`ItemRun::lower`] the input to slots, then
-/// [`ItemRun::dispatch`] top-down and [`ItemRun::build`] bottom-up over
-/// them, on tables the item owns (no lock, no hashing and no guard
-/// evaluation after lowering, all dropped with the item).
+/// One item's evaluation: [`ItemRun::lower`] the input to annotated
+/// slots, then [`ItemRun::dispatch`] top-down and [`ItemRun::build`]
+/// bottom-up over them, on tables the item owns (no lock, no hashing
+/// and no guard evaluation after lowering, all dropped with the item).
 struct ItemRun<'b, 'p, 't> {
     cx: &'b BatchCtx<'p>,
     deadline: Option<Instant>,
@@ -243,15 +234,9 @@ struct ItemRun<'b, 'p, 't> {
     slots: Vec<Slot<'t>>,
     /// Child slot indices, one run per slot.
     kids: Vec<u32>,
-    /// The guard bits, `Plan::guard_words` words per slot: bit `i` is
-    /// set when guard `i` of the slot constructor's list holds of the
-    /// node's label.
-    guards: Vec<u64>,
-    /// The lookahead state sets, `Plan::la_words` words per slot.
-    la: Vec<u64>,
-    /// The copy bits, `Plan::copy_words` words per slot: state `q`'s bit
-    /// is set when `T_q(node) = {node}` ([`ItemRun::copies`]).
-    copy: Vec<u64>,
+    /// The item's annotation table: per slot, its lookahead states,
+    /// each state's enabled rules and the states copying it.
+    anns: Annotations,
     pairs: Vec<Pair>,
     /// Per pair and enabled rule: the rule's index in its state, then in
     /// template pre-order a [`ItemRun::labels`] index per node and a
@@ -266,8 +251,6 @@ struct ItemRun<'b, 'p, 't> {
     /// Pair lookups that found an existing pair, and pairs added.
     hits: u64,
     misses: u64,
-    /// Guard formulas evaluated while lowering.
-    guard_evals: u64,
 }
 
 /// A compiled evaluation plan for one [`Sttr`].
@@ -278,14 +261,20 @@ struct ItemRun<'b, 'p, 't> {
 /// (guard-ordered: syntactically trivial guards first), and the
 /// lookahead STA's rules are flattened by constructor the same way.
 /// Each constructor gets the list of the distinct non-trivial guards
-/// reading it, so an item evaluates each guard once per distinct
-/// (constructor, label) pair, into guard bits, while it lowers the
-/// input. Every rule's per-child lookahead sets are precomputed as bit
-/// masks over the lookahead STA's states, so deciding whether a rule is
-/// enabled is a few word operations. *Copy rules* — same constructor, identity label
-/// function, child `i` output in place as `q_i(x_i)` — are flagged, so
-/// lowering can also mark the subtrees a state copies unchanged and
-/// dispatch can skip them. Dispatch is pure index arithmetic. A `.fastc`
+/// reading it, and *copy rules* — same constructor, identity label
+/// function, child `i` output in place as `q_i(x_i)` — are flagged.
+///
+/// These tables define a bottom-up deterministic automaton that the
+/// plan never builds whole: each item builds the part its input
+/// reaches. While an item lowers its input, it gives each distinct node
+/// one *annotation*: the lookahead states accepting the node, each
+/// state's enabled rules there, and the states that copy the node
+/// unchanged. The item looks the annotation up by `(constructor,
+/// label, child annotations)` in a table of its own and fills the table
+/// from the plan's tables on a miss, evaluating each guard once per
+/// distinct (constructor, label) pair of the item. Dispatch then reads
+/// a pair's rule list from its node's annotation, with no guard or
+/// lookahead test, and skips the subtrees a state copies. A `.fastc`
 /// binary artifact stores the transducer, not these tables: its loader
 /// builds the plan with `Plan::compile` too (see `fast_rt::Artifact`).
 /// The plan is immutable and `Sync`; one plan serves any number of
@@ -343,25 +332,6 @@ pub struct Plan {
     /// (deduplicated by interned identity); [`Select::guard`] is a
     /// position in its constructor's list.
     guards: Vec<Interned<Formula>>,
-    /// Width in words of a slot's guard bits: `ceil(n / 64)` for the
-    /// longest per-constructor guard list of `n` guards.
-    guard_words: usize,
-    /// Prefix sums over `copy_states`, indexed by constructor.
-    copy_offsets: Vec<u32>,
-    /// Per constructor, the states with a copy rule reading it: the only
-    /// states whose copy bit can be set at a node of that constructor.
-    copy_states: Vec<u32>,
-    /// Width in words of a slot's copy bits: `ceil(n / 64)` for `n`
-    /// states, zero for a transducer without copy rules.
-    copy_words: usize,
-    /// Width in words of a lookahead state set: `ceil(n / 64)` for an
-    /// STA with `n` states, at least one.
-    la_words: usize,
-    /// Every rule's non-empty lookahead requirements, ranged by
-    /// `CRule::reqs` / `LaRule::reqs`.
-    la_reqs: Vec<LaReq>,
-    /// The requirement masks, `la_words` words each.
-    la_masks: Vec<u64>,
     /// Prefix sums of per-state rule counts: the flat profile index of
     /// `(state q, rule idx)` is `rule_offsets[q.0] + idx`.
     rule_offsets: Vec<usize>,
@@ -382,29 +352,10 @@ impl Plan {
         let tt = sttr.alg().tt();
         let n_ctors = sttr.ty().ctor_count();
         let la = sttr.lookahead_sta();
-        let la_words = la.state_count().div_ceil(64).max(1);
         let mut guard_at: HashMap<(usize, u64), u32> = HashMap::new();
         let mut ctor_guards: Vec<Vec<Interned<Formula>>> = vec![Vec::new(); n_ctors];
-        let mut la_reqs = Vec::new();
-        let mut la_masks = Vec::new();
-        // Lists a non-trivial guard for the constructor `ctor` reads and
-        // appends the masks of the rule's non-empty lookahead sets.
-        let mut select = |ctor: usize, guard: &Interned<Formula>, sets: &[BTreeSet<StateId>]| {
-            let start = la_reqs.len() as u32;
-            for (child, set) in sets.iter().enumerate() {
-                if set.is_empty() {
-                    continue;
-                }
-                let mask = la_masks.len();
-                la_masks.resize(mask + la_words, 0);
-                for s in set {
-                    la_masks[mask + s.0 / 64] |= 1 << (s.0 % 64);
-                }
-                la_reqs.push(LaReq {
-                    child: child as u32,
-                    mask: mask as u32,
-                });
-            }
+        // Lists a non-trivial guard for the constructor `ctor` reads.
+        let mut select = |ctor: usize, guard: &Interned<Formula>| {
             let trivial_guard = *guard == tt;
             let guard = if trivial_guard {
                 0
@@ -417,7 +368,6 @@ impl Plan {
             Select {
                 guard,
                 trivial_guard,
-                reqs: (start, la_reqs.len() as u32),
             }
         };
         // Guard order: trivially-true guards first (stable on the
@@ -430,26 +380,14 @@ impl Plan {
             }
         }
         let cells = sttr.state_count() * n_ctors;
-        let mut copy_keyed = Vec::new();
         let (group_offsets, groups) = flatten(cells, keyed, |base, (_, idx)| {
             let r = &sttr.rules(StateId(base / n_ctors))[idx as usize];
-            let copy = is_copy_rule(&sttr, r);
-            if copy {
-                copy_keyed.push((r.ctor.0, (base / n_ctors) as u32));
-            }
             CRule {
                 idx,
-                copy,
-                sel: select(r.ctor.0, &r.guard, &r.lookahead),
+                copy: is_copy_rule(&sttr, r),
+                sel: select(r.ctor.0, &r.guard),
             }
         });
-        copy_keyed.dedup();
-        let copy_words = if copy_keyed.is_empty() {
-            0
-        } else {
-            sttr.state_count().div_ceil(64)
-        };
-        let (copy_offsets, copy_states) = flatten(n_ctors, copy_keyed, |_, q| q);
         let mut la_keyed = Vec::new();
         for s in la.states() {
             for (idx, r) in la.rules(s).iter().enumerate() {
@@ -460,15 +398,10 @@ impl Plan {
             let r = &la.rules(StateId(state as usize))[idx as usize];
             LaRule {
                 state,
-                sel: select(r.ctor.0, &r.guard, &r.lookahead),
+                idx,
+                sel: select(r.ctor.0, &r.guard),
             }
         });
-        let guard_words = ctor_guards
-            .iter()
-            .map(Vec::len)
-            .max()
-            .unwrap_or(0)
-            .div_ceil(64);
         let mut guard_offsets = Vec::with_capacity(n_ctors + 1);
         guard_offsets.push(0);
         let mut guards = Vec::new();
@@ -491,13 +424,6 @@ impl Plan {
             la_groups,
             guard_offsets,
             guards,
-            guard_words,
-            copy_offsets,
-            copy_states,
-            copy_words,
-            la_words,
-            la_reqs,
-            la_masks,
             rule_offsets,
             total_rules,
         }
@@ -505,29 +431,15 @@ impl Plan {
 
     /// The table cells [`Plan::compile`] allocates for `sttr` beyond
     /// one entry per rule: a group offset per `(state, constructor)`
-    /// pair, `ceil(n / 64)` mask words per non-empty lookahead set of an
-    /// `n`-state lookahead STA, and the guard and copy-state offsets per
-    /// constructor. The first two are products of counts, so a small
-    /// transducer can ask for a large plan; the artifact loader caps
-    /// this figure against its buffer length.
+    /// pair, and the guard and lookahead-group offsets per constructor.
+    /// The first is a product of counts, so a small transducer can ask
+    /// for a large plan; the artifact loader caps this figure against
+    /// its buffer length. (The annotation tables are per item, sized by
+    /// the item's input.)
     pub(crate) fn table_cells(sttr: &Sttr) -> usize {
-        let la = sttr.lookahead_sta();
-        let la_words = la.state_count().div_ceil(64).max(1);
-        let nonempty = |sets: &[BTreeSet<StateId>]| sets.iter().filter(|s| !s.is_empty()).count();
-        let sets: usize = sttr
-            .states()
-            .flat_map(|q| sttr.rules(q))
-            .map(|r| nonempty(&r.lookahead))
-            .chain(
-                la.states()
-                    .flat_map(|s| la.rules(s))
-                    .map(|r| nonempty(&r.lookahead)),
-            )
-            .sum();
         let n_ctors = sttr.ty().ctor_count();
         sttr.state_count()
             .saturating_mul(n_ctors)
-            .saturating_add(sets.saturating_mul(la_words))
             .saturating_add(n_ctors.saturating_add(1).saturating_mul(2))
     }
 
@@ -550,24 +462,6 @@ impl Plan {
     #[inline]
     fn ctor_guards(&self, ctor: usize) -> &[Interned<Formula>] {
         &self.guards[self.guard_offsets[ctor] as usize..self.guard_offsets[ctor + 1] as usize]
-    }
-
-    /// The states with a copy rule reading `ctor`.
-    #[inline]
-    fn copy_states(&self, ctor: usize) -> &[u32] {
-        &self.copy_states[self.copy_offsets[ctor] as usize..self.copy_offsets[ctor + 1] as usize]
-    }
-
-    /// A rule's lookahead requirements ([`Select::reqs`]).
-    #[inline]
-    fn reqs(&self, (start, end): (u32, u32)) -> &[LaReq] {
-        &self.la_reqs[start as usize..end as usize]
-    }
-
-    /// The state mask of one requirement.
-    #[inline]
-    fn mask(&self, req: &LaReq) -> &[u64] {
-        &self.la_masks[req.mask as usize..][..self.la_words]
     }
 
     /// The compiled transducer.
@@ -629,6 +523,7 @@ impl Plan {
                 memo,
                 memo_stats: CacheStats::default(),
                 guard_evals: AtomicU64::new(0),
+                annotations: AtomicU64::new(0),
                 profile: opts
                     .profile
                     .then(|| ProfileData::new(self.total_rules, self.sttr.state_count())),
@@ -702,7 +597,8 @@ fn flatten<T: Ord, U>(
 /// the same constructor, the identity label function over the full
 /// signature, and child `i` output in place as `q_i(x_i)`. If the only
 /// rule of `q` enabled at `t` is a copy rule whose callees `q_i` copy
-/// `t_i`, then `T_q(t) = {t}` by induction on `t` (`ItemRun::copies`).
+/// `t_i`, then `T_q(t) = {t}` by induction on `t`, and `t`'s annotation
+/// says that `q` copies it.
 fn is_copy_rule(sttr: &Sttr, r: &TRule<LabelAlg>) -> bool {
     matches!(&r.output, Out::Node { ctor, fun, children }
         if *ctor == r.ctor
@@ -730,16 +626,13 @@ fn run_item(cx: &BatchCtx<'_>, t: &Tree) -> Result<Vec<Tree>, TransducerError> {
         ticks: 0,
         slots: Vec::new(),
         kids: Vec::new(),
-        guards: Vec::new(),
-        la: Vec::new(),
-        copy: Vec::new(),
+        anns: Annotations::new(cx.plan),
         pairs: Vec::new(),
         tape: Vec::new(),
         labels: Vec::new(),
         outs: Vec::new(),
         hits: 0,
         misses: 0,
-        guard_evals: 0,
     };
     let out = {
         let _dispatch = fast_obs::span!("plan.dispatch");
@@ -750,7 +643,8 @@ fn run_item(cx: &BatchCtx<'_>, t: &Tree) -> Result<Vec<Tree>, TransducerError> {
         .misses
         .fetch_add(item.misses, Ordering::Relaxed);
     cx.guard_evals
-        .fetch_add(item.guard_evals, Ordering::Relaxed);
+        .fetch_add(item.anns.guard_evals, Ordering::Relaxed);
+    cx.annotations.fetch_add(item.anns.built, Ordering::Relaxed);
     drop(item);
     let ns = start.elapsed().as_nanos() as u64;
     hist.record_ns(ns);
@@ -795,12 +689,14 @@ fn finish_stats(
         memo_evictions: cx.memo_stats.evictions.load(Ordering::Relaxed),
         steals: pool_stats.steals.load(Ordering::Relaxed),
         spawn_fallbacks: pool_stats.fallbacks.load(Ordering::Relaxed),
+        annotations: cx.annotations.load(Ordering::Relaxed),
         profile: cx.profile.as_ref().map(|p| cx.plan.collect_profile(p)),
     };
     fast_obs::count!("rt.memo_hits", stats.memo_hits);
     fast_obs::count!("rt.memo_misses", stats.memo_misses);
     fast_obs::count!("rt.memo_evictions", stats.memo_evictions);
     fast_obs::count!("rt.guard_evals", cx.guard_evals.load(Ordering::Relaxed));
+    fast_obs::count!("rt.annotations", stats.annotations);
     stats
 }
 
@@ -865,19 +761,14 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
 
     /// Lowers `t` to one slot per distinct node, in post-order, with an
     /// explicit stack (depth costs heap, not thread stack). Once a
-    /// node's children are lowered it labels the slot with its guard
-    /// bits, then the lookahead states accepting it, then the states
-    /// copying it. Guard bits are a function of the constructor and the
-    /// label alone, so each guard reading the constructor is evaluated
-    /// at the first slot with a given (constructor, label) pair, and
-    /// later such slots copy that slot's words.
+    /// node's children are lowered, the slot gets the node's annotation
+    /// ([`Annotations::annotate`]): one probe of the item's annotation
+    /// table by `(constructor, label, child annotations)`, which builds
+    /// the annotation from the plan's rule tables the first time the
+    /// key comes up.
     fn lower(&mut self, t: &'t Tree) -> Result<(), TransducerError> {
         let plan = self.cx.plan;
-        let alg = plan.sttr.alg();
-        let (gw, w, cw) = (plan.guard_words, plan.la_words, plan.copy_words);
         let mut at: MixMap<TreeId, u32> = MixMap::default();
-        // Per (constructor, label), the offset of its guard words.
-        let mut decided: MixMap<(usize, LabelId), u32> = MixMap::default();
         let mut stack: Vec<(&'t Tree, bool)> = vec![(t, false)];
         while let Some((node, expanded)) = stack.pop() {
             self.tick()?;
@@ -889,101 +780,21 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
                 stack.extend(node.children().iter().map(|c| (c, false)));
                 continue;
             }
-            let (slot, ctor) = (self.slots.len(), node.ctor().0);
             let kids = self.kids.len();
             self.kids
                 .extend(node.children().iter().map(|c| at[&c.id()]));
-            let g = self.guards.len();
-            self.guards.resize(g + gw, 0);
-            let guards = plan.ctor_guards(ctor);
-            if !guards.is_empty() {
-                match decided.entry((ctor, node.label_id())) {
-                    Entry::Occupied(first) => {
-                        let first = *first.get() as usize;
-                        self.guards.copy_within(first..first + gw, g);
-                    }
-                    Entry::Vacant(first) => {
-                        first.insert(g as u32);
-                        self.guard_evals += guards.len() as u64;
-                        for (i, f) in guards.iter().enumerate() {
-                            if alg.eval(f, node.label()) {
-                                self.guards[g + i / 64] |= 1 << (i % 64);
-                            }
-                        }
-                    }
-                }
-            }
-            let la = self.la.len();
-            self.la.resize(la + w, 0);
-            for lr in plan.la_group(ctor) {
-                let (word, bit) = (la + lr.state as usize / 64, 1u64 << (lr.state % 64));
-                if self.la[word] & bit == 0 && self.enabled(lr.sel, slot, kids) {
-                    self.la[word] |= bit;
-                }
-            }
-            let c = self.copy.len();
-            self.copy.resize(c + cw, 0);
-            for &q in plan.copy_states(ctor) {
-                if self.copies(q as usize, ctor, slot, kids) {
-                    self.copy[c + q as usize / 64] |= 1 << (q % 64);
-                }
-            }
-            at.insert(node.id(), slot as u32);
+            let slots = &self.slots;
+            let child_anns = self.kids[kids..].iter().map(|&k| slots[k as usize].ann);
+            let ann = self.anns.annotate(plan, node, child_anns);
+            at.insert(node.id(), self.slots.len() as u32);
             self.slots.push(Slot {
                 tree: node,
                 kids: kids as u32,
                 pairs: NONE,
+                ann,
             });
         }
         Ok(())
-    }
-
-    /// Whether a rule's guard holds at `slot` (its guard bit) and its
-    /// lookahead of the child slots at `kids`.
-    fn enabled(&self, sel: Select, slot: usize, kids: usize) -> bool {
-        let plan = self.cx.plan;
-        let (gw, w) = (plan.guard_words, plan.la_words);
-        let g = sel.guard as usize;
-        (sel.trivial_guard || self.guards[slot * gw + g / 64] >> (g % 64) & 1 == 1)
-            && plan.reqs(sel.reqs).iter().all(|req| {
-                let child = self.kids[kids + req.child as usize] as usize;
-                covers(&self.la[child * w..][..w], plan.mask(req))
-            })
-    }
-
-    /// Whether state `q` copies the node at `slot` (constructor `ctor`,
-    /// child slots at `kids`): exactly one rule of `q` is enabled there,
-    /// it is a copy rule, and each of its callees `q_i` copies child
-    /// `i`. Then `T_q(node) = {node}` by induction, and every pair below
-    /// yields one tree before deduplication, so `Sttr::run_bounded`
-    /// fails there only at cap 0, as the copied pair does. (Two enabled
-    /// copy rules also give `{node}`, but `run_bounded` counts both
-    /// outputs against the cap, so they are evaluated, not copied.)
-    fn copies(&self, q: usize, ctor: usize, slot: usize, kids: usize) -> bool {
-        let plan = self.cx.plan;
-        let mut enabled = plan
-            .group(q, ctor)
-            .iter()
-            .filter(|cr| self.enabled(cr.sel, slot, kids));
-        match (enabled.next(), enabled.next()) {
-            (Some(cr), None) if cr.copy => {
-                let rule = &plan.sttr.rules(StateId(q))[cr.idx as usize];
-                let Out::Node { children, .. } = &rule.output else {
-                    return false;
-                };
-                children.iter().enumerate().all(|(i, c)| {
-                    matches!(c, Out::Call(qi, _) if self.copied(qi.0, self.kids[kids + i] as usize))
-                })
-            }
-            _ => false,
-        }
-    }
-
-    /// Whether `q`'s copy bit is set at `slot`.
-    #[inline]
-    fn copied(&self, q: usize, slot: usize) -> bool {
-        let cw = self.cx.plan.copy_words;
-        cw > 0 && self.copy[slot * cw + q / 64] >> (q % 64) & 1 == 1
     }
 
     /// The pair `(state, slot)`, added if the item does not need it yet.
@@ -1016,40 +827,46 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
         }
     }
 
-    /// The top-down pass: records each needed pair's enabled rules.
-    /// Slots are in post-order, so visiting them in reverse reaches every
-    /// pair after all the pairs that call it. A pair whose state copies
-    /// its slot records nothing and marks none of its children: its
-    /// output is the slot's tree ([`ItemRun::build`]).
+    /// The top-down pass: records each needed pair's enabled rules, as
+    /// its slot's annotation lists them. Slots are in post-order, so
+    /// visiting them in reverse reaches every pair after all the pairs
+    /// that call it. A pair whose state copies its slot records nothing
+    /// and marks none of its children: its output is the slot's tree
+    /// ([`ItemRun::build`]).
     fn dispatch(&mut self) -> Result<(), TransducerError> {
         let plan = self.cx.plan;
         let profile = self.cx.profile.as_ref();
         for s in (0..self.slots.len()).rev() {
-            let Slot { tree, kids, pairs } = self.slots[s];
+            let Slot {
+                tree,
+                kids,
+                pairs,
+                ann,
+            } = self.slots[s];
             let mut p = pairs;
             while p != NONE {
                 self.tick()?;
                 let q = self.pairs[p as usize].state as usize;
                 let start = self.tape.len() as u32;
-                let group = if self.copied(q, s) {
-                    &[][..]
-                } else {
-                    plan.group(q, tree.ctor().0)
-                };
-                for cr in group {
-                    let prof_idx = plan.rule_offsets[q] + cr.idx as usize;
-                    let rule_start = profile.map(|p| {
-                        if !cr.sel.trivial_guard {
-                            p.guard_evals[prof_idx].fetch_add(1, Ordering::Relaxed);
+                if !self.anns.copies(ann, q) {
+                    if let Some(prof) = profile {
+                        // The annotation consulted every non-trivial
+                        // guard of the pair's group.
+                        for cr in plan.group(q, tree.ctor().0) {
+                            if !cr.sel.trivial_guard {
+                                let idx = plan.rule_offsets[q] + cr.idx as usize;
+                                prof.guard_evals[idx].fetch_add(1, Ordering::Relaxed);
+                            }
                         }
-                        Instant::now()
-                    });
-                    if self.enabled(cr.sel, s, kids as usize) {
-                        self.tape.push(cr.idx);
-                        let r = &plan.sttr.rules(StateId(q))[cr.idx as usize];
-                        self.mark(&r.output, tree, kids as usize);
                     }
-                    charge(profile, prof_idx, rule_start);
+                    for at in self.anns.rules(ann, q) {
+                        let idx = self.anns.rule(at);
+                        let rule_start = profile.map(|_| Instant::now());
+                        self.tape.push(idx);
+                        let r = &plan.sttr.rules(StateId(q))[idx as usize];
+                        self.mark(&r.output, tree, kids as usize);
+                        charge(profile, plan.rule_offsets[q] + idx as usize, rule_start);
+                    }
                 }
                 let pair = &mut self.pairs[p as usize];
                 pair.tape = (start, self.tape.len() as u32);
@@ -1107,7 +924,7 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
                 let Pair {
                     state, next, tape, ..
                 } = self.pairs[p as usize];
-                if self.copied(state as usize, s) {
+                if self.anns.copies(self.slots[s].ann, state as usize) {
                     let start = profile.map(|_| Instant::now());
                     out.push(self.slots[s].tree.clone());
                     if let Some(prof) = profile {
@@ -1147,16 +964,12 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
     }
 
     /// Charges a copied pair to the copy rule of `state` enabled at
-    /// `slot`: one firing and the time since `start`.
+    /// `slot`, the one rule its annotation lists: one firing and the
+    /// time since `start`.
     fn charge_copy(&self, prof: &ProfileData, state: usize, slot: usize, start: Option<Instant>) {
-        let plan = self.cx.plan;
-        let Slot { tree, kids, .. } = self.slots[slot];
-        let enabled = plan
-            .group(state, tree.ctor().0)
-            .iter()
-            .find(|cr| self.enabled(cr.sel, slot, kids as usize));
-        if let Some(cr) = enabled {
-            let idx = plan.rule_offsets[state] + cr.idx as usize;
+        let ann = self.slots[slot].ann;
+        if let Some(at) = self.anns.rules(ann, state).next() {
+            let idx = self.cx.plan.rule_offsets[state] + self.anns.rule(at) as usize;
             prof.fired[idx].fetch_add(1, Ordering::Relaxed);
             charge(Some(prof), idx, start);
         }

@@ -4,13 +4,15 @@
 //! plan's dispatch loop attributes its work to individual transducer
 //! rules: how often each `(state, ctor, rule-index)` fired (produced
 //! output for a `(state, node)` pair), how often dispatch consulted its
-//! non-trivial guard, and its cumulative *self* nanoseconds: the time
-//! spent selecting the rule (guard and lookahead bits) and building its
-//! output from the finished sub-transductions, which are charged to
-//! their own rules. A pair whose state copies its node is one firing of
-//! the enabled copy rule, with its time; nothing below it fires. Guards
-//! themselves are evaluated once per node while the input is lowered,
-//! outside any rule's time. Memo hits are attributed per state — a hit
+//! non-trivial guard (once per dispatched pair of the rule's state and
+//! constructor, through the node's annotation), and its cumulative
+//! *self* nanoseconds: the time spent marking the enabled rule's calls
+//! and building its output from the finished sub-transductions, which
+//! are charged to their own rules. A pair whose state copies its node
+//! is one firing of the enabled copy rule, with its time; nothing below
+//! it fires. Guards themselves are evaluated, and rules selected, once
+//! per node annotation while the input is lowered, outside any rule's
+//! time. Memo hits are attributed per state — a hit
 //! is found before any rule is selected.
 //!
 //! Collection is an array of relaxed atomics indexed by a precomputed

@@ -35,7 +35,7 @@ pub mod server;
 pub use server::{start, ServeConfig, ServerHandle};
 
 use fast_json::Json;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -119,14 +119,5 @@ impl Client {
             ("op", Json::Str("stats".into())),
         ]);
         self.call(&req)
-    }
-
-    /// Drains anything buffered on the read side for `dur` — used after
-    /// deliberately corrupt frames where the server may close at any
-    /// point.
-    pub fn drain_for(&mut self, dur: Duration) {
-        let _ = self.reader.get_ref().set_read_timeout(Some(dur));
-        let mut sink = [0u8; 1024];
-        while matches!(self.reader.read(&mut sink), Ok(n) if n > 0) {}
     }
 }

@@ -63,13 +63,6 @@ impl TreeGen {
         self
     }
 
-    /// Sets the pool for string label fields.
-    pub fn with_string_pool(mut self, pool: Vec<String>) -> TreeGen {
-        assert!(!pool.is_empty());
-        self.string_pool = pool;
-        self
-    }
-
     /// Access to the underlying RNG (for ad-hoc decisions in harnesses).
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.rng

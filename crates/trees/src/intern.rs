@@ -580,14 +580,14 @@ mod tests {
         let leaf = || Tree::leaf(ty.ctor_id("L").unwrap(), Label::single(424_242i64));
         let a = leaf();
         let b = leaf();
-        assert!(a.ptr_eq(&b));
+        assert_eq!(a, b);
         assert_eq!(a.id(), b.id());
         assert_eq!(a.precomputed_hash(), b.precomputed_hash());
         assert_eq!(a.label_id(), b.label_id());
         let c = Tree::leaf(ty.ctor_id("L").unwrap(), Label::single(424_243i64));
         assert_ne!(a.id(), c.id());
         assert_ne!(a.label_id(), c.label_id());
-        assert!(!a.ptr_eq(&c));
+        assert_ne!(a, c);
         // One label under two constructors: two nodes, one label entry.
         let n = Tree::new(ty.ctor_id("N").unwrap(), a.label(), vec![a.clone(), c]);
         assert_ne!(n.id(), a.id());

@@ -159,7 +159,7 @@ impl<'a> LabelArg<'a> {
 /// // Building the same structure again yields the same canonical node.
 /// let again = Tree::parse(&bt, "N[0](L[1], L[2])").unwrap();
 /// assert_eq!(t.id(), again.id());
-/// assert!(t.ptr_eq(&again));
+/// assert_eq!(t, again);
 /// ```
 #[derive(Clone)]
 pub struct Tree {
@@ -296,12 +296,6 @@ impl Tree {
         self.node.hash
     }
 
-    /// True if both handles share the canonical allocation. Because
-    /// trees are globally interned, this is `==` (and `id()` equality).
-    pub fn ptr_eq(&self, other: &Tree) -> bool {
-        Arc::ptr_eq(&self.node, &other.node)
-    }
-
     /// Pretty-prints using constructor names from `ty`.
     pub fn display<'a>(&'a self, ty: &'a TreeType) -> DisplayTree<'a> {
         DisplayTree { tree: self, ty }
@@ -342,7 +336,7 @@ impl Tree {
 /// handles share an allocation exactly when their structures are equal.
 impl PartialEq for Tree {
     fn eq(&self, other: &Tree) -> bool {
-        self.ptr_eq(other)
+        Arc::ptr_eq(&self.node, &other.node)
     }
 }
 impl Eq for Tree {}
@@ -374,7 +368,7 @@ impl Ord for Tree {
         let mut open: Vec<(&[Tree], &[Tree])> = Vec::new();
         let (mut a, mut b) = (self, other);
         loop {
-            if !a.ptr_eq(b) {
+            if a != b {
                 let ord = a.ctor().cmp(&b.ctor()).then_with(|| {
                     if a.interned_label().ptr_eq(b.interned_label()) {
                         Ordering::Equal
@@ -601,8 +595,7 @@ mod tests {
         // Interning: independent construction paths (builder vs parser)
         // converge on the same canonical node and id.
         assert_eq!(t1.id(), t2.id());
-        assert!(t1.ptr_eq(&t2));
-        assert!(t1.child(0).ptr_eq(t2.child(1)));
+        assert_eq!(t1.child(0), t2.child(1));
         use std::collections::HashSet;
         let mut s = HashSet::new();
         s.insert(t1);

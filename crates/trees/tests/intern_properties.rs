@@ -131,7 +131,7 @@ proptest! {
         let unseen = Tree::parse(&ty, &printed).unwrap();
         let t = build(&sh, salt);
         prop_assert_eq!(unseen.id(), t.id());
-        prop_assert!(unseen.ptr_eq(&t));
+        prop_assert_eq!(&unseen, &t);
         let seen = Tree::parse(&ty, &t.display(&ty).to_string()).unwrap();
         prop_assert_eq!(seen.id(), t.id());
         // A new root over two interned subtrees.
@@ -151,7 +151,7 @@ proptest! {
         let printed = t.display(&ty).to_string();
         let reparsed = Tree::parse(&ty, &printed).unwrap();
         prop_assert_eq!(t.id(), reparsed.id());
-        prop_assert!(t.ptr_eq(&reparsed));
+        prop_assert_eq!(&t, &reparsed);
         // Recursively: every subtree pair agrees too.
         for (a, b) in t.iter().zip(reparsed.iter()) {
             prop_assert_eq!(a.id(), b.id());
@@ -262,7 +262,7 @@ fn generator_and_parser_converge() {
     for t in g.trees(&ty, 40) {
         let back = Tree::parse(&ty, &t.display(&ty).to_string()).unwrap();
         assert_eq!(t.id(), back.id());
-        assert!(t.ptr_eq(&back));
+        assert_eq!(t, back);
     }
 }
 
@@ -278,7 +278,7 @@ fn html_encoding_interns_deterministically() {
         let e1 = doc.encode(&ty);
         let e2 = doc.encode(&ty);
         assert_eq!(e1.id(), e2.id());
-        assert!(e1.ptr_eq(&e2));
+        assert_eq!(e1, e2);
     }
     // One fragment, two parents: the subtree for `frag` is the same
     // canonical node in both encodings.
@@ -350,10 +350,7 @@ fn concurrent_interning_is_consistent() {
     for per_thread in &ids[1..] {
         for (i, (id, t)) in per_thread.iter().enumerate() {
             assert_eq!(*id, ids[0][i].0, "chain {i}: divergent ids across threads");
-            assert!(
-                t.ptr_eq(&ids[0][i].1),
-                "chain {i}: duplicate canonical node"
-            );
+            assert_eq!(t, &ids[0][i].1, "chain {i}: duplicate canonical node");
         }
     }
     // Distinct structures stay distinct.
@@ -417,7 +414,7 @@ fn concurrent_parses_of_overlapping_documents_agree() {
     });
     for trees in &per_thread[1..] {
         for (a, b) in trees.iter().zip(&per_thread[0]) {
-            assert!(a.ptr_eq(b), "divergent canonical nodes across threads");
+            assert_eq!(a, b, "divergent canonical nodes across threads");
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(x.id(), y.id());
             }
