@@ -15,11 +15,12 @@
 //!   `--trees N` random inputs are evaluated through the chain. With
 //!   `--trans NAME` (or `--all-trans`) the named transducer(s) are
 //!   batch-run over generated trees and the per-input output multisets
-//!   printed under `--print-outputs` — the same report an artifact run
-//!   produces, so the two can be diffed. With `--artifact FILE` instead
+//!   printed under `--print-outputs`. With `--artifact FILE` instead
 //!   of a source path, a compiled `.fastc` artifact is loaded
 //!   (`fast_rt::Artifact::load`) and the same runs execute without
-//!   reparsing or recompiling anything.
+//!   reparsing or recompiling anything. A source run builds in memory
+//!   the artifact `fastc build` would write and runs it through the
+//!   same function, so the two print the same report and can be diffed.
 //! - **build**: `fastc build <file.fast> [-o FILE]
 //!   [--pipeline t1,t2,...]` compiles the program once and serializes
 //!   every transformation (plus any requested pre-compiled pipelines)
@@ -60,14 +61,18 @@
 //!   `rt.item` exemplars: TreeId, state, latency, output size) is
 //!   printed after the hot-rules table.
 //!
-//! `--trace FILE` on any mode enables span tracing for the whole
-//! invocation and writes the Chrome trace on exit.
+//! `--trace FILE` on run, check and profile enables span tracing for the
+//! whole invocation and writes the Chrome trace on exit.
+//!
+//! Each mode declares its flags in one [`Mode`] table, and one parser,
+//! [`parse_args`], reads every mode's command line.
 //!
 //! Exit codes: 0 clean; 1 run-mode failure, or check-mode warnings under
 //! `--deny-warnings`; 2 usage/IO errors, or check-mode error diagnostics
 //! (including compile errors).
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 const USAGE: &str = "usage: fastc <file.fast> [--quiet|-q] [--stats|-s] [--trace FILE]
                      [--pipeline t1,t2,... [--trees N] [--seed S]]
@@ -102,8 +107,8 @@ modes:
                    slowest items (exemplars)
 
 options:
-  --trace FILE     record hierarchical spans and write a Chrome
-                   trace_event JSON file (open in Perfetto)
+  --trace FILE     (run/check/profile) record hierarchical spans and
+                   write a Chrome trace_event JSON file (open in Perfetto)
   --artifact FILE  (run) load FILE as a .fastc artifact instead of
                    compiling a source program
   -o FILE          (build) artifact output path [<file>.fastc]
@@ -150,15 +155,165 @@ exit codes:
   2  usage or I/O error; check: error diagnostics (e.g. FA100/FA101
      contract violations or compile errors)";
 
+/// One mode's command line. A flag with a short alias is written
+/// `--long|-s`; the parsed [`Args`] know it by its first name.
+struct Mode {
+    /// The word that selects the mode; the run mode's is empty.
+    name: &'static str,
+    /// Flags that take no value.
+    switches: &'static [&'static str],
+    /// Flags that take the next word, whatever it is, as their value.
+    values: &'static [&'static str],
+    /// Flags whose value must be a non-negative integer.
+    numbers: &'static [&'static str],
+    /// Whether the mode takes any number of positional arguments
+    /// (serve's artifacts) rather than at most one program path.
+    many_paths: bool,
+    run: fn(Args) -> ExitCode,
+}
+
+/// The run mode first: it is the default.
+const MODES: [Mode; 5] = [
+    Mode {
+        name: "",
+        switches: &["--quiet|-q", "--stats|-s", "--all-trans", "--print-outputs"],
+        values: &["--trace", "--pipeline", "--artifact", "--trans"],
+        numbers: &["--trees", "--seed"],
+        many_paths: false,
+        run: run_mode,
+    },
+    Mode {
+        name: "build",
+        switches: &[],
+        values: &["-o", "--pipeline"],
+        numbers: &[],
+        many_paths: false,
+        run: build_mode,
+    },
+    Mode {
+        name: "serve",
+        switches: &[],
+        values: &["--addr", "--slo"],
+        numbers: &["--workers", "--queue", "--max-conns", "--timeout-ms"],
+        many_paths: true,
+        run: serve_mode,
+    },
+    Mode {
+        name: "check",
+        switches: &["--json", "--deny-warnings", "--stats|-s"],
+        values: &["--trace", "--pipeline", "--input", "--output"],
+        numbers: &[],
+        many_paths: false,
+        run: check_mode,
+    },
+    Mode {
+        name: "profile",
+        switches: &["--stats|-s"],
+        values: &["--trans", "--trace", "--jsonl"],
+        numbers: &["--trees", "--seed", "--top"],
+        many_paths: false,
+        run: profile_mode,
+    },
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("build") => build_mode(&args[1..]),
-        Some("serve") => serve_mode(&args[1..]),
-        Some("check") => check_mode(&args[1..]),
-        Some("profile") => profile_mode(&args[1..]),
-        _ => run_mode(&args),
+    let first = args.first().map(String::as_str);
+    let (mode, rest) = match MODES[1..].iter().find(|m| first == Some(m.name)) {
+        Some(mode) => (mode, &args[1..]),
+        None => (&MODES[0], &args[..]),
+    };
+    match parse_args(mode, rest) {
+        Ok(parsed) => (mode.run)(parsed),
+        Err(code) => code,
     }
+}
+
+/// A parsed command line.
+struct Args {
+    /// Every flag given, in order, by its first name, with its value
+    /// (empty for a switch).
+    flags: Vec<(&'static str, String)>,
+    paths: Vec<String>,
+}
+
+impl Args {
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// Every value given for `flag`, in order.
+    fn values<'a>(&'a self, flag: &'a str) -> impl Iterator<Item = &'a str> {
+        self.flags
+            .iter()
+            .filter(move |(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The last value given for `flag`.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The last value given for the number flag `flag`, or `default`.
+    fn number<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
+        // `parse_args` has checked every number flag's value.
+        self.value(flag)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    /// The program path, the first positional argument.
+    fn path(&self) -> Option<&str> {
+        self.paths.first().map(String::as_str)
+    }
+}
+
+/// Reads `args` against `mode`'s flags. `--help` anywhere prints the
+/// usage and ends the run with exit 0; a bad command line is reported
+/// and ends it with exit 2.
+fn parse_args(mode: &Mode, args: &[String]) -> Result<Args, ExitCode> {
+    let mut parsed = Args {
+        flags: Vec::new(),
+        paths: Vec::new(),
+    };
+    let mut words = args.iter();
+    while let Some(word) = words.next() {
+        if word == "--help" || word == "-h" {
+            println!("{USAGE}");
+            return Err(ExitCode::SUCCESS);
+        }
+        let find = |list: &[&'static str]| {
+            let flag = list.iter().find(|f| f.split('|').any(|n| n == word))?;
+            flag.split('|').next()
+        };
+        if let Some(name) = find(mode.switches) {
+            parsed.flags.push((name, String::new()));
+            continue;
+        }
+        let Some(name) = find(mode.values).or_else(|| find(mode.numbers)) else {
+            if !word.starts_with('-') && (mode.many_paths || parsed.paths.is_empty()) {
+                parsed.paths.push(word.clone());
+                continue;
+            }
+            return Err(usage_error(&format!("unexpected argument '{word}'")));
+        };
+        let Some(value) = words.next() else {
+            eprintln!("fastc: '{word}' needs a value");
+            return Err(ExitCode::from(2));
+        };
+        if mode.numbers.contains(&name) && value.parse::<u64>().is_err() {
+            return Err(usage_error(&format!(
+                "'{word}' needs a non-negative integer, got '{value}'"
+            )));
+        }
+        parsed.flags.push((name, value.clone()));
+    }
+    Ok(parsed)
 }
 
 fn usage_error(msg: &str) -> ExitCode {
@@ -174,6 +329,15 @@ fn read_source(path: &str) -> Result<String, ExitCode> {
     })
 }
 
+/// Reads and compiles the program at `path`. A compile error is printed
+/// with the path and exits 1.
+fn load_program(path: &str) -> Result<fast_lang::Compiled, ExitCode> {
+    fast_lang::compile(&read_source(path)?).map_err(|d| {
+        eprintln!("{path}:{d}");
+        ExitCode::FAILURE
+    })
+}
+
 /// Drains the span buffer and writes it to `path` as Chrome
 /// `trace_event` JSON. Returns exit code 2 on I/O failure.
 fn write_trace(path: &str) -> Result<(), ExitCode> {
@@ -185,127 +349,89 @@ fn write_trace(path: &str) -> Result<(), ExitCode> {
     })
 }
 
-/// Parses a value-taking flag; `args[i]` is the flag itself.
-fn flag_value(args: &[String], i: usize) -> Result<String, ExitCode> {
-    args.get(i + 1).cloned().ok_or_else(|| {
-        eprintln!("fastc: '{}' needs a value", args[i]);
-        ExitCode::from(2)
-    })
-}
-
-/// Parses a flag taking a non-negative integer; `args[i]` is the flag
-/// itself.
-fn flag_number(args: &[String], i: usize) -> Result<u64, ExitCode> {
-    let v = flag_value(args, i)?;
-    v.parse().map_err(|_| {
-        usage_error(&format!(
-            "'{}' needs a non-negative integer, got '{v}'",
-            args[i]
-        ))
-    })
-}
-
-fn run_mode(args: &[String]) -> ExitCode {
-    let mut quiet = false;
-    let mut stats = false;
-    let mut trace: Option<String> = None;
-    let mut pipeline: Option<String> = None;
-    let mut artifact: Option<String> = None;
-    let mut trans: Option<String> = None;
-    let mut all_trans = false;
-    let mut print_outputs = false;
-    let mut trees = 100usize;
-    let mut seed = 42u64;
-    let mut path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quiet" | "-q" => quiet = true,
-            "--stats" | "-s" => stats = true,
-            "--all-trans" => all_trans = true,
-            "--print-outputs" => print_outputs = true,
-            flag @ ("--trace" | "--pipeline" | "--artifact" | "--trans") => {
-                let v = match flag_value(args, i) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                match flag {
-                    "--trace" => trace = Some(v),
-                    "--pipeline" => pipeline = Some(v),
-                    "--artifact" => artifact = Some(v),
-                    _ => trans = Some(v),
-                }
-                i += 1;
-            }
-            flag @ ("--trees" | "--seed") => {
-                let n = match flag_number(args, i) {
-                    Ok(n) => n,
-                    Err(code) => return code,
-                };
-                if flag == "--trees" {
-                    trees = n as usize;
-                } else {
-                    seed = n;
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
-            other => return usage_error(&format!("unexpected argument '{other}'")),
-        }
-        i += 1;
+/// The epilogue of the run and check modes: under `--stats`, the
+/// telemetry accumulated over the whole run as one JSON object (see
+/// ARCHITECTURE.md for the counters); under `--trace`, the span file.
+/// Returns `code` unless the trace cannot be written.
+fn finish_run(code: ExitCode, stats: bool, trace: Option<&str>) -> ExitCode {
+    if stats {
+        println!("{}", fast_obs::snapshot().to_json().pretty());
     }
+    if let Some(out) = trace {
+        if let Err(code) = write_trace(out) {
+            return code;
+        }
+    }
+    code
+}
+
+/// What a batch run over generated trees runs and prints.
+struct BatchRun<'a> {
+    pipeline: Option<&'a str>,
+    trans: Option<&'a str>,
+    trees: usize,
+    seed: u64,
+    print_outputs: bool,
+    quiet: bool,
+}
+
+fn run_mode(args: Args) -> ExitCode {
+    let stats = args.has("--stats");
+    let trace = args.value("--trace");
     if trace.is_some() {
         fast_obs::set_tracing(true);
     }
-    if let Some(art_path) = &artifact {
-        if path.is_some() {
+    let run = BatchRun {
+        pipeline: args.value("--pipeline"),
+        trans: args.value("--trans"),
+        trees: args.number("--trees", 100),
+        seed: args.number("--seed", 42),
+        print_outputs: args.has("--print-outputs"),
+        quiet: args.has("--quiet"),
+    };
+    let code = if let Some(art_path) = args.value("--artifact") {
+        if args.path().is_some() {
             return usage_error("give either a <file.fast> source or --artifact, not both");
         }
-        let code = artifact_run(
-            art_path,
-            pipeline.as_deref(),
-            trans.as_deref(),
-            trees,
-            seed,
-            print_outputs,
-            quiet,
-        );
-        return finish_run(code, stats, trace.as_deref());
-    }
-    let Some(path) = path else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    let src = match read_source(&path) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let compiled = match fast_lang::compile(&src) {
-        Ok(c) => c,
-        Err(d) => {
-            eprintln!("{path}:{d}");
-            return ExitCode::FAILURE;
+        match fast_rt::Artifact::load(art_path) {
+            Ok(art) => batch_run(&art, art_path, &run),
+            Err(e) => {
+                eprintln!("fastc: cannot load artifact '{art_path}': {e}");
+                // I/O errors are environment problems (exit 2, like an
+                // unreadable source); anything else means the artifact
+                // itself is bad (exit 1, like a compile failure).
+                if matches!(e, fast_rt::ArtifactError::Io(_)) {
+                    ExitCode::from(2)
+                } else {
+                    ExitCode::FAILURE
+                }
+            }
+        }
+    } else {
+        let Some(path) = args.path() else {
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        };
+        let compiled = match load_program(path) {
+            Ok(c) => c,
+            Err(code) => return code,
+        };
+        if run.pipeline.is_some() || run.trans.is_some() || args.has("--all-trans") {
+            match build_artifact(&compiled, path, run.pipeline.as_slice()) {
+                Ok(art) => batch_run(&art, path, &run),
+                Err(code) => code,
+            }
+        } else {
+            assertion_run(&compiled, path, stats, run.quiet)
         }
     };
-    if pipeline.is_some() || trans.is_some() || all_trans {
-        let code = if let Some(list) = &pipeline {
-            pipeline_run(&compiled, &path, list, trees, seed, quiet)
-        } else {
-            source_trans_run(
-                &compiled,
-                &path,
-                trans.as_deref(),
-                trees,
-                seed,
-                print_outputs,
-            )
-        };
-        return finish_run(code, stats, trace.as_deref());
-    }
+    finish_run(code, stats, trace)
+}
+
+/// Prints the program's assertion report (under `--stats` preceded by
+/// the size of every language, transformation and tree); exit 1 if an
+/// assertion failed.
+fn assertion_run(compiled: &fast_lang::Compiled, path: &str, stats: bool, quiet: bool) -> ExitCode {
     if stats {
         for name in compiled.lang_names() {
             let sta = compiled.lang(name).unwrap();
@@ -355,99 +481,66 @@ fn run_mode(args: &[String]) -> ExitCode {
             failed
         );
     }
-    let code = if failed == 0 {
+    if failed == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    };
-    finish_run(code, stats, trace.as_deref())
+    }
 }
 
-/// The epilogue of every `run_mode` path: under `--stats`, the telemetry
-/// accumulated over the whole run as one JSON object (see
-/// ARCHITECTURE.md for the counters); under `--trace`, the span file.
-/// Returns `code` unless the trace cannot be written.
-fn finish_run(code: ExitCode, stats: bool, trace: Option<&str>) -> ExitCode {
-    if stats {
-        println!("{}", fast_obs::snapshot().to_json().pretty());
-    }
-    if let Some(out) = trace {
-        if let Err(code) = write_trace(out) {
-            return code;
-        }
-    }
-    code
-}
-
-/// `fastc <file> --pipeline t1,t2,...`: chains the named transformations
-/// into a [`fast_rt::Pipeline`], prints the fusion report, and evaluates
-/// generated input trees through the chain.
-fn pipeline_run(
-    compiled: &fast_lang::Compiled,
-    path: &str,
-    list: &str,
-    trees: usize,
-    seed: u64,
-    quiet: bool,
-) -> ExitCode {
-    let names = split_stage_list(list);
-    if names.is_empty() {
-        return usage_error("'--pipeline' needs a comma-separated list of transformation names");
-    }
-    let mut stages = Vec::with_capacity(names.len());
-    let mut ty_name: Option<&str> = None;
-    for n in &names {
-        let Some(sttr) = compiled.transducer(n) else {
+/// Runs generated trees through an artifact, loaded from `path` or built
+/// from the source at `path`: through the stored pipeline `--pipeline`
+/// names (printing its fusion report first), else through the transducer
+/// `--trans` names, else through every transducer in name order.
+fn batch_run(art: &fast_rt::Artifact, path: &str, run: &BatchRun) -> ExitCode {
+    if let Some(list) = run.pipeline {
+        let name = split_stage_list(list).join(",");
+        let Some(p) = art.pipeline(&name) else {
+            let have: Vec<&str> = art.pipeline_names().collect();
             eprintln!(
-                "fastc: no transformation '{n}' in '{path}' (have: {})",
-                compiled.transducer_names().join(", ")
+                "fastc: no pipeline '{name}' in '{path}' (have: {})",
+                have.join(", ")
             );
             return ExitCode::from(2);
         };
-        let t = compiled.transducer_type(n).unwrap_or_default();
-        match ty_name {
-            None => ty_name = Some(t),
-            Some(prev) if prev != t => {
-                eprintln!(
-                    "fastc: pipeline stages disagree on tree type: '{}' is over '{prev}' \
-                     but '{n}' is over '{t}'",
-                    names[0]
-                );
-                return ExitCode::from(2);
-            }
-            Some(_) => {}
-        }
-        stages.push(std::sync::Arc::new(sttr.clone()));
+        print!("{}", p.report());
+        pipeline_batch(p, art.pipeline_type(&name).unwrap(), run);
+        return ExitCode::SUCCESS;
     }
-    let Some(ty) = ty_name.and_then(|t| compiled.tree_type(t)) else {
-        eprintln!("fastc: cannot resolve the pipeline's tree type");
-        return ExitCode::from(2);
+    let names: Vec<&str> = match run.trans {
+        Some(n) if art.transducer(n).is_none() => {
+            let have: Vec<&str> = art.transducer_names().collect();
+            eprintln!(
+                "fastc: no transducer '{n}' in '{path}' (have: {})",
+                have.join(", ")
+            );
+            return ExitCode::from(2);
+        }
+        Some(n) => vec![n],
+        None => {
+            let mut all: Vec<&str> = art.transducer_names().collect();
+            all.sort();
+            all
+        }
     };
-
-    let p = fast_rt::Pipeline::compile(&stages);
-    print!("{}", p.report());
-    pipeline_batch(&p, ty, trees, seed, quiet);
+    for name in names {
+        let plan = art.transducer(name).unwrap();
+        let ty = art.transducer_type(name).unwrap();
+        trans_batch(name, plan, ty, run);
+    }
     ExitCode::SUCCESS
 }
 
-/// Evaluates `trees` generated inputs through a compiled pipeline and
+/// Evaluates the generated inputs through a compiled pipeline and
 /// prints the run summary (plus per-segment memo stats unless `quiet`).
-/// The output is identical whether `p` came from `Pipeline::compile` or
-/// out of a loaded artifact, so source and artifact runs can be diffed
-/// byte for byte (use `--quiet`: memo hit counts depend on worker
-/// scheduling, and the interner line on process history).
-fn pipeline_batch(
-    p: &fast_rt::Pipeline,
-    ty: &fast_trees::TreeType,
-    trees: usize,
-    seed: u64,
-    quiet: bool,
-) {
-    let inputs = fast_trees::TreeGen::new(seed).trees(ty, trees);
+/// Diff source and artifact runs with `--quiet`: memo hit counts depend
+/// on worker scheduling, and the interner line on process history.
+fn pipeline_batch(p: &fast_rt::Pipeline, ty: &fast_trees::TreeType, run: &BatchRun) {
+    let inputs = fast_trees::TreeGen::new(run.seed).trees(ty, run.trees);
     let opts = fast_rt::RunOptions::default();
     let (results, seg_stats) = p.run_batch_with(&inputs, &opts);
-    println!("ran {}", batch_summary(&results, seed));
-    if !quiet {
+    println!("ran {}", batch_summary(&results, run.seed));
+    if !run.quiet {
         for (si, s) in seg_stats.iter().enumerate() {
             let (plan, first, last) = p.segment(si);
             println!(
@@ -486,39 +579,21 @@ fn batch_summary(
     )
 }
 
-/// Splits a `--pipeline` stage list and normalizes it to the canonical
-/// comma-joined artifact entry name (whitespace trimmed, empties
-/// dropped), so `--pipeline \"a, b\"` at build and run time agree.
-fn split_stage_list(list: &str) -> Vec<&str> {
-    list.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect()
-}
-
-/// Batch-runs one compiled plan over generated trees and prints the
+/// Batch-runs one compiled plan over the generated trees and prints the
 /// summary line (and, under `--print-outputs`, every input's sorted
-/// output multiset). Shared verbatim by source and artifact runs so CI
-/// can diff the two.
-fn run_one_trans(
-    name: &str,
-    plan: &fast_rt::Plan,
-    ty: &fast_trees::TreeType,
-    trees: usize,
-    seed: u64,
-    print_outputs: bool,
-) {
-    let inputs = fast_trees::TreeGen::new(seed).trees(ty, trees);
+/// output multiset).
+fn trans_batch(name: &str, plan: &fast_rt::Plan, ty: &fast_trees::TreeType, run: &BatchRun) {
+    let inputs = fast_trees::TreeGen::new(run.seed).trees(ty, run.trees);
     let results = plan.run_batch(&inputs);
-    println!("trans {name}: {}", batch_summary(&results, seed));
-    if print_outputs {
+    println!("trans {name}: {}", batch_summary(&results, run.seed));
+    if run.print_outputs {
         for (i, r) in results.iter().enumerate() {
             match r {
                 Ok(outs) => {
                     // Sorted display strings: outputs come in the order
                     // the plan's rules fired, which nothing pins between
-                    // a source run and an artifact run, and CI diffs the
-                    // printed lines of the two.
+                    // two builds of a plan, and CI diffs the printed
+                    // lines of a source run and an artifact run.
                     let mut shown: Vec<String> =
                         outs.iter().map(|t| t.display(ty).to_string()).collect();
                     shown.sort();
@@ -532,97 +607,106 @@ fn run_one_trans(
     }
 }
 
-/// `fastc <file> --trans NAME | --all-trans`: compiles the named
-/// transducer(s) to plans and batch-runs them, printing the same report
-/// as the artifact path so the two runs can be diffed.
-fn source_trans_run(
-    compiled: &fast_lang::Compiled,
-    path: &str,
-    trans: Option<&str>,
-    trees: usize,
-    seed: u64,
-    print_outputs: bool,
-) -> ExitCode {
-    let names = match trans {
-        Some(n) => vec![n],
-        None => compiled.transducer_names(),
-    };
-    for name in names {
-        let (sttr, ty) = match resolve_transducer(compiled, name, path) {
-            Ok(found) => found,
-            Err(code) => return code,
-        };
-        let plan = fast_rt::Plan::compile(sttr);
-        run_one_trans(name, &plan, ty, trees, seed, print_outputs);
-    }
-    ExitCode::SUCCESS
+/// Splits a `--pipeline` stage list and normalizes it to the canonical
+/// comma-joined artifact entry name (whitespace trimmed, empties
+/// dropped), so `--pipeline \"a, b\"` at build and run time agree.
+fn split_stage_list(list: &str) -> Vec<&str> {
+    list.split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .collect()
 }
 
-/// `fastc --artifact <file.fastc> ...`: loads a prebuilt artifact and
-/// runs a stored pipeline (`--pipeline`) or transducers (`--trans`,
-/// `--all-trans`, or everything by default) without recompiling.
-fn artifact_run(
-    art_path: &str,
-    pipeline: Option<&str>,
-    trans: Option<&str>,
-    trees: usize,
-    seed: u64,
-    print_outputs: bool,
-    quiet: bool,
-) -> ExitCode {
-    let art = match fast_rt::Artifact::load(art_path) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("fastc: cannot load artifact '{art_path}': {e}");
-            // I/O errors are environment problems (exit 2, like an
-            // unreadable source); anything else means the artifact
-            // itself is bad (exit 1, like a compile failure).
-            return if matches!(e, fast_rt::ArtifactError::Io(_)) {
-                ExitCode::from(2)
-            } else {
-                ExitCode::FAILURE
-            };
-        }
-    };
-    if let Some(list) = pipeline {
-        let name = split_stage_list(list).join(",");
-        let Some(p) = art.pipeline(&name) else {
-            let have: Vec<&str> = art.pipeline_names().collect();
+/// A `--pipeline` stage list resolved against a compiled program.
+struct Stages<'a> {
+    /// The stage names, as [`split_stage_list`] gives them.
+    names: Vec<&'a str>,
+    sttrs: Vec<&'a fast_core::Sttr>,
+    /// The tree type every stage is over, by name and resolved.
+    ty_name: &'a str,
+    ty: &'a fast_trees::TreeType,
+}
+
+/// Resolves the stage list `list` of the program at `path`. An empty
+/// list, an unknown stage, stages over different tree types, or a type
+/// that does not resolve is a usage error (exit 2).
+fn resolve_stages<'a>(
+    compiled: &'a fast_lang::Compiled,
+    path: &str,
+    list: &'a str,
+) -> Result<Stages<'a>, ExitCode> {
+    let names = split_stage_list(list);
+    if names.is_empty() {
+        return Err(usage_error(
+            "'--pipeline' needs a comma-separated list of transformation names",
+        ));
+    }
+    // An unknown first stage is reported in the first iteration, before
+    // any stage is compared with this type.
+    let ty_name = compiled.transducer_type(names[0]).unwrap_or_default();
+    let mut sttrs = Vec::with_capacity(names.len());
+    for n in &names {
+        let Some(sttr) = compiled.transducer(n) else {
             eprintln!(
-                "fastc: no pipeline '{name}' in '{art_path}' (have: {})",
-                have.join(", ")
+                "fastc: no transformation '{n}' in '{path}' (have: {})",
+                compiled.transducer_names().join(", ")
             );
-            return ExitCode::from(2);
+            return Err(ExitCode::from(2));
         };
-        let ty = art.pipeline_type(&name).unwrap();
-        print!("{}", p.report());
-        pipeline_batch(p, ty, trees, seed, quiet);
-        return ExitCode::SUCCESS;
+        let t = compiled.transducer_type(n).unwrap_or_default();
+        if t != ty_name {
+            eprintln!(
+                "fastc: pipeline stages disagree on tree type: '{}' is over '{ty_name}' \
+                 but '{n}' is over '{t}'",
+                names[0]
+            );
+            return Err(ExitCode::from(2));
+        }
+        sttrs.push(sttr);
     }
-    let names: Vec<String> = match trans {
-        Some(n) => {
-            if art.transducer(n).is_none() {
-                let have: Vec<&str> = art.transducer_names().collect();
-                eprintln!(
-                    "fastc: no transducer '{n}' in '{art_path}' (have: {})",
-                    have.join(", ")
-                );
-                return ExitCode::from(2);
-            }
-            vec![n.to_string()]
-        }
-        None => {
-            let mut all: Vec<String> = art.transducer_names().map(str::to_string).collect();
-            all.sort();
-            all
-        }
+    let Some(ty) = compiled.tree_type(ty_name) else {
+        eprintln!("fastc: cannot resolve the pipeline's tree type");
+        return Err(ExitCode::from(2));
     };
-    for name in &names {
-        let plan = art.transducer(name).unwrap();
-        let ty = art.transducer_type(name).unwrap();
-        run_one_trans(name, plan, ty, trees, seed, print_outputs);
+    Ok(Stages {
+        names,
+        sttrs,
+        ty_name,
+        ty,
+    })
+}
+
+/// The artifact `fastc build` writes for the program at `path`: every
+/// transformation in name order, then the pre-compiled chain of each
+/// `--pipeline` list under its normalized comma-joined name.
+fn build_artifact(
+    compiled: &fast_lang::Compiled,
+    path: &str,
+    pipelines: &[&str],
+) -> Result<fast_rt::Artifact, ExitCode> {
+    let mut builder = fast_rt::ArtifactBuilder::new();
+    for name in compiled.transducer_names() {
+        builder.add_transducer(name, compiled.transducer(name).unwrap());
     }
-    ExitCode::SUCCESS
+    let mut seen = Vec::new();
+    for list in pipelines {
+        let stages = resolve_stages(compiled, path, list)?;
+        let entry_name = stages.names.join(",");
+        if seen.contains(&entry_name) {
+            return Err(usage_error(&format!(
+                "pipeline '{entry_name}' given more than once"
+            )));
+        }
+        let stage_names: Vec<String> = stages.names.iter().map(|s| s.to_string()).collect();
+        let sttrs: Vec<Arc<fast_core::Sttr>> = stages
+            .sttrs
+            .iter()
+            .map(|s| Arc::new((*s).clone()))
+            .collect();
+        builder.add_pipeline(&entry_name, &stage_names, &sttrs);
+        seen.push(entry_name);
+    }
+    Ok(builder.build())
 }
 
 /// `fastc build <file.fast> [-o FILE] [--pipeline t1,t2,...]`: compiles
@@ -632,104 +716,29 @@ fn artifact_run(
 /// stores the pre-compiled chain (fusion already decided) under the
 /// normalized comma-joined name, so `--artifact --pipeline` runs skip
 /// composition and the solver entirely.
-fn build_mode(args: &[String]) -> ExitCode {
-    let mut out: Option<String> = None;
-    let mut pipelines: Vec<String> = Vec::new();
-    let mut path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "-o" | "--out" => {
-                match flag_value(args, i) {
-                    Ok(v) => out = Some(v),
-                    Err(code) => return code,
-                }
-                i += 1;
-            }
-            "--pipeline" => {
-                match flag_value(args, i) {
-                    Ok(v) => pipelines.push(v),
-                    Err(code) => return code,
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
-            other => return usage_error(&format!("unexpected argument '{other}'")),
-        }
-        i += 1;
-    }
-    let Some(path) = path else {
+fn build_mode(args: Args) -> ExitCode {
+    let Some(path) = args.path() else {
         return usage_error("build mode needs a <file.fast> argument");
     };
-    let src = match read_source(&path) {
-        Ok(s) => s,
+    let compiled = match load_program(path) {
+        Ok(c) => c,
         Err(code) => return code,
     };
-    let compiled = match fast_lang::compile(&src) {
-        Ok(c) => c,
-        Err(d) => {
-            eprintln!("{path}:{d}");
-            return ExitCode::FAILURE;
-        }
+    let pipelines: Vec<&str> = args.values("--pipeline").collect();
+    let art = match build_artifact(&compiled, path, &pipelines) {
+        Ok(art) => art,
+        Err(code) => return code,
     };
 
-    let mut builder = fast_rt::ArtifactBuilder::new();
-    for name in compiled.transducer_names() {
-        builder.add_transducer(name, compiled.transducer(name).unwrap());
-    }
-    let mut seen = Vec::new();
-    for list in &pipelines {
-        let names = split_stage_list(list);
-        if names.is_empty() {
-            return usage_error(
-                "'--pipeline' needs a comma-separated list of transformation names",
-            );
-        }
-        let entry_name = names.join(",");
-        if seen.contains(&entry_name) {
-            return usage_error(&format!("pipeline '{entry_name}' given more than once"));
-        }
-        let mut stages = Vec::with_capacity(names.len());
-        let mut ty_name: Option<&str> = None;
-        for n in &names {
-            let Some(sttr) = compiled.transducer(n) else {
-                eprintln!(
-                    "fastc: no transformation '{n}' in '{path}' (have: {})",
-                    compiled.transducer_names().join(", ")
-                );
-                return ExitCode::from(2);
-            };
-            let t = compiled.transducer_type(n).unwrap_or_default();
-            match ty_name {
-                None => ty_name = Some(t),
-                Some(prev) if prev != t => {
-                    eprintln!(
-                        "fastc: pipeline stages disagree on tree type: '{}' is over '{prev}' \
-                         but '{n}' is over '{t}'",
-                        names[0]
-                    );
-                    return ExitCode::from(2);
-                }
-                Some(_) => {}
-            }
-            stages.push(std::sync::Arc::new(sttr.clone()));
-        }
-        let stage_names: Vec<String> = names.iter().map(|s| s.to_string()).collect();
-        builder.add_pipeline(&entry_name, &stage_names, &stages);
-        seen.push(entry_name);
-    }
-    let art = builder.build();
-
-    let out_path = out.unwrap_or_else(|| {
-        std::path::Path::new(&path)
-            .with_extension("fastc")
-            .to_string_lossy()
-            .into_owned()
-    });
+    let out_path = args.value("-o").map_or_else(
+        || {
+            std::path::Path::new(path)
+                .with_extension("fastc")
+                .to_string_lossy()
+                .into_owned()
+        },
+        str::to_string,
+    );
     let bytes = art.encode();
     // The loader caps the plan tables an artifact may ask for at a few
     // cells per byte; refuse here what it would refuse there.
@@ -755,54 +764,18 @@ fn build_mode(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn serve_mode(args: &[String]) -> ExitCode {
-    let mut addr = "127.0.0.1:7878".to_string();
-    let mut cfg = fast_serve::ServeConfig::default();
-    let mut slo_path: Option<String> = None;
-    let mut paths: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                match flag_value(args, i) {
-                    Ok(v) => addr = v,
-                    Err(code) => return code,
-                }
-                i += 1;
-            }
-            flag @ ("--workers" | "--queue" | "--max-conns" | "--timeout-ms") => {
-                let n = match flag_number(args, i) {
-                    Ok(n) => n,
-                    Err(code) => return code,
-                };
-                match flag {
-                    "--workers" => cfg.workers = n as usize,
-                    "--queue" => cfg.queue_depth = (n as usize).max(1),
-                    "--max-conns" => cfg.max_connections = (n as usize).max(1),
-                    _ => cfg.timeout = std::time::Duration::from_millis(n),
-                }
-                i += 1;
-            }
-            "--slo" => {
-                match flag_value(args, i) {
-                    Ok(v) => slo_path = Some(v),
-                    Err(code) => return code,
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if !other.starts_with('-') => paths.push(other.to_string()),
-            other => return usage_error(&format!("unexpected argument '{other}'")),
-        }
-        i += 1;
-    }
-    if paths.is_empty() {
+fn serve_mode(args: Args) -> ExitCode {
+    if args.paths.is_empty() {
         return usage_error("serve mode needs at least one <file.fastc> argument");
     }
-    if let Some(p) = &slo_path {
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7878");
+    let mut cfg = fast_serve::ServeConfig::default();
+    cfg.workers = args.number("--workers", cfg.workers);
+    cfg.queue_depth = args.number("--queue", cfg.queue_depth).max(1);
+    cfg.max_connections = args.number("--max-conns", cfg.max_connections).max(1);
+    let timeout_ms = args.number("--timeout-ms", cfg.timeout.as_millis() as u64);
+    cfg.timeout = std::time::Duration::from_millis(timeout_ms);
+    if let Some(p) = args.value("--slo") {
         let text = match read_source(p) {
             Ok(t) => t,
             Err(code) => return code,
@@ -815,8 +788,8 @@ fn serve_mode(args: &[String]) -> ExitCode {
             }
         }
     }
-    let mut artifacts = Vec::with_capacity(paths.len());
-    for p in &paths {
+    let mut artifacts = Vec::with_capacity(args.paths.len());
+    for p in &args.paths {
         match fast_rt::Artifact::load(p) {
             Ok(a) => artifacts.push(a),
             Err(e) => {
@@ -831,7 +804,7 @@ fn serve_mode(args: &[String]) -> ExitCode {
             p + a.pipeline_names().count(),
         )
     });
-    match fast_serve::start(artifacts, &addr, cfg) {
+    match fast_serve::start(artifacts, addr, cfg) {
         Ok(handle) => {
             println!(
                 "fastc serve: {n_trans} transducer(s), {n_pipes} pipeline(s) on {}",
@@ -847,56 +820,15 @@ fn serve_mode(args: &[String]) -> ExitCode {
     }
 }
 
-fn check_mode(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut deny_warnings = false;
-    let mut stats = false;
-    let mut trace: Option<String> = None;
-    let mut pipeline: Option<String> = None;
-    let mut input_lang: Option<String> = None;
-    let mut output_lang: Option<String> = None;
-    let mut path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
-            "--deny-warnings" => deny_warnings = true,
-            "--stats" | "-s" => stats = true,
-            "--trace" => {
-                match flag_value(args, i) {
-                    Ok(v) => trace = Some(v),
-                    Err(code) => return code,
-                }
-                i += 1;
-            }
-            flag @ ("--pipeline" | "--input" | "--output") => {
-                let v = match flag_value(args, i) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                match flag {
-                    "--pipeline" => pipeline = Some(v),
-                    "--input" => input_lang = Some(v),
-                    _ => output_lang = Some(v),
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
-            other => return usage_error(&format!("unexpected argument '{other}'")),
-        }
-        i += 1;
-    }
-    let Some(path) = path else {
+fn check_mode(args: Args) -> ExitCode {
+    let Some(path) = args.path() else {
         return usage_error("check mode needs a <file.fast> argument");
     };
-    let src = match read_source(&path) {
+    let src = match read_source(path) {
         Ok(s) => s,
         Err(code) => return code,
     };
+    let trace = args.value("--trace");
     if trace.is_some() {
         fast_obs::set_tracing(true);
     }
@@ -922,10 +854,10 @@ fn check_mode(args: &[String]) -> ExitCode {
     let mut errors = all.iter().filter(|d| d.is_error()).count();
     let warnings = all.len() - errors;
 
-    if json {
+    if args.has("--json") {
         println!(
             "{}",
-            fast_analysis::diagnostics_to_json(&path, &all).pretty()
+            fast_analysis::diagnostics_to_json(path, &all).pretty()
         );
     } else {
         for d in &all {
@@ -933,36 +865,29 @@ fn check_mode(args: &[String]) -> ExitCode {
         }
         eprintln!("fastc check: {path}: {errors} error(s), {warnings} warning(s)");
     }
-    if let Some(list) = &pipeline {
+    if let Some(list) = args.value("--pipeline") {
         match &compiled_opt {
             None => eprintln!("fastc: skipping --pipeline check: compilation failed"),
             Some(compiled) => match pipeline_check(
                 compiled,
-                &path,
+                path,
                 list,
-                input_lang.as_deref(),
-                output_lang.as_deref(),
+                args.value("--input"),
+                args.value("--output"),
             ) {
                 Ok(violations) => errors += violations,
                 Err(code) => return code,
             },
         }
     }
-    if stats {
-        println!("{}", fast_obs::snapshot().to_json().pretty());
-    }
-    if let Some(out) = &trace {
-        if let Err(code) = write_trace(out) {
-            return code;
-        }
-    }
-    if errors > 0 {
+    let code = if errors > 0 {
         ExitCode::from(2)
-    } else if deny_warnings && warnings > 0 {
+    } else if args.has("--deny-warnings") && warnings > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    };
+    finish_run(code, args.has("--stats"), trace)
 }
 
 /// `fastc check <file> --pipeline t1,t2,...`: prints per-stage FA007
@@ -978,41 +903,12 @@ fn pipeline_check(
     input_lang: Option<&str>,
     output_lang: Option<&str>,
 ) -> Result<usize, ExitCode> {
-    let names = split_stage_list(list);
-    if names.is_empty() {
-        return Err(usage_error(
-            "'--pipeline' needs a comma-separated list of transformation names",
-        ));
-    }
-    let mut stages = Vec::with_capacity(names.len());
-    let mut ty_name: Option<&str> = None;
-    for n in &names {
-        let Some(sttr) = compiled.transducer(n) else {
-            eprintln!(
-                "fastc: no transformation '{n}' in '{path}' (have: {})",
-                compiled.transducer_names().join(", ")
-            );
-            return Err(ExitCode::from(2));
-        };
-        let t = compiled.transducer_type(n).unwrap_or_default();
-        match ty_name {
-            None => ty_name = Some(t),
-            Some(prev) if prev != t => {
-                eprintln!(
-                    "fastc: pipeline stages disagree on tree type: '{}' is over '{prev}' \
-                     but '{n}' is over '{t}'",
-                    names[0]
-                );
-                return Err(ExitCode::from(2));
-            }
-            Some(_) => {}
-        }
-        stages.push(sttr);
-    }
-    let Some(ty) = ty_name.and_then(|t| compiled.tree_type(t)) else {
-        eprintln!("fastc: cannot resolve the pipeline's tree type");
-        return Err(ExitCode::from(2));
-    };
+    let Stages {
+        names,
+        sttrs: stages,
+        ty_name: stage_ty,
+        ty,
+    } = resolve_stages(compiled, path, list)?;
 
     eprintln!("pipeline check: {}", names.join(" ; "));
     fast_obs::time("analysis.check.fa007", || {
@@ -1053,7 +949,6 @@ fn pipeline_check(
         return Ok(0);
     };
     // Both languages must exist and be over the stages' tree type.
-    let stage_ty = ty_name.unwrap_or_default();
     let lang = |n: &str| match (compiled.lang(n), compiled.lang_type(n)) {
         (Some(sta), Some(t)) if t == stage_ty => Ok(sta),
         (Some(_), Some(t)) => {
@@ -1097,33 +992,11 @@ fn pipeline_check(
     }
 }
 
-/// The transducer `name` of a compiled program and its input tree type.
-/// An unknown name, or a type that does not resolve, is a usage error
+/// The transducer the profile workload drives, with its name and input
+/// type: the `--trans` name if given, else the largest transducer by
+/// (states, rules) with the name as a deterministic tie-break. An
+/// unknown name, or a type that does not resolve, is a usage error
 /// (exit 2).
-fn resolve_transducer<'c>(
-    compiled: &'c fast_lang::Compiled,
-    name: &str,
-    path: &str,
-) -> Result<(&'c fast_core::Sttr, &'c fast_trees::TreeType), ExitCode> {
-    let Some(sttr) = compiled.transducer(name) else {
-        eprintln!(
-            "fastc: no transducer '{name}' in '{path}' (have: {})",
-            compiled.transducer_names().join(", ")
-        );
-        return Err(ExitCode::from(2));
-    };
-    let ty_name = compiled.transducer_type(name).unwrap_or_default();
-    let Some(ty) = compiled.tree_type(ty_name) else {
-        eprintln!("fastc: cannot resolve input type '{ty_name}' of transducer '{name}'");
-        return Err(ExitCode::from(2));
-    };
-    Ok((sttr, ty))
-}
-
-/// Resolves the transducer the profile workload drives, with its
-/// name and input type: the `--trans` name if given (checked by
-/// [`resolve_transducer`]), else the largest transducer by (states,
-/// rules) with the name as a deterministic tie-break.
 fn pick_transducer<'c>(
     compiled: &'c fast_lang::Compiled,
     trans: Option<&str>,
@@ -1150,7 +1023,18 @@ fn pick_transducer<'c>(
             }
         }
     };
-    let (sttr, ty) = resolve_transducer(compiled, &name, path)?;
+    let Some(sttr) = compiled.transducer(&name) else {
+        eprintln!(
+            "fastc: no transducer '{name}' in '{path}' (have: {})",
+            compiled.transducer_names().join(", ")
+        );
+        return Err(ExitCode::from(2));
+    };
+    let ty_name = compiled.transducer_type(&name).unwrap_or_default();
+    let Some(ty) = compiled.tree_type(ty_name) else {
+        eprintln!("fastc: cannot resolve input type '{ty_name}' of transducer '{name}'");
+        return Err(ExitCode::from(2));
+    };
     Ok((name, sttr, ty))
 }
 
@@ -1168,59 +1052,13 @@ fn format_ns(ns: u64) -> String {
     }
 }
 
-fn profile_mode(args: &[String]) -> ExitCode {
-    let mut trees = 200usize;
-    let mut seed = 42u64;
-    let mut top = 10usize;
-    let mut trans: Option<String> = None;
-    let mut trace: Option<String> = None;
-    let mut jsonl: Option<String> = None;
-    let mut stats = false;
-    let mut path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            flag @ ("--trans" | "--trace" | "--jsonl") => {
-                let v = match flag_value(args, i) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                match flag {
-                    "--trans" => trans = Some(v),
-                    "--trace" => trace = Some(v),
-                    _ => jsonl = Some(v),
-                }
-                i += 1;
-            }
-            flag @ ("--trees" | "--seed" | "--top") => {
-                let n = match flag_number(args, i) {
-                    Ok(n) => n,
-                    Err(code) => return code,
-                };
-                match flag {
-                    "--trees" => trees = n as usize,
-                    "--seed" => seed = n,
-                    _ => top = n as usize,
-                }
-                i += 1;
-            }
-            "--stats" | "-s" => stats = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
-            other => return usage_error(&format!("unexpected argument '{other}'")),
-        }
-        i += 1;
-    }
-    let Some(path) = path else {
+fn profile_mode(args: Args) -> ExitCode {
+    let Some(path) = args.path() else {
         return usage_error("profile mode needs a <file.fast> argument");
     };
-    let src = match read_source(&path) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
+    let trees: usize = args.number("--trees", 200);
+    let seed: u64 = args.number("--seed", 42);
+    let top: usize = args.number("--top", 10);
 
     // Tracing is always on in profile mode: the phase tree printed at
     // the end is reconstructed from the span buffer.
@@ -1228,16 +1066,13 @@ fn profile_mode(args: &[String]) -> ExitCode {
 
     let compiled = {
         let _span = fast_obs::span!("profile.compile");
-        match fast_lang::compile(&src) {
+        match load_program(path) {
             Ok(c) => c,
-            Err(d) => {
-                eprintln!("{path}:{d}");
-                return ExitCode::FAILURE;
-            }
+            Err(code) => return code,
         }
     };
 
-    let (name, sttr, ty) = match pick_transducer(&compiled, trans.as_deref(), &path) {
+    let (name, sttr, ty) = match pick_transducer(&compiled, args.value("--trans"), path) {
         Ok(found) => found,
         Err(code) => return code,
     };
@@ -1296,7 +1131,7 @@ fn profile_mode(args: &[String]) -> ExitCode {
         }
     }
 
-    if let Some(out) = &trace {
+    if let Some(out) = args.value("--trace") {
         let json = fast_obs::trace::chrome_trace(&events).pretty();
         if let Err(e) = std::fs::write(out, json) {
             eprintln!("fastc: cannot write trace '{out}': {e}");
@@ -1304,14 +1139,70 @@ fn profile_mode(args: &[String]) -> ExitCode {
         }
         println!("\ntrace: {} events -> {out}", events.len());
     }
-    if let Some(out) = &jsonl {
+    if let Some(out) = args.value("--jsonl") {
         if let Err(e) = std::fs::write(out, fast_obs::trace::jsonl(&events)) {
             eprintln!("fastc: cannot write jsonl '{out}': {e}");
             return ExitCode::from(2);
         }
     }
-    if stats {
-        println!("{}", fast_obs::snapshot().to_json().pretty());
+    finish_run(ExitCode::SUCCESS, args.has("--stats"), None)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{Mode, MODES, USAGE};
+
+    /// Every name, long and short, of every flag `mode` accepts.
+    fn accepted(mode: &Mode) -> impl Iterator<Item = &'static str> {
+        [mode.switches, mode.values, mode.numbers]
+            .into_iter()
+            .flatten()
+            .flat_map(|f| f.split('|'))
     }
-    ExitCode::SUCCESS
+
+    /// The words of `text` that look like flags: `--long` or `-s`.
+    fn flag_words(text: &str) -> Vec<&str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-' || c == '_'))
+            .filter(|w| w.starts_with("--") || (w.len() == 2 && w.starts_with('-')))
+            .collect()
+    }
+
+    /// Every mode's synopsis lines in USAGE name exactly the flags its
+    /// table accepts (and `--help`, which every mode accepts), and every
+    /// flag the options list documents is accepted by some mode.
+    #[test]
+    fn usage_matches_the_flag_tables() {
+        let (synopsis, options) = USAGE.split_once("\nmodes:").unwrap();
+        // One synopsis per `fastc` line; a line whose second word is not
+        // a mode name belongs to the run mode.
+        let mut named: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in synopsis.lines() {
+            let line = line.trim_start().trim_start_matches("usage: ");
+            match line.strip_prefix("fastc ") {
+                Some(rest) => {
+                    let word = rest.split(' ').next().unwrap();
+                    let mode = MODES.iter().find(|m| m.name == word).map_or("", |m| m.name);
+                    named.push((mode, flag_words(rest)));
+                }
+                None => named.last_mut().unwrap().1.extend(flag_words(line)),
+            }
+        }
+        for mode in &MODES {
+            let mut documented: Vec<&str> = named
+                .iter()
+                .filter(|(m, _)| *m == mode.name)
+                .flat_map(|(_, words)| words.iter().copied())
+                .filter(|w| *w != "--help")
+                .collect();
+            documented.sort_unstable();
+            documented.dedup();
+            let mut flags: Vec<&str> = accepted(mode).collect();
+            flags.sort_unstable();
+            assert_eq!(documented, flags, "mode '{}'", mode.name);
+        }
+        for word in flag_words(options) {
+            let known = word == "--help" || MODES.iter().any(|m| accepted(m).any(|f| f == word));
+            assert!(known, "USAGE documents '{word}', which no mode accepts");
+        }
+    }
 }

@@ -898,3 +898,221 @@ fn serve_rejects_bad_slo_before_binding() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+// ------------------------------------------------------ error contract
+
+/// One row of the command-line error contract: the arguments, the exit
+/// code, and the exact stderr. `{usage}` in `stderr` stands for the
+/// usage text that `fastc --help` prints; `{san}` and `{mixed}` for the
+/// paths of the sanitizer pipeline program and of a program whose two
+/// transformations are over different tree types.
+struct ErrorCase {
+    args: &'static [&'static str],
+    code: i32,
+    stderr: &'static str,
+}
+
+const ERROR_CONTRACT: &[ErrorCase] = &[
+    // A value flag at the end of the line, in every mode.
+    ErrorCase {
+        args: &["{san}", "--trees"],
+        code: 2,
+        stderr: "fastc: '--trees' needs a value\n",
+    },
+    ErrorCase {
+        args: &["build", "{san}", "-o"],
+        code: 2,
+        stderr: "fastc: '-o' needs a value\n",
+    },
+    ErrorCase {
+        args: &["serve", "x.fastc", "--workers"],
+        code: 2,
+        stderr: "fastc: '--workers' needs a value\n",
+    },
+    ErrorCase {
+        args: &["check", "{san}", "--trace"],
+        code: 2,
+        stderr: "fastc: '--trace' needs a value\n",
+    },
+    ErrorCase {
+        args: &["profile", "{san}", "--top"],
+        code: 2,
+        stderr: "fastc: '--top' needs a value\n",
+    },
+    // A number flag given something else.
+    ErrorCase {
+        args: &["{san}", "--trees", "x"],
+        code: 2,
+        stderr: "fastc: '--trees' needs a non-negative integer, got 'x'\n{usage}",
+    },
+    ErrorCase {
+        args: &["serve", "x.fastc", "--workers", "-1"],
+        code: 2,
+        stderr: "fastc: '--workers' needs a non-negative integer, got '-1'\n{usage}",
+    },
+    ErrorCase {
+        args: &["profile", "{san}", "--top", "y"],
+        code: 2,
+        stderr: "fastc: '--top' needs a non-negative integer, got 'y'\n{usage}",
+    },
+    // Flags a mode does not take, and a second positional argument.
+    ErrorCase {
+        args: &["{san}", "--bogus"],
+        code: 2,
+        stderr: "fastc: unexpected argument '--bogus'\n{usage}",
+    },
+    ErrorCase {
+        args: &["{san}", "extra"],
+        code: 2,
+        stderr: "fastc: unexpected argument 'extra'\n{usage}",
+    },
+    ErrorCase {
+        args: &["build", "{san}", "--trace", "t.json"],
+        code: 2,
+        stderr: "fastc: unexpected argument '--trace'\n{usage}",
+    },
+    ErrorCase {
+        args: &["serve", "x.fastc", "--trace", "t.json"],
+        code: 2,
+        stderr: "fastc: unexpected argument '--trace'\n{usage}",
+    },
+    ErrorCase {
+        args: &["check", "{san}", "--bogus"],
+        code: 2,
+        stderr: "fastc: unexpected argument '--bogus'\n{usage}",
+    },
+    ErrorCase {
+        args: &["profile", "{san}", "--bogus"],
+        code: 2,
+        stderr: "fastc: unexpected argument '--bogus'\n{usage}",
+    },
+    // --help in every mode prints the usage on stdout, nothing on stderr.
+    ErrorCase {
+        args: &["--help"],
+        code: 0,
+        stderr: "",
+    },
+    ErrorCase {
+        args: &["build", "--help"],
+        code: 0,
+        stderr: "",
+    },
+    ErrorCase {
+        args: &["serve", "--help"],
+        code: 0,
+        stderr: "",
+    },
+    ErrorCase {
+        args: &["check", "--help"],
+        code: 0,
+        stderr: "",
+    },
+    ErrorCase {
+        args: &["profile", "-h"],
+        code: 0,
+        stderr: "",
+    },
+    // An unknown pipeline stage.
+    ErrorCase {
+        args: &["{san}", "--pipeline", "remScript,nope"],
+        code: 2,
+        stderr: "fastc: no transformation 'nope' in '{san}' (have: esc, pipe, remScript)\n",
+    },
+    ErrorCase {
+        args: &[
+            "build",
+            "{san}",
+            "--pipeline",
+            "remScript,nope",
+            "-o",
+            "{unused}",
+        ],
+        code: 2,
+        stderr: "fastc: no transformation 'nope' in '{san}' (have: esc, pipe, remScript)\n",
+    },
+    ErrorCase {
+        args: &["check", "{san}", "--pipeline", "remScript,nope"],
+        code: 2,
+        stderr: "fastc check: {san}: 0 error(s), 0 warning(s)\n\
+                 fastc: no transformation 'nope' in '{san}' (have: esc, pipe, remScript)\n",
+    },
+    // An empty stage list.
+    ErrorCase {
+        args: &["{san}", "--pipeline", ","],
+        code: 2,
+        stderr: "fastc: '--pipeline' needs a comma-separated list of transformation names\n\
+                 {usage}",
+    },
+    ErrorCase {
+        args: &["build", "{san}", "--pipeline", ",", "-o", "{unused}"],
+        code: 2,
+        stderr: "fastc: '--pipeline' needs a comma-separated list of transformation names\n\
+                 {usage}",
+    },
+    ErrorCase {
+        args: &["check", "{san}", "--pipeline", ","],
+        code: 2,
+        stderr: "fastc check: {san}: 0 error(s), 0 warning(s)\n\
+                 fastc: '--pipeline' needs a comma-separated list of transformation names\n\
+                 {usage}",
+    },
+    // Stages over different tree types.
+    ErrorCase {
+        args: &["{mixed}", "--pipeline", "ta,tb"],
+        code: 2,
+        stderr: "fastc: pipeline stages disagree on tree type: 'ta' is over 'A' but 'tb' is \
+                 over 'B'\n",
+    },
+    ErrorCase {
+        args: &["build", "{mixed}", "--pipeline", "ta,tb", "-o", "{unused}"],
+        code: 2,
+        stderr: "fastc: pipeline stages disagree on tree type: 'ta' is over 'A' but 'tb' is \
+                 over 'B'\n",
+    },
+    ErrorCase {
+        args: &["check", "{mixed}", "--pipeline", "ta,tb"],
+        code: 2,
+        stderr: "fastc check: {mixed}: 0 error(s), 0 warning(s)\n\
+                 fastc: pipeline stages disagree on tree type: 'ta' is over 'A' but 'tb' is \
+                 over 'B'\n",
+    },
+];
+
+/// Every mode reports a bad command line the same way: the exit code
+/// and the exact stderr of each [`ERROR_CONTRACT`] row.
+#[test]
+fn command_line_error_contract() {
+    let help = fastc().arg("--help").output().unwrap();
+    let usage = String::from_utf8(help.stdout).unwrap();
+    assert!(usage.starts_with("usage: fastc"), "{usage}");
+    let san = programs_dir().join("sanitizer_pipeline.fast");
+    let san = san.to_str().unwrap();
+    let mixed = write_temp(
+        "mixed_types.fast",
+        r#"
+        type A[i: Int] { a0(0), a1(1) }
+        type B[i: Int] { b0(0), b1(1) }
+        trans ta: A -> A { a0() to (a0 [i]) | a1(x) to (a1 [i] (ta x)) }
+        trans tb: B -> B { b0() to (b0 [i]) | b1(x) to (b1 [i] (tb x)) }
+        "#,
+    );
+    let mixed = mixed.to_str().unwrap();
+    let unused = std::env::temp_dir().join("fastc_test/contract_unused.fastc");
+    let unused = unused.to_str().unwrap();
+    let fill = |s: &str| {
+        s.replace("{san}", san)
+            .replace("{mixed}", mixed)
+            .replace("{unused}", unused)
+            .replace("{usage}", &usage)
+    };
+    for case in ERROR_CONTRACT {
+        let args: Vec<String> = case.args.iter().map(|a| fill(a)).collect();
+        let out = fastc().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(case.code), "{args:?}: {stderr}");
+        assert_eq!(stderr, fill(case.stderr), "{args:?}");
+        if case.code == 0 {
+            assert_eq!(String::from_utf8_lossy(&out.stdout), usage, "{args:?}");
+        }
+    }
+}

@@ -206,11 +206,6 @@ impl DiagSink {
         self.diags.iter().filter(|d| d.is_error()).count()
     }
 
-    /// Number of warning-severity diagnostics.
-    pub fn warning_count(&self) -> usize {
-        self.diags.len() - self.error_count()
-    }
-
     /// Consumes the sink, returning the diagnostics.
     pub fn into_vec(self) -> Vec<Diagnostic> {
         self.diags
@@ -262,7 +257,6 @@ mod tests {
         sink.push(Diagnostic::new(Span::default(), "e"));
         assert!(sink.has_errors());
         assert_eq!(sink.error_count(), 1);
-        assert_eq!(sink.warning_count(), 1);
         assert_eq!(sink.first_error().unwrap().message, "e");
         assert_eq!(sink.into_vec().len(), 2);
     }

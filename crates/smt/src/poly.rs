@@ -62,15 +62,6 @@ impl Poly {
         self.coeffs.len() <= 1
     }
 
-    /// The constant value, if constant.
-    pub fn as_constant(&self) -> Option<i128> {
-        match self.coeffs.len() {
-            0 => Some(0),
-            1 => Some(self.coeffs[0]),
-            _ => None,
-        }
-    }
-
     /// Degree (zero polynomial has degree 0 by convention here).
     pub fn degree(&self) -> usize {
         self.coeffs.len().saturating_sub(1)
@@ -132,21 +123,6 @@ impl Poly {
         let mut acc: i128 = 0;
         for c in self.coeffs.iter().rev() {
             acc = acc.checked_mul(x)?.checked_add(*c)?;
-        }
-        Some(acc)
-    }
-
-    /// Substitutes `x := a·y + b`, returning the polynomial in `y`.
-    ///
-    /// Used to restrict a polynomial to a residue class `x ≡ b (mod a)`.
-    pub fn compose_linear(&self, a: i128, b: i128) -> Option<Poly> {
-        // Horner in the polynomial ring: p(ay+b) computed by repeated
-        // multiply-by-(ay+b) and add-coefficient.
-        let lin = Poly::from_coeffs(vec![b, a]);
-        let mut acc = Poly::zero();
-        for c in self.coeffs.iter().rev() {
-            acc = acc.mul(&lin)?;
-            acc = acc.add(&Poly::constant(*c))?;
         }
         Some(acc)
     }
@@ -243,18 +219,7 @@ mod tests {
     fn normalization() {
         let p = Poly::from_coeffs(vec![1, 0, 0]);
         assert!(p.is_constant());
-        assert_eq!(p.as_constant(), Some(1));
         assert!(Poly::from_coeffs(vec![0, 0]).is_zero());
-    }
-
-    #[test]
-    fn compose_linear_residue_class() {
-        // p(x) = x^2 + x; restrict to x = 3k + 2: p(3k+2) = 9k^2 + 15k + 6
-        let p = Poly::x().mul(&Poly::x()).unwrap().add(&Poly::x()).unwrap();
-        let q = p.compose_linear(3, 2).unwrap();
-        for k in -5..5 {
-            assert_eq!(q.eval(k), p.eval(3 * k + 2));
-        }
     }
 
     #[test]

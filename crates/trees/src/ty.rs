@@ -143,18 +143,6 @@ impl TreeType {
     pub fn ctor_ids(&self) -> impl Iterator<Item = CtorId> + '_ {
         (0..self.ctors.len()).map(CtorId)
     }
-
-    /// Maximum rank over all constructors.
-    pub fn max_rank(&self) -> usize {
-        self.ctors.iter().map(Ctor::rank).max().unwrap_or(0)
-    }
-
-    /// A nullary constructor (always exists).
-    pub fn some_nullary(&self) -> CtorId {
-        self.ctor_ids()
-            .find(|&c| self.rank(c) == 0)
-            .expect("validated at construction")
-    }
 }
 
 impl fmt::Display for TreeType {
@@ -191,8 +179,6 @@ mod tests {
         assert_eq!(t.rank(node), 3);
         assert_eq!(t.ctor_name(node), "node");
         assert!(t.ctor_id("missing").is_none());
-        assert_eq!(t.max_rank(), 3);
-        assert_eq!(t.rank(t.some_nullary()), 0);
     }
 
     #[test]
