@@ -216,6 +216,38 @@ const MODES: [Mode; 5] = [
     },
 ];
 
+/// `print!` for every mode's standard output, through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for every mode's standard output, through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. A reader that stops early (`fastc … | head -1`)
+/// closes the pipe: the process then ends quietly with status 0, as
+/// though it had finished, instead of panicking. Any other write error
+/// is reported, with the usage/IO status 2.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("fastc: cannot write to stdout: {e}");
+        std::process::exit(2);
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let first = args.first().map(String::as_str);
@@ -284,7 +316,7 @@ fn parse_args(mode: &Mode, args: &[String]) -> Result<Args, ExitCode> {
     let mut words = args.iter();
     while let Some(word) = words.next() {
         if word == "--help" || word == "-h" {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             return Err(ExitCode::SUCCESS);
         }
         let find = |list: &[&'static str]| {
@@ -355,7 +387,7 @@ fn write_trace(path: &str) -> Result<(), ExitCode> {
 /// Returns `code` unless the trace cannot be written.
 fn finish_run(code: ExitCode, stats: bool, trace: Option<&str>) -> ExitCode {
     if stats {
-        println!("{}", fast_obs::snapshot().to_json().pretty());
+        outln!("{}", fast_obs::snapshot().to_json().pretty());
     }
     if let Some(out) = trace {
         if let Err(code) = write_trace(out) {
@@ -435,7 +467,7 @@ fn assertion_run(compiled: &fast_lang::Compiled, path: &str, stats: bool, quiet:
     if stats {
         for name in compiled.lang_names() {
             let sta = compiled.lang(name).unwrap();
-            println!(
+            outln!(
                 "lang  {name}: {} states, {} rules",
                 sta.state_count(),
                 sta.rule_count()
@@ -443,7 +475,7 @@ fn assertion_run(compiled: &fast_lang::Compiled, path: &str, stats: bool, quiet:
         }
         for name in compiled.transducer_names() {
             let t = compiled.transducer(name).unwrap();
-            println!(
+            outln!(
                 "trans {name}: {} states, {} rules, {} lookahead states",
                 t.state_count(),
                 t.rule_count(),
@@ -452,7 +484,7 @@ fn assertion_run(compiled: &fast_lang::Compiled, path: &str, stats: bool, quiet:
         }
         for name in compiled.tree_names() {
             let t = compiled.tree(name).unwrap();
-            println!("tree  {name}: {} nodes", t.size());
+            outln!("tree  {name}: {} nodes", t.size());
         }
     }
     let report = compiled.report();
@@ -460,14 +492,14 @@ fn assertion_run(compiled: &fast_lang::Compiled, path: &str, stats: bool, quiet:
     for a in &report.assertions {
         let status = if a.passed() { "PASS" } else { "FAIL" };
         if !quiet || !a.passed() {
-            println!(
+            outln!(
                 "{status} {path}:{} assert-{} {}",
                 a.span.start,
                 if a.expected { "true" } else { "false" },
                 a.description
             );
             if let Some(cx) = &a.counterexample {
-                println!("     counterexample: {cx}");
+                outln!("     counterexample: {cx}");
             }
         }
         if !a.passed() {
@@ -475,7 +507,7 @@ fn assertion_run(compiled: &fast_lang::Compiled, path: &str, stats: bool, quiet:
         }
     }
     if !quiet {
-        println!(
+        outln!(
             "{} assertion(s), {} failed",
             report.assertions.len(),
             failed
@@ -503,7 +535,7 @@ fn batch_run(art: &fast_rt::Artifact, path: &str, run: &BatchRun) -> ExitCode {
             );
             return ExitCode::from(2);
         };
-        print!("{}", p.report());
+        out!("{}", p.report());
         pipeline_batch(p, art.pipeline_type(&name).unwrap(), run);
         return ExitCode::SUCCESS;
     }
@@ -539,11 +571,11 @@ fn pipeline_batch(p: &fast_rt::Pipeline, ty: &fast_trees::TreeType, run: &BatchR
     let inputs = fast_trees::TreeGen::new(run.seed).trees(ty, run.trees);
     let opts = fast_rt::RunOptions::default();
     let (results, seg_stats) = p.run_batch_with(&inputs, &opts);
-    println!("ran {}", batch_summary(&results, run.seed));
+    outln!("ran {}", batch_summary(&results, run.seed));
     if !run.quiet {
         for (si, s) in seg_stats.iter().enumerate() {
             let (plan, first, last) = p.segment(si);
-            println!(
+            outln!(
                 "segment {si} (stages {first}..={last}, {} states): {} items, memo {} hits / {} \
                  misses / {} evictions",
                 plan.sttr().state_count(),
@@ -553,7 +585,7 @@ fn pipeline_batch(p: &fast_rt::Pipeline, ty: &fast_trees::TreeType, run: &BatchR
                 s.memo_evictions,
             );
         }
-        println!(
+        outln!(
             "interner: {} canonical tree nodes live (process-wide)",
             fast_trees::intern::table_len(),
         );
@@ -585,7 +617,7 @@ fn batch_summary(
 fn trans_batch(name: &str, plan: &fast_rt::Plan, ty: &fast_trees::TreeType, run: &BatchRun) {
     let inputs = fast_trees::TreeGen::new(run.seed).trees(ty, run.trees);
     let results = plan.run_batch(&inputs);
-    println!("trans {name}: {}", batch_summary(&results, run.seed));
+    outln!("trans {name}: {}", batch_summary(&results, run.seed));
     if run.print_outputs {
         for (i, r) in results.iter().enumerate() {
             match r {
@@ -598,10 +630,10 @@ fn trans_batch(name: &str, plan: &fast_rt::Plan, ty: &fast_trees::TreeType, run:
                         outs.iter().map(|t| t.display(ty).to_string()).collect();
                     shown.sort();
                     for s in shown {
-                        println!("  {name}[{i}] {s}");
+                        outln!("  {name}[{i}] {s}");
                     }
                 }
-                Err(e) => println!("  {name}[{i}] error: {e}"),
+                Err(e) => outln!("  {name}[{i}] error: {e}"),
             }
         }
     }
@@ -754,7 +786,7 @@ fn build_mode(args: Args) -> ExitCode {
         eprintln!("fastc: cannot write artifact '{out_path}': {e}");
         return ExitCode::from(2);
     }
-    println!(
+    outln!(
         "wrote {out_path}: {} types, {} transducers, {} pipelines, {} bytes",
         art.types().len(),
         art.transducer_names().count(),
@@ -806,7 +838,7 @@ fn serve_mode(args: Args) -> ExitCode {
     });
     match fast_serve::start(artifacts, addr, cfg) {
         Ok(handle) => {
-            println!(
+            outln!(
                 "fastc serve: {n_trans} transducer(s), {n_pipes} pipeline(s) on {}",
                 handle.addr()
             );
@@ -855,7 +887,7 @@ fn check_mode(args: Args) -> ExitCode {
     let warnings = all.len() - errors;
 
     if args.has("--json") {
-        println!(
+        outln!(
             "{}",
             fast_analysis::diagnostics_to_json(path, &all).pretty()
         );
@@ -1093,7 +1125,7 @@ fn profile_mode(args: Args) -> ExitCode {
     let profile = batch.profile.as_ref().expect("profiling was requested");
     let ok = results.iter().filter(|r| r.is_ok()).count();
 
-    println!(
+    outln!(
         "profile {path}: transducer '{name}' ({} states, {} rules), {} trees (seed {seed}), \
          {ok} ok / {} err",
         sttr.state_count(),
@@ -1101,27 +1133,33 @@ fn profile_mode(args: Args) -> ExitCode {
         inputs.len(),
         results.len() - ok,
     );
-    println!(
+    outln!(
         "batch: {} workers, memo {} hits / {} misses / {} evictions",
-        batch.workers, batch.memo_hits, batch.memo_misses, batch.memo_evictions
+        batch.workers,
+        batch.memo_hits,
+        batch.memo_misses,
+        batch.memo_evictions
     );
 
     let events = fast_obs::drain_events();
     let phases = fast_obs::trace::phase_tree(&events);
-    println!("\nphase times ({} spans):", events.len());
-    print!("{}", fast_obs::trace::render_tree(&phases));
-    println!("\nhot rules (top {top}):");
-    print!("{}", profile.render_hot(top));
+    outln!("\nphase times ({} spans):", events.len());
+    out!("{}", fast_obs::trace::render_tree(&phases));
+    outln!("\nhot rules (top {top}):");
+    out!("{}", profile.render_hot(top));
 
     let snap = fast_obs::snapshot();
     if let Some(exemplars) = snap.exemplars.get("rt.item") {
-        println!("\nslow items (top {} by latency):", exemplars.len());
-        println!(
+        outln!("\nslow items (top {} by latency):", exemplars.len());
+        outln!(
             "  {:>12} {:>7} {:>10} {:>8}",
-            "tree id", "state", "latency", "outputs"
+            "tree id",
+            "state",
+            "latency",
+            "outputs"
         );
         for e in exemplars {
-            println!(
+            outln!(
                 "  {:>12} {:>7} {:>10} {:>8}",
                 e.item,
                 e.state,
@@ -1137,7 +1175,7 @@ fn profile_mode(args: Args) -> ExitCode {
             eprintln!("fastc: cannot write trace '{out}': {e}");
             return ExitCode::from(2);
         }
-        println!("\ntrace: {} events -> {out}", events.len());
+        outln!("\ntrace: {} events -> {out}", events.len());
     }
     if let Some(out) = args.value("--jsonl") {
         if let Err(e) = std::fs::write(out, fast_obs::trace::jsonl(&events)) {

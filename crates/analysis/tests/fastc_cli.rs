@@ -1116,3 +1116,32 @@ fn command_line_error_contract() {
         }
     }
 }
+
+/// A reader that closes stdout early (`fastc … | head -1`) ends the run
+/// quietly: no panic message and not the panic status 101. The output
+/// (~270 KB) is far over a pipe's buffer, so `fastc` is still writing
+/// when the pipe closes.
+#[test]
+fn closed_stdout_ends_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mut child = fastc()
+        .arg(programs_dir().join("sanitizer.fast"))
+        .args(["--all-trans", "--print-outputs", "--trees", "1000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("trans "), "{first}");
+    // The reader is dropped here: the pipe's read end closes.
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("Broken pipe"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}

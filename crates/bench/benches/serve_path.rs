@@ -3,10 +3,14 @@
 //! pages, rendered sizes spread log-uniformly over 5–50 KB, each sent
 //! as one `run` request frame). Times are per pass over all 24 pages.
 //!
-//! * `decode_input` decodes each frame in place (`decode_request`) and
-//!   unescapes its `input` into one reused buffer, as the server does;
+//! * `decode_input` decodes each frame in place (`decode_request`), as
+//!   the server's connection threads do: the `input` stays an escaped
+//!   span of the frame;
 //! * `parse_hit` parses each page's tree text when the whole page is
 //!   already interned: one verified probe per page;
+//! * `parse_hit_escaped` reads the same pages from their frames'
+//!   escaped `input` spans (`Tree::parse_escaped`), as the executor
+//!   does;
 //! * `parse_miss` parses the pages with every label salted anew per
 //!   iteration, so every node and label is new to the tables (which
 //!   grow by the corpus's size each iteration). The salted texts are
@@ -71,15 +75,12 @@ fn serve_path(c: &mut Criterion) {
     g.sample_size(30)
         .throughput(Throughput::Elements(nodes as u64));
 
-    let mut input = String::new();
     g.bench_function("decode_input", |b| {
         b.iter(|| {
             for f in &frames {
                 let text = std::str::from_utf8(f).expect("frames are UTF-8");
                 let req = proto::decode_request(text).expect("frames decode");
-                input.clear();
-                fast_json::unescape_into(req.input.raw(), &mut input).expect("checked");
-                black_box(input.len());
+                black_box(req.input.raw().len());
             }
         });
     });
@@ -88,6 +89,25 @@ fn serve_path(c: &mut Criterion) {
         b.iter(|| {
             for text in &texts {
                 black_box(Tree::parse(&ty, text).expect("pages parse"));
+            }
+        });
+    });
+
+    let spans: Vec<&str> = frames
+        .iter()
+        .map(|f| {
+            let text = std::str::from_utf8(f).expect("frames are UTF-8");
+            proto::decode_request(text)
+                .expect("frames decode")
+                .input
+                .raw()
+        })
+        .collect();
+    g.bench_function("parse_hit_escaped", |b| {
+        b.iter(|| {
+            for span in &spans {
+                let t = Tree::parse_escaped(&ty, span, usize::MAX).expect("pages parse");
+                black_box(t);
             }
         });
     });

@@ -334,6 +334,14 @@ impl<'a> Escaped<'a> {
     pub fn text_len(&self) -> usize {
         self.text_len
     }
+
+    /// Appends `escaped`, text this writer (or another `Escaped`) has
+    /// already escaped, as is, counting `text_len` bytes of text: a
+    /// piece rendered and escaped once is copied on every later use.
+    pub fn push_escaped(&mut self, escaped: &str, text_len: usize) {
+        self.text_len += text_len;
+        self.out.push_str(escaped);
+    }
 }
 
 impl fmt::Write for Escaped<'_> {
@@ -430,8 +438,15 @@ fn hex4(bytes: &[u8], at: usize) -> Option<u32> {
 
 /// Decodes the escape whose `\` is at `at`: the char it stands for and
 /// the index just past it. A `\uXXXX` high surrogate must be followed
-/// by a `\uXXXX` low one; together they stand for one char.
-fn unescape_at(bytes: &[u8], at: usize) -> Result<(char, usize), JsonError> {
+/// by a `\uXXXX` low one; together they stand for one char. This is the
+/// one escape decoder: [`unescape_into`] and the parser's scan use it,
+/// and so does a reader that decodes escapes where they lie (as
+/// `fast_trees`' tree parser reads a request's escaped input).
+///
+/// # Errors
+///
+/// A malformed escape, positioned in `bytes`.
+pub fn unescape_at(bytes: &[u8], at: usize) -> Result<(char, usize), JsonError> {
     let err = |message: &str, offset: usize| JsonError {
         message: message.to_string(),
         offset,

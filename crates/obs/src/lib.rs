@@ -46,6 +46,7 @@
 //! | `intern.label_misses` | the label table allocates a new canonical label (== label table size: it never evicts) |
 //! | `intern.hash_collisions` | a new tree node's or label's 64-bit hash is already taken (both stay in the same probe run) |
 //! | `intern.contended` | a shard `try_lock` of either interner table fails and the interner falls back to blocking |
+//! | `trees.parse.unescaped` | `Tree::parse_escaped` unescapes its span and reads it again with the plain parser (an escape outside a label that is not whitespace, or an error) |
 //! | `automata.product_states` | `intersect` emits a satisfiable product rule |
 //! | `automata.det_states` | determinization creates a subset state |
 //! | `compose.reduce_iterations` | one `Reduce` step runs during §4.1 composition |
@@ -193,6 +194,7 @@ pub const DOCUMENTED_COUNTERS: &[&str] = &[
     "intern.label_misses",
     "intern.hash_collisions",
     "intern.contended",
+    "trees.parse.unescaped",
     "automata.product_states",
     "automata.det_states",
     "compose.reduce_iterations",

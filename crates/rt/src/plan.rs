@@ -8,7 +8,7 @@ use fast_automata::StateId;
 use fast_core::{Out, Sttr, TRule, TransducerError, DEFAULT_RUN_CAP};
 use fast_smt::{BoolAlg, Formula, Interned, LabelAlg, TransAlg};
 use fast_trees::{LabelArg, Tree, TreeId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -751,7 +751,10 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
         self.dispatch()?;
         self.build()?;
         let (start, end) = self.pairs[0].out;
-        let out = self.outs[start as usize..end as usize].to_vec();
+        let mut out = self.outs[start as usize..end as usize].to_vec();
+        // `Sttr::run_bounded`'s order: structural, among the distinct
+        // outputs `build` left.
+        out.sort_unstable();
         self.cx
             .memo
             .out
@@ -910,7 +913,11 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
     /// The bottom-up pass: in post-order, each pair's output set is the
     /// deduplicated union over its enabled rules, built from its
     /// callees' finished sets and bounded by the cap exactly like
-    /// `Sttr::run_bounded`. A copied pair's set is its slot's tree.
+    /// `Sttr::run_bounded`. A copied pair's set is its slot's tree. Sets
+    /// are deduplicated by node identity, in `TreeId` order: a
+    /// structural order at every pair would compare two outputs that
+    /// share all but their bottom down to it at each level above,
+    /// quadratic in the depth.
     fn build(&mut self) -> Result<(), TransducerError> {
         let plan = self.cx.plan;
         let cap = self.cx.cap;
@@ -951,8 +958,10 @@ impl<'p, 't> ItemRun<'_, 'p, 't> {
                     }
                 }
                 if out.len() > 1 {
-                    let set: BTreeSet<Tree> = out.drain(..).collect();
-                    out.extend(set);
+                    // Equal trees are one node, so identity dedups; the
+                    // root's set is put in structural order in `run`.
+                    out.sort_unstable_by_key(|t| t.id().as_u64());
+                    out.dedup();
                 }
                 let start = self.outs.len() as u32;
                 self.outs.append(&mut out);

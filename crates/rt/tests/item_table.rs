@@ -274,3 +274,99 @@ fn partial_label_functions_skip_their_children() {
         assert_eq!(got[0], Ok(vec![]), "cap {cap}: the overflow yields nothing");
     }
 }
+
+/// A chain over `U` whose state `q` offers two leaves at the bottom
+/// (`L[2]` and `L[1]`) and rebuilds each level as `U[0](q x)`, plus, when
+/// `copy` is set, as `U[x](q x)` too, which doubles the set per level.
+fn ambiguous_chain(ty: &Arc<TreeType>, alg: &Arc<LabelAlg>, copy: bool) -> Sttr {
+    let (leaf, unary) = (ty.ctor_id("L").unwrap(), ty.ctor_id("U").unwrap());
+    let mut b = SttrBuilder::new(ty.clone(), alg.clone());
+    let q = b.state("q");
+    for d in [2, 1] {
+        b.plain_rule(
+            q,
+            leaf,
+            Formula::True,
+            Out::node(leaf, label(Term::int(d)), vec![]),
+        );
+    }
+    let mut labels = vec![Term::int(0)];
+    if copy {
+        labels.push(x());
+    }
+    for l in labels {
+        b.plain_rule(
+            q,
+            unary,
+            Formula::True,
+            Out::node(unary, label(l), vec![Out::Call(q, 0)]),
+        );
+    }
+    b.build(q)
+}
+
+fn chain(ty: &TreeType, depth: i64) -> Tree {
+    let (leaf, unary) = (ty.ctor_id("L").unwrap(), ty.ctor_id("U").unwrap());
+    let mut t = Tree::leaf(leaf, Label::single(0i64));
+    for i in 1..=depth {
+        t = Tree::new(unary, Label::single(i), vec![t]);
+    }
+    t
+}
+
+/// One state offering two outputs at every level of a 10⁵-deep chain:
+/// each level's set holds two trees that differ only at the bottom.
+/// Sets are deduplicated by identity, so this runs in linear time, in a
+/// debug build too; a structural dedup at every level compared the two
+/// outputs down to the bottom each time, quadratic in the depth.
+#[test]
+fn two_outputs_per_level_stay_linear() {
+    const DEPTH: i64 = 100_000;
+    let (ty, alg) = bt();
+    let plan = Plan::compile(&ambiguous_chain(&ty, &alg, false));
+    let worker = std::thread::spawn(move || {
+        let out = plan.run(&chain(&ty, DEPTH)).expect("two outputs");
+        let bottoms: Vec<i64> = out
+            .iter()
+            .map(|o| {
+                let mut node = o;
+                while let [child] = node.children() {
+                    node = child;
+                }
+                node.label().get(0).as_int().unwrap()
+            })
+            .collect();
+        assert_eq!(bottoms, vec![1, 2], "both outputs, in structural order");
+    });
+    worker
+        .join()
+        .expect("the chain must run on a default stack");
+}
+
+/// Against `Sttr::run_bounded` at small depths, with one and with two
+/// outputs per level: the same outputs in the same order, and the same
+/// `Budget` errors at every cap.
+#[test]
+fn ambiguous_chains_match_the_oracle() {
+    let (ty, alg) = bt();
+    for copy in [false, true] {
+        let sttr = ambiguous_chain(&ty, &alg, copy);
+        let plan = Plan::compile(&sttr);
+        for depth in 0..=6 {
+            let t = chain(&ty, depth);
+            for cap in [0, 1, 2, 3, 16, 1 << 10] {
+                let opts = RunOptions {
+                    cap,
+                    workers: 1,
+                    ..RunOptions::default()
+                };
+                let (got, _) = plan.run_batch_with(std::slice::from_ref(&t), &opts);
+                assert_eq!(
+                    got[0],
+                    sttr.run_bounded(&t, cap),
+                    "copy {copy}, depth {depth}, cap {cap}"
+                );
+            }
+        }
+    }
+}

@@ -28,17 +28,20 @@
 //! The server reads a request once and writes a response once.
 //! [`decode_request`] decodes a frame in place into a [`RequestRef`],
 //! whose `input` is still the escaped span of the frame (a [`RawStr`]);
-//! the executor unescapes it into a buffer of its own.
+//! the executor reads the tree from that span where it lies
+//! ([`Tree::parse_escaped`]), with no unescaped copy of the input.
 //! [`write_outputs`] writes a `run`/`pipeline` response with each output
-//! tree rendered JSON-escaped straight into the response buffer, byte
-//! for byte what [`write_json`] of the [`ok_response`] would write.
+//! tree rendered JSON-escaped straight into the response buffer, each
+//! distinct node head escaped once per response, byte for byte what
+//! [`write_json`] of the [`ok_response`] would write.
 //! [`parse_request`] and [`write_json`] remain the owned forms, for
 //! clients and for replaying a request outside the server.
 
 use fast_json::{Escaped, Json, JsonRef, RawStr};
-use fast_trees::{Tree, TreeType};
+use fast_trees::{LabelId, Tree, TreeType};
 use std::borrow::Cow;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 /// Bytes in the frame length prefix.
 pub const LEN_PREFIX_BYTES: usize = 4;
@@ -184,9 +187,10 @@ impl Op {
 }
 
 /// A request decoded in place: what [`decode_request`] returns. The
-/// target and the input borrow from the frame text; the input is not
-/// even unescaped yet ([`fast_json::unescape_into`] does that, on
-/// demand).
+/// target and the input borrow from the frame text; the input keeps its
+/// escapes as written, checked but not decoded: [`Tree::parse_escaped`]
+/// reads the tree from it as it is, and [`RawStr::decode`] unescapes it
+/// on demand.
 #[derive(Debug, Clone)]
 pub struct RequestRef<'a> {
     /// Client correlation id, echoed verbatim (Null when absent).
@@ -294,7 +298,11 @@ pub fn error_response(id: &Json, code: i64, error: impl Into<String>) -> Json {
 /// into `out`: byte for byte what [`write_json`] writes for
 /// `ok_response(id, [op, target, count, outputs])`, with each output
 /// tree's text rendered JSON-escaped straight into `out` (no `String`
-/// per output, no second escaping pass).
+/// per output, no second escaping pass). The one tree walk,
+/// [`fast_trees::DisplayTree::write_with`], writes the commas and
+/// parens; each node's head comes from a table of the response's
+/// distinct heads, rendered and escaped the first time one occurs and
+/// copied after that.
 ///
 /// The response-size cap counts the outputs' text as printed, before
 /// escaping, as the server always has: when it exceeds `max_text`
@@ -323,11 +331,15 @@ pub fn write_outputs(
     )
     .expect("writing to a String cannot fail");
     let mut total = 0;
+    let mut heads = Heads::new();
     for (i, t) in outputs.iter().enumerate() {
         out.push_str(if i == 0 { "\"" } else { ",\"" });
         let mut w = Escaped::new(out);
         t.display(ty)
-            .write_to(&mut w)
+            .write_with(&mut w, |w, node| {
+                heads.write(w, node, ty);
+                Ok(())
+            })
             .expect("writing to a String cannot fail");
         total += w.text_len();
         if total > max_text {
@@ -337,6 +349,101 @@ pub fn write_outputs(
     }
     out.push_str("]}");
     Ok(())
+}
+
+/// The distinct node heads of one response, each rendered and
+/// JSON-escaped once: a head (constructor name, label, and `(` when the
+/// node has children) is keyed by its constructor, its [`LabelId`] and
+/// whether it opens children, and every later node with that key copies
+/// its escaped text. An open-addressed index over the keys, probed from
+/// a multiplicative hash, keeps a hit to a few compares.
+struct Heads {
+    /// `entries` position + 1, or 0 for an empty slot; a power-of-two
+    /// length at most half full.
+    index: Vec<u32>,
+    entries: Vec<Head>,
+    /// Every head's escaped text, back to back.
+    text: String,
+}
+
+/// One distinct head: its key, where its escaped text lies in
+/// [`Heads::text`], and its length unescaped, which the response-size
+/// cap counts.
+struct Head {
+    label: LabelId,
+    /// The constructor id times two, plus one when the node has children.
+    shape: usize,
+    text: Range<usize>,
+    text_len: usize,
+}
+
+impl Heads {
+    fn new() -> Heads {
+        Heads {
+            index: vec![0; 64],
+            entries: Vec::new(),
+            text: String::new(),
+        }
+    }
+
+    /// Writes `node`'s head to `w`, rendering and escaping it first if
+    /// it is the first node with its key.
+    fn write(&mut self, w: &mut Escaped<'_>, node: &Tree, ty: &TreeType) {
+        let label = node.label_id();
+        let shape = node.ctor().0 << 1 | usize::from(!node.children().is_empty());
+        let mask = self.index.len() - 1;
+        let mut i = home(label, shape, mask);
+        loop {
+            match self.index[i] {
+                0 => break,
+                k => {
+                    let h = &self.entries[k as usize - 1];
+                    if h.label == label && h.shape == shape {
+                        w.push_escaped(&self.text[h.text.clone()], h.text_len);
+                        return;
+                    }
+                }
+            }
+            i = (i + 1) & mask;
+        }
+        let start = self.text.len();
+        let mut e = Escaped::new(&mut self.text);
+        node.display(ty)
+            .write_head(&mut e)
+            .expect("writing to a String cannot fail");
+        let text_len = e.text_len();
+        w.push_escaped(&self.text[start..], text_len);
+        self.entries.push(Head {
+            label,
+            shape,
+            text: start..self.text.len(),
+            text_len,
+        });
+        self.index[i] = u32::try_from(self.entries.len()).expect("fewer than 2^32 distinct heads");
+        if self.entries.len() * 2 > self.index.len() {
+            self.grow();
+        }
+    }
+
+    /// Doubles the index and re-places every head.
+    fn grow(&mut self) {
+        let len = self.index.len() * 2;
+        self.index = vec![0; len];
+        for (k, h) in self.entries.iter().enumerate() {
+            let mut i = home(h.label, h.shape, len - 1);
+            while self.index[i] != 0 {
+                i = (i + 1) & (len - 1);
+            }
+            self.index[i] = k as u32 + 1;
+        }
+    }
+}
+
+/// A head key's first slot in an index of `mask + 1` slots.
+fn home(label: LabelId, shape: usize, mask: usize) -> usize {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let hash = (label.as_u64().wrapping_mul(K) ^ shape as u64).wrapping_mul(K);
+    (hash >> 32) as usize & mask
 }
 
 #[cfg(test)]

@@ -169,9 +169,11 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// An admitted `run`/`pipeline`/`check` request on its way to an
-/// executor. The connection thread decoded the frame in place and moved
-/// it here, not a copy of its input; the executor unescapes the input
-/// from `frame[input]` itself. The reply is the response payload.
+/// executor. The connection thread decoded the frame in place (which
+/// checked every escape of the input) and moved it here, not a copy of
+/// its input; the executor reads the tree from `frame[input]`, escapes
+/// as written ([`Tree::parse_escaped`]). The reply is the response
+/// payload.
 struct Job {
     frame: String,
     /// Where the input lies in `frame`, escapes as written.
@@ -523,8 +525,6 @@ fn phase(hist: &fast_obs::Hist, d: Duration) {
 }
 
 fn executor_loop(shared: &Arc<Shared>, rx: &Mutex<Receiver<Job>>) {
-    // The decoded input text, reused across requests.
-    let mut input = String::new();
     loop {
         // Hold the lock only for the dequeue, not the execution.
         let job = match lock_unpoisoned(rx).recv() {
@@ -539,7 +539,7 @@ fn executor_loop(shared: &Arc<Shared>, rx: &Mutex<Receiver<Job>>) {
         );
         // A response about as long as the request is the common case.
         let mut out = String::with_capacity(job.frame.len());
-        if let Err(resp) = execute(shared, &job, &mut input, &mut out) {
+        if let Err(resp) = execute(shared, &job, &mut out) {
             fast_obs::count!("serve.errors");
             out.clear();
             write!(out, "{resp}").expect("writing to a String cannot fail");
@@ -564,11 +564,11 @@ fn run_error_response(id: &Json, e: &TransducerError) -> Json {
 
 /// Executes an admitted `run`/`pipeline`/`check` request, writing the
 /// `ok` response payload into `out`, or returning the error response.
-/// `input` is the executor's reused buffer for the decoded input text.
 /// Each phase it reaches is timed into its `serve.phase.*` histogram:
-/// decode (the connection's in-place decode plus the input's
-/// unescaping), parse, eval and render.
-fn execute(shared: &Shared, job: &Job, input: &mut String, out: &mut String) -> Result<(), Json> {
+/// decode (the connection's in-place decode of the frame), parse (the
+/// tree read from the input's escaped span, and interned), eval and
+/// render.
+fn execute(shared: &Shared, job: &Job, out: &mut String) -> Result<(), Json> {
     let Some(entry) = shared.targets.get(&job.target) else {
         return Err(proto::error_response(
             &job.id,
@@ -589,19 +589,11 @@ fn execute(shared: &Shared, job: &Job, input: &mut String, out: &mut String) -> 
         ));
     };
 
-    let t = Instant::now();
-    input.clear();
-    if let Err(e) = fast_json::unescape_into(&job.frame[job.input.clone()], input) {
-        let msg = format!("bad JSON: {e}");
-        return Err(proto::error_response(&job.id, proto::CODE_BAD_REQUEST, msg));
-    }
-    phase(
-        fast_obs::histogram("serve.phase.decode"),
-        job.decode + t.elapsed(),
-    );
+    phase(fast_obs::histogram("serve.phase.decode"), job.decode);
 
     let t = Instant::now();
-    let tree = Tree::parse_bounded(ty, input, shared.cfg.max_input_depth);
+    let input = &job.frame[job.input.clone()];
+    let tree = Tree::parse_escaped(ty, input, shared.cfg.max_input_depth);
     phase(fast_obs::histogram("serve.phase.parse"), t.elapsed());
     let tree = match tree {
         Ok(t) => t,

@@ -106,7 +106,7 @@
 //! evict, these gauges only rise — the point of exposing them is to see
 //! *how fast*, which bounded-memory evaluation work needs.
 
-use crate::tree::{CanonLabel, InternedLabel, LabelId, Node, Tree, TreeId};
+use crate::tree::{CanonLabel, InternedLabel, LabelId, Node, Shape, Tree, TreeId};
 use crate::ty::CtorId;
 use fast_smt::{Label, Value};
 use std::borrow::Cow;
@@ -418,14 +418,19 @@ fn arc_bytes<T>() -> usize {
 }
 
 /// Estimated heap bytes a newly interned node's own allocations pin for
-/// the life of the process: the `Arc` allocation and the child-handle
-/// vector. Its label is counted once, by [`label_bytes`]; its inline
+/// the life of the process: the `Arc` allocation, which holds up to three
+/// child handles inline, and the boxed child slice of a node with more.
+/// Its label is counted once, by [`label_bytes`]; its inline
 /// entry is part of the shard's slot array, which [`Shard::grow`]
 /// accounts for whole. An estimate — allocator slack is not modelled —
 /// but a stable one, so the `intern.resident_bytes` gauge is comparable
 /// across runs.
 fn node_bytes(node: &Node) -> u64 {
-    (arc_bytes::<Node>() + node.children.len() * std::mem::size_of::<Tree>()) as u64
+    let boxed = match &node.shape {
+        Shape::Many(_, kids) => std::mem::size_of_val(&**kids),
+        _ => 0,
+    };
+    (arc_bytes::<Node>() + boxed) as u64
 }
 
 /// Estimated heap bytes a newly interned label pins: the `Arc`
@@ -487,9 +492,9 @@ pub(crate) fn intern(
 ) -> Tree {
     let table = nodes();
     let mut shard = table.lock(shard_of(hash));
-    let found = shard
-        .under(hash)
-        .find(|n| n.ctor == ctor && n.label.ptr_eq(label) && n.children[..] == children[..]);
+    let found = shard.under(hash).find(|n| {
+        n.shape.ctor() == ctor && n.label.ptr_eq(label) && n.shape.children() == &children[..]
+    });
     if let Some(n) = found {
         fast_obs::count!("intern.hits");
         return Tree::from_parts(Arc::clone(n));
@@ -498,9 +503,8 @@ pub(crate) fn intern(
     let node = Arc::new(Node {
         hash,
         id: TreeId(table.next_id()),
-        ctor,
         label: label.clone(),
-        children: children.into_owned(),
+        shape: Shape::new(ctor, children),
     });
     shard_gauge(shard_of(hash)).add(1);
     bytes_gauge().add(node_bytes(&node));
@@ -611,9 +615,9 @@ mod tests {
         // Sibling tests intern concurrently, so totals are ≥, not ==.
         assert!(table_len() >= before_nodes + 2);
         assert!(label_table_len() > before_labels);
-        let node = |kids: usize| (arc_bytes::<Node>() + kids * std::mem::size_of::<Tree>()) as u64;
+        let node = arc_bytes::<Node>() as u64;
         let label = (arc_bytes::<CanonLabel>() + std::mem::size_of::<Value>()) as u64;
-        assert!(resident_bytes() >= before_bytes + node(0) + node(2) + label);
+        assert!(resident_bytes() >= before_bytes + 2 * node + label);
         assert_eq!(label_bytes(a.label()), label);
         // When no concurrent interning lands mid-check (two identical
         // per-shard readings bracket the snapshot), the gauges must
@@ -632,11 +636,13 @@ mod tests {
         }
     }
 
-    /// The handle is one pointer and a slot entry two words; a change
-    /// that widens either again fails here.
+    /// The handle is one pointer, a slot entry two words, and a node of
+    /// rank at most three one 56-byte allocation (its children inline);
+    /// a change that widens any of them again fails here.
     #[test]
     fn handle_and_slot_stay_compact() {
         assert_eq!(std::mem::size_of::<Tree>(), std::mem::size_of::<usize>());
+        assert_eq!(std::mem::size_of::<Node>(), 56);
         assert_eq!(std::mem::size_of::<Option<Entry<Node>>>(), 16);
         assert_eq!(std::mem::size_of::<Option<Entry<CanonLabel>>>(), 16);
     }

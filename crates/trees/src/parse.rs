@@ -35,6 +35,14 @@
 //!    input. A missing node then takes the node table's lock only.
 //!    Parsing a document that is already interned therefore costs one
 //!    probe, not one per node.
+//!
+//! The read has a second mode, for a document that arrives as the
+//! content of a JSON string literal ([`Tree::parse_escaped`]): it reads
+//! the escaped text where it lies, decoding the escapes of a label's
+//! literal into the same buffer and taking an escaped `"` as a
+//! delimiter, so `fast-serve` reads a request's tree straight from its
+//! frame. What that mode does not read in place it hands to the plain
+//! read of the unescaped text (see [`parse_escaped`]).
 
 use crate::intern::{self, LabelHasher, ValueRef};
 use crate::tree::{InternedLabel, Tree};
@@ -162,6 +170,9 @@ struct Parser<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Whether `src` is the content of a JSON string literal, escapes
+    /// as written (see [`parse_escaped`]).
+    escaped: bool,
     /// Per constructor, in id order: its name and its rank.
     ctors: Vec<(&'a [u8], usize)>,
     /// The label signature's arity.
@@ -183,6 +194,49 @@ struct Parser<'a> {
 /// [`ParseError::TooDeep`] at the first `(` nested deeper than
 /// `max_depth`.
 pub(crate) fn parse(ty: &TreeType, input: &str, max_depth: usize) -> Result<Tree, ParseError> {
+    parse_text(ty, input, max_depth, false)
+}
+
+/// [`parse`] of the text whose JSON string literal has the content
+/// `input`, escapes as written, read where it lies: what `parse` returns
+/// for `input` unescaped.
+///
+/// The read decodes JSON escapes only where the text can hold them
+/// cheaply. An escape that stands for `"` delimits a string literal
+/// like a raw `"`; inside a string or char literal every escape is
+/// decoded into the parser's buffer of decoded strings; outside a
+/// literal an escape that stands for whitespace is whitespace. Any other
+/// escape outside a literal (a `\u0028` for `(`, say) makes the read
+/// fail, and so does malformed text: the span is then unescaped into a
+/// string and read by `parse`, so the tree or the error, positioned in
+/// the unescaped text, is `parse`'s own. Each such second read counts
+/// one `trees.parse.unescaped`. The depth limit is the same in both
+/// reads, so [`ParseError::TooDeep`] is returned without one.
+pub(crate) fn parse_escaped(
+    ty: &TreeType,
+    input: &str,
+    max_depth: usize,
+) -> Result<Tree, ParseError> {
+    match parse_text(ty, input, max_depth, true) {
+        Err(ParseError::Syntax(_)) => {
+            fast_obs::count!("trees.parse.unescaped");
+            let mut text = String::with_capacity(input.len());
+            fast_json::unescape_into(input, &mut text)
+                .map_err(|e| syntax(format!("malformed JSON escape: {e}")))?;
+            parse(ty, &text, max_depth)
+        }
+        read => read,
+    }
+}
+
+/// Reads and resolves `input`, escaped as a JSON string literal's
+/// content when `escaped` is set.
+fn parse_text(
+    ty: &TreeType,
+    input: &str,
+    max_depth: usize,
+    escaped: bool,
+) -> Result<Tree, ParseError> {
     // HTML pages print about ten bytes of text per node.
     let nodes = input.len() / 8 + 1;
     let mut p = Parser {
@@ -190,6 +244,7 @@ pub(crate) fn parse(ty: &TreeType, input: &str, max_depth: usize) -> Result<Tree
         src: input,
         bytes: input.as_bytes(),
         pos: 0,
+        escaped,
         ctors: ty
             .ctors()
             .iter()
@@ -226,7 +281,20 @@ impl<'a> Parser<'a> {
         Some(c)
     }
 
-    /// Skips Unicode whitespace (`char::is_whitespace`), ASCII first.
+    /// The next char of a literal, a JSON escape of escaped text
+    /// decoded first: `None` at the end of the text or at a malformed
+    /// escape.
+    fn lit_char(&mut self) -> Option<char> {
+        if self.escaped && self.peek() == Some(b'\\') {
+            let (c, next) = fast_json::unescape_at(self.bytes, self.pos).ok()?;
+            self.pos = next;
+            return Some(c);
+        }
+        self.bump_char()
+    }
+
+    /// Skips Unicode whitespace (`char::is_whitespace`), ASCII first,
+    /// and escapes that stand for it.
     #[inline]
     fn skip_ws(&mut self) {
         while let Some(b) = self.peek() {
@@ -234,6 +302,11 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             } else if b >= 0x80 && self.peek_char().is_some_and(char::is_whitespace) {
                 self.bump_char();
+            } else if b == b'\\' && self.escaped {
+                match fast_json::unescape_at(self.bytes, self.pos) {
+                    Ok((c, next)) if c.is_whitespace() => self.pos = next,
+                    _ => break,
+                }
             } else {
                 break;
             }
@@ -464,9 +537,19 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 return self.string(hasher);
             }
+            Some(b'\\') if self.escaped => {
+                self.pos = match self.bytes.get(self.pos + 1) {
+                    Some(b'"') => self.pos + 2,
+                    _ => match fast_json::unescape_at(self.bytes, self.pos) {
+                        Ok(('"', next)) => next,
+                        _ => return Err(syntax("an escape outside a literal")),
+                    },
+                };
+                return self.string(hasher);
+            }
             Some(b'\'') => {
                 self.pos += 1;
-                let c = match self.bump_char() {
+                let c = match self.lit_char() {
                     Some('\\') => self.escape("char")?,
                     Some(c) => c,
                     None => return Err(syntax("unterminated char")),
@@ -501,7 +584,9 @@ impl<'a> Parser<'a> {
 
     /// The rest of a string literal after its opening quote, fed to
     /// `hasher`: a span of the input, or of `buf` once an escape forced
-    /// a copy.
+    /// a copy. In escaped text a `\` starts a JSON escape, which closes
+    /// the literal if it stands for `"`, starts the tree syntax's escape
+    /// if it stands for `\`, and is the char it stands for otherwise.
     fn string(&mut self, hasher: &mut LabelHasher) -> Result<Lit, ParseError> {
         let mut copied: Option<usize> = None;
         let mut run = self.pos;
@@ -513,8 +598,18 @@ impl<'a> Parser<'a> {
             };
             self.pos += i;
             let end = self.pos;
-            self.pos += 1;
-            if rest[i] == b'"' {
+            // What the `"` or `\` at `end` stands for, and where the
+            // text after it starts.
+            let (c, next) = match rest[i] {
+                b'\\' if self.escaped => match rest.get(i + 1) {
+                    Some(b'"') => ('"', end + 2),
+                    _ => fast_json::unescape_at(self.bytes, end)
+                        .map_err(|e| syntax(format!("malformed JSON escape: {e}")))?,
+                },
+                b => (char::from(b), end + 1),
+            };
+            self.pos = next;
+            if c == '"' {
                 let text = &self.src[run..end];
                 return Ok(match copied {
                     None => {
@@ -530,7 +625,7 @@ impl<'a> Parser<'a> {
             }
             copied.get_or_insert(self.buf.len());
             self.buf.push_str(&self.src[run..end]);
-            let c = self.escape("string")?;
+            let c = if c == '\\' { self.escape("string")? } else { c };
             self.buf.push(c);
             run = self.pos;
         }
@@ -540,7 +635,7 @@ impl<'a> Parser<'a> {
     /// `\0 \t \r \n \' \" \\ \u{…}` — with any other escaped char
     /// standing for itself.
     fn escape(&mut self, what: &str) -> Result<char, ParseError> {
-        match self.bump_char() {
+        match self.lit_char() {
             None => Err(syntax(format!("unterminated {what}"))),
             Some('0') => Ok('\0'),
             Some('t') => Ok('\t'),
@@ -549,21 +644,22 @@ impl<'a> Parser<'a> {
             Some('u') => {
                 let at = self.pos;
                 let bad = || syntax(format!("malformed \\u{{…}} escape at position {at}"));
-                if self.peek() != Some(b'{') {
+                if self.lit_char() != Some('{') {
                     return Err(bad());
                 }
-                let digits = &self.src[at + 1..];
-                let len = digits.find('}').ok_or_else(bad)?;
-                if !(1..=6).contains(&len) || !digits[..len].bytes().all(|b| b.is_ascii_hexdigit())
-                {
-                    return Err(bad());
+                // One to six hex digits, then `}`.
+                let (mut code, mut digits) = (0, 0);
+                loop {
+                    match self.lit_char().ok_or_else(bad)? {
+                        '}' if digits > 0 => break,
+                        d if digits < 6 && d.is_ascii_hexdigit() => {
+                            code = code << 4 | d.to_digit(16).expect("a hex digit");
+                            digits += 1;
+                        }
+                        _ => return Err(bad()),
+                    }
                 }
-                let c = u32::from_str_radix(&digits[..len], 16)
-                    .ok()
-                    .and_then(char::from_u32)
-                    .ok_or_else(bad)?;
-                self.pos = at + len + 2;
-                Ok(c)
+                char::from_u32(code).ok_or_else(bad)
             }
             Some(c) => Ok(c),
         }
@@ -603,16 +699,17 @@ impl<'a> Parser<'a> {
                 }
                 Task::Build(i) => {
                     let s = &self.nodes[i];
-                    let rank = self.ctors[s.ctor as usize].1;
-                    let children = done.split_off(done.len() - rank);
+                    let first = done.len() - self.ctors[s.ctor as usize].1;
                     let label = self.canonical_label(s.label as usize);
                     let s = &self.nodes[i];
-                    done.push(intern::intern(
+                    let node = intern::intern(
                         s.hash,
                         CtorId(s.ctor as usize),
                         &label,
-                        Cow::Owned(children),
-                    ));
+                        Cow::Borrowed(&done[first..]),
+                    );
+                    done.truncate(first);
+                    done.push(node);
                 }
             }
         }

@@ -172,9 +172,69 @@ pub struct Tree {
 pub(crate) struct Node {
     pub(crate) hash: u64,
     pub(crate) id: TreeId,
-    pub(crate) ctor: CtorId,
     pub(crate) label: InternedLabel,
-    pub(crate) children: Vec<Tree>,
+    pub(crate) shape: Shape,
+}
+
+/// A node's constructor and children, in one value: up to three
+/// children inline (every HTML constructor's rank), more in one boxed
+/// slice. The constructor shares the word the variant tag takes anyway,
+/// so a node of rank at most three is one allocation of 56 bytes, with
+/// no child block of its own.
+pub(crate) enum Shape {
+    Zero(u32),
+    One(u32, [Tree; 1]),
+    Two(u32, [Tree; 2]),
+    Three(u32, [Tree; 3]),
+    Many(u32, Box<[Tree]>),
+}
+
+impl Shape {
+    /// The shape of a node with these parts: owned children are moved
+    /// in (above rank three their vector becomes the boxed slice),
+    /// borrowed ones cloned.
+    pub(crate) fn new(ctor: CtorId, children: Cow<'_, [Tree]>) -> Shape {
+        fn inline<const N: usize>(kids: Vec<Tree>) -> [Tree; N] {
+            kids.try_into()
+                .unwrap_or_else(|_| unreachable!("the length was matched"))
+        }
+        let c = u32::try_from(ctor.0).expect("a constructor id fits in 32 bits");
+        match children {
+            Cow::Owned(kids) => match kids.len() {
+                0 => Shape::Zero(c),
+                1 => Shape::One(c, inline(kids)),
+                2 => Shape::Two(c, inline(kids)),
+                3 => Shape::Three(c, inline(kids)),
+                _ => Shape::Many(c, kids.into_boxed_slice()),
+            },
+            Cow::Borrowed(kids) => match kids {
+                [] => Shape::Zero(c),
+                [a] => Shape::One(c, [a.clone()]),
+                [a, b] => Shape::Two(c, [a.clone(), b.clone()]),
+                [a, b, d] => Shape::Three(c, [a.clone(), b.clone(), d.clone()]),
+                _ => Shape::Many(c, kids.into()),
+            },
+        }
+    }
+
+    pub(crate) fn ctor(&self) -> CtorId {
+        let (Shape::Zero(c)
+        | Shape::One(c, _)
+        | Shape::Two(c, _)
+        | Shape::Three(c, _)
+        | Shape::Many(c, _)) = self;
+        CtorId(*c as usize)
+    }
+
+    pub(crate) fn children(&self) -> &[Tree] {
+        match self {
+            Shape::Zero(_) => &[],
+            Shape::One(_, k) => k,
+            Shape::Two(_, k) => k,
+            Shape::Three(_, k) => k,
+            Shape::Many(_, k) => k,
+        }
+    }
 }
 
 impl Tree {
@@ -215,7 +275,7 @@ impl Tree {
 
     /// The constructor at the root.
     pub fn ctor(&self) -> CtorId {
-        self.node.ctor
+        self.node.shape.ctor()
     }
 
     /// The label at the root.
@@ -237,7 +297,7 @@ impl Tree {
 
     /// Child subtrees.
     pub fn children(&self) -> &[Tree] {
-        &self.node.children
+        self.node.shape.children()
     }
 
     /// The `i`-th child.
@@ -246,7 +306,7 @@ impl Tree {
     ///
     /// Panics if `i` is out of bounds.
     pub fn child(&self, i: usize) -> &Tree {
-        &self.node.children[i]
+        &self.children()[i]
     }
 
     /// Total number of nodes. Like [`Tree::depth`] and
@@ -330,6 +390,24 @@ impl Tree {
     pub fn parse_bounded(ty: &TreeType, input: &str, max_depth: usize) -> Result<Tree, ParseError> {
         crate::parse::parse(ty, input, max_depth)
     }
+
+    /// [`Tree::parse_bounded`] of the text held by a JSON string literal
+    /// whose content, escapes as written, is `input` (what
+    /// [`fast_json::RawStr::raw`] returns): the same tree or the same
+    /// error as for `input` unescaped, read where it lies. String and
+    /// char labels decode their escapes as they are read, and escapes
+    /// standing for whitespace between tokens are whitespace; any other
+    /// escape outside a label, or an error, has the span unescaped and
+    /// read again (counted in `trees.parse.unescaped`), so error
+    /// positions are byte offsets in the unescaped text.
+    ///
+    /// # Errors
+    ///
+    /// What [`Tree::parse_bounded`] returns for the unescaped text, and
+    /// [`ParseError::Syntax`] for a malformed JSON escape.
+    pub fn parse_escaped(ty: &TreeType, input: &str, max_depth: usize) -> Result<Tree, ParseError> {
+        crate::parse::parse_escaped(ty, input, max_depth)
+    }
 }
 
 /// Pointer equality: the node table owns every canonical node, so two
@@ -412,7 +490,7 @@ impl fmt::Display for Tree {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Constructor names are not known without a type; print the id.
         let mut out = String::new();
-        write_tree(&mut out, self, None)?;
+        write_tree(&mut out, self, |out, t| write_head(out, t, None))?;
         f.write_str(&out)
     }
 }
@@ -426,11 +504,32 @@ pub struct DisplayTree<'a> {
 impl DisplayTree<'_> {
     /// Writes the text `Display` prints, generic over the writer like
     /// [`Label::write_to`]: rendering into a `String`, or through a
-    /// writer that escapes it on the way (as `fast-serve` renders
-    /// outputs into its JSON responses), costs no dynamic dispatch per
+    /// writer that escapes it on the way, costs no dynamic dispatch per
     /// piece and no intermediate `String`.
     pub fn write_to(&self, w: &mut impl fmt::Write) -> fmt::Result {
-        write_tree(w, self.tree, Some(self.ty))
+        self.write_with(w, |w, t| t.display(self.ty).write_head(w))
+    }
+
+    /// Writes the text [`DisplayTree::write_to`] writes, each node's
+    /// head — its constructor name, its label, and the `(` that opens
+    /// its children when it has any — written by `head` instead, which
+    /// is handed the writer and the node; the commas and closing
+    /// parens are written here. A head hook that writes what
+    /// [`DisplayTree::write_head`] writes for the node leaves the text
+    /// unchanged: `fast-serve` hands in one that copies each distinct
+    /// head's text, rendered and escaped once per response.
+    pub fn write_with<W: fmt::Write>(
+        &self,
+        w: &mut W,
+        head: impl FnMut(&mut W, &Tree) -> fmt::Result,
+    ) -> fmt::Result {
+        write_tree(w, self.tree, head)
+    }
+
+    /// Writes the root's head alone: its constructor name, its label,
+    /// and `(` when it has children.
+    pub fn write_head(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        write_head(w, self.tree, Some(self.ty))
     }
 }
 
@@ -444,23 +543,32 @@ impl fmt::Display for DisplayTree<'_> {
     }
 }
 
-/// Writes `t` in the syntax [`Tree::parse`] reads, constructor names
-/// from `ty` (or `c<index>` without a type). Iterative, so any depth
-/// prints on any stack.
-fn write_tree<W: fmt::Write>(out: &mut W, t: &Tree, ty: Option<&TreeType>) -> fmt::Result {
-    let head = |out: &mut W, t: &Tree| -> fmt::Result {
-        match ty {
-            Some(ty) => out.write_str(ty.ctor_name(t.ctor()))?,
-            None => write!(out, "c{}", t.ctor().0)?,
-        }
-        if t.label().arity() > 0 {
-            t.label().write_to(out)?;
-        }
-        if !t.children().is_empty() {
-            out.write_str("(")?;
-        }
-        Ok(())
-    };
+/// Writes `t`'s head: its constructor name from `ty` (or `c<index>`
+/// without a type), its label unless it is the unit label, and `(` when
+/// it has children.
+fn write_head<W: fmt::Write>(out: &mut W, t: &Tree, ty: Option<&TreeType>) -> fmt::Result {
+    match ty {
+        Some(ty) => out.write_str(ty.ctor_name(t.ctor()))?,
+        None => write!(out, "c{}", t.ctor().0)?,
+    }
+    if t.label().arity() > 0 {
+        t.label().write_to(out)?;
+    }
+    if !t.children().is_empty() {
+        out.write_str("(")?;
+    }
+    Ok(())
+}
+
+/// Writes `t` in the syntax [`Tree::parse`] reads, each node's head
+/// through `head` (see [`DisplayTree::write_with`]) — the one walk
+/// that turns a tree into text. Iterative, so any depth prints on any
+/// stack.
+fn write_tree<W: fmt::Write>(
+    out: &mut W,
+    t: &Tree,
+    mut head: impl FnMut(&mut W, &Tree) -> fmt::Result,
+) -> fmt::Result {
     head(out, t)?;
     // Open nodes and the index of the next child to print.
     let mut open: Vec<(&Tree, usize)> = Vec::new();
@@ -504,6 +612,7 @@ impl<'a> Iterator for Iter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fast_json::Json;
     use fast_smt::{LabelSig, Sort, Value};
 
     fn bt() -> Arc<TreeType> {
@@ -674,6 +783,57 @@ mod tests {
         let ty = TreeType::new("Ü", LabelSig::unit(), vec![("λ_0", 0), ("ß", 1)]);
         let t = Tree::parse(&ty, "\u{3000}ß\u{a0}(\u{2003}λ_0\u{2028})\u{85}").unwrap();
         assert_eq!(t.display(&ty).to_string(), "ß(λ_0)");
+    }
+
+    /// The escaped read gives `parse`'s tree for the unescaped text. It
+    /// reads in place escapes inside literals, escaped quotes around
+    /// them and escaped whitespace, and hands anything else to the plain
+    /// read, counting it. No other test here reads escaped text, so the
+    /// counter moves only for these calls.
+    #[test]
+    fn escaped_read_matches_the_unescaped_parse() {
+        let ty = TreeType::new(
+            "SC",
+            LabelSig::new(vec![("s".into(), Sort::Str), ("c".into(), Sort::Char)]),
+            vec![("leaf", 0), ("pair", 2)],
+        );
+        let fallbacks = || fast_obs::snapshot().get("trees.parse.unescaped");
+        let text = r#"pair["a\"b\\c\u{1F600}é", '"'](leaf["(", '\n'], leaf["x/y", '\''])"#;
+        let want = Tree::parse(&ty, text).unwrap();
+        let canonical = Json::Str(text.into()).to_string();
+        let before = fallbacks();
+        for raw in [
+            &canonical[1..canonical.len() - 1],
+            r#"pair[\u0022a\\\"b\\\\c\\u{1F600}\u00e9\", '\"']\n(leaf[\"(\", '\\n'],\u0020leaf[\"x\/y\", '\\'']\t)"#,
+            r#"pair [\"a\\\"b\\\\c\ud83d\ude00\u00e9\" , '\u0022'](leaf[\"(\",'\\n'],leaf[\"x/y\",'\\''])"#,
+        ] {
+            assert_eq!(Tree::parse_escaped(&ty, raw, 8).unwrap(), want, "{raw}");
+        }
+        assert_eq!(fallbacks(), before, "read in place");
+        // An escaped constructor letter or bracket, and malformed text,
+        // are read (or rejected) by the plain parser.
+        let plain = |raw: &str| {
+            let mut text = String::new();
+            fast_json::unescape_into(raw, &mut text).unwrap();
+            Tree::parse_bounded(&ty, &text, 8)
+        };
+        let fallback = [
+            r#"\u0070air[\"a\", 'b'](leaf[\"\", 'c'], leaf[\"\", 'd'])"#,
+            r#"pair[\"a\", 'b']\u0028leaf[\"\", 'c'], leaf[\"\", 'd'])"#,
+            r#"pair[\"a\", 'b'](leaf[\"\", 'c'])"#,
+            r#"leaf[\"a\", 'b'] x"#,
+        ];
+        for raw in fallback {
+            assert_eq!(Tree::parse_escaped(&ty, raw, 8), plain(raw), "{raw}");
+        }
+        assert_eq!(fallbacks(), before + fallback.len() as u64);
+        // The depth limit needs no second read.
+        let deep = r#"pair[\"\", 'a'](leaf[\"\", 'b'], leaf[\"\", 'c'])"#;
+        assert_eq!(
+            Tree::parse_escaped(&ty, deep, 0),
+            Err(ParseError::TooDeep { limit: 0 })
+        );
+        assert_eq!(fallbacks(), before + fallback.len() as u64);
     }
 
     #[test]

@@ -119,6 +119,37 @@ fn text_tree() -> impl Strategy<Value = Tree> {
         })
 }
 
+/// `text` as a JSON string literal's content, each char that is not a
+/// letter, a digit or the tree syntax's punctuation other than `"`
+/// spelled in a way JSON allows, chosen by `pick`: raw where allowed,
+/// its short escape, or `\uXXXX` (a surrogate pair above the BMP).
+fn respelled(text: &str, pick: &[u8]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for (i, c) in text.chars().enumerate() {
+        let choice = pick.get(i % pick.len().max(1)).copied().unwrap_or(0) % 3;
+        let short = match c {
+            '"' => Some("\\\""),
+            '\\' => Some("\\\\"),
+            '/' => Some("\\/"),
+            '\n' => Some("\\n"),
+            '\t' => Some("\\t"),
+            _ => None,
+        };
+        let raw_ok = c >= ' ' && c != '"' && c != '\\';
+        if c.is_ascii_alphanumeric() || "[](),'-_".contains(c) || (raw_ok && choice == 0) {
+            out.push(c);
+        } else if let (Some(esc), 1) = (short, choice) {
+            out.push_str(esc);
+        } else {
+            for u in c.encode_utf16(&mut [0; 2]) {
+                write!(out, "\\u{u:04x}").unwrap();
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -134,6 +165,24 @@ proptest! {
     }
 
     /// Labels print byte for byte as `{:?}` prints their values.
+    /// The escaped read of a tree's text, its escapes spelled every way
+    /// JSON allows everywhere but in names, numbers and punctuation,
+    /// gives the tree without falling back to the plain read (no other
+    /// test in this binary reads escaped text, so the counter moves
+    /// only here).
+    #[test]
+    fn escaped_reads_stay_in_place(
+        t in text_tree(),
+        pick in proptest::collection::vec(any::<u8>(), 1..32),
+    ) {
+        let ty = text_type();
+        let fallbacks = || fast_obs::snapshot().get("trees.parse.unescaped");
+        let before = fallbacks();
+        let literal = respelled(&t.display(&ty).to_string(), &pick);
+        prop_assert_eq!(Tree::parse_escaped(&ty, &literal, usize::MAX), Ok(t), "{}", literal);
+        prop_assert_eq!(fallbacks(), before, "{}", literal);
+    }
+
     #[test]
     fn labels_print_as_debug(s in any_string(), c in any_char()) {
         let ty = text_type();
