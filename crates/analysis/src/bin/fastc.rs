@@ -874,7 +874,7 @@ fn check_mode(args: Args) -> ExitCode {
         Err(d) => sink.push(d),
         Ok(program) => {
             if let Some(compiled) = fast_lang::compile_ast(&program, &mut sink) {
-                diags = fast_obs::time("analysis.total", || {
+                diags = fast_obs::time!("analysis.total", || {
                     fast_analysis::analyze(&program, &compiled)
                 });
                 compiled_opt = Some(compiled);
@@ -943,7 +943,7 @@ fn pipeline_check(
     } = resolve_stages(compiled, path, list)?;
 
     eprintln!("pipeline check: {}", names.join(" ; "));
-    fast_obs::time("analysis.check.fa007", || {
+    fast_obs::time!("analysis.check.fa007", || {
         for (i, (n, s)) in names.iter().zip(&stages).enumerate() {
             let v = s.single_valuedness(fast_core::SvBudget::default());
             eprintln!("  stage {} '{}': {}", i + 1, n, v.display(ty));
@@ -998,7 +998,7 @@ fn pipeline_check(
     let l2 = lang(&out_name)?;
     let l1 = in_name.as_deref().map(lang).transpose()?;
 
-    let outcome = fast_obs::time("analysis.check.fa101", || {
+    let outcome = fast_obs::time!("analysis.check.fa101", || {
         fast_analysis::check_pipeline(&stages, l1, l2)
     });
     let contract = format!(

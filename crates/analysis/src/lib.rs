@@ -108,7 +108,7 @@ pub fn analyze(program: &Program, compiled: &Compiled) -> Vec<Diagnostic> {
             _ => {}
         }
     }
-    fast_obs::time("analysis.check.fa100", || a.check_contracts());
+    fast_obs::time!("analysis.check.fa100", || a.check_contracts());
     a.diags.sort_by_key(|d| {
         (
             d.span.start.line,
@@ -211,7 +211,7 @@ impl Analyzer<'_> {
             return; // AST/compiled mismatch: another decl failed, stay silent.
         }
         let alg = sta.alg().clone();
-        fast_obs::time("analysis.check.fa001", || {
+        fast_obs::time!("analysis.check.fa001", || {
             for (ast, rule) in l.rules.iter().zip(rules) {
                 count!("analysis.rules_checked");
                 self.dead_rule_check(&alg, sta, ast, &rule.guard, &rule.lookahead, |s| {
@@ -219,7 +219,7 @@ impl Analyzer<'_> {
                 });
             }
         });
-        fast_obs::time("analysis.check.fa004", || {
+        fast_obs::time!("analysis.check.fa004", || {
             count!("analysis.solver_calls");
             if is_empty(sta).unwrap_or(false) {
                 self.diags.push(
@@ -232,7 +232,7 @@ impl Analyzer<'_> {
                 );
             }
         });
-        fast_obs::time("analysis.check.fa005", || {
+        fast_obs::time!("analysis.check.fa005", || {
             for r in &l.rules {
                 self.vacuous_lookahead_check(r);
             }
@@ -249,7 +249,7 @@ impl Analyzer<'_> {
         }
         let alg = sttr.alg().clone();
         let la = sttr.lookahead_sta();
-        fast_obs::time("analysis.check.fa001", || {
+        fast_obs::time!("analysis.check.fa001", || {
             for (ast, rule) in t.rules.iter().zip(rules) {
                 count!("analysis.rules_checked");
                 self.dead_rule_check(&alg, la, &ast.lhs, &rule.guard, &rule.lookahead, |s| {
@@ -257,21 +257,21 @@ impl Analyzer<'_> {
                 });
             }
         });
-        fast_obs::time("analysis.check.fa002", || {
+        fast_obs::time!("analysis.check.fa002", || {
             self.overlap_check(t, sttr, &alg);
         });
-        fast_obs::time("analysis.check.fa003", || {
+        fast_obs::time!("analysis.check.fa003", || {
             self.exhaustiveness_check(t, sttr, &alg);
         });
-        fast_obs::time("analysis.check.fa004", || {
+        fast_obs::time!("analysis.check.fa004", || {
             self.domain_and_reachability_check(t, sttr);
         });
-        fast_obs::time("analysis.check.fa005", || {
+        fast_obs::time!("analysis.check.fa005", || {
             for r in &t.rules {
                 self.vacuous_lookahead_check(&r.lhs);
             }
         });
-        fast_obs::time("analysis.check.fa007", || {
+        fast_obs::time!("analysis.check.fa007", || {
             self.single_valuedness_check(t, sttr);
         });
     }
@@ -547,7 +547,7 @@ impl Analyzer<'_> {
     /// not registered in `Compiled`), but nested expressions are still
     /// walked, so every named pair gets a verdict.
     fn check_deftrans(&mut self, d: &DefTransDecl) {
-        fast_obs::time("analysis.check.fa006", || self.boundary_check(&d.body));
+        fast_obs::time!("analysis.check.fa006", || self.boundary_check(&d.body));
         let mut stages = Vec::new();
         if flatten_chain(&d.body, &mut stages) && stages.len() >= 2 {
             self.chains.insert(d.name.clone(), stages);
@@ -674,7 +674,7 @@ impl Analyzer<'_> {
             });
             count!("analysis.solver_calls");
             match chain {
-                Some((names, stages)) => fast_obs::time("analysis.check.fa101", || {
+                Some((names, stages)) => fast_obs::time!("analysis.check.fa101", || {
                     let outcome = check_pipeline(&stages, l1, l2);
                     self.report_contract(c, "FA101", &names, outcome, out_name, ty);
                 }),

@@ -64,8 +64,7 @@ fn main() {
 
     // Source path: what a process restart costs without an artifact.
     // Best-of-N keeps the measurement stable on noisy CI runners; each
-    // iteration redoes the full compile + fuse (fresh `Arc`s, so the
-    // fuse cache cannot answer for the pipeline).
+    // iteration redoes the full compile + fuse.
     let mut source_compile_ns = u64::MAX;
     let mut source = None;
     for _ in 0..3 {

@@ -3,7 +3,7 @@
 //!
 //! 1. `sequential` — the reference interpreter, one `Sttr::run` per item;
 //! 2. `plan` — compiled dispatch plan + shared memo, one worker;
-//! 3. `plan+pool` — the same plan across the work-stealing pool.
+//! 3. `plan+pool` — the same plan across the worker pool.
 //!
 //! Repeats in the batch are `Arc` clones, and trees are globally
 //! hash-consed, so the plan's root memo answers a repeated page without
@@ -114,9 +114,8 @@ fn main() {
         plan_stats.memo_evictions,
     );
     println!(
-        "pool mode: {} workers, {} steals, memo hit rate {:.1}%",
+        "pool mode: {} workers, memo hit rate {:.1}%",
         pool_stats.workers,
-        pool_stats.steals,
         pool_stats.memo_hit_rate() * 100.0,
     );
     println!(
@@ -199,7 +198,6 @@ fn main() {
             ("memo_misses", Json::Int(plan_stats.memo_misses as i64)),
             ("memo_hit_rate", Json::Float(plan_stats.memo_hit_rate())),
             ("pool_workers", Json::Int(pool_stats.workers as i64)),
-            ("pool_steals", Json::Int(pool_stats.steals as i64)),
             ("item_p50_ns", Json::Int(item_hist.quantile(0.5) as i64)),
             ("item_p99_ns", Json::Int(item_hist.quantile(0.99) as i64)),
             ("item_max_ns", Json::Int(item_hist.max_ns as i64)),

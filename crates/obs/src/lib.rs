@@ -9,7 +9,7 @@
 //!    one relaxed atomic add/sub per update ([`gauge`], [`Gauge`]).
 //! 3. **Histograms** — log-bucketed latency histograms ([`histogram`],
 //!    [`Hist`]): 64 power-of-two nanosecond buckets recorded lock-free,
-//!    merged exactly, summarized as p50/p90/p99/max. [`time`] records
+//!    merged exactly, summarized as p50/p90/p99/max. [`time!`] records
 //!    into the histogram of the same name.
 //! 4. **Exemplars** — the top-K slowest items per family
 //!    ([`record_exemplar`], [`Exemplar`]): identity, state, latency,
@@ -65,13 +65,11 @@
 //! | `rt.memo_evictions` | a full shared memo evicts an entry |
 //! | `rt.guard_evals` | an item evaluates a guard formula while lowering its input (once per guard and distinct `(constructor, label)` pair of the item) |
 //! | `rt.annotations` | an item builds a distinct node annotation while lowering its input (lookahead states, enabled rules and copying states; once per distinct value in the item) |
-//! | `rt.pool_steals` | a pool worker steals a job from a sibling's deque |
 //! | `rt.pool_fallbacks` | a worker thread fails to spawn and the batch degrades |
 //! | `rt.timeouts` | a batch item exceeds its per-item deadline |
 //! | `rt.pipeline.compiles` | a `Pipeline::compile` invocation starts |
 //! | `rt.pipeline.fused_boundaries` | a stage boundary is fused via composition |
 //! | `rt.pipeline.cascaded_boundaries` | a stage boundary falls back to cascading |
-//! | `rt.pipeline.fuse_cache_hits` | a boundary verdict is served from the fusion cache |
 //! | `rt.pipeline.runs` | a `Pipeline::run_batch` invocation starts |
 //! | `rt.pipeline.items` | — bumped by the pipeline batch size, one per input tree |
 //! | `rt.item_errors` | a batch item finishes with an error (budget, timeout) |
@@ -137,7 +135,7 @@
 //!
 //! ```
 //! fast_obs::counter("demo.widgets").add(3);
-//! fast_obs::time("demo.build", || ());
+//! fast_obs::time!("demo.build", || ());
 //! let snap = fast_obs::snapshot();
 //! assert_eq!(snap.get("demo.widgets"), 3);
 //! assert_eq!(snap.hists.get("demo.build").unwrap().count, 1);
@@ -153,7 +151,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 use fast_json::Json;
 
@@ -213,13 +210,11 @@ pub const DOCUMENTED_COUNTERS: &[&str] = &[
     "rt.memo_evictions",
     "rt.guard_evals",
     "rt.annotations",
-    "rt.pool_steals",
     "rt.pool_fallbacks",
     "rt.timeouts",
     "rt.pipeline.compiles",
     "rt.pipeline.fused_boundaries",
     "rt.pipeline.cascaded_boundaries",
-    "rt.pipeline.fuse_cache_hits",
     "rt.pipeline.runs",
     "rt.pipeline.items",
     "rt.item_errors",
@@ -254,7 +249,7 @@ pub const DOCUMENTED_GAUGES: &[&str] = &[
 pub const DOCUMENTED_GAUGE_PREFIXES: &[&str] = &["intern.resident_nodes.shard"];
 
 /// Every wall-clock duration name the workspace emits — through
-/// [`time`], a histogram ([`histogram`]), or a span ([`span!`]).
+/// [`time!`], a histogram ([`histogram`]), or a span ([`span!`]).
 pub const DOCUMENTED_DURATIONS: &[&str] = &[
     "analysis.check.fa001",
     "analysis.check.fa002",
@@ -373,19 +368,6 @@ pub fn histogram(name: &'static str) -> &'static Hist {
     let mut map = registry().hists.lock().unwrap();
     map.entry(name)
         .or_insert_with(|| Box::leak(Box::new(Hist::new())))
-}
-
-/// Times `f` under the wall-clock duration `name`: records a sample in
-/// the histogram of the same name (whose `count` and `sum_ns` are the
-/// call count and total time) and, when the subscriber is on, emits a
-/// span, so the call shows up in traces with its children correctly
-/// parented.
-pub fn time<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
-    let _span = span::SpanGuard::enter(name);
-    let start = Instant::now();
-    let out = f();
-    histogram(name).record_ns(start.elapsed().as_nanos() as u64);
-    out
 }
 
 /// A point-in-time copy of every registered counter, gauge, histogram,
@@ -654,6 +636,31 @@ macro_rules! observe {
     }};
 }
 
+/// Times the closure `f` under the wall-clock duration `name`: records
+/// a sample in the histogram of the same name (whose `count` and
+/// `sum_ns` are the call count and total time) and, when the subscriber
+/// is on, emits a span, so the call shows up in traces with its
+/// children correctly parented. Like [`observe!`], the histogram lookup
+/// is cached at the call site, so a call takes no registry lock.
+///
+/// ```
+/// let v = fast_obs::time!("demo.timed", || 41 + 1);
+/// assert_eq!(v, 42);
+/// assert!(fast_obs::snapshot().hists.get("demo.timed").unwrap().count >= 1);
+/// ```
+#[macro_export]
+macro_rules! time {
+    ($name:literal, $f:expr) => {{
+        static __H: ::std::sync::OnceLock<&'static $crate::Hist> = ::std::sync::OnceLock::new();
+        let _span = $crate::SpanGuard::enter($name);
+        let start = ::std::time::Instant::now();
+        let out = ($f)();
+        __H.get_or_init(|| $crate::histogram($name))
+            .record_ns(start.elapsed().as_nanos() as u64);
+        out
+    }};
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -684,7 +691,7 @@ mod tests {
     #[test]
     fn time_records_a_histogram_sample() {
         let before = snapshot();
-        let v = time("test.timer", || 41 + 1);
+        let v = time!("test.timer", || 41 + 1);
         assert_eq!(v, 42);
         let d = snapshot().delta_from(&before);
         assert_eq!(d.hists.get("test.timer").unwrap().count, 1);
@@ -733,7 +740,7 @@ mod tests {
     #[test]
     fn json_shape() {
         counter("test.json").incr();
-        time("test.json_timer", || ());
+        time!("test.json_timer", || ());
         let j = snapshot().to_json();
         assert!(j.get("counters").is_some());
         assert!(j.get("hists").is_some());

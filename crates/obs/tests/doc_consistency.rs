@@ -5,7 +5,7 @@
 //! [`fast_obs::DOCUMENTED_GAUGES`], and
 //! [`fast_obs::DOCUMENTED_DURATIONS`]. This test greps the workspace
 //! sources for every name passed to `count!` / `counter(` / `gauge(` /
-//! `time(` / `span!(` / `histogram(` / `observe!(` and fails if any
+//! `time!(` / `span!(` / `histogram(` / `observe!(` and fails if any
 //! emitted name is missing from the constants, or if the doc tables in
 //! `lib.rs` drift from `DOCUMENTED_COUNTERS` / `DOCUMENTED_GAUGES`.
 //!
@@ -86,7 +86,7 @@ fn scan() -> (BTreeSet<String>, BTreeSet<String>, BTreeSet<String>, String) {
             extract(&src, pat, &mut counters);
         }
         extract(&src, "gauge(\"", &mut gauges);
-        for pat in ["time(\"", "span!(\"", "histogram(\"", "observe!(\""] {
+        for pat in ["time!(\"", "span!(\"", "histogram(\"", "observe!(\""] {
             extract(&src, pat, &mut durations);
         }
         all_src.push_str(&src);

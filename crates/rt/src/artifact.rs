@@ -444,7 +444,10 @@ impl Artifact {
             let rep = p.pipeline.report();
             pw.put_u32(rep.stages as u32);
             pw.put_u32(rep.segments as u32);
-            pw.put_u64(rep.fuse_cache_hits);
+            // Reserved word: written as 0, ignored on read. It once held
+            // a fusion-cache hit count (`fuse_cache_hits`) that every
+            // build wrote as 0, so the bytes are unchanged.
+            pw.put_u64(0);
             pw.put_u32(rep.boundaries.len() as u32);
             for b in &rep.boundaries {
                 pw.put_u32(b.boundary as u32);
@@ -648,7 +651,8 @@ impl Artifact {
             if n_segments == 0 || n_segments > n_stages {
                 return Err(invalid("segment count", n_segments));
             }
-            let fuse_cache_hits = r.take_u64("fuse cache hits")?;
+            // The reserved word: read and ignored.
+            r.take_u64("reserved word")?;
             let n_bounds = r.take_count(9, "boundary decisions")?;
             if n_bounds != n_stages - 1 {
                 return Err(ArtifactError::Malformed("boundary count mismatch"));
@@ -710,7 +714,6 @@ impl Artifact {
                 stages: n_stages,
                 segments: n_segments,
                 boundaries,
-                fuse_cache_hits,
             };
             pipelines.push(PipelineEntry {
                 name,

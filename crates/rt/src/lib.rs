@@ -48,9 +48,9 @@
 //!   against a [`BatchMemo`] (caller-owned, so results persist across
 //!   batches, or fresh per call in [`Plan::run_batch_with`]).
 //!   [`Pipeline`] has the same shape, with one memo per segment.
-//! * Work is spread over a dependency-free **work-stealing pool** of
-//!   scoped threads, with per-item timeouts and cooperative
-//!   cancellation. It degrades gracefully: if the OS refuses to spawn
+//! * Work is spread over a dependency-free **worker pool** of scoped
+//!   threads that take items from one shared cursor, with per-item
+//!   timeouts and cooperative cancellation. It degrades gracefully: if the OS refuses to spawn
 //!   threads, the batch completes sequentially on the calling thread.
 //!
 //! Per item, results are **identical** to [`fast_core::Sttr::run`] —

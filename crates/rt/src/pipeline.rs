@@ -15,9 +15,9 @@
 //!
 //! * **fuse** — when [`fast_core::compose_exactness`] proves the
 //!   boundary exact, the accumulated segment is composed with the next
-//!   stage into a single [`Plan`]. Fused products are cached globally
-//!   (keyed on the stage `Arc`s, which the cache pins alive), so
-//!   recompiling the same chain is free;
+//!   stage into a single [`Plan`]. Each boundary is decided once per
+//!   compile; a built artifact stores the verdicts and fused segments,
+//!   so loading it decides nothing again;
 //! * **cascade** — otherwise the boundary becomes a segment break.
 //!   At run time each segment's outputs are streamed into the next
 //!   segment's plan as a fresh batch, deduplicated per item, and
@@ -41,8 +41,8 @@
 use crate::plan::{BatchMemo, BatchStats, Plan, RunOptions};
 use fast_core::{compose, compose_exactness, Exactness, Sttr, TransducerError};
 use fast_trees::Tree;
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::BTreeSet;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// How [`Pipeline::compile_with`] treats fusable boundaries.
@@ -83,9 +83,6 @@ pub struct PipelineReport {
     pub segments: usize,
     /// One decision per adjacent stage pair, in chain order.
     pub boundaries: Vec<BoundaryDecision>,
-    /// How many boundary verdicts were served from the global fusion
-    /// cache instead of recomputed.
-    pub fuse_cache_hits: u64,
 }
 
 impl std::fmt::Display for PipelineReport {
@@ -163,41 +160,16 @@ pub struct Pipeline {
     report: PipelineReport,
 }
 
-/// A cached fusion verdict for one ordered stage pair.
-#[derive(Clone)]
+/// The fusion verdict for one ordered stage pair.
 enum Verdict {
     Fused(Arc<Sttr>, String),
     Cascade(String),
 }
 
-/// Global fusion cache entry. The key is the pair of stage `Arc`
-/// addresses; the stored `Arc` clones pin both stages (and the fused
-/// product) alive so a key address can never be recycled into an alias.
-/// `Sttr` stages are not interned, so address pinning is the right tool
-/// here.
-struct FuseEntry {
-    _left: Arc<Sttr>,
-    _right: Arc<Sttr>,
-    verdict: Verdict,
-}
-
-const FUSE_CACHE_CAP: usize = 256;
-
-fn fuse_cache() -> &'static Mutex<HashMap<(usize, usize), FuseEntry>> {
-    static CACHE: OnceLock<Mutex<HashMap<(usize, usize), FuseEntry>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Decides (and caches) whether `left ∘ right` may replace the staged
-/// pair, returning the fused product when Theorem 4 says it is exact.
-fn fuse_boundary(left: &Arc<Sttr>, right: &Arc<Sttr>, cache_hits: &mut u64) -> Verdict {
-    let key = (Arc::as_ptr(left) as usize, Arc::as_ptr(right) as usize);
-    if let Some(e) = crate::memo::lock_unpoisoned(fuse_cache()).get(&key) {
-        *cache_hits += 1;
-        fast_obs::count!("rt.pipeline.fuse_cache_hits");
-        return e.verdict.clone();
-    }
-    let verdict = match compose_exactness(left, right) {
+/// Decides whether `left ∘ right` may replace the staged pair,
+/// returning the fused product when Theorem 4 says it is exact.
+fn fuse_boundary(left: &Sttr, right: &Sttr) -> Verdict {
+    match compose_exactness(left, right) {
         ex @ (Exactness::LeftSingleValued | Exactness::RightLinear) => {
             match compose(left, right) {
                 Ok(c) => Verdict::Fused(Arc::new(c.sttr), ex.to_string()),
@@ -207,22 +179,7 @@ fn fuse_boundary(left: &Arc<Sttr>, right: &Arc<Sttr>, cache_hits: &mut u64) -> V
             }
         }
         ex @ Exactness::Overapproximate { .. } => Verdict::Cascade(format!("not fusable — {ex}")),
-    };
-    let mut cache = crate::memo::lock_unpoisoned(fuse_cache());
-    if cache.len() >= FUSE_CACHE_CAP && !cache.contains_key(&key) {
-        if let Some(victim) = cache.keys().next().copied() {
-            cache.remove(&victim);
-        }
     }
-    cache.insert(
-        key,
-        FuseEntry {
-            _left: Arc::clone(left),
-            _right: Arc::clone(right),
-            verdict: verdict.clone(),
-        },
-    );
-    verdict
 }
 
 impl Pipeline {
@@ -245,10 +202,9 @@ impl Pipeline {
             "pipeline stages must share one tree type"
         );
         fast_obs::count!("rt.pipeline.compiles");
-        fast_obs::time("rt.pipeline.compile", || {
+        fast_obs::time!("rt.pipeline.compile", || {
             let mut segments = Vec::new();
             let mut boundaries = Vec::new();
-            let mut fuse_cache_hits = 0u64;
             // The running segment: all stages since the last break,
             // fused into one transducer.
             let mut cur = Arc::clone(&stages[0]);
@@ -258,7 +214,7 @@ impl Pipeline {
                     FusionStrategy::Never => {
                         Verdict::Cascade("fusion disabled (FusionStrategy::Never)".into())
                     }
-                    FusionStrategy::Auto => fuse_boundary(&cur, next, &mut fuse_cache_hits),
+                    FusionStrategy::Auto => fuse_boundary(&cur, next),
                 };
                 match verdict {
                     Verdict::Fused(fused, reason) => {
@@ -296,7 +252,6 @@ impl Pipeline {
                 stages: stages.len(),
                 segments: segments.len(),
                 boundaries,
-                fuse_cache_hits,
             };
             Pipeline { segments, report }
         })
@@ -390,7 +345,7 @@ impl Pipeline {
         );
         fast_obs::count!("rt.pipeline.runs");
         fast_obs::count!("rt.pipeline.items", items.len() as u64);
-        fast_obs::time("rt.pipeline.run", || {
+        fast_obs::time!("rt.pipeline.run", || {
             static STAGE_HIST: OnceLock<&'static fast_obs::Hist> = OnceLock::new();
             let stage_hist = *STAGE_HIST.get_or_init(|| fast_obs::histogram("rt.pipeline.stage"));
             let mut frontiers: Vec<Result<Vec<Tree>, TransducerError>> =

@@ -1,7 +1,7 @@
 //! Compiled evaluation plans and the batch evaluator.
 
 use crate::memo::{CacheStats, MixMap, RootMemo};
-use crate::pool::{self, PoolStats};
+use crate::pool;
 use crate::profile::{self, ProfileData, RuleProfile, RuleProfileEntry};
 use annotate::Annotations;
 use fast_automata::StateId;
@@ -105,8 +105,6 @@ pub struct BatchStats {
     pub memo_misses: u64,
     /// Entries evicted from the full shared memo.
     pub memo_evictions: u64,
-    /// Jobs stolen across worker deques.
-    pub steals: u64,
     /// Worker spawn failures absorbed by degrading to fewer threads.
     pub spawn_fallbacks: u64,
     /// Distinct node annotations the items built, summed over items:
@@ -514,7 +512,7 @@ impl Plan {
     ) -> (Vec<Result<Vec<Tree>, TransducerError>>, BatchStats) {
         fast_obs::count!("rt.batch_runs");
         fast_obs::count!("rt.batch_items", items.len() as u64);
-        fast_obs::time("rt.run_batch", || {
+        fast_obs::time!("rt.run_batch", || {
             let cx = BatchCtx {
                 plan: self,
                 cap: opts.cap,
@@ -529,17 +527,15 @@ impl Plan {
                     .then(|| ProfileData::new(self.total_rules, self.sttr.state_count())),
             };
             let workers = pool::resolve_workers(opts.workers);
-            let pool_stats = PoolStats::default();
-            let results = pool::run_indexed(
+            let (results, spawn_fallbacks) = pool::run_indexed(
                 workers,
                 items.len(),
-                &pool_stats,
                 |i| run_item(&cx, &items[i]),
                 recover_item,
             );
             (
                 results,
-                finish_stats(&cx, &pool_stats, items.len(), workers),
+                finish_stats(&cx, spawn_fallbacks, items.len(), workers),
             )
         })
     }
@@ -677,7 +673,7 @@ fn recover_item(_i: usize) -> Result<Vec<Tree>, TransducerError> {
 /// (and the profile, when collected) into a [`BatchStats`].
 fn finish_stats(
     cx: &BatchCtx<'_>,
-    pool_stats: &PoolStats,
+    spawn_fallbacks: u64,
     items: usize,
     workers: usize,
 ) -> BatchStats {
@@ -687,8 +683,7 @@ fn finish_stats(
         memo_hits: cx.memo_stats.hits.load(Ordering::Relaxed),
         memo_misses: cx.memo_stats.misses.load(Ordering::Relaxed),
         memo_evictions: cx.memo_stats.evictions.load(Ordering::Relaxed),
-        steals: pool_stats.steals.load(Ordering::Relaxed),
-        spawn_fallbacks: pool_stats.fallbacks.load(Ordering::Relaxed),
+        spawn_fallbacks,
         annotations: cx.annotations.load(Ordering::Relaxed),
         profile: cx.profile.as_ref().map(|p| cx.plan.collect_profile(p)),
     };

@@ -1,37 +1,26 @@
-//! A dependency-free work-stealing pool for batch workloads.
+//! A dependency-free worker pool for batch workloads.
 //!
 //! The pool is *scoped*: workers are spawned inside
 //! [`std::thread::scope`] for the duration of one batch, so jobs may
 //! borrow the plan and the input trees without `'static` gymnastics or
-//! unsafe code. Work distribution follows the classic deque scheme
-//! (divvunspell's worker pool has the same shape): every worker owns a
-//! deque seeded round-robin with job indices, pops its own work from the
-//! front, and — when empty — steals from the *back* of a sibling's deque,
-//! minimizing contention on the hot end.
+//! unsafe code. Batch items are independent — no job spawns another —
+//! so distribution is one shared atomic cursor: every worker, the
+//! calling thread included, takes the next unstarted index until the
+//! batch is drained. A slow item holds up only the worker running it.
 //!
 //! Degradation is graceful twice over: a batch smaller than two jobs (or
 //! `workers <= 1`) runs inline with no threads at all, and if the OS
 //! refuses to spawn a worker (`std::thread::Builder::spawn` failure) the
-//! batch still completes — the calling thread doubles as worker 0 and
-//! drains every deque itself. `rt.pool_fallbacks` counts such events.
+//! batch still completes — the workers that did start, the calling
+//! thread at least, take its share. `rt.pool_fallbacks` counts such
+//! events.
 
-use crate::memo::lock_unpoisoned;
-use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Outcome counters for one pooled batch.
-#[derive(Debug, Default)]
-pub(crate) struct PoolStats {
-    /// Jobs executed by a worker other than the one originally assigned.
-    pub steals: AtomicU64,
-    /// 1 if a worker thread failed to spawn and the batch degraded.
-    pub fallbacks: AtomicU64,
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `exec(0..n)` across `workers` threads (the calling thread
-/// included), returning results in index order.
+/// included), returning results in index order and the number of worker
+/// spawns the OS refused.
 ///
 /// `workers` is the *total* parallelism: `workers <= 1` runs inline.
 ///
@@ -39,13 +28,7 @@ pub(crate) struct PoolStats {
 /// under `rt.worker_panics`, and the job's slot is filled with
 /// `recover(i)` — one hostile item degrades to one errored result
 /// instead of tearing down the batch (or, server-side, the process).
-pub(crate) fn run_indexed<R, F, G>(
-    workers: usize,
-    n: usize,
-    stats: &PoolStats,
-    exec: F,
-    recover: G,
-) -> Vec<R>
+pub(crate) fn run_indexed<R, F, G>(workers: usize, n: usize, exec: F, recover: G) -> (Vec<R>, u64)
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -63,88 +46,66 @@ where
             )
     };
     if workers <= 1 || n <= 1 {
-        return (0..n)
+        let out = (0..n)
             .map(|i| guarded(i).unwrap_or_else(|| recover(i)))
             .collect();
+        return (out, 0);
     }
-    let lanes = workers.min(n);
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..lanes)
-        .map(|w| {
-            // Round-robin seeding: lane w gets jobs w, w+lanes, w+2·lanes…
-            Mutex::new((w..n).step_by(lanes).collect())
-        })
-        .collect();
-
-    let work = |me: usize| -> Vec<(usize, R)> {
+    // `Relaxed` suffices: each `fetch_add` returns a distinct index and
+    // the cursor publishes no data; results reach the calling thread
+    // through `join`.
+    let cursor = AtomicUsize::new(0);
+    let work = || -> Vec<(usize, R)> {
         let mut out = Vec::new();
         loop {
-            // Own work first (front), then steal from siblings (back).
-            let mut job = lock_unpoisoned(&deques[me]).pop_front();
-            if job.is_none() {
-                for other in (0..lanes).filter(|&o| o != me) {
-                    if let Some(stolen) = lock_unpoisoned(&deques[other]).pop_back() {
-                        stats.steals.fetch_add(1, Ordering::Relaxed);
-                        fast_obs::count!("rt.pool_steals");
-                        job = Some(stolen);
-                        break;
-                    }
-                }
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return out;
             }
-            match job {
-                Some(i) => {
-                    if let Some(r) = guarded(i) {
-                        out.push((i, r));
-                    }
-                }
-                // Every deque was empty; jobs never spawn jobs, so the
-                // batch is drained.
-                None => return out,
+            if let Some(r) = guarded(i) {
+                out.push((i, r));
             }
         }
     };
 
-    let mut gathered: Vec<(usize, R)> = Vec::with_capacity(n);
+    let mut fallbacks = 0u64;
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for w in 1..lanes {
+        for w in 1..workers.min(n) {
             let builder = std::thread::Builder::new().name(format!("fast-rt-{w}"));
-            match builder.spawn_scoped(scope, move || work(w)) {
+            match builder.spawn_scoped(scope, work) {
                 Ok(h) => handles.push(h),
                 Err(_) => {
-                    // Spawn refused: the jobs seeded into lane w stay in
-                    // its deque and are stolen by whoever drains last.
-                    stats.fallbacks.fetch_add(1, Ordering::Relaxed);
+                    // Spawn refused: the cursor hands this worker's share
+                    // to the ones that started.
+                    fallbacks += 1;
                     fast_obs::count!("rt.pool_fallbacks");
                 }
             }
         }
         // The calling thread is worker 0.
-        gathered.extend(work(0));
+        let mut parts = vec![work()];
         for h in handles {
             // `work` catches job panics, so a join failure means the
             // thread died outside a job; its finished results are lost
             // and the indices are refilled below.
             match h.join() {
-                Ok(part) => gathered.extend(part),
+                Ok(part) => parts.push(part),
                 Err(_) => fast_obs::count!("rt.worker_panics"),
             }
         }
+        for (i, r) in parts.into_iter().flatten() {
+            slots[i] = Some(r);
+        }
     });
-
-    gathered.sort_unstable_by_key(|(i, _)| *i);
-    if gathered.len() == n {
-        return gathered.into_iter().map(|(_, r)| r).collect();
-    }
-    // Panicked (or lost) slots: rebuild in index order, filling gaps.
-    let mut by_index: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, r) in gathered {
-        by_index[i] = Some(r);
-    }
-    by_index
+    // Panicked (or lost) slots are filled by `recover`.
+    let out = slots
         .into_iter()
         .enumerate()
         .map(|(i, r)| r.unwrap_or_else(|| recover(i)))
-        .collect()
+        .collect();
+    (out, fallbacks)
 }
 
 /// Resolves a worker-count request: `0` means "ask the OS", anything
@@ -163,6 +124,7 @@ pub(crate) fn resolve_workers(requested: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU32;
 
     fn no_recover(i: usize) -> usize {
         panic!("job {i} should not need recovery")
@@ -170,29 +132,53 @@ mod tests {
 
     #[test]
     fn results_are_in_index_order() {
-        let stats = PoolStats::default();
-        let out = run_indexed(4, 100, &stats, |i| i * 2, no_recover);
+        let (out, _) = run_indexed(4, 100, |i| i * 2, no_recover);
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn inline_when_single_worker() {
-        let stats = PoolStats::default();
-        let out = run_indexed(1, 10, &stats, |i| i, no_recover);
-        assert_eq!(out.len(), 10);
-        assert_eq!(stats.steals.load(Ordering::Relaxed), 0);
+        let (out, fallbacks) = run_indexed(1, 10, |i| i, no_recover);
+        assert_eq!(out, (0..10).collect::<Vec<_>>());
+        assert_eq!(fallbacks, 0);
+    }
+
+    /// Every index runs exactly once and lands in its own slot, whatever
+    /// the worker count, batch size and per-job cost.
+    #[test]
+    fn every_index_runs_exactly_once() {
+        for workers in [2, 3, 8] {
+            for n in [0, 1, 2, 7, 1000] {
+                let runs: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+                let (out, fallbacks) = run_indexed(
+                    workers,
+                    n,
+                    |i| {
+                        runs[i].fetch_add(1, Ordering::Relaxed);
+                        // Uneven but sub-millisecond jobs.
+                        std::thread::sleep(std::time::Duration::from_micros((i % 7) as u64 * 20));
+                        i
+                    },
+                    no_recover,
+                );
+                assert_eq!(out, (0..n).collect::<Vec<_>>(), "workers={workers} n={n}");
+                assert!(
+                    runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                    "workers={workers} n={n}: an index ran other than once"
+                );
+                assert_eq!(fallbacks, 0);
+            }
+        }
     }
 
     #[test]
-    fn uneven_work_gets_stolen() {
-        // Lane 0's jobs are slow; with several lanes the fast workers
-        // drain their own deques and steal the stragglers. (Timing-free:
-        // we only assert completion and order, steals are best-effort.)
-        let stats = PoolStats::default();
-        let out = run_indexed(
+    fn uneven_work_completes_in_order() {
+        // Every fourth job is slow; the other workers keep taking the
+        // fast ones meanwhile. Timing-free: only completion and order
+        // are asserted.
+        let (out, _) = run_indexed(
             4,
             32,
-            &stats,
             |i| {
                 if i % 4 == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(2));
@@ -206,8 +192,7 @@ mod tests {
 
     #[test]
     fn more_workers_than_jobs() {
-        let stats = PoolStats::default();
-        let out = run_indexed(16, 3, &stats, |i| i + 1, no_recover);
+        let (out, _) = run_indexed(16, 3, |i| i + 1, no_recover);
         assert_eq!(out, vec![1, 2, 3]);
     }
 
@@ -219,11 +204,9 @@ mod tests {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // silence expected panics
         for workers in [1, 4] {
-            let stats = PoolStats::default();
-            let out = run_indexed(
+            let (out, _) = run_indexed(
                 workers,
                 16,
-                &stats,
                 |i| {
                     if i == 7 {
                         panic!("hostile item");

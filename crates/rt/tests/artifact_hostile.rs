@@ -227,6 +227,10 @@ fn type_section_invariants_are_enforced() {
 /// dispatch tables (see `artifact_v1.rs`).
 const V1: &[u8] = include_bytes!("data/sanitizer_pipeline.v1.fastc");
 
+/// A version-2 artifact of the same program, as `fastc build` writes it
+/// (see `artifact_v1.rs`).
+const V2: &[u8] = include_bytes!("data/sanitizer_pipeline.v2.fastc");
+
 /// States and constructors cost a few bytes each, but a plan's dispatch
 /// table holds one cell per `(state, constructor)` pair. A small buffer
 /// whose product is far larger than it must be refused before the plan
@@ -262,7 +266,7 @@ fn dispatch_table_product_is_capped_by_buffer_length() {
 
 #[test]
 fn every_truncation_is_rejected_without_panic() {
-    for bytes in [sample(), V1.to_vec()] {
+    for bytes in [sample(), V1.to_vec(), V2.to_vec()] {
         for len in 0..bytes.len() {
             let mut cut = bytes[..len].to_vec();
             refix(&mut cut);

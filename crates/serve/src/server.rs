@@ -518,12 +518,6 @@ fn dispatch(shared: &Arc<Shared>, jobs_tx: &SyncSender<Job>, frame: Vec<u8>) -> 
     resp.to_string().into_bytes()
 }
 
-/// Records one request phase's duration in its `serve.phase.*`
-/// histogram.
-fn phase(hist: &fast_obs::Hist, d: Duration) {
-    hist.record_ns(d.as_nanos() as u64);
-}
-
 fn executor_loop(shared: &Arc<Shared>, rx: &Mutex<Receiver<Job>>) {
     loop {
         // Hold the lock only for the dequeue, not the execution.
@@ -533,10 +527,8 @@ fn executor_loop(shared: &Arc<Shared>, rx: &Mutex<Receiver<Job>>) {
         };
         fast_obs::count!("serve.requests");
         let start = Instant::now();
-        phase(
-            fast_obs::histogram("serve.phase.queue"),
-            start.duration_since(job.queued),
-        );
+        let queued = start.duration_since(job.queued);
+        fast_obs::observe!("serve.phase.queue", queued.as_nanos() as u64);
         // A response about as long as the request is the common case.
         let mut out = String::with_capacity(job.frame.len());
         if let Err(resp) = execute(shared, &job, &mut out) {
@@ -544,7 +536,7 @@ fn executor_loop(shared: &Arc<Shared>, rx: &Mutex<Receiver<Job>>) {
             out.clear();
             write!(out, "{resp}").expect("writing to a String cannot fail");
         }
-        fast_obs::histogram("serve.request").record_ns(start.elapsed().as_nanos() as u64);
+        fast_obs::observe!("serve.request", start.elapsed().as_nanos() as u64);
         // A vanished requester (connection handler gone) is fine.
         let _ = job.reply.send(out.into_bytes());
     }
@@ -589,12 +581,12 @@ fn execute(shared: &Shared, job: &Job, out: &mut String) -> Result<(), Json> {
         ));
     };
 
-    phase(fast_obs::histogram("serve.phase.decode"), job.decode);
+    fast_obs::observe!("serve.phase.decode", job.decode.as_nanos() as u64);
 
     let t = Instant::now();
     let input = &job.frame[job.input.clone()];
     let tree = Tree::parse_escaped(ty, input, shared.cfg.max_input_depth);
-    phase(fast_obs::histogram("serve.phase.parse"), t.elapsed());
+    fast_obs::observe!("serve.phase.parse", t.elapsed().as_nanos() as u64);
     let tree = match tree {
         Ok(t) => t,
         Err(ParseError::TooDeep { limit }) => {
@@ -645,7 +637,7 @@ fn execute(shared: &Shared, job: &Job, out: &mut String) -> Result<(), Json> {
             pipe.run_batch_shared(items, &opts, memos).0
         }
     };
-    phase(fast_obs::histogram("serve.phase.eval"), t.elapsed());
+    fast_obs::observe!("serve.phase.eval", t.elapsed().as_nanos() as u64);
     let outputs = match results.remove(0) {
         Ok(outs) => outs,
         Err(e) => return Err(run_error_response(&job.id, &e)),
@@ -677,7 +669,7 @@ fn execute(shared: &Shared, job: &Job, out: &mut String) -> Result<(), Json> {
             ));
         }
     }
-    phase(fast_obs::histogram("serve.phase.render"), t.elapsed());
+    fast_obs::observe!("serve.phase.render", t.elapsed().as_nanos() as u64);
     Ok(())
 }
 

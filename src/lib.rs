@@ -16,7 +16,7 @@
 //! | [`trees`] | `fast-trees` | ranked tree types, trees, the Fig. 3 HTML encoding, generators |
 //! | [`automata`] | `fast-automata` | alternating STAs: Boolean operations and decision procedures |
 //! | [`core`] | `fast-core` | STTRs: run, domain, restriction, pre-image, **composition** |
-//! | [`rt`] | `fast-rt` | batch evaluation: compiled plans, shared memo, work-stealing pool |
+//! | [`rt`] | `fast-rt` | batch evaluation: compiled plans, shared memo, worker pool |
 //! | [`lang`] | `fast-lang` | the Fast DSL: parser, compiler, evaluator, `fastc` CLI |
 //! | [`classical`] | `fast-classical` | finite-alphabet baseline (§6) |
 //!
