@@ -36,14 +36,29 @@ pub fn world_alg(ty: &TreeType) -> Arc<LabelAlg> {
     Arc::new(LabelAlg::new(ty.sig().clone()))
 }
 
+/// The most control states [`random_tagger`] draws.
+pub const MAX_CONTROL_STATES: usize = 31;
+
 /// Generates `n` random taggers with the §5.2 properties: non-empty
 /// domains (they are total on worlds), each tags a node at most once, and
 /// 2–32 states each (the paper's taggers have 1–95; see
 /// [`random_tagger`]).
 pub fn generate_taggers(ty: &Arc<TreeType>, alg: &Arc<LabelAlg>, n: usize, seed: u64) -> Vec<Sttr> {
+    generate_taggers_sized(ty, alg, n, MAX_CONTROL_STATES, seed)
+}
+
+/// [`generate_taggers`] with 1..=`max_controls` control states per
+/// tagger (see [`random_tagger_sized`]).
+pub fn generate_taggers_sized(
+    ty: &Arc<TreeType>,
+    alg: &Arc<LabelAlg>,
+    n: usize,
+    max_controls: usize,
+    seed: u64,
+) -> Vec<Sttr> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
-        .map(|id| random_tagger(ty, alg, id as i64 + 1, &mut rng))
+        .map(|id| random_tagger_sized(ty, alg, id as i64 + 1, max_controls, &mut rng))
         .collect()
 }
 
@@ -78,7 +93,7 @@ fn random_guard(rng: &mut StdRng) -> Formula {
 }
 
 /// Builds one random tagger with the given id. State count is drawn from
-/// 1..=31 control states plus one tag-list copy state, so 2–32 states —
+/// 1..=[`MAX_CONTROL_STATES`] control states plus one tag-list copy state, so 2–32 states —
 /// smaller than the paper's 1–95 so the 4,950-pair sweep stays minutes, not hours, on one
 /// vCPU (EXPERIMENTS.md records the deviation). Each tagger has
 /// a single tagging guard; active states tag elements satisfying it,
@@ -86,10 +101,28 @@ fn random_guard(rng: &mut StdRng) -> Formula {
 /// tags a handful of nodes per typical world and tags each node at most
 /// once (§5.2's stated properties).
 pub fn random_tagger(ty: &Arc<TreeType>, alg: &Arc<LabelAlg>, id: i64, rng: &mut StdRng) -> Sttr {
+    random_tagger_sized(ty, alg, id, MAX_CONTROL_STATES, rng)
+}
+
+/// [`random_tagger`] drawing 1..=`max_controls` control states; the
+/// paper's 1–95-state taggers are `max_controls = 94`. The draws are the
+/// same calls in the same order whatever the bound, so at
+/// [`MAX_CONTROL_STATES`] this is exactly [`random_tagger`].
+///
+/// # Panics
+///
+/// If `max_controls` is 0.
+pub fn random_tagger_sized(
+    ty: &Arc<TreeType>,
+    alg: &Arc<LabelAlg>,
+    id: i64,
+    max_controls: usize,
+    rng: &mut StdRng,
+) -> Sttr {
     let nil = ty.ctor_id("nil").unwrap();
     let tag = ty.ctor_id("tag").unwrap();
     let elem = ty.ctor_id("elem").unwrap();
-    let m = rng.gen_range(1..=31usize);
+    let m = rng.gen_range(1..=max_controls);
     let guard = random_guard(rng);
     let mut b = SttrBuilder::new(ty.clone(), alg.clone());
     let controls: Vec<_> = (0..m).map(|i| b.state(&format!("q{i}"))).collect();

@@ -105,6 +105,7 @@
 //! | `rt.memo.entries` | item-root entries resident across every live shared memo |
 //! | `rt.memo.bytes` | estimated heap bytes held by those memos |
 //! | `smt.cache.entries` | satisfiability results resident across every live solver cache |
+//! | `smt.ops.entries` | memoized `and`/`or`/`not` results resident across every live label algebra's computed table |
 //! | `serve.connections` | live client connections held by a `fast-serve` server |
 //!
 //! ## Duration naming
@@ -241,6 +242,7 @@ pub const DOCUMENTED_GAUGES: &[&str] = &[
     "rt.memo.entries",
     "rt.memo.bytes",
     "smt.cache.entries",
+    "smt.ops.entries",
     "serve.connections",
 ];
 

@@ -5,15 +5,18 @@
 //! satisfiability problem (§3.1). [`BoolAlg`] captures exactly that
 //! interface; [`LabelAlg`] is the concrete instance whose predicates are
 //! hash-consed [`Interned<Formula>`] handles decided by the built-in
-//! solver, with a sharded satisfiability cache and query telemetry.
+//! solver, with a sharded satisfiability cache, a sharded computed table
+//! for its connectives, and query telemetry.
 
 use crate::formula::Formula;
 use crate::intern::{intern, shard_of, Interned, SHARDS};
 use crate::solver::{solve, SatResult};
 use crate::sort::LabelSig;
 use crate::value::Label;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -171,6 +174,52 @@ fn cache_entries_gauge() -> &'static fast_obs::Gauge {
     G.get_or_init(|| fast_obs::gauge("smt.cache.entries"))
 }
 
+/// Process-wide computed-table residency (`smt.ops.entries`): total
+/// memoized connective results across every live [`LabelAlg`]. Each
+/// algebra adds on first insert of a key and subtracts its whole table on
+/// drop.
+fn ops_entries_gauge() -> &'static fast_obs::Gauge {
+    static G: OnceLock<&'static fast_obs::Gauge> = OnceLock::new();
+    G.get_or_init(|| fast_obs::gauge("smt.ops.entries"))
+}
+
+/// A multiplicative hasher for keys made of interned ids. Ids are unique,
+/// dense and assigned by the interner, never read from input, so one
+/// multiply per word spreads them as well as SipHash would, at a fraction
+/// of the cost.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A connective of the algebra, as the computed table keys it.
+#[derive(Clone, Copy)]
+enum Op {
+    And,
+    Or,
+    Not,
+}
+
+/// A computed-table key: the connective (`Op as u64`) and its operands'
+/// ids, in argument order (`¬a` stores `a`'s id twice). The order is
+/// kept, not folded, so `and(b, a)` is its own entry and returns exactly
+/// what `intern` returns for `b ∧ a`.
+type OpKey = (u64, u64, u64);
+
 /// The standard label algebra: hash-consed [`Formula`] predicates over a
 /// [`LabelSig`], decided by [`solve`], with memoized satisfiability.
 ///
@@ -180,6 +229,12 @@ fn cache_entries_gauge() -> &'static fast_obs::Gauge {
 /// the second one hits the cache — the solver never runs twice for one
 /// formula, and `sat_queries - cache_hits` equals the number of distinct
 /// formulas solved.
+///
+/// Connectives are memoized the same way: a computed table, sharded like
+/// the cache and living as long as the algebra, maps `(op, a.id(),
+/// b.id())` to the interned result of `and`, `or` and `not`, so a
+/// connective asked again costs one probe instead of cloning, simplifying,
+/// hashing and interning both operand trees again.
 ///
 /// # Examples
 ///
@@ -196,7 +251,8 @@ fn cache_entries_gauge() -> &'static fast_obs::Gauge {
 pub struct LabelAlg {
     sig: LabelSig,
     simplify: bool,
-    cache: [Mutex<HashMap<u64, SatResult>>; SHARDS],
+    cache: [Mutex<IdMap<u64, SatResult>>; SHARDS],
+    ops: [Mutex<IdMap<OpKey, Interned<Formula>>>; SHARDS],
     stats: AlgStats,
 }
 
@@ -206,7 +262,8 @@ impl LabelAlg {
         LabelAlg {
             sig,
             simplify: true,
-            cache: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            cache: std::array::from_fn(|_| Mutex::default()),
+            ops: std::array::from_fn(|_| Mutex::default()),
             stats: AlgStats::default(),
         }
     }
@@ -232,6 +289,13 @@ impl LabelAlg {
     /// ```
     pub fn without_simplification(mut self) -> Self {
         self.simplify = false;
+        // Results built with simplification must not answer for the
+        // plain connectives.
+        for shard in &mut self.ops {
+            let table = shard.get_mut().expect("computed-table shard poisoned");
+            ops_entries_gauge().sub(table.len() as u64);
+            table.clear();
+        }
         self
     }
 
@@ -270,24 +334,33 @@ impl LabelAlg {
     /// solver under an `smt.solve` span, so traces show actual solver
     /// work rather than cache traffic.
     pub fn check(&self, f: &Interned<Formula>) -> SatResult {
+        self.timed_verdict(f, SatResult::clone)
+    }
+
+    /// Looks `f`'s verdict up (solving it on a miss) and answers `read`
+    /// of it under the shard lock, so a caller that needs only part of the
+    /// verdict does not clone its model. The latency lands in `smt.check`.
+    fn timed_verdict<R>(&self, f: &Interned<Formula>, read: impl FnOnce(&SatResult) -> R) -> R {
         static CHECK_HIST: OnceLock<&'static fast_obs::Hist> = OnceLock::new();
         let hist = *CHECK_HIST.get_or_init(|| fast_obs::histogram("smt.check"));
         let start = std::time::Instant::now();
-        let r = self.check_uncounted(f);
+        let r = self.verdict(f, read);
         hist.record_ns(start.elapsed().as_nanos() as u64);
         r
     }
 
-    fn check_uncounted(&self, f: &Interned<Formula>) -> SatResult {
+    fn verdict<R>(&self, f: &Interned<Formula>, read: impl FnOnce(&SatResult) -> R) -> R {
         self.stats.sat_queries.fetch_add(1, Ordering::Relaxed);
         fast_obs::count!("smt.sat_queries");
         let shard_ix = shard_of(f.precomputed_hash());
-        let mut shard = self.cache[shard_ix].lock().unwrap();
+        let mut shard = self.cache[shard_ix]
+            .lock()
+            .expect("sat-cache shard poisoned");
         if let Some(r) = shard.get(&f.id()) {
             self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             self.stats.shard_hits[shard_ix].fetch_add(1, Ordering::Relaxed);
             shard_hit_counter(shard_ix).incr();
-            return r.clone();
+            return read(r);
         }
         fast_obs::count!("smt.cache_misses");
         let _span = fast_obs::span!("smt.solve");
@@ -296,10 +369,43 @@ impl LabelAlg {
             self.stats.unknowns.fetch_add(1, Ordering::Relaxed);
             fast_obs::count!("smt.unknown_results");
         }
-        if shard.insert(f.id(), r.clone()).is_none() {
-            cache_entries_gauge().add(1);
+        cache_entries_gauge().add(1);
+        read(shard.entry(f.id()).or_insert(r))
+    }
+
+    /// The memoized connective `op` of `a` and `b`: one probe of the
+    /// computed table, or `build` interned and recorded on a miss. The
+    /// lock is not held across `build` and `intern`; two threads that
+    /// miss the same key intern the same formula, so they store (and
+    /// return) the same handle.
+    fn connective(
+        &self,
+        op: Op,
+        a: &Interned<Formula>,
+        b: &Interned<Formula>,
+        build: impl FnOnce() -> Formula,
+    ) -> Interned<Formula> {
+        let key: OpKey = (op as u64, a.id(), b.id());
+        let shard = &self.ops[shard_of(a.precomputed_hash() ^ b.precomputed_hash().rotate_left(1))];
+        if let Some(r) = shard
+            .lock()
+            .expect("computed-table shard poisoned")
+            .get(&key)
+        {
+            return r.clone();
         }
-        r
+        let r = intern(build());
+        match shard
+            .lock()
+            .expect("computed-table shard poisoned")
+            .entry(key)
+        {
+            Entry::Occupied(e) => e.get().clone(),
+            Entry::Vacant(e) => {
+                ops_entries_gauge().add(1);
+                e.insert(r).clone()
+            }
+        }
     }
 
     /// Convenience: interns `f` and runs [`LabelAlg::check`].
@@ -310,15 +416,17 @@ impl LabelAlg {
 
 impl Drop for LabelAlg {
     /// A dropped algebra's memoized results must leave the process-wide
-    /// `smt.cache.entries` gauge, or residency of dead caches would
-    /// accumulate forever.
+    /// `smt.cache.entries` and `smt.ops.entries` gauges, or residency of
+    /// dead tables would accumulate forever.
     fn drop(&mut self) {
-        let resident: u64 = self
-            .cache
-            .iter()
-            .map(|s| s.lock().map(|m| m.len() as u64).unwrap_or(0))
-            .sum();
-        cache_entries_gauge().sub(resident);
+        fn resident<T>(shards: &[Mutex<T>], len: impl Fn(&T) -> usize) -> u64 {
+            shards
+                .iter()
+                .map(|s| s.lock().map(|m| len(&m) as u64).unwrap_or(0))
+                .sum()
+        }
+        cache_entries_gauge().sub(resident(&self.cache, IdMap::len));
+        ops_entries_gauge().sub(resident(&self.ops, IdMap::len));
     }
 }
 
@@ -337,31 +445,37 @@ impl BoolAlg for LabelAlg {
         if a == b {
             return a.clone();
         }
-        intern(if self.simplify {
-            a.get().clone().and(b.get().clone())
-        } else {
-            Formula::And(vec![a.get().clone(), b.get().clone()])
+        self.connective(Op::And, a, b, || {
+            if self.simplify {
+                a.get().clone().and(b.get().clone())
+            } else {
+                Formula::And(vec![a.get().clone(), b.get().clone()])
+            }
         })
     }
     fn or(&self, a: &Self::Pred, b: &Self::Pred) -> Self::Pred {
         if a == b {
             return a.clone();
         }
-        intern(if self.simplify {
-            a.get().clone().or(b.get().clone())
-        } else {
-            Formula::Or(vec![a.get().clone(), b.get().clone()])
+        self.connective(Op::Or, a, b, || {
+            if self.simplify {
+                a.get().clone().or(b.get().clone())
+            } else {
+                Formula::Or(vec![a.get().clone(), b.get().clone()])
+            }
         })
     }
     fn not(&self, a: &Self::Pred) -> Self::Pred {
-        intern(if self.simplify {
-            a.get().clone().not()
-        } else {
-            Formula::Not(Box::new(a.get().clone()))
+        self.connective(Op::Not, a, a, || {
+            if self.simplify {
+                a.get().clone().not()
+            } else {
+                Formula::Not(Box::new(a.get().clone()))
+            }
         })
     }
     fn is_sat(&self, a: &Self::Pred) -> bool {
-        self.check(a).possibly_sat()
+        self.timed_verdict(a, SatResult::possibly_sat)
     }
     fn model(&self, a: &Self::Pred) -> Option<Label> {
         self.check(a).model()

@@ -248,31 +248,66 @@ fn labels() -> &'static Table<CanonLabel> {
 }
 
 /// The per-process hash key: a starting word and an odd multiplier.
-struct Key(u64, u64);
+/// It is read once per process; a caller that hashes many nodes (the
+/// parser) keeps a copy and seeds every hash from it.
+#[derive(Clone, Copy)]
+pub(crate) struct Key(u64, u64);
 
-fn key() -> &'static Key {
-    static KEY: OnceLock<Key> = OnceLock::new();
-    KEY.get_or_init(|| {
-        let s = RandomState::new();
-        Key(s.hash_one(0u64), s.hash_one(1u64) | 1)
-    })
+impl Key {
+    /// The process key.
+    #[inline]
+    pub(crate) fn get() -> Key {
+        static KEY: OnceLock<Key> = OnceLock::new();
+        *KEY.get_or_init(|| {
+            let s = RandomState::new();
+            Key(s.hash_one(0u64), s.hash_one(1u64) | 1)
+        })
+    }
+
+    #[inline]
+    fn fold(self) -> Fold {
+        Fold {
+            h: self.0,
+            mul: self.1,
+        }
+    }
+
+    /// A [`LabelHasher`] for a label of `arity` values.
+    #[inline]
+    pub(crate) fn label_hasher(self, arity: usize) -> LabelHasher {
+        let mut h = self.fold();
+        h.word(arity as u64);
+        LabelHasher(h)
+    }
+
+    /// [`node_hash`] under this key.
+    #[inline]
+    pub(crate) fn node_hash(
+        self,
+        ctor: CtorId,
+        label: u64,
+        children: impl Iterator<Item = u64>,
+    ) -> u64 {
+        let mut h = self.fold();
+        h.word(ctor.0 as u64);
+        h.word(label);
+        for c in children {
+            h.word(c);
+        }
+        h.h
+    }
 }
 
 /// A keyed folded-multiply hash under construction: each word written
 /// is xored into the state, which is then multiplied by the key's
 /// multiplier, the 128-bit product's halves xored.
+#[derive(Clone, Copy)]
 struct Fold {
     h: u64,
     mul: u64,
 }
 
 impl Fold {
-    #[inline]
-    fn new() -> Fold {
-        let k = key();
-        Fold { h: k.0, mul: k.1 }
-    }
-
     #[inline]
     fn word(&mut self, w: u64) {
         let p = u128::from(self.h ^ w) * u128::from(self.mul);
@@ -305,7 +340,7 @@ impl<'a> From<&'a Value> for ValueRef<'a> {
 /// The keyed hash of a label with the given values: the one hash both
 /// [`Tree::new`] and the parser's arena compute (see [`LabelHasher`]).
 pub(crate) fn label_hash<'v>(values: impl ExactSizeIterator<Item = ValueRef<'v>>) -> u64 {
-    let mut h = LabelHasher::new(values.len());
+    let mut h = Key::get().label_hasher(values.len());
     for v in values {
         h.value(v);
     }
@@ -317,16 +352,10 @@ pub(crate) fn label_hash<'v>(values: impl ExactSizeIterator<Item = ValueRef<'v>>
 /// a word of its sort tag and small payload (a string's length), then
 /// an int's value or a string's bytes, eight to a word, so no two
 /// labels write the same words.
+#[derive(Clone, Copy)]
 pub(crate) struct LabelHasher(Fold);
 
 impl LabelHasher {
-    #[inline]
-    pub(crate) fn new(arity: usize) -> LabelHasher {
-        let mut h = Fold::new();
-        h.word(arity as u64);
-        LabelHasher(h)
-    }
-
     #[inline]
     pub(crate) fn value(&mut self, v: ValueRef<'_>) {
         let h = &mut self.0;
@@ -365,13 +394,7 @@ impl LabelHasher {
 /// their precomputed hashes (not their ids), so the result depends only
 /// on structure and the process key — the same in every thread.
 pub(crate) fn node_hash(ctor: CtorId, label: u64, children: impl Iterator<Item = u64>) -> u64 {
-    let mut h = Fold::new();
-    h.word(ctor.0 as u64);
-    h.word(label);
-    for c in children {
-        h.word(c);
-    }
-    h.h
+    Key::get().node_hash(ctor, label, children)
 }
 
 /// Shard index for a hash (its top bits).

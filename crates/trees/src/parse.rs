@@ -10,8 +10,11 @@
 //!    arena, so its size and its children follow from that one index)
 //!    and its structural hash, computed bottom-up by
 //!    [`intern::node_hash`], the function the interner uses. Each label
-//!    is hashed value by value as it is read ([`intern::LabelHasher`]),
-//!    and the document's distinct labels are kept once each, in a
+//!    is hashed value by value as it is read ([`intern::LabelHasher`]).
+//!    Both hashes are seeded from one copy of the process hash key
+//!    ([`intern::Key`]), read once per document, and the label hash
+//!    starts from a state that already holds the arity. The document's
+//!    distinct labels are kept once each, in a
 //!    per-parse table keyed by that hash: a node stores its label's
 //!    index there. A string value is a span of the input, or of one
 //!    per-parse buffer when an escape had to be decoded. Constructor
@@ -44,7 +47,7 @@
 //! frame. What that mode does not read in place it hands to the plain
 //! read of the unescaped text (see [`parse_escaped`]).
 
-use crate::intern::{self, LabelHasher, ValueRef};
+use crate::intern::{self, Key, LabelHasher, ValueRef};
 use crate::tree::{InternedLabel, Tree};
 use crate::ty::{CtorId, TreeType};
 use fast_smt::{Label, Sort, Value};
@@ -177,6 +180,10 @@ struct Parser<'a> {
     ctors: Vec<(&'a [u8], usize)>,
     /// The label signature's arity.
     arity: usize,
+    /// The process hash key, read once per document.
+    key: Key,
+    /// A label hash seeded with the key and the arity, copied per label.
+    label_seed: LabelHasher,
     /// The arena, in post-order: children before their parent.
     nodes: Vec<Slot>,
     /// The document's distinct labels, in order of first occurrence.
@@ -239,6 +246,8 @@ fn parse_text(
 ) -> Result<Tree, ParseError> {
     // HTML pages print about ten bytes of text per node.
     let nodes = input.len() / 8 + 1;
+    let arity = ty.sig().arity();
+    let key = Key::get();
     let mut p = Parser {
         ty,
         src: input,
@@ -250,7 +259,9 @@ fn parse_text(
             .iter()
             .map(|c| (c.name().as_bytes(), c.rank()))
             .collect(),
-        arity: ty.sig().arity(),
+        arity,
+        key,
+        label_seed: key.label_hasher(arity),
         nodes: Vec::with_capacity(nodes),
         labels: Vec::new(),
         label_index: vec![0; 64],
@@ -424,7 +435,7 @@ impl<'a> Parser<'a> {
             )));
         }
         let here = self.nodes.len();
-        let hash = intern::node_hash(
+        let hash = self.key.node_hash(
             CtorId(ctor as usize),
             self.labels[label as usize].hash,
             children.iter().map(|&k| self.nodes[k].hash),
@@ -444,7 +455,7 @@ impl<'a> Parser<'a> {
     fn label(&mut self) -> Result<u32, ParseError> {
         let start = self.vals.len();
         let buf_mark = self.buf.len();
-        let mut hasher = LabelHasher::new(self.arity);
+        let mut hasher = self.label_seed;
         if self.peek() == Some(b'[') {
             self.pos += 1;
             self.skip_ws();
