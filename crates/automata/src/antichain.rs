@@ -1,177 +1,102 @@
-//! Antichain-based universality and inclusion for STAs.
+//! Language inclusion, equivalence and universality for STAs (§3.5's
+//! `l1 == l2`, Proposition 1), all decided by one antichain search.
 //!
 //! §7 of the paper points at the antichain techniques of Bouajjani et al.
 //! (CIAA'08) for nondeterministic tree automata and asks whether they
 //! "translate to our setting" — this module answers constructively.
 //!
-//! The classical bottleneck is the subset construction: complement-based
-//! inclusion materializes every reachable subset. The antichain
-//! observation is that the bottom-up *post* operator is monotone — for a
-//! fixed label, the subset of states reachable from larger child subsets
-//! is larger — so a counterexample reachable through any subsets is also
-//! reachable through ⊆-minimal ones (for universality) or
-//! domination-extremal pairs (for inclusion), and only an antichain of
-//! those needs to be explored. Symbolic guards integrate exactly as in
-//! determinization: labels are split into satisfiable minterms of the
-//! applicable guards, which is where the effective Boolean algebra does
-//! its work.
+//! The classical route to `L(a) ⊆ L(b)` complements `b` by the subset
+//! construction, which materializes every reachable subset. The search
+//! here runs bottom-up over *pairs* `(S, T)`: the states of `a` and of
+//! `b` that accept one common tree. The bottom-up *post* operator is
+//! monotone in both components, so a counterexample reachable through
+//! any pair is also reachable through a domination-maximal one, and only
+//! an antichain of those is kept. Symbolic guards integrate exactly as in
+//! determinization: labels are split into the minterms of the applicable
+//! guards of both automata (the guard split of `bottomup.rs`), which is
+//! where the effective Boolean algebra does its work. Universality is
+//! inclusion from the one-state automaton that accepts every tree.
 //!
-//! Both checks produce a *verified witness tree* on failure, built from
-//! minterm models.
+//! A minterm the solver calls possibly satisfiable is explored even when
+//! it yields no model: it may hold a counterexample, and skipping it
+//! would claim an inclusion that does not hold. Pairs reached through
+//! such a minterm carry no tree, so a failed check may come without a
+//! counterexample, but a returned counterexample is always verified
+//! with [`Sta::accepts`].
 
+use crate::bottomup::{enumerate_tuples, split};
 use crate::error::AutomataError;
 use crate::normalize::{clean, normalize};
-use crate::sta::{Sta, StateId};
-use fast_smt::{minterms, BoolAlg, Label};
+use crate::sta::{Rule, Sta, StateId};
+use fast_smt::{BoolAlg, Label};
 use fast_trees::Tree;
 use std::collections::BTreeSet;
 
-/// Budget on antichain elements (counterexample searches degrade to an
-/// error rather than running away).
+/// Budget on live antichain pairs (the search degrades to an error
+/// rather than running away).
 pub const MAX_ANTICHAIN: usize = 1 << 12;
 
-/// An antichain element for universality: a reachable state subset with a
-/// witness tree that evaluates to it.
-struct UElem {
-    set: BTreeSet<StateId>,
-    witness: Tree,
+/// Outcome of [`inclusion`] and [`equivalence`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verdict {
+    /// The inclusion (or equivalence) holds.
+    Holds,
+    /// It does not hold. The tree, when present, is a verified
+    /// counterexample; it is absent when some label on every
+    /// counterexample the search reached has no model the solver can
+    /// produce.
+    Fails(Option<Tree>),
 }
 
-/// Searches for a tree *outside* the designated language — `None` means
-/// the language is universal.
-///
-/// # Errors
-///
-/// Propagates normalization budget errors and its own antichain budget.
-pub fn universality_counterexample<A: BoolAlg<Elem = Label>>(
-    sta: &Sta<A>,
-) -> Result<Option<Tree>, AutomataError> {
-    let norm = clean(&normalize(sta)?);
-    let q0 = norm.initial();
-    let alg = norm.alg().clone();
-    let ty = norm.ty().clone();
+impl Verdict {
+    /// Whether the checked property holds.
+    pub fn holds(&self) -> bool {
+        matches!(self, Verdict::Holds)
+    }
 
-    let mut chain: Vec<UElem> = Vec::new();
-    loop {
-        let mut grew = false;
-        for ctor in ty.ctor_ids() {
-            let rank = ty.rank(ctor);
-            for tuple in tuples(chain.len(), rank) {
-                // Applicable rules: child requirements inside the tuple's
-                // subsets.
-                let mut states = Vec::new();
-                let mut guards: Vec<A::Pred> = Vec::new();
-                for q in norm.states() {
-                    for r in norm.rules(q) {
-                        if r.ctor != ctor {
-                            continue;
-                        }
-                        let ok = r.lookahead.iter().enumerate().all(|(i, s)| {
-                            let p = s.iter().next().expect("normalized");
-                            chain[tuple[i]].set.contains(p)
-                        });
-                        if ok {
-                            states.push(q);
-                            guards.push(r.guard.clone());
-                        }
-                    }
-                }
-                let mut uniq: Vec<A::Pred> = Vec::new();
-                let mut idx = Vec::with_capacity(guards.len());
-                for g in &guards {
-                    match uniq.iter().position(|u| u == g) {
-                        Some(i) => idx.push(i),
-                        None => {
-                            uniq.push(g.clone());
-                            idx.push(uniq.len() - 1);
-                        }
-                    }
-                }
-                for (signs, pred) in minterms(alg.as_ref(), &uniq) {
-                    let Some(label) = alg.model(&pred) else {
-                        // Can't build a concrete witness: skip this region
-                        // (sound — we only miss potential counterexamples,
-                        // and Unknown-sat regions have no usable model).
-                        continue;
-                    };
-                    let target: BTreeSet<StateId> = states
-                        .iter()
-                        .zip(idx.iter())
-                        .filter(|(_, &gi)| signs[gi])
-                        .map(|(&q, _)| q)
-                        .collect();
-                    let witness = Tree::new(
-                        ctor,
-                        label,
-                        tuple
-                            .iter()
-                            .map(|&i| chain[i].witness.clone())
-                            .collect::<Vec<_>>(),
-                    );
-                    if !target.contains(&q0) {
-                        debug_assert!(!sta.accepts(&witness));
-                        return Ok(Some(witness));
-                    }
-                    // Keep only ⊆-minimal subsets.
-                    if chain.iter().any(|e| e.set.is_subset(&target)) {
-                        continue;
-                    }
-                    chain.retain(|e| !target.is_subset(&e.set));
-                    chain.push(UElem {
-                        set: target,
-                        witness,
-                    });
-                    if chain.len() > MAX_ANTICHAIN {
-                        return Err(AutomataError::StateLimit {
-                            context: "antichain universality",
-                            limit: MAX_ANTICHAIN,
-                        });
-                    }
-                    grew = true;
-                }
-            }
-        }
-        if !grew {
-            return Ok(None);
+    /// The counterexample of a failed check, if one could be built.
+    pub fn counterexample(&self) -> Option<&Tree> {
+        match self {
+            Verdict::Holds => None,
+            Verdict::Fails(t) => t.as_ref(),
         }
     }
 }
 
-/// Antichain universality check.
-///
-/// # Errors
-///
-/// Propagates budget errors.
-pub fn is_universal_antichain<A: BoolAlg<Elem = Label>>(
-    sta: &Sta<A>,
-) -> Result<bool, AutomataError> {
-    Ok(universality_counterexample(sta)?.is_none())
-}
-
-/// An antichain element for inclusion: the pair of subsets the two
-/// automata assign to a common witness tree. Domination order:
-/// `(S, T) ⊒ (S', T')` iff `S ⊇ S'` and `T ⊆ T'` — dominated pairs can
-/// never yield a counterexample the dominating pair cannot.
-struct IElem {
+/// A pair of the search: the states of `a` and of `b` that accept a
+/// common tree, with that tree when every label on it has a model.
+struct Pair {
     a: BTreeSet<StateId>,
     b: BTreeSet<StateId>,
-    witness: Tree,
+    witness: Option<Tree>,
+    /// Cleared once a later pair dominates this one.
+    live: bool,
 }
 
-/// Searches for a tree in `L(a)` but not in `L(b)` — `None` means
-/// `L(a) ⊆ L(b)`.
+/// `(s, t)` dominates `(s2, t2)` iff `s ⊇ s2` and `t ⊆ t2`: a dominated
+/// pair never leads to a counterexample the dominating pair cannot.
+fn dominates(
+    (s, t): (&BTreeSet<StateId>, &BTreeSet<StateId>),
+    (s2, t2): (&BTreeSet<StateId>, &BTreeSet<StateId>),
+) -> bool {
+    s.is_superset(s2) && t.is_subset(t2)
+}
+
+/// Decides `L(a) ⊆ L(b)`, with a counterexample tree in `L(a) \ L(b)`
+/// when it fails.
 ///
 /// # Errors
 ///
-/// Propagates budget errors.
+/// Propagates normalization budget errors and its own
+/// [`MAX_ANTICHAIN`] budget.
 ///
 /// # Panics
 ///
 /// Panics if the automata have different tree types.
-pub fn inclusion_counterexample<A: BoolAlg<Elem = Label>>(
+pub fn inclusion<A: BoolAlg<Elem = Label>>(
     a: &Sta<A>,
     b: &Sta<A>,
-) -> Result<Option<Tree>, AutomataError> {
+) -> Result<Verdict, AutomataError> {
     assert_eq!(a.ty(), b.ty(), "tree type mismatch");
     let na = clean(&normalize(a)?);
     let nb = clean(&normalize(b)?);
@@ -179,119 +104,73 @@ pub fn inclusion_counterexample<A: BoolAlg<Elem = Label>>(
     let alg = na.alg().clone();
     let ty = na.ty().clone();
 
-    let mut chain: Vec<IElem> = Vec::new();
+    // Pairs keep their index for good (dominated ones are only marked
+    // dead), so each round tries just the tuples that use a pair found
+    // in the previous round: every tuple over `pairs[..done]` was tried.
+    let mut pairs: Vec<Pair> = Vec::new();
+    let mut live = 0usize;
+    let mut done = 0usize;
     loop {
-        let mut grew = false;
+        let n = pairs.len();
         for ctor in ty.ctor_ids() {
-            let rank = ty.rank(ctor);
-            for tuple in tuples(chain.len(), rank) {
-                // Applicable rules of both automata; minterms over the
-                // union of their guards.
-                let mut a_states = Vec::new();
-                let mut b_states = Vec::new();
-                let mut guards: Vec<A::Pred> = Vec::new();
-                let mut a_idx = Vec::new();
-                let mut b_idx = Vec::new();
-                let intern = |g: &A::Pred, guards: &mut Vec<A::Pred>| -> usize {
-                    match guards.iter().position(|u| u == g) {
-                        Some(i) => i,
-                        None => {
-                            guards.push(g.clone());
-                            guards.len() - 1
-                        }
-                    }
-                };
-                for q in na.states() {
-                    for r in na.rules(q) {
-                        if r.ctor != ctor {
-                            continue;
-                        }
-                        let ok = r.lookahead.iter().enumerate().all(|(i, s)| {
-                            let p = s.iter().next().expect("normalized");
-                            chain[tuple[i]].a.contains(p)
-                        });
-                        if ok {
-                            a_states.push(q);
-                            a_idx.push(intern(&r.guard, &mut guards));
-                        }
-                    }
+            for tuple in enumerate_tuples(n, ty.rank(ctor)) {
+                let seen = n > 0 && tuple.iter().all(|&i| i < done);
+                if seen || tuple.iter().any(|&i| !pairs[i].live) {
+                    continue;
                 }
-                for q in nb.states() {
-                    for r in nb.rules(q) {
-                        if r.ctor != ctor {
-                            continue;
-                        }
-                        let ok = r.lookahead.iter().enumerate().all(|(i, s)| {
-                            let p = s.iter().next().expect("normalized");
-                            chain[tuple[i]].b.contains(p)
-                        });
-                        if ok {
-                            b_states.push(q);
-                            b_idx.push(intern(&r.guard, &mut guards));
-                        }
-                    }
-                }
-                for (signs, pred) in minterms(alg.as_ref(), &guards) {
-                    let Some(label) = alg.model(&pred) else {
-                        continue;
-                    };
-                    let ta: BTreeSet<StateId> = a_states
-                        .iter()
-                        .zip(a_idx.iter())
-                        .filter(|(_, &gi)| signs[gi])
-                        .map(|(&q, _)| q)
-                        .collect();
-                    // Pairs with empty A-sets are still kept: subtrees
-                    // off a counterexample's accepting spine may have
-                    // them.
-                    let tb: BTreeSet<StateId> = b_states
-                        .iter()
-                        .zip(b_idx.iter())
-                        .filter(|(_, &gi)| signs[gi])
-                        .map(|(&q, _)| q)
-                        .collect();
-                    let witness = Tree::new(
-                        ctor,
-                        label,
-                        tuple
-                            .iter()
-                            .map(|&i| chain[i].witness.clone())
-                            .collect::<Vec<_>>(),
-                    );
+                let a_kids = tuple.iter().map(|&i| &pairs[i].a).collect();
+                let b_kids = tuple.iter().map(|&i| &pairs[i].b).collect();
+                let parts = split(alg.as_ref(), ctor, &[(&na, a_kids), (&nb, b_kids)]);
+                let kids: Option<Vec<Tree>> =
+                    tuple.iter().map(|&i| pairs[i].witness.clone()).collect();
+                for (pred, mut targets) in parts {
+                    let tb = targets.pop().expect("two sides");
+                    let ta = targets.pop().expect("two sides");
+                    let witness = kids
+                        .as_ref()
+                        .and_then(|k| Some(Tree::new(ctor, alg.model(&pred)?, k.clone())));
                     if ta.contains(&a0) && !tb.contains(&b0) {
-                        debug_assert!(a.accepts(&witness) && !b.accepts(&witness));
-                        return Ok(Some(witness));
+                        let cx = witness.filter(|w| a.accepts(w) && !b.accepts(w));
+                        return Ok(Verdict::Fails(cx));
                     }
-                    // Keep only domination-maximal pairs.
-                    if chain
-                        .iter()
-                        .any(|e| ta.is_subset(&e.a) && e.b.is_subset(&tb))
-                    {
+                    // Pairs with an empty A-set are still kept: subtrees
+                    // off a counterexample's accepting spine may have them.
+                    let new = (&ta, &tb);
+                    if pairs.iter().any(|p| p.live && dominates((&p.a, &p.b), new)) {
                         continue;
                     }
-                    chain.retain(|e| !(e.a.is_subset(&ta) && tb.is_subset(&e.b)));
-                    chain.push(IElem {
+                    for p in &mut pairs {
+                        if p.live && dominates(new, (&p.a, &p.b)) {
+                            p.live = false;
+                            live -= 1;
+                        }
+                    }
+                    pairs.push(Pair {
                         a: ta,
                         b: tb,
                         witness,
+                        live: true,
                     });
-                    if chain.len() > MAX_ANTICHAIN {
+                    live += 1;
+                    if live > MAX_ANTICHAIN {
                         return Err(AutomataError::StateLimit {
                             context: "antichain inclusion",
                             limit: MAX_ANTICHAIN,
                         });
                     }
-                    grew = true;
                 }
             }
         }
-        if !grew {
-            return Ok(None);
+        if pairs.len() == n {
+            return Ok(Verdict::Holds);
         }
+        done = n;
     }
 }
 
-/// Antichain inclusion check: `L(a) ⊆ L(b)`.
+/// Decides `L(a) = L(b)`: [`inclusion`] in both directions, `a ⊆ b`
+/// first. A failed check carries a counterexample from the failing
+/// direction.
 ///
 /// # Errors
 ///
@@ -300,140 +179,180 @@ pub fn inclusion_counterexample<A: BoolAlg<Elem = Label>>(
 /// # Panics
 ///
 /// Panics if the automata have different tree types.
-pub fn includes_antichain<A: BoolAlg<Elem = Label>>(
+pub fn equivalence<A: BoolAlg<Elem = Label>>(
     a: &Sta<A>,
     b: &Sta<A>,
-) -> Result<bool, AutomataError> {
-    Ok(inclusion_counterexample(a, b)?.is_none())
+) -> Result<Verdict, AutomataError> {
+    match inclusion(a, b)? {
+        Verdict::Holds => inclusion(b, a),
+        fails => Ok(fails),
+    }
 }
 
-fn tuples(n: usize, rank: usize) -> Vec<Vec<usize>> {
-    if rank == 0 {
-        return vec![Vec::new()];
+/// Language inclusion `L(a) ⊆ L(b)` ([`inclusion`] without the
+/// counterexample).
+///
+/// # Errors
+///
+/// Propagates budget errors.
+///
+/// # Panics
+///
+/// Panics if the automata have different tree types.
+pub fn includes<A: BoolAlg<Elem = Label>>(a: &Sta<A>, b: &Sta<A>) -> Result<bool, AutomataError> {
+    Ok(inclusion(a, b)?.holds())
+}
+
+/// Language equivalence `L(a) = L(b)` ([`equivalence`] without the
+/// counterexample).
+///
+/// # Errors
+///
+/// Propagates budget errors.
+///
+/// # Panics
+///
+/// Panics if the automata have different tree types.
+pub fn equivalent<A: BoolAlg<Elem = Label>>(a: &Sta<A>, b: &Sta<A>) -> Result<bool, AutomataError> {
+    Ok(equivalence(a, b)?.holds())
+}
+
+/// Universality: does the designated language contain every tree of
+/// its type? Decided as inclusion from the one-state automaton that
+/// accepts every tree.
+///
+/// # Errors
+///
+/// Propagates budget errors.
+pub fn is_universal<A: BoolAlg<Elem = Label>>(sta: &Sta<A>) -> Result<bool, AutomataError> {
+    includes(&all_trees(sta), sta)
+}
+
+/// The one-state automaton accepting every tree of `like`'s type.
+fn all_trees<A: BoolAlg<Elem = Label>>(like: &Sta<A>) -> Sta<A> {
+    let (ty, alg) = (like.ty(), like.alg());
+    let mut out = Sta::from_parts(ty.clone(), alg.clone(), Vec::new(), Vec::new(), StateId(0));
+    let q = out.push_state("⊤".to_string());
+    let all: BTreeSet<StateId> = [q].into_iter().collect();
+    for ctor in ty.ctor_ids() {
+        let rule = Rule {
+            ctor,
+            guard: alg.tt(),
+            lookahead: vec![all.clone(); ty.rank(ctor)],
+        };
+        out.push_rule(q, rule);
     }
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut cur = vec![0usize; rank];
-    loop {
-        out.push(cur.clone());
-        let mut i = rank;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            cur[i] += 1;
-            if cur[i] < n {
-                break;
-            }
-            cur[i] = 0;
-        }
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decide::{includes, is_universal};
-    use crate::ops::{intersect, union};
+    use crate::decide::is_empty;
+    use crate::ops::{complement, difference, intersect, union};
+    use crate::sta::fixtures::{bt, bt_alg, example2};
     use crate::sta::StaBuilder;
-    use fast_smt::{CmpOp, Formula, LabelAlg, LabelSig, Term};
-    use fast_trees::TreeType;
-    use std::sync::Arc;
+    use fast_smt::{CmpOp, Formula, Term};
 
-    fn bt() -> (Arc<TreeType>, Arc<LabelAlg>) {
-        let ty = TreeType::new(
-            "BT",
-            LabelSig::single("i", fast_smt::Sort::Int),
-            vec![("L", 0), ("N", 2)],
-        );
-        let alg = Arc::new(LabelAlg::new(ty.sig().clone()));
-        (ty, alg)
-    }
-
-    fn leaves(lo: i64) -> Sta {
-        let (ty, alg) = bt();
+    fn leaves(guard: Formula) -> Sta {
+        let ty = bt();
+        let alg = bt_alg(&ty);
         let l = ty.ctor_id("L").unwrap();
         let n = ty.ctor_id("N").unwrap();
         let mut b = StaBuilder::new(ty, alg);
         let q = b.state("q");
-        b.leaf_rule(q, l, Formula::cmp(CmpOp::Gt, Term::field(0), Term::int(lo)));
+        b.leaf_rule(q, l, guard);
         b.simple_rule(q, n, Formula::True, vec![Some(q), Some(q)]);
         b.build(q)
     }
 
-    fn all_trees() -> Sta {
-        let (ty, alg) = bt();
-        let l = ty.ctor_id("L").unwrap();
-        let n = ty.ctor_id("N").unwrap();
-        let mut b = StaBuilder::new(ty, alg);
-        let q = b.state("all");
-        b.leaf_rule(q, l, Formula::True);
-        b.simple_rule(q, n, Formula::True, vec![Some(q), Some(q)]);
-        b.build(q)
+    fn gt(lo: i64) -> Sta {
+        leaves(Formula::cmp(CmpOp::Gt, Term::field(0), Term::int(lo)))
     }
 
-    #[test]
-    fn universality_agrees_with_determinization() {
-        assert!(is_universal_antichain(&all_trees()).unwrap());
-        assert!(is_universal(&all_trees()).unwrap());
-        let partial = leaves(0);
-        assert!(!is_universal_antichain(&partial).unwrap());
-        assert!(!is_universal(&partial).unwrap());
-        // Union of x > 0 and x ≤ 0 leaves is universal.
-        let (ty, alg) = bt();
-        let l = ty.ctor_id("L").unwrap();
-        let n = ty.ctor_id("N").unwrap();
-        let mut b = StaBuilder::new(ty, alg);
-        let q = b.state("le0");
-        b.leaf_rule(q, l, Formula::cmp(CmpOp::Le, Term::field(0), Term::int(0)));
-        b.simple_rule(q, n, Formula::True, vec![Some(q), Some(q)]);
-        let le0 = b.build(q);
-        let u = union(&leaves(0), &le0);
-        // Not universal: N nodes mixing the two kinds are rejected.
+    /// Checks the search against the complement-based oracle, and every
+    /// counterexample against membership.
+    fn agrees(a: &Sta, b: &Sta) -> bool {
+        let verdict = inclusion(a, b).unwrap();
         assert_eq!(
-            is_universal_antichain(&u).unwrap(),
-            is_universal(&u).unwrap()
+            verdict.holds(),
+            is_empty(&difference(a, b).unwrap()).unwrap()
         );
+        if let Some(w) = verdict.counterexample() {
+            assert!(a.accepts(w) && !b.accepts(w));
+        }
+        verdict.holds()
     }
 
     #[test]
-    fn universality_counterexample_is_genuine() {
-        let partial = leaves(5);
-        let cx = universality_counterexample(&partial).unwrap().unwrap();
-        assert!(!partial.accepts(&cx));
-    }
-
-    #[test]
-    fn inclusion_agrees_with_determinization() {
-        let big = leaves(0);
-        let small = leaves(5);
-        assert!(includes_antichain(&small, &big).unwrap());
-        assert!(includes(&small, &big).unwrap());
-        assert!(!includes_antichain(&big, &small).unwrap());
-        assert!(!includes(&big, &small).unwrap());
+    fn inclusion_and_equivalence() {
+        let (big, small) = (gt(0), gt(5));
+        assert!(agrees(&small, &big));
+        assert!(!agrees(&big, &small));
         // Reflexivity and the lattice corner cases.
-        assert!(includes_antichain(&big, &big).unwrap());
-        assert!(includes_antichain(&small, &all_trees()).unwrap());
-        let meet = intersect(&big, &small);
-        assert!(includes_antichain(&meet, &small).unwrap());
+        assert!(agrees(&big, &big));
+        assert!(agrees(&small, &leaves(Formula::True)));
+        assert!(agrees(&intersect(&big, &small), &small));
+        assert!(equivalent(&big, &big).unwrap());
+        assert!(!equivalent(&big, &small).unwrap());
+        // (leaves > 0) ∪ (leaves > 5) ≡ (leaves > 0)
+        assert!(equivalent(&union(&big, &small), &big).unwrap());
     }
 
     #[test]
-    fn inclusion_counterexample_is_genuine() {
-        let big = leaves(0);
-        let small = leaves(5);
-        let cx = inclusion_counterexample(&big, &small).unwrap().unwrap();
-        assert!(big.accepts(&cx));
-        assert!(!small.accepts(&cx));
+    fn counterexamples_are_genuine() {
+        let (big, small) = (gt(0), gt(5));
+        let cx = inclusion(&big, &small).unwrap();
+        let w = cx.counterexample().expect("models exist");
+        assert!(big.accepts(w) && !small.accepts(w));
+        // Equivalence reports the failing direction's counterexample.
+        let cx = equivalence(&small, &big).unwrap();
+        let w = cx.counterexample().expect("models exist");
+        assert!(big.accepts(w) && !small.accepts(w));
     }
 
     #[test]
-    fn randomized_agreement_with_determinization() {
-        // Random-ish small automata: guards over residues and thresholds.
-        let (ty, alg) = bt();
+    fn universality() {
+        let all = leaves(Formula::True);
+        assert!(is_universal(&all).unwrap());
+        assert!(!is_universal(&gt(0)).unwrap());
+        let (p, ..) = example2();
+        assert!(!is_universal(&p).unwrap());
+        // Leaves x > 0 or x ≤ 0, but never mixed under one N: not
+        // universal, as the complement says.
+        let le0 = leaves(Formula::cmp(CmpOp::Le, Term::field(0), Term::int(0)));
+        let u = union(&gt(0), &le0);
+        assert!(!is_universal(&u).unwrap());
+        assert!(!is_empty(&complement(&u).unwrap()).unwrap());
+    }
+
+    #[test]
+    fn modelless_minterms_are_not_skipped() {
+        // The solver cannot find a root of x*x = 123456², so the leaf
+        // region outside the guard has no model; `L[123456]` is still
+        // outside the language.
+        let x = Term::field(0);
+        let square = x.clone().mul(x);
+        let root = Formula::eq(square.clone(), Term::int(15_241_383_936));
+        let ng = leaves(Formula::cmp(CmpOp::Ne, square, Term::int(15_241_383_936)));
+        let alg = ng.alg();
+        assert!(alg.is_sat(&alg.pred(root.clone())) && alg.model(&alg.pred(root)).is_none());
+        let all = leaves(Formula::True);
+        assert!(!includes(&all, &ng).unwrap());
+        assert!(!is_universal(&ng).unwrap());
+        let outside = Tree::leaf(ng.ty().ctor_id("L").unwrap(), Label::single(123_456));
+        assert!(!ng.accepts(&outside));
+        match inclusion(&all, &ng).unwrap() {
+            Verdict::Fails(cx) => assert!(cx.is_none_or(|w| !ng.accepts(&w))),
+            Verdict::Holds => panic!("inclusion must fail"),
+        }
+    }
+
+    #[test]
+    fn randomized_agreement_with_complement() {
+        // Small two-state automata: guards over residues and thresholds.
+        let ty = bt();
+        let alg = bt_alg(&ty);
         let l = ty.ctor_id("L").unwrap();
         let n = ty.ctor_id("N").unwrap();
         let mk = |g1: Formula, g2: Formula| {
@@ -450,19 +369,16 @@ mod tests {
         let gs = [
             Formula::cmp(CmpOp::Gt, x.clone(), Term::int(0)),
             Formula::eq(x.clone().modulo(2), Term::int(1)),
-            Formula::cmp(CmpOp::Le, x.clone(), Term::int(3)),
+            Formula::cmp(CmpOp::Le, x, Term::int(3)),
             Formula::True,
         ];
         for g1 in &gs {
             for g2 in &gs {
                 for h1 in &gs {
                     let a = mk(g1.clone(), g2.clone());
-                    let b2 = mk(h1.clone(), g2.clone());
-                    assert_eq!(
-                        includes_antichain(&a, &b2).unwrap(),
-                        includes(&a, &b2).unwrap(),
-                        "disagree: {g1} {g2} vs {h1}"
-                    );
+                    let b = mk(h1.clone(), g2.clone());
+                    agrees(&a, &b);
+                    agrees(&b, &a);
                 }
             }
         }

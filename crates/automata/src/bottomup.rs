@@ -19,12 +19,6 @@ use std::sync::Arc;
 /// Budget for determinization (number of subset states).
 pub const MAX_DET_STATES: usize = 1 << 12;
 
-/// A deterministic, complete, bottom-up symbolic tree automaton.
-///
-/// Every tree of the underlying type evaluates to exactly one state; the
-/// `contents` of a state record which states of the source (normalized)
-/// STA accept the trees evaluating to it, so any Boolean combination of
-/// source languages can be designated as final.
 /// Symbolic transition table: per (constructor, child-state tuple), the
 /// minterm-partitioned guarded targets. Ordered so that every iteration
 /// (notably [`Dbta::to_sta`]'s rule emission) is deterministic — rule
@@ -208,7 +202,6 @@ impl<A: BoolAlg<Elem = Label>> Dbta<A> {
                 reps.push(p);
             }
         }
-        let _class_count = reps.len();
         let mut trans: TransTable<A> = BTreeMap::new();
         for ((ctor, tuple), entries) in &self.trans {
             let key = (*ctor, tuple.iter().map(|&s| class[s]).collect::<Vec<_>>());
@@ -283,46 +276,11 @@ pub fn determinize<A: BoolAlg<Elem = Label>>(sta: &Sta<A>) -> Result<Dbta<A>, Au
                 if trans.contains_key(&key) {
                     continue;
                 }
-                // Applicable rules: child requirement p_i must lie in the
-                // subset contents of tuple[i].
-                let mut rule_states: Vec<StateId> = Vec::new();
-                let mut rule_guards: Vec<A::Pred> = Vec::new();
-                for q in sta.states() {
-                    for r in sta.rules(q) {
-                        if r.ctor != ctor {
-                            continue;
-                        }
-                        let ok = r.lookahead.iter().enumerate().all(|(i, s)| {
-                            let p = s.iter().next().expect("normalized");
-                            contents[tuple[i]].contains(p)
-                        });
-                        if ok {
-                            rule_states.push(q);
-                            rule_guards.push(r.guard.clone());
-                        }
-                    }
-                }
-                // Minterms over distinct guards.
-                let mut uniq: Vec<A::Pred> = Vec::new();
-                let mut guard_idx: Vec<usize> = Vec::with_capacity(rule_guards.len());
-                for g in &rule_guards {
-                    match uniq.iter().position(|u| u == g) {
-                        Some(i) => guard_idx.push(i),
-                        None => {
-                            uniq.push(g.clone());
-                            guard_idx.push(uniq.len() - 1);
-                        }
-                    }
-                }
-                let mut entries: Vec<(A::Pred, usize)> = Vec::new();
-                for (signs, pred) in minterms(alg.as_ref(), &uniq) {
-                    let target: BTreeSet<StateId> = rule_states
-                        .iter()
-                        .zip(guard_idx.iter())
-                        .filter(|(_, &gi)| signs[gi])
-                        .map(|(&q, _)| q)
-                        .collect();
-                    let id = intern(target, &mut contents)?;
+                let kids = tuple.iter().map(|&i| &contents[i]).collect();
+                let parts = split(alg.as_ref(), ctor, &[(sta, kids)]);
+                let mut entries: Vec<(A::Pred, usize)> = Vec::with_capacity(parts.len());
+                for (pred, mut targets) in parts {
+                    let id = intern(targets.pop().expect("one side"), &mut contents)?;
                     entries.push((pred, id));
                 }
                 trans.insert(key, entries);
@@ -344,7 +302,74 @@ pub fn determinize<A: BoolAlg<Elem = Label>>(sta: &Sta<A>) -> Result<Dbta<A>, Au
     })
 }
 
-fn enumerate_tuples(n: usize, rank: usize) -> Vec<Vec<usize>> {
+/// One side of a [`split`]: a normalized STA and, per child position,
+/// the set of its states that accept that child.
+pub(crate) type Side<'a, A> = (&'a Sta<A>, Vec<&'a BTreeSet<StateId>>);
+
+/// The guard split shared by the subset construction and the inclusion
+/// search ([`crate::antichain`]). For constructor `ctor`, it collects
+/// each side's applicable rules (every child requirement lies in that
+/// child's set), deduplicates their guards in first-occurrence order
+/// (states, then rules, side after side) and splits the label space
+/// into the satisfiable minterms of those guards. Each minterm comes
+/// with one target set per side: the states whose applicable rule it
+/// satisfies. Minterm order is [`minterms`]' order over the deduplicated
+/// guards, so [`determinize`]'s transition order, and with it the
+/// `.fastc` bytes, follow from rule order alone.
+pub(crate) fn split<A: BoolAlg<Elem = Label>>(
+    alg: &A,
+    ctor: CtorId,
+    sides: &[Side<'_, A>],
+) -> Vec<(A::Pred, Vec<BTreeSet<StateId>>)> {
+    let mut guards: Vec<A::Pred> = Vec::new();
+    // Per side: (state, index into `guards`) of each applicable rule.
+    let mut applicable: Vec<Vec<(StateId, usize)>> = Vec::with_capacity(sides.len());
+    for (sta, kids) in sides {
+        let mut rules = Vec::new();
+        for q in sta.states() {
+            for r in sta.rules(q) {
+                if r.ctor != ctor {
+                    continue;
+                }
+                let ok = r.lookahead.iter().zip(kids).all(|(s, kid)| {
+                    let p = s.iter().next().expect("normalized");
+                    kid.contains(p)
+                });
+                if !ok {
+                    continue;
+                }
+                let gi = match guards.iter().position(|g| *g == r.guard) {
+                    Some(i) => i,
+                    None => {
+                        guards.push(r.guard.clone());
+                        guards.len() - 1
+                    }
+                };
+                rules.push((q, gi));
+            }
+        }
+        applicable.push(rules);
+    }
+    minterms(alg, &guards)
+        .into_iter()
+        .map(|(signs, pred)| {
+            let targets = applicable
+                .iter()
+                .map(|rules| {
+                    rules
+                        .iter()
+                        .filter(|&&(_, gi)| signs[gi])
+                        .map(|&(q, _)| q)
+                        .collect()
+                })
+                .collect();
+            (pred, targets)
+        })
+        .collect()
+}
+
+/// Every `rank`-tuple over `0..n`, in lexicographic order.
+pub(crate) fn enumerate_tuples(n: usize, rank: usize) -> Vec<Vec<usize>> {
     if rank == 0 {
         return vec![Vec::new()];
     }

@@ -1,10 +1,9 @@
-//! Decision procedures on STA languages: emptiness (with witness
-//! extraction), membership, inclusion, equivalence, universality
-//! (§3.5's assertion language: `a ∈ l`, `l1 == l2`, `is-empty`).
+//! Emptiness of STA languages, with witness extraction (Proposition 1;
+//! §3.5's `is-empty`). Inclusion, equivalence and universality are the
+//! antichain search's (`antichain.rs`).
 
 use crate::error::AutomataError;
 use crate::normalize::{nonempty_states, normalize};
-use crate::ops::{complement, intersect};
 use crate::sta::Sta;
 use fast_smt::{BoolAlg, Label};
 use fast_trees::Tree;
@@ -78,46 +77,9 @@ pub fn normalized_witness<A: BoolAlg<Elem = Label>>(norm: &Sta<A>) -> Option<Tre
     best[norm.initial().0].take().filter(|t| norm.accepts(t))
 }
 
-/// Language inclusion `L(a) ⊆ L(b)`.
-///
-/// # Errors
-///
-/// Propagates state-budget errors.
-///
-/// # Panics
-///
-/// Panics if the automata have different tree types.
-pub fn includes<A: BoolAlg<Elem = Label>>(a: &Sta<A>, b: &Sta<A>) -> Result<bool, AutomataError> {
-    let diff = intersect(a, &complement(b)?);
-    is_empty(&diff)
-}
-
-/// Language equivalence `L(a) = L(b)`.
-///
-/// # Errors
-///
-/// Propagates state-budget errors.
-///
-/// # Panics
-///
-/// Panics if the automata have different tree types.
-pub fn equivalent<A: BoolAlg<Elem = Label>>(a: &Sta<A>, b: &Sta<A>) -> Result<bool, AutomataError> {
-    Ok(includes(a, b)? && includes(b, a)?)
-}
-
-/// Universality: does the designated language contain every tree?
-///
-/// # Errors
-///
-/// Propagates state-budget errors.
-pub fn is_universal<A: BoolAlg<Elem = Label>>(sta: &Sta<A>) -> Result<bool, AutomataError> {
-    is_empty(&complement(sta)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::union;
     use crate::sta::fixtures::{bt, bt_alg, example2};
     use crate::sta::StaBuilder;
     use fast_smt::{CmpOp, Formula, Term};
@@ -164,47 +126,5 @@ mod tests {
         b.simple_rule(q, n, Formula::True, vec![Some(q), Some(q)]);
         let sta = b.build(q);
         assert!(is_empty(&sta).unwrap());
-    }
-
-    #[test]
-    fn inclusion_and_equivalence() {
-        let ty = bt();
-        let alg = bt_alg(&ty);
-        let l = ty.ctor_id("L").unwrap();
-        let n = ty.ctor_id("N").unwrap();
-        let x = Term::field(0);
-
-        let mk = |lo: i64| {
-            let mut b = StaBuilder::new(ty.clone(), alg.clone());
-            let q = b.state("q");
-            b.leaf_rule(q, l, Formula::cmp(CmpOp::Gt, x.clone(), Term::int(lo)));
-            b.simple_rule(q, n, Formula::True, vec![Some(q), Some(q)]);
-            b.build(q)
-        };
-        let gt0 = mk(0);
-        let gt5 = mk(5);
-        assert!(includes(&gt5, &gt0).unwrap());
-        assert!(!includes(&gt0, &gt5).unwrap());
-        assert!(equivalent(&gt0, &gt0).unwrap());
-        assert!(!equivalent(&gt0, &gt5).unwrap());
-        // (leaves > 0) ∪ (leaves > 5) ≡ (leaves > 0)
-        let u = union(&gt0, &gt5);
-        assert!(equivalent(&u, &gt0).unwrap());
-    }
-
-    #[test]
-    fn universality() {
-        let ty = bt();
-        let alg = bt_alg(&ty);
-        let l = ty.ctor_id("L").unwrap();
-        let n = ty.ctor_id("N").unwrap();
-        let mut b = StaBuilder::new(ty.clone(), alg.clone());
-        let q = b.state("all");
-        b.leaf_rule(q, l, Formula::True);
-        b.simple_rule(q, n, Formula::True, vec![Some(q), Some(q)]);
-        let all = b.build(q);
-        assert!(is_universal(&all).unwrap());
-        let (p, ..) = example2();
-        assert!(!is_universal(&p).unwrap());
     }
 }

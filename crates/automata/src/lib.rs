@@ -13,12 +13,13 @@
 //!   minimization live on this form;
 //! * [`union`], [`intersect`], [`complement`], [`difference`],
 //!   [`minimize`] — the language operations of §3.5;
-//! * [`is_empty`], [`witness`], [`normalized_witness`], [`includes`],
-//!   [`equivalent`], [`is_universal`] — decision procedures
-//!   (Proposition 1);
-//! * [`includes_antichain`] / [`is_universal_antichain`] — antichain
-//!   variants that avoid the full subset construction and return verified
-//!   counterexample trees (§7's CIAA'08 open direction, implemented).
+//! * [`is_empty`], [`witness`], [`normalized_witness`] — emptiness with
+//!   witness extraction (Proposition 1);
+//! * [`inclusion`] / [`equivalence`] and their boolean forms
+//!   [`includes`], [`equivalent`], [`is_universal`] — one antichain
+//!   search (§7's CIAA'08 open direction, implemented) that avoids the
+//!   full subset construction and returns a verified counterexample tree
+//!   as part of its [`Verdict`].
 //!
 //! # Examples
 //!
@@ -63,11 +64,10 @@ mod ops;
 mod sta;
 
 pub use antichain::{
-    includes_antichain, inclusion_counterexample, is_universal_antichain,
-    universality_counterexample, MAX_ANTICHAIN,
+    equivalence, equivalent, includes, inclusion, is_universal, Verdict, MAX_ANTICHAIN,
 };
 pub use bottomup::{determinize, Dbta, MAX_DET_STATES};
-pub use decide::{equivalent, includes, is_empty, is_universal, normalized_witness, witness};
+pub use decide::{is_empty, normalized_witness, witness};
 pub use error::AutomataError;
 pub use normalize::{clean, nonempty_states, normalize, normalize_rooted, MAX_MERGED_STATES};
 pub use ops::{complement, difference, intersect, minimize, union};

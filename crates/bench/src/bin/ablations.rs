@@ -2,12 +2,11 @@
 //!
 //! 1. guard-satisfiability pruning during composition (`Look` 2(a));
 //! 2. eager formula simplification in the label algebra;
-//! 3. lazy (rooted) vs eager (all-states) normalization;
-//! 4. antichain vs determinization-based inclusion checking.
+//! 3. lazy (rooted) vs eager (all-states) normalization.
 //!
 //! Usage: `ablations [--pairs N]`
 
-use fast_automata::{includes, includes_antichain, normalize, normalize_rooted, StateId};
+use fast_automata::{normalize, normalize_rooted, StateId};
 use fast_bench::lists::{ilist_alg, ilist_type, map_caesar};
 use fast_bench::taggers::{generate_taggers, world_alg, world_type};
 use fast_core::{compose_with, ComposeOptions};
@@ -33,7 +32,6 @@ fn main() {
     ablation_pruning(pairs);
     ablation_simplify();
     ablation_normalize();
-    ablation_antichain();
     fast_bench::telemetry::emit("ablations");
 }
 
@@ -114,31 +112,6 @@ fn ablation_simplify() {
             t,
             fused.rule_count()
         );
-    }
-    println!();
-}
-
-/// Antichain vs determinization-based inclusion on the sanitizer's
-/// language stack (DESIGN.md §6 / paper §7).
-fn ablation_antichain() {
-    println!("== Ablation 4: antichain vs determinization inclusion ==");
-    let c = fast_bench::sanitizer::compile_fig2();
-    let checks: [(&str, &str); 3] = [
-        ("nodeTree", "badOutput"),
-        ("badOutput", "nodeTree"),
-        ("bad_inputs", "nodeTree"),
-    ];
-    for (x, y) in checks {
-        let a = c.lang(x).unwrap();
-        let b = c.lang(y).unwrap();
-        let start = Instant::now();
-        let det = includes(a, b).unwrap();
-        let det_t = start.elapsed().as_secs_f64() * 1e3;
-        let start = Instant::now();
-        let anti = includes_antichain(a, b).unwrap();
-        let anti_t = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(det, anti, "methods must agree");
-        println!("  {x} ⊆ {y}? {det}   determinization {det_t:.2} ms, antichain {anti_t:.2} ms");
     }
     println!();
 }

@@ -10,7 +10,7 @@
 
 use crate::error::TransducerError;
 use crate::sttr::Sttr;
-use fast_automata::{difference, witness};
+use fast_automata::{inclusion, Verdict};
 use fast_smt::{Label, TransAlg};
 use fast_trees::Tree;
 
@@ -58,8 +58,7 @@ pub fn find_inequivalence<A: TransAlg<Elem = Label>>(
     // Phase 1: exact domain comparison.
     let (da, db) = (a.domain(), b.domain());
     for (x, y) in [(&da, &db), (&db, &da)] {
-        let diff = difference(x, y).map_err(TransducerError::from)?;
-        if let Some(w) = witness(&diff).map_err(TransducerError::from)? {
+        if let Verdict::Fails(Some(w)) = inclusion(x, y).map_err(TransducerError::from)? {
             return Ok(Some(w));
         }
     }

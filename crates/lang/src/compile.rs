@@ -15,7 +15,7 @@
 use crate::ast::*;
 use crate::diag::{DiagSink, Diagnostic, Span};
 use fast_automata::{
-    complement, difference, equivalent, intersect, is_empty, minimize, union, witness, Sta,
+    complement, difference, equivalence, intersect, is_empty, minimize, union, witness, Sta,
     StaBuilder, StateId,
 };
 use fast_core::{
@@ -1025,20 +1025,11 @@ impl Compiler {
                 let (tx, sx) = self.eval_lexpr(x)?;
                 let (ty_, sy) = self.eval_lexpr(y)?;
                 same_type(&tx, &ty_, a.span)?;
-                let eq = equivalent(&sx, &sy).map_err(|e| err(a.span, e.to_string()))?;
-                let cx = if !eq {
-                    let ty = self.types[&tx].clone();
-                    let d1 = difference(&sx, &sy)
-                        .ok()
-                        .and_then(|d| witness(&d).ok().flatten());
-                    let d2 = difference(&sy, &sx)
-                        .ok()
-                        .and_then(|d| witness(&d).ok().flatten());
-                    d1.or(d2).map(|t| t.display(&ty).to_string())
-                } else {
-                    None
-                };
-                (eq, "language equivalence".to_string(), cx)
+                let verdict = equivalence(&sx, &sy).map_err(|e| err(a.span, e.to_string()))?;
+                let cx = verdict
+                    .counterexample()
+                    .map(|t| t.display(&self.types[&tx]).to_string());
+                (verdict.holds(), "language equivalence".to_string(), cx)
             }
             Assertion::Member(tr, l) => {
                 let (tt, tree) = self.eval_tree_expr(tr)?;

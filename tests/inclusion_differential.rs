@@ -1,0 +1,70 @@
+//! The antichain inclusion search against the complement-based oracle
+//! `is_empty(&difference(a, b))` on every pair of same-typed languages
+//! the shipped `programs/*.fast` define.
+//!
+//! The oracle decides through determinization and treats a minterm the
+//! solver cannot decide as satisfiable, so it may report a non-empty
+//! difference that holds no tree; the search must never do the reverse
+//! and report "not included" where the oracle proves inclusion. Every
+//! counterexample the search returns must be a real one.
+
+use fast::automata::{inclusion, Verdict};
+use fast::prelude::*;
+use std::path::Path;
+
+fn programs() -> Vec<(String, String)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("programs");
+    let mut out: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "fast"))
+        .map(|p| {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read_to_string(&p).unwrap())
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn search_never_refutes_an_oracle_inclusion() {
+    let mut pairs = 0usize;
+    for (file, src) in programs() {
+        let c = compile(&src).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let names = c.lang_names();
+        for &x in &names {
+            for &y in &names {
+                if c.lang_type(x) != c.lang_type(y) {
+                    continue;
+                }
+                let (a, b) = (c.lang(x).unwrap(), c.lang(y).unwrap());
+                let Ok(verdict) = inclusion(a, b) else {
+                    continue;
+                };
+                pairs += 1;
+                if let Some(w) = verdict.counterexample() {
+                    assert!(a.accepts(w), "{file}: {x} ⊆ {y}: counterexample not in {x}");
+                    assert!(!b.accepts(w), "{file}: {x} ⊆ {y}: counterexample in {y}");
+                }
+                let oracle = difference(a, b).and_then(|d| is_empty(&d));
+                if oracle == Ok(true) {
+                    assert_eq!(verdict, Verdict::Holds, "{file}: {x} ⊆ {y}");
+                }
+            }
+        }
+    }
+    assert!(pairs > 100, "only {pairs} language pairs decided");
+}
+
+#[test]
+fn css_offending_is_equivalent_to_itself() {
+    let (_, src) = programs()
+        .into_iter()
+        .find(|(f, _)| f == "css.fast")
+        .unwrap();
+    let c = compile(&format!("{src}\nassert-true offending == offending\n")).unwrap();
+    let last = c.report().assertions.last().unwrap();
+    assert_eq!(last.description, "language equivalence");
+    assert!(c.report().all_passed());
+}

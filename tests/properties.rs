@@ -194,6 +194,21 @@ proptest! {
             prop_assert!(b.accepts(&t));
         }
     }
+
+    /// The antichain search agrees with the complement-based oracle on
+    /// inclusion and universality, and its counterexamples are genuine.
+    #[test]
+    fn inclusion_matches_oracle(a in bt_sta(), b in bt_sta()) {
+        let verdict = fast::automata::inclusion(&a, &b).unwrap();
+        prop_assert_eq!(verdict.holds(), is_empty(&difference(&a, &b).unwrap()).unwrap());
+        if let Some(w) = verdict.counterexample() {
+            prop_assert!(a.accepts(w) && !b.accepts(w));
+        }
+        prop_assert_eq!(
+            is_universal(&a).unwrap(),
+            is_empty(&complement(&a).unwrap()).unwrap()
+        );
+    }
 }
 
 // ---------- transducers ----------
