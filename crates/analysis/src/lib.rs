@@ -71,7 +71,7 @@
 
 #![warn(missing_docs)]
 
-use fast_automata::{is_empty, is_universal, nonempty_states, normalize_rooted, Sta, StateId};
+use fast_automata::{emptiness, is_empty, is_universal, Sta, StateId};
 pub use fast_core::{check_pipeline, PipelineOutcome, PipelineViolation};
 use fast_core::{compose_exactness, Exactness, Out, Sttr, SvBudget, SvVerdict};
 use fast_json::Json;
@@ -340,10 +340,7 @@ impl Analyzer<'_> {
                 continue; // unconstrained child
             }
             count!("analysis.solver_calls");
-            let Ok((norm, roots)) = normalize_rooted(la, vec![set.clone()]) else {
-                continue;
-            };
-            if !nonempty_states(&norm)[roots[0].0] {
+            if emptiness(la, set).is_ok_and(|v| v.holds()) {
                 let var = ast.vars.get(i).map(String::as_str).unwrap_or("?");
                 let langs: Vec<String> = set.iter().map(|&s| state_name(s)).collect();
                 self.diags.push(
@@ -368,12 +365,12 @@ impl Analyzer<'_> {
 
     /// FA002: two rules of the same constructor with different outputs are
     /// simultaneously enabled — guards jointly satisfiable and every
-    /// child's joint lookahead non-empty. This is exactly the pairwise
-    /// test of `Sttr::is_deterministic` (Definition 9), localized to
-    /// source rules so each offending pair gets a span.
+    /// child's joint lookahead non-empty ([`Sttr::lookaheads_meet`]). This
+    /// is exactly the pairwise test of `Sttr::is_deterministic`
+    /// (Definition 9), localized to source rules so each offending pair
+    /// gets a span.
     fn overlap_check(&mut self, t: &TransDecl, sttr: &Sttr, alg: &Arc<LabelAlg>) {
         let rules = sttr.rules(sttr.initial());
-        let la = sttr.lookahead_sta();
         for a in 0..rules.len() {
             for b in (a + 1)..rules.len() {
                 let (ra, rb) = (&rules[a], &rules[b]);
@@ -392,23 +389,9 @@ impl Analyzer<'_> {
                 if outputs_provably_equal(alg, &joint_guard, &ra.output, &rb.output) {
                     continue;
                 }
-                let mut overlap = true;
-                for i in 0..ra.lookahead.len() {
-                    let joint: BTreeSet<StateId> =
-                        ra.lookahead[i].union(&rb.lookahead[i]).copied().collect();
-                    if joint.is_empty() {
-                        continue;
-                    }
-                    count!("analysis.solver_calls");
-                    let Ok((norm, roots)) = normalize_rooted(la, vec![joint]) else {
-                        continue;
-                    };
-                    if !nonempty_states(&norm)[roots[0].0] {
-                        overlap = false;
-                        break;
-                    }
-                }
-                if !overlap {
+                // A budget error counts as an overlap.
+                count!("analysis.solver_calls");
+                if !sttr.lookaheads_meet(ra, rb).unwrap_or(true) {
                     continue;
                 }
                 count!("analysis.solver_calls");

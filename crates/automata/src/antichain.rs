@@ -36,15 +36,16 @@ use std::collections::BTreeSet;
 /// rather than running away).
 pub const MAX_ANTICHAIN: usize = 1 << 12;
 
-/// Outcome of [`inclusion`] and [`equivalence`].
+/// Outcome of [`inclusion`], [`equivalence`] and
+/// [`emptiness`](crate::emptiness).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verdict {
-    /// The inclusion (or equivalence) holds.
+    /// The inclusion (equivalence, emptiness) holds.
     Holds,
     /// It does not hold. The tree, when present, is a verified
-    /// counterexample; it is absent when some label on every
-    /// counterexample the search reached has no model the solver can
-    /// produce.
+    /// counterexample (for emptiness, a member); it is absent when some
+    /// label on every counterexample reached has no model the solver
+    /// can produce.
     Fails(Option<Tree>),
 }
 

@@ -13,8 +13,9 @@
 //!   minimization live on this form;
 //! * [`union`], [`intersect`], [`complement`], [`difference`],
 //!   [`minimize`] — the language operations of §3.5;
-//! * [`is_empty`], [`witness`], [`normalized_witness`] — emptiness with
-//!   witness extraction (Proposition 1);
+//! * [`emptiness`] — one emptiness procedure with witness extraction
+//!   (Proposition 1), and its boolean and tree forms [`is_empty`],
+//!   [`witness`];
 //! * [`inclusion`] / [`equivalence`] and their boolean forms
 //!   [`includes`], [`equivalent`], [`is_universal`] — one antichain
 //!   search (§7's CIAA'08 open direction, implemented) that avoids the
@@ -67,8 +68,8 @@ pub use antichain::{
     equivalence, equivalent, includes, inclusion, is_universal, Verdict, MAX_ANTICHAIN,
 };
 pub use bottomup::{determinize, Dbta, MAX_DET_STATES};
-pub use decide::{is_empty, normalized_witness, witness};
+pub use decide::{emptiness, is_empty, witness};
 pub use error::AutomataError;
-pub use normalize::{clean, nonempty_states, normalize, normalize_rooted, MAX_MERGED_STATES};
+pub use normalize::{clean, normalize, normalize_rooted, MAX_MERGED_STATES};
 pub use ops::{complement, difference, intersect, minimize, union};
 pub use sta::{Rule, Sta, StaBuilder, StateId};

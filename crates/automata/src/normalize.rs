@@ -6,6 +6,7 @@
 //! eliminated eagerly, and the result is cleaned by removing states that
 //! accept no tree.
 
+use crate::decide::fixpoint;
 use crate::error::AutomataError;
 use crate::sta::{Rule, Sta, StateId};
 use fast_smt::{BoolAlg, Label};
@@ -164,51 +165,13 @@ pub fn normalize_rooted<A: BoolAlg<Elem = Label>>(
     Ok((out, root_ids))
 }
 
-/// Computes, for a *normalized* STA, which states accept at least one tree
-/// (least fixpoint).
-///
-/// # Panics
-///
-/// Panics if the automaton is not normalized.
-pub fn nonempty_states<A: BoolAlg<Elem = Label>>(sta: &Sta<A>) -> Vec<bool> {
-    assert!(
-        sta.is_normalized(),
-        "nonempty_states requires a normalized STA"
-    );
-    let alg = sta.alg();
-    let n = sta.state_count();
-    let mut nonempty = vec![false; n];
-    loop {
-        let mut changed = false;
-        for q in sta.states() {
-            if nonempty[q.0] {
-                continue;
-            }
-            for r in sta.rules(q) {
-                let kids_ok = r
-                    .lookahead
-                    .iter()
-                    .all(|s| nonempty[s.iter().next().unwrap().0]);
-                if kids_ok && alg.is_sat(&r.guard) {
-                    nonempty[q.0] = true;
-                    changed = true;
-                    break;
-                }
-            }
-        }
-        if !changed {
-            return nonempty;
-        }
-    }
-}
-
 /// Removes rules that depend on empty states (cleaning step of footnote 7).
 /// State ids are preserved; the designated state keeps its language.
 pub fn clean<A: BoolAlg<Elem = Label>>(sta: &Sta<A>) -> Sta<A> {
     if !sta.is_normalized() {
         return sta.clone();
     }
-    let nonempty = nonempty_states(sta);
+    let (nonempty, _) = fixpoint(sta, false);
     let mut out: Sta<A> = Sta::from_parts(
         sta.ty().clone(),
         sta.alg().clone(),
@@ -289,15 +252,6 @@ mod tests {
         for text in ["L[0]", "L[7]", "N[1](L[0], L[0])"] {
             assert!(norm.accepts_at(top, &Tree::parse(&ty, text).unwrap()));
         }
-    }
-
-    #[test]
-    fn nonempty_fixpoint() {
-        let (sta, ..) = example2();
-        let norm = normalize(&sta).unwrap();
-        let ne = nonempty_states(&norm);
-        // Everything in this automaton is inhabited.
-        assert!(ne.iter().all(|&b| b));
     }
 
     #[test]

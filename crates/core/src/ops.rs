@@ -8,9 +8,7 @@
 use crate::compose::{preimage, try_compose_exact};
 use crate::error::TransducerError;
 use crate::sttr::{identity_restricted, Sttr};
-use fast_automata::{
-    complement, intersect, is_empty, nonempty_states, normalize, normalized_witness, Sta,
-};
+use fast_automata::{complement, emptiness, intersect, is_empty, Sta, Verdict};
 use fast_smt::{Label, TransAlg};
 use fast_trees::{Tree, TreeType};
 
@@ -148,8 +146,8 @@ impl PipelineViolation {
 /// The bad-output language `¬l2` is pulled backward through the chain
 /// with [`preimage`] — exact for STTRs, where checking the eagerly
 /// composed product could over-approximate (Theorem 4) — and intersected
-/// with `l1`. That offending-input language is normalized once, both to
-/// decide its emptiness and to extract a witness input. The witness is
+/// with `l1`. One [`emptiness`] call on that offending-input language
+/// decides it and yields a witness input. The witness is
 /// replayed forward through the actual stages, choosing at each step an
 /// output that still reaches a bad final output, and the offending stage
 /// — the first whose intermediate cannot reach `l2` anymore — is
@@ -188,15 +186,16 @@ fn decide_pipeline(
         Some(l) => intersect(l, &bad[0]),
         None => bad[0].clone(),
     };
-    let norm = normalize(&offending_inputs)
-        .map_err(|e| format!("normalizing the offending-input language failed: {e}"))?;
-    if !nonempty_states(&norm)[norm.initial().0] {
-        return Ok(PipelineOutcome::Satisfied);
-    }
-    let input = normalized_witness(&norm).ok_or(
-        "the offending-input language is not provably empty, but no counterexample could be \
-         constructed from it",
-    )?;
+    let root = [offending_inputs.initial()].into();
+    let input = match emptiness(&offending_inputs, &root)
+        .map_err(|e| format!("normalizing the offending-input language failed: {e}"))?
+    {
+        Verdict::Holds => return Ok(PipelineOutcome::Satisfied),
+        Verdict::Fails(input) => input.ok_or(
+            "the offending-input language is not provably empty, but no counterexample could \
+             be constructed from it",
+        )?,
+    };
     // Forward replay: stay inside the bad chain so the final output is
     // guaranteed to land outside l2.
     let mut cur = input.clone();

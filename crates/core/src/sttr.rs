@@ -2,7 +2,7 @@
 
 use crate::error::TransducerError;
 use crate::out::Out;
-use fast_automata::{nonempty_states, normalize_rooted, Rule as StaRule, Sta, StateId};
+use fast_automata::{emptiness, AutomataError, Rule as StaRule, Sta, StateId};
 use fast_smt::{Label, LabelAlg, TransAlg};
 use fast_trees::{CtorId, Tree, TreeId, TreeType};
 use std::collections::{BTreeSet, HashMap};
@@ -611,27 +611,36 @@ impl<A: TransAlg<Elem = Label>> Sttr<A> {
                     if !self.alg.is_sat(&self.alg.and(&ra.guard, &rb.guard)) {
                         continue;
                     }
-                    let mut overlap = true;
-                    for i in 0..ra.lookahead.len() {
-                        let joint: BTreeSet<StateId> =
-                            ra.lookahead[i].union(&rb.lookahead[i]).copied().collect();
-                        if joint.is_empty() {
-                            continue;
-                        }
-                        let (norm, roots) = normalize_rooted(&self.la, vec![joint])?;
-                        let ne = nonempty_states(&norm);
-                        if !ne[roots[0].0] {
-                            overlap = false;
-                            break;
-                        }
-                    }
-                    if overlap {
+                    if self.lookaheads_meet(ra, rb)? {
                         return Ok(Some((q, a, b)));
                     }
                 }
             }
         }
         Ok(None)
+    }
+
+    /// Whether the lookaheads of rules `a` and `b` (of the same
+    /// constructor) admit a common input: every child's joint lookahead
+    /// set is non-empty by [`emptiness`]. Guards are not consulted.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first child's state-budget error when no child's joint
+    /// set is provably empty.
+    pub fn lookaheads_meet(&self, a: &TRule<A>, b: &TRule<A>) -> Result<bool, AutomataError> {
+        let mut first_err = None;
+        for (la, lb) in a.lookahead.iter().zip(&b.lookahead) {
+            if la.is_empty() && lb.is_empty() {
+                continue;
+            }
+            match emptiness(&self.la, &la.union(lb).copied().collect()) {
+                Ok(v) if v.holds() => return Ok(false),
+                Err(e) if first_err.is_none() => first_err = Some(e),
+                _ => {}
+            }
+        }
+        first_err.map_or(Ok(true), Err)
     }
 
     /// Single-valuedness — the left-composability precondition of

@@ -32,10 +32,10 @@ use crate::equiv::{enumerate, extend_guard_labels};
 use crate::error::TransducerError;
 use crate::out::Out;
 use crate::sttr::Sttr;
-use fast_automata::{nonempty_states, normalize_rooted, StateId};
+use fast_automata::StateId;
 use fast_smt::{Label, TransAlg};
 use fast_trees::Tree;
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
 /// Budgets for [`Sttr::single_valuedness`]. Exhausting any of them turns
@@ -198,23 +198,12 @@ impl<A: TransAlg<Elem = Label>> SvCtx<'_, A> {
         if !self.sat(&gamma)? {
             return Ok(None);
         }
-        for i in 0..ra.lookahead.len() {
-            let joint: BTreeSet<StateId> =
-                ra.lookahead[i].union(&rb.lookahead[i]).copied().collect();
-            if joint.is_empty() {
-                continue;
-            }
-            match normalize_rooted(self.s.lookahead_sta(), vec![joint]) {
-                Ok((norm, roots)) => {
-                    if !nonempty_states(&norm)[roots[0].0] {
-                        return Ok(None);
-                    }
-                }
-                // Budget overflow: conservatively treat as enabled.
-                Err(_) => continue,
-            }
-        }
-        Ok(Some(gamma))
+        // Budget overflow: conservatively treat as enabled.
+        Ok(self
+            .s
+            .lookaheads_meet(ra, rb)
+            .unwrap_or(true)
+            .then_some(gamma))
     }
 
     /// Checks that outputs `a` and `b` are forced equal under guard

@@ -391,6 +391,11 @@ fn disjoint_lookahead_restores_determinism() {
     let (_, pos, neg) = pos_neg_lookahead();
     let sttr = guard_overlap_sttr(Some(pos), Some(neg));
     assert!(sttr.is_deterministic().unwrap());
+    let rs = sttr.rules(sttr.initial());
+    assert!(!sttr.lookaheads_meet(&rs[0], &rs[1]).unwrap());
+    let same = guard_overlap_sttr(Some(pos), Some(pos));
+    let rs = same.rules(same.initial());
+    assert!(same.lookaheads_meet(&rs[0], &rs[1]).unwrap());
     assert!(sttr.is_linear());
     let (ty, _) = bt();
     for src in ["N[7](L[1], L[1])", "N[7](L[-1], L[1])", "N[1](L[0], L[0])"] {

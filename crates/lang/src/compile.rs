@@ -15,12 +15,12 @@
 use crate::ast::*;
 use crate::diag::{DiagSink, Diagnostic, Span};
 use fast_automata::{
-    complement, difference, equivalence, intersect, is_empty, minimize, union, witness, Sta,
-    StaBuilder, StateId,
+    complement, difference, emptiness, equivalence, intersect, minimize, union, witness, Sta,
+    StaBuilder, StateId, Verdict,
 };
 use fast_core::{
-    check_pipeline, compose, is_empty_transducer, preimage, restrict, restrict_out, Out,
-    PipelineOutcome, Sttr, SttrBuilder,
+    check_pipeline, compose, preimage, restrict, restrict_out, Out, PipelineOutcome, Sttr,
+    SttrBuilder,
 };
 use fast_smt::{Atom, CmpOp, Formula, Label, LabelAlg, LabelFn, LabelSig, Sort, Term};
 use fast_trees::{Tree, TreeType};
@@ -995,31 +995,23 @@ impl Compiler {
 
     fn assert_decl(&mut self, a: &AssertDecl) -> Result<(), Diagnostic> {
         let (actual, description, counterexample) = match &a.body {
-            Assertion::IsEmptyLang(l) => {
+            Assertion::IsEmptyLang(l) => match l {
                 // A bare name may actually denote a transformation
                 // (`(is-empty T)` in the grammar).
-                if let LExpr::Name(n, span) = l {
-                    if !self.langs.contains_key(n) && self.trans.contains_key(n) {
-                        let t = &self.trans[n].sttr;
-                        let empty =
-                            is_empty_transducer(t).map_err(|e| err(*span, e.to_string()))?;
-                        (empty, format!("is-empty {n}"), None)
-                    } else {
-                        self.assert_empty_lang(l)?
-                    }
-                } else {
-                    self.assert_empty_lang(l)?
+                LExpr::Name(n, span)
+                    if !self.langs.contains_key(n) && self.trans.contains_key(n) =>
+                {
+                    let domain = self.trans[n].sttr.domain();
+                    assert_empty(&domain, format!("is-empty {n}"), *span)?
                 }
-            }
+                _ => {
+                    let (_, sta) = self.eval_lexpr(l)?;
+                    assert_empty(&sta, "is-empty (language)".to_string(), l.span())?
+                }
+            },
             Assertion::IsEmptyTrans(t) => {
                 let (_, sttr) = self.eval_texpr(t)?;
-                let empty = is_empty_transducer(&sttr).map_err(|e| err(a.span, e.to_string()))?;
-                let cx = if !empty {
-                    self.domain_witness(&sttr)
-                } else {
-                    None
-                };
-                (empty, "is-empty (transducer)".to_string(), cx)
+                assert_empty(&sttr.domain(), "is-empty (transducer)".to_string(), a.span)?
             }
             Assertion::LangEq(x, y) => {
                 let (tx, sx) = self.eval_lexpr(x)?;
@@ -1064,27 +1056,24 @@ impl Compiler {
         });
         Ok(())
     }
+}
 
-    fn assert_empty_lang(&self, l: &LExpr) -> Result<(bool, String, Option<String>), Diagnostic> {
-        let (tl, sta) = self.eval_lexpr(l)?;
-        let empty = is_empty(&sta).map_err(|e| err(l.span(), e.to_string()))?;
-        let cx = if !empty {
-            witness(&sta)
-                .ok()
-                .flatten()
-                .map(|t| t.display(&self.types[&tl]).to_string())
-        } else {
-            None
-        };
-        Ok((empty, "is-empty (language)".to_string(), cx))
-    }
-
-    fn domain_witness(&self, sttr: &Sttr) -> Option<String> {
-        let d = sttr.domain();
-        witness(&d)
-            .ok()
-            .flatten()
-            .map(|t| t.display(sttr.ty()).to_string())
+/// An `is-empty` assertion's outcome and counterexample, from one
+/// [`emptiness`] call on `sta`'s designated language.
+fn assert_empty(
+    sta: &Sta,
+    description: String,
+    span: Span,
+) -> Result<(bool, String, Option<String>), Diagnostic> {
+    let root = [sta.initial()].into();
+    match emptiness(sta, &root).map_err(|e| err(span, e.to_string()))? {
+        Verdict::Holds => Ok((true, description, None)),
+        Verdict::Fails(Some(t)) => Ok((false, description, Some(t.display(sta.ty()).to_string()))),
+        Verdict::Fails(None) => Err(err(
+            span,
+            "is-empty undecided: the language is not provably empty, but no member could be \
+             constructed from it",
+        )),
     }
 }
 

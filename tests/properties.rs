@@ -174,11 +174,22 @@ proptest! {
         }
     }
 
-    /// Emptiness and witness agree; witnesses are members.
+    /// Emptiness and witness agree; witnesses are members. Emptiness also
+    /// agrees with a second decider, the antichain search: `L(a) = ∅` iff
+    /// `L(a) ⊆ ∅`.
     #[test]
     fn emptiness_vs_witness(a in bt_sta()) {
+        let verdict = fast::automata::emptiness(&a, &[a.initial()].into()).unwrap();
         let e = is_empty(&a).unwrap();
-        match witness(&a).unwrap() {
+        prop_assert_eq!(verdict.holds(), e);
+        let (ty, alg) = bt();
+        let mut b = StaBuilder::new(ty, alg);
+        let none = b.state("none");
+        let empty = b.build(none);
+        prop_assert_eq!(e, fast::automata::inclusion(&a, &empty).unwrap().holds());
+        let w = witness(&a).unwrap();
+        prop_assert_eq!(w.as_ref(), verdict.counterexample());
+        match w {
             Some(w) => {
                 prop_assert!(!e);
                 prop_assert!(a.accepts(&w));
