@@ -150,8 +150,8 @@ options:
 exit codes:
   0  clean (run: all assertions passed; check: no errors, and no
      warnings when --deny-warnings is set)
-  1  run: compile error, failed assertion, or corrupt artifact; check:
-     warnings present under --deny-warnings
+  1  run: compile error, failed or undecided assertion, or corrupt
+     artifact; check: warnings present under --deny-warnings
   2  usage or I/O error; check: error diagnostics (e.g. FA100/FA101
      contract violations or compile errors)";
 
@@ -488,9 +488,13 @@ fn assertion_run(compiled: &fast_lang::Compiled, path: &str, stats: bool, quiet:
         }
     }
     let report = compiled.report();
-    let mut failed = 0usize;
+    let (mut failed, mut undecided) = (0usize, 0usize);
     for a in &report.assertions {
-        let status = if a.passed() { "PASS" } else { "FAIL" };
+        let status = match (a.passed(), &a.undecided) {
+            (true, _) => "PASS",
+            (false, None) => "FAIL",
+            (false, Some(_)) => "UNDECIDED",
+        };
         if !quiet || !a.passed() {
             outln!(
                 "{status} {path}:{} assert-{} {}",
@@ -501,19 +505,23 @@ fn assertion_run(compiled: &fast_lang::Compiled, path: &str, stats: bool, quiet:
             if let Some(cx) = &a.counterexample {
                 outln!("     counterexample: {cx}");
             }
+            if let Some(reason) = &a.undecided {
+                outln!("     undecided: {reason}");
+            }
         }
-        if !a.passed() {
-            failed += 1;
-        }
+        failed += usize::from(status == "FAIL");
+        undecided += usize::from(status == "UNDECIDED");
     }
     if !quiet {
+        let note = (undecided > 0).then(|| format!(", {undecided} undecided"));
         outln!(
-            "{} assertion(s), {} failed",
+            "{} assertion(s), {} failed{}",
             report.assertions.len(),
-            failed
+            failed,
+            note.unwrap_or_default()
         );
     }
-    if failed == 0 {
+    if failed + undecided == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -67,6 +67,29 @@ fn buggy_sanitizer_fails_with_counterexample() {
     assert!(stdout.contains("script"), "{stdout}");
 }
 
+/// An assertion the procedures can neither prove nor refute is printed
+/// as undecided with its reason; the program's other assertions are
+/// still reported, and the run still fails.
+#[test]
+fn undecided_assertion_is_reported_and_the_rest_still_run() {
+    let src = std::fs::read_to_string(programs_dir().join("css.fast")).unwrap();
+    let path = write_temp(
+        "css_self_difference.fast",
+        &format!("{src}\nassert-true (is-empty (difference offending offending))\n"),
+    );
+    let out = fastc().arg(&path).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert_eq!(stdout.matches("PASS ").count(), 2, "{stdout}");
+    assert_eq!(stdout.matches("UNDECIDED ").count(), 1, "{stdout}");
+    assert!(!stdout.contains("FAIL "), "{stdout}");
+    assert!(stdout.contains("     undecided: "), "{stdout}");
+    assert!(
+        stdout.contains("3 assertion(s), 0 failed, 1 undecided"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn quiet_mode_only_prints_failures() {
     let ok = programs_dir().join("example2.fast");

@@ -13,17 +13,20 @@
 //!   (`Compose`/`Reduce`/`Look`, §4.1): always an over-approximation of
 //!   `T_T ∘ T_S`, exact when `S` is single-valued or `T` is linear
 //!   (Theorem 4) — see [`Sttr::is_deterministic`] and [`Sttr::is_linear`];
-//! * [`preimage`], [`restrict`], [`restrict_out`], [`type_check`] — the
-//!   derived analyses of §3.5;
+//! * [`preimage`], [`restrict`], [`restrict_out`] — the derived
+//!   analyses of §3.5. [`restrict`] is a lookahead merge at the root: the
+//!   language's root rules are paired with the transducer's (guards
+//!   conjoined, per-child lookaheads unioned), with no composition;
+//!   [`restrict_out`] composes with `restrict I l`, which is linear, so
+//!   it is exact;
 //! * [`check_pipeline`] — the contract check `l1 t1; …; tn l2`: one
 //!   backward pre-image procedure that decides the contract and, on
 //!   violation, replays a counterexample forward through the stages
 //!   ([`PipelineOutcome`], [`PipelineViolation`]). Every contract verdict
 //!   in the workspace — the `FA100`/`FA101` diagnostics, the DSL's
-//!   `type-check` assertion and `fastc check --pipeline` — comes from it;
-//! * [`identity`], [`identity_restricted`] — the identity STTR and
-//!   `restrict I l`, the single-valued *and* linear workhorse that makes
-//!   the derived operations exact.
+//!   `type-check` assertion and `fastc check --pipeline` — comes from it,
+//!   and §3.5's `type-check l1 t l2` is its one-stage chain;
+//! * [`identity`] — the identity STTR.
 //!
 //! # Examples
 //!
@@ -76,9 +79,8 @@ pub use compose::{
 pub use equiv::{find_inequivalence, EquivConfig};
 pub use error::TransducerError;
 pub use ops::{
-    check_pipeline, is_empty_transducer, restrict, restrict_out, type_check, PipelineOutcome,
-    PipelineViolation,
+    check_pipeline, is_empty_transducer, restrict, restrict_out, PipelineOutcome, PipelineViolation,
 };
 pub use out::Out;
-pub use sttr::{identity, identity_restricted, Sttr, SttrBuilder, TRule, DEFAULT_RUN_CAP};
+pub use sttr::{identity, Sttr, SttrBuilder, TRule, DEFAULT_RUN_CAP};
 pub use sv::{SvBudget, SvProof, SvVerdict};

@@ -183,6 +183,10 @@ impl<A: TransAlg<Elem = Label>> Sttr<A> {
         }
     }
 
+    pub(crate) fn absorb_lookahead(&mut self, la: &Sta<A>) -> usize {
+        self.la.absorb(la)
+    }
+
     pub(crate) fn push_state(&mut self, name: String) -> StateId {
         self.names.push(name);
         self.rules.push(Vec::new());
@@ -863,7 +867,7 @@ impl<A: TransAlg<Elem = Label>> SttrBuilder<A> {
     ///
     /// Panics if the tree types differ.
     pub fn absorb_lookahead(&mut self, la: &Sta<A>) -> usize {
-        self.sttr.la.absorb(la)
+        self.sttr.absorb_lookahead(la)
     }
 
     /// Number of transformation states declared so far.
@@ -894,45 +898,6 @@ pub fn identity<A: TransAlg<Elem = Label>>(ty: &Arc<TreeType>, alg: &Arc<A>) -> 
         b.plain_rule(q, ctor, alg.tt(), Out::node(ctor, alg.identity_fun(), kids));
     }
     b.build(q)
-}
-
-/// Constructs `restrict I L`: the identity transducer defined exactly on
-/// the language of `sta`'s designated state. This is the building block
-/// for `restrict` and `restrict-out` (§3.5): it is single-valued *and*
-/// linear, so compositions with it are always exact by Theorem 4.
-///
-/// # Errors
-///
-/// Propagates normalization budget errors.
-pub fn identity_restricted<A: TransAlg<Elem = Label>>(
-    sta: &Sta<A>,
-) -> Result<Sttr<A>, TransducerError> {
-    let norm = fast_automata::clean(&fast_automata::normalize(sta)?);
-    let alg = norm.alg().clone();
-    let ty = norm.ty().clone();
-    let mut b = SttrBuilder::new(ty.clone(), alg.clone());
-    // One transformation state per normalized STA state.
-    let states: Vec<StateId> = norm
-        .states()
-        .map(|s| b.state(&format!("id:{}", norm.state_name(s))))
-        .collect();
-    for s in norm.states() {
-        for r in norm.rules(s) {
-            let kids = (0..r.lookahead.len())
-                .map(|i| {
-                    let child = r.lookahead[i].iter().next().expect("normalized");
-                    Out::Call(states[child.0], i)
-                })
-                .collect();
-            b.plain_rule(
-                states[s.0],
-                r.ctor,
-                r.guard.clone(),
-                Out::node(r.ctor, alg.identity_fun(), kids),
-            );
-        }
-    }
-    Ok(b.build(states[norm.initial().0]))
 }
 
 #[cfg(test)]
@@ -1164,7 +1129,7 @@ mod tests {
     }
 
     #[test]
-    fn identity_restricted_respects_language() {
+    fn restricted_identity_respects_language() {
         use fast_automata::StaBuilder;
         // Language: lists whose elements are all even.
         let ty = ilist();
@@ -1178,7 +1143,7 @@ mod tests {
         b.simple_rule(s, cons, even, vec![Some(s)]);
         let evens = b.build(s);
 
-        let idr = identity_restricted(&evens).unwrap();
+        let idr = crate::ops::restrict(&identity(&ty, &alg), &evens).unwrap();
         assert!(idr.is_linear());
         let ok = Tree::parse(&ty, "cons[2](cons[4](nil[0]))").unwrap();
         let bad = Tree::parse(&ty, "cons[2](cons[3](nil[0]))").unwrap();

@@ -41,12 +41,17 @@ pub struct AssertionResult {
     /// A witness tree (pretty-printed) when the assertion fails on an
     /// emptiness/equivalence/type-check question.
     pub counterexample: Option<String>,
+    /// Why the question could be neither proved nor refuted (an
+    /// `is-empty` or `type-check` whose language is not provably empty
+    /// but yields no member). Such an assertion never passes, and
+    /// `actual` is `false`.
+    pub undecided: Option<String>,
 }
 
 impl AssertionResult {
-    /// Did the assertion hold?
+    /// Did the assertion hold? Never true for an undecided one.
     pub fn passed(&self) -> bool {
-        self.expected == self.actual
+        self.undecided.is_none() && self.expected == self.actual
     }
 }
 
@@ -58,7 +63,7 @@ pub struct Report {
 }
 
 impl Report {
-    /// True when every assertion held.
+    /// True when every assertion held (an undecided one does not).
     pub fn all_passed(&self) -> bool {
         self.assertions.iter().all(AssertionResult::passed)
     }
@@ -198,8 +203,8 @@ impl Compiled {
 /// # Errors
 ///
 /// Returns the first lexical, syntactic, type, or evaluation error.
-/// Failed assertions are *not* errors; they are recorded in the
-/// [`Report`].
+/// Failed and undecided assertions are *not* errors; they are recorded
+/// in the [`Report`].
 pub fn compile(src: &str) -> Result<Compiled, Diagnostic> {
     let mut sink = DiagSink::new();
     let compiled = compile_collect(src, &mut sink);
@@ -994,7 +999,7 @@ impl Compiler {
     }
 
     fn assert_decl(&mut self, a: &AssertDecl) -> Result<(), Diagnostic> {
-        let (actual, description, counterexample) = match &a.body {
+        let (decided, description, counterexample) = match &a.body {
             Assertion::IsEmptyLang(l) => match l {
                 // A bare name may actually denote a transformation
                 // (`(is-empty T)` in the grammar).
@@ -1021,13 +1026,13 @@ impl Compiler {
                 let cx = verdict
                     .counterexample()
                     .map(|t| t.display(&self.types[&tx]).to_string());
-                (verdict.holds(), "language equivalence".to_string(), cx)
+                (Ok(verdict.holds()), "language equivalence".to_string(), cx)
             }
             Assertion::Member(tr, l) => {
                 let (tt, tree) = self.eval_tree_expr(tr)?;
                 let (tl, sta) = self.eval_lexpr(l)?;
                 same_type(&tt, &tl, a.span)?;
-                (sta.accepts(&tree), "membership".to_string(), None)
+                (Ok(sta.accepts(&tree)), "membership".to_string(), None)
             }
             Assertion::TypeCheck(l1, t, l2) => {
                 let (t1, s1) = self.eval_lexpr(l1)?;
@@ -1035,47 +1040,48 @@ impl Compiler {
                 let (t2, s2) = self.eval_lexpr(l2)?;
                 same_type(&t1, &tt, a.span)?;
                 same_type(&tt, &t2, a.span)?;
-                let (ok, cx) = match check_pipeline(&[&sttr], Some(&s1), &s2) {
-                    PipelineOutcome::Satisfied => (true, None),
-                    PipelineOutcome::Violated(v) => {
-                        (false, Some(v.input.display(&self.types[&t1]).to_string()))
-                    }
-                    PipelineOutcome::Unknown(reason) => {
-                        return Err(err(a.span, format!("type-check undecided: {reason}")))
-                    }
+                let (decided, cx) = match check_pipeline(&[&sttr], Some(&s1), &s2) {
+                    PipelineOutcome::Satisfied => (Ok(true), None),
+                    PipelineOutcome::Violated(v) => (
+                        Ok(false),
+                        Some(v.input.display(&self.types[&t1]).to_string()),
+                    ),
+                    PipelineOutcome::Unknown(reason) => (Err(reason), None),
                 };
-                (ok, "type-check".to_string(), cx)
+                (decided, "type-check".to_string(), cx)
             }
         };
         self.report.assertions.push(AssertionResult {
             span: a.span,
             description,
             expected: a.expected,
-            actual,
+            actual: decided.as_ref().is_ok_and(|&b| b),
             counterexample,
+            undecided: decided.err(),
         });
         Ok(())
     }
 }
 
-/// An `is-empty` assertion's outcome and counterexample, from one
-/// [`emptiness`] call on `sta`'s designated language.
-fn assert_empty(
-    sta: &Sta,
-    description: String,
-    span: Span,
-) -> Result<(bool, String, Option<String>), Diagnostic> {
+/// An `is-empty` assertion's outcome (`Err` with the reason when
+/// undecided) and counterexample, from one [`emptiness`] call on `sta`'s
+/// designated language.
+fn assert_empty(sta: &Sta, description: String, span: Span) -> Result<Decided, Diagnostic> {
     let root = [sta.initial()].into();
-    match emptiness(sta, &root).map_err(|e| err(span, e.to_string()))? {
-        Verdict::Holds => Ok((true, description, None)),
-        Verdict::Fails(Some(t)) => Ok((false, description, Some(t.display(sta.ty()).to_string()))),
-        Verdict::Fails(None) => Err(err(
-            span,
-            "is-empty undecided: the language is not provably empty, but no member could be \
-             constructed from it",
-        )),
-    }
+    let (decided, cx) = match emptiness(sta, &root).map_err(|e| err(span, e.to_string()))? {
+        Verdict::Holds => (Ok(true), None),
+        Verdict::Fails(Some(t)) => (Ok(false), Some(t.display(sta.ty()).to_string())),
+        Verdict::Fails(None) => (Err(NO_MEMBER.to_string()), None),
+    };
+    Ok((decided, description, cx))
 }
+
+/// An assertion's truth value (`Err` with the reason when undecided),
+/// description and counterexample.
+type Decided = (Result<bool, String>, String, Option<String>);
+
+const NO_MEMBER: &str =
+    "the language is not provably empty, but no member could be constructed from it";
 
 fn same_type(a: &str, b: &str, span: Span) -> Result<(), Diagnostic> {
     if a == b {

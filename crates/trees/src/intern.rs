@@ -670,12 +670,24 @@ mod tests {
         assert_eq!(std::mem::size_of::<Option<Entry<CanonLabel>>>(), 16);
     }
 
+    /// Held by each test that forces a hash collision: the tests run in
+    /// parallel, and each reads its own delta of the process-global
+    /// `intern.hash_collisions` counter.
+    static FORCED_COLLISIONS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn forcing_collisions() -> std::sync::MutexGuard<'static, ()> {
+        FORCED_COLLISIONS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Two distinct nodes forced under one structural hash keep distinct
     /// ids, share one probe run (the first inserted is `probe`'s
     /// candidate), and each is found again by `intern`. The hash is not
     /// the nodes' own, so the label values are used by no other test.
     #[test]
     fn colliding_nodes_keep_their_ids_and_order() {
+        let _serial = forcing_collisions();
         let ty = bt();
         let l = ty.ctor_id("L").unwrap();
         let hash = 0x0123_4567_89ab_cdef;
@@ -704,6 +716,7 @@ mod tests {
     /// and builds the right node, the one `Tree::leaf` finds.
     #[test]
     fn parse_passes_a_colliding_candidate() {
+        let _serial = forcing_collisions();
         let ty = bt();
         let l = ty.ctor_id("L").unwrap();
         let real = Label::single(606_000_100i64);
@@ -727,6 +740,7 @@ mod tests {
     /// own, so the values are used by no other test.
     #[test]
     fn colliding_labels_keep_their_ids() {
+        let _serial = forcing_collisions();
         let ty = bt();
         let l = ty.ctor_id("L").unwrap();
         let hash = 0x0fed_cba9_8765_4321;

@@ -123,7 +123,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // type-check: on safe inputs, the CSS program never produces an
     // unreadable node (black-on-white stays readable).
     let readable = complement(&unreadable)?;
-    let ok = type_check(&safe_docs, &css, &readable)?;
+    let ok = matches!(
+        check_pipeline(&[&css], Some(&safe_docs), &readable),
+        PipelineOutcome::Satisfied
+    );
     println!("\ntype-check(safe white-background docs, css, readable) = {ok}");
     assert!(ok);
     Ok(())

@@ -62,7 +62,7 @@ pub mod prelude {
         union, witness, Sta, StaBuilder, StateId,
     };
     pub use fast_core::{
-        compose, identity, identity_restricted, preimage, restrict, restrict_out, type_check, Out,
+        check_pipeline, compose, identity, preimage, restrict, restrict_out, Out, PipelineOutcome,
         Sttr, SttrBuilder,
     };
     pub use fast_lang::compile;

@@ -73,9 +73,27 @@ fn bt_tree() -> impl Strategy<Value = Tree> {
 
 /// A small random STA over BT: each state has a random leaf guard and a
 /// node rule pointing at random child states.
+/// Guards in the linear fragment: the label compared with constants.
+fn linear_formula() -> BoxedStrategy<Formula> {
+    let atom =
+        (cmp_op(), -10i64..10).prop_map(|(op, c)| Formula::cmp(op, Term::field(0), Term::int(c)));
+    atom.prop_recursive(2, 8, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+            inner.prop_map(Formula::not),
+        ]
+    })
+    .boxed()
+}
+
 fn bt_sta() -> impl Strategy<Value = Sta> {
-    (1usize..4).prop_flat_map(|n| {
-        let guards = proptest::collection::vec(formula(), n);
+    bt_sta_guarded(|| formula().boxed())
+}
+
+fn bt_sta_guarded(guard: fn() -> BoxedStrategy<Formula>) -> impl Strategy<Value = Sta> {
+    (1usize..4).prop_flat_map(move |n| {
+        let guards = proptest::collection::vec(guard(), n);
         let kids = proptest::collection::vec((0..n, 0..n), n);
         (guards, kids, 0..n).prop_map(move |(guards, kids, init)| {
             let (ty, alg) = bt();
@@ -318,5 +336,20 @@ proptest! {
             .filter(|o| l.accepts(o))
             .collect();
         prop_assert_eq!(rout.run(&t).unwrap(), expected);
+    }
+
+    /// Input restriction merges `l` at the root, so its domain is the
+    /// transducer's domain intersected with `l`. The construction never
+    /// reads the guards' theory, so they are linear here: the inclusion
+    /// search over conjunctions of random `mod`/`mul` guards can take
+    /// minutes per case.
+    #[test]
+    fn restriction_domain_is_intersection(
+        g in linear_formula(), e1 in int_term(), e2 in int_term(),
+        l in bt_sta_guarded(linear_formula),
+    ) {
+        let s = bt_relabel(g, e1, e2);
+        let rin = restrict(&s, &l).unwrap();
+        prop_assert!(equivalent(&rin.domain(), &intersect(&s.domain(), &l)).unwrap());
     }
 }
