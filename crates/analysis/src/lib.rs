@@ -71,7 +71,7 @@
 
 #![warn(missing_docs)]
 
-use fast_automata::{emptiness, is_empty, is_universal, Sta, StateId};
+use fast_automata::{is_empty, is_empty_at, is_universal, Sta, StateId};
 pub use fast_core::{check_pipeline, PipelineOutcome, PipelineViolation};
 use fast_core::{compose_exactness, Exactness, Out, Sttr, SvBudget, SvVerdict};
 use fast_json::Json;
@@ -340,7 +340,7 @@ impl Analyzer<'_> {
                 continue; // unconstrained child
             }
             count!("analysis.solver_calls");
-            if emptiness(la, set).is_ok_and(|v| v.holds()) {
+            if is_empty_at(la, set).is_ok_and(|e| e) {
                 let var = ast.vars.get(i).map(String::as_str).unwrap_or("?");
                 let langs: Vec<String> = set.iter().map(|&s| state_name(s)).collect();
                 self.diags.push(

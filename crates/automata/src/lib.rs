@@ -14,8 +14,10 @@
 //! * [`union`], [`intersect`], [`complement`], [`difference`],
 //!   [`minimize`] — the language operations of §3.5;
 //! * [`emptiness`] — one emptiness procedure with witness extraction
-//!   (Proposition 1), and its boolean and tree forms [`is_empty`],
-//!   [`witness`];
+//!   (Proposition 1), decided on the fly: a depth-first search over
+//!   merged state sets from the root set that builds only the merged
+//!   rules of the sets it reaches; its boolean forms [`is_empty_at`] (a root set) and [`is_empty`], and
+//!   its tree form [`witness`];
 //! * [`inclusion`] / [`equivalence`] and their boolean forms
 //!   [`includes`], [`equivalent`], [`is_universal`] — one antichain
 //!   search (§7's CIAA'08 open direction, implemented) that avoids the
@@ -68,7 +70,7 @@ pub use antichain::{
     equivalence, equivalent, includes, inclusion, is_universal, Verdict, MAX_ANTICHAIN,
 };
 pub use bottomup::{determinize, Dbta, MAX_DET_STATES};
-pub use decide::{emptiness, is_empty, witness};
+pub use decide::{emptiness, is_empty, is_empty_at, witness};
 pub use error::AutomataError;
 pub use normalize::{clean, normalize, normalize_rooted, MAX_MERGED_STATES};
 pub use ops::{complement, difference, intersect, minimize, union};

@@ -6,7 +6,6 @@
 //! eliminated eagerly, and the result is cleaned by removing states that
 //! accept no tree.
 
-use crate::decide::fixpoint;
 use crate::error::AutomataError;
 use crate::sta::{Rule, Sta, StateId};
 use fast_smt::{BoolAlg, Label};
@@ -171,7 +170,7 @@ pub fn clean<A: BoolAlg<Elem = Label>>(sta: &Sta<A>) -> Sta<A> {
     if !sta.is_normalized() {
         return sta.clone();
     }
-    let (nonempty, _) = fixpoint(sta, false);
+    let nonempty = inhabited(sta);
     let mut out: Sta<A> = Sta::from_parts(
         sta.ty().clone(),
         sta.alg().clone(),
@@ -197,6 +196,32 @@ pub fn clean<A: BoolAlg<Elem = Label>>(sta: &Sta<A>) -> Sta<A> {
     // states (e.g. a domain automaton with no child requirements), and
     // from_parts above already carried the designated state over.
     out
+}
+
+/// Per state of a normalized STA, whether it accepts some tree: the
+/// least fixpoint of "some rule has a satisfiable guard (`is_sat`) and
+/// inhabited children", swept in Gauss-Seidel order.
+fn inhabited<A: BoolAlg<Elem = Label>>(norm: &Sta<A>) -> Vec<bool> {
+    let alg = norm.alg();
+    let mut nonempty = vec![false; norm.state_count()];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for q in norm.states() {
+            if !nonempty[q.0]
+                && norm.rules(q).iter().any(|r| {
+                    r.lookahead
+                        .iter()
+                        .all(|s| nonempty[s.first().expect("normalized").0])
+                        && alg.is_sat(&r.guard)
+                })
+            {
+                nonempty[q.0] = true;
+                changed = true;
+            }
+        }
+    }
+    nonempty
 }
 
 #[cfg(test)]
@@ -228,6 +253,8 @@ mod tests {
     fn normalize_merges_p_and_o() {
         let (sta, ..) = example2();
         let norm = normalize(&sta).unwrap();
+        // Everything in this automaton is inhabited.
+        assert!(inhabited(&norm).iter().all(|&b| b));
         // Root is {q}; its N-rule's second child is the merged state {p,o};
         // expanding that requires L-rules with guard (x>0 ∧ odd x).
         let merged = norm

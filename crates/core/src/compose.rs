@@ -553,17 +553,19 @@ pub fn try_compose_exact<A: TransAlg<Elem = Label>>(
     s: &Sttr<A>,
     t: &Sttr<A>,
 ) -> Result<Sttr<A>, TransducerError> {
+    assert_eq!(s.ty(), t.ty(), "tree type mismatch");
+    let exactness = compose_exactness(s, t);
     if let Exactness::Overapproximate {
         left_witness,
         right_witness,
-    } = compose_exactness(s, t)
+    } = exactness
     {
         return Err(TransducerError::InexactComposition {
             left_witness,
             right_witness,
         });
     }
-    Ok(compose(s, t)?.sttr)
+    Ok(compose_decided(s, t, ComposeOptions::default(), exactness)?.sttr)
 }
 
 /// [`compose`] with explicit [`ComposeOptions`].
@@ -581,7 +583,16 @@ pub fn compose_with<A: TransAlg<Elem = Label>>(
     opts: ComposeOptions,
 ) -> Result<Composed<A>, TransducerError> {
     assert_eq!(s.ty(), t.ty(), "tree type mismatch");
-    let exactness = compose_exactness(s, t);
+    compose_decided(s, t, opts, compose_exactness(s, t))
+}
+
+/// [`compose_with`] with the Theorem 4 verdict already decided.
+fn compose_decided<A: TransAlg<Elem = Label>>(
+    s: &Sttr<A>,
+    t: &Sttr<A>,
+    opts: ComposeOptions,
+    exactness: Exactness,
+) -> Result<Composed<A>, TransducerError> {
     let _span = fast_obs::span!("compose.total");
     let alg = s.alg().clone();
 

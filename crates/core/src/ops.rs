@@ -328,13 +328,17 @@ mod tests {
             check_pipeline(&[&m], Some(&all), &out_range),
             PipelineOutcome::Satisfied
         ));
-        // Not proved; the solver finds no label model for the offending
-        // `cons` guard over this wide input range, so no counterexample
-        // is replayed and the verdict is `Unknown`, never `Satisfied`.
-        assert!(!matches!(
-            check_pipeline(&[&m], Some(&all), &too_tight),
-            PipelineOutcome::Satisfied
-        ));
+        // Refuted over the wide input range (its `cons` guard is linear,
+        // so the solver models it without enumerating the range), with a
+        // counterexample that replays: the input is in range, and
+        // `map_caesar` maps it to the reported output, which is not.
+        let PipelineOutcome::Violated(v) = check_pipeline(&[&m], Some(&all), &too_tight) else {
+            panic!("expected a replayed violation");
+        };
+        assert!(all.accepts(&v.input));
+        assert_eq!(v.intermediates.len(), 1);
+        assert!(m.run(&v.input).unwrap().contains(&v.intermediates[0]));
+        assert!(!too_tight.accepts(&v.intermediates[0]));
     }
 
     #[test]

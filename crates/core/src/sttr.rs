@@ -2,7 +2,7 @@
 
 use crate::error::TransducerError;
 use crate::out::Out;
-use fast_automata::{emptiness, AutomataError, Rule as StaRule, Sta, StateId};
+use fast_automata::{is_empty_at, AutomataError, Rule as StaRule, Sta, StateId};
 use fast_smt::{Label, LabelAlg, TransAlg};
 use fast_trees::{CtorId, Tree, TreeId, TreeType};
 use std::collections::{BTreeSet, HashMap};
@@ -626,7 +626,7 @@ impl<A: TransAlg<Elem = Label>> Sttr<A> {
 
     /// Whether the lookaheads of rules `a` and `b` (of the same
     /// constructor) admit a common input: every child's joint lookahead
-    /// set is non-empty by [`emptiness`]. Guards are not consulted.
+    /// set is non-empty by [`is_empty_at`]. Guards are not consulted.
     ///
     /// # Errors
     ///
@@ -638,8 +638,8 @@ impl<A: TransAlg<Elem = Label>> Sttr<A> {
             if la.is_empty() && lb.is_empty() {
                 continue;
             }
-            match emptiness(&self.la, &la.union(lb).copied().collect()) {
-                Ok(v) if v.holds() => return Ok(false),
+            match is_empty_at(&self.la, &la.union(lb).copied().collect()) {
+                Ok(true) => return Ok(false),
                 Err(e) if first_err.is_none() => first_err = Some(e),
                 _ => {}
             }

@@ -49,6 +49,7 @@
 //! | `trees.parse.unescaped` | `Tree::parse_escaped` unescapes its span and reads it again with the plain parser (an escape outside a label that is not whitespace, or an error) |
 //! | `automata.product_states` | `intersect` emits a satisfiable product rule |
 //! | `automata.det_states` | determinization creates a subset state |
+//! | `automata.emptiness_sets` | the emptiness search interns a merged state set |
 //! | `compose.reduce_iterations` | one `Reduce` step runs during §4.1 composition |
 //! | `compose.pair_states` | a composed pair state `p.q` is discovered |
 //! | `compose.preimage_pairs` | a pre-image pair state `(p, d)` is discovered |
@@ -195,6 +196,7 @@ pub const DOCUMENTED_COUNTERS: &[&str] = &[
     "trees.parse.unescaped",
     "automata.product_states",
     "automata.det_states",
+    "automata.emptiness_sets",
     "compose.reduce_iterations",
     "compose.pair_states",
     "compose.preimage_pairs",

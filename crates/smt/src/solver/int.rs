@@ -236,6 +236,14 @@ pub fn solve_int_conjunction(lits: &[Literal], excluded: &[i64]) -> FieldSat {
         if !class_ok {
             continue;
         }
+        if polys.iter().all(|(p, _)| p.degree() <= 1) {
+            match solve_linear_class(&polys, r, l, bound, excluded) {
+                PointResult::Sat(x) => return FieldSat::Sat(Value::Int(x)),
+                PointResult::No => {}
+                PointResult::Overflow => incomplete = true,
+            }
+            continue;
+        }
         total_work += 2 * bound + 1;
         if total_work > MAX_WORK {
             return FieldSat::Unknown;
@@ -313,6 +321,108 @@ fn check_point(
         }
     }
     PointResult::Sat(xv)
+}
+
+/// A residue class whose restricted constraints are all linear in `k`:
+/// the `k` satisfying them form one interval minus finitely many holes,
+/// so the point the window enumeration would find first — the least `k`
+/// in `[-bound, bound]`, else the least above it, else the greatest
+/// below it — is computed from the interval, however wide the window.
+/// `Overflow` means a solution may lie outside the i64 range (or the
+/// computed point failed its check).
+fn solve_linear_class(
+    polys: &[(Poly, CmpOp)],
+    r: i128,
+    l: i128,
+    bound: i128,
+    excluded: &[i64],
+) -> PointResult {
+    let Some((lo, hi, mut holes)) = linear_interval(polys) else {
+        return PointResult::Overflow;
+    };
+    if lo > hi {
+        return PointResult::No;
+    }
+    for &x in excluded {
+        let d = i128::from(x) - r;
+        if d.rem_euclid(l) == 0 {
+            holes.push(d / l);
+        }
+    }
+    // The k whose x = r + l·k fits in i64.
+    let k_min = -((r - i128::from(i64::MIN)).div_euclid(l));
+    let k_max = (i128::from(i64::MAX) - r).div_euclid(l);
+    let (from, to) = (lo.max(k_min), hi.min(k_max));
+    let step = |mut k: i128, up: bool| {
+        while holes.contains(&k) {
+            k += if up { 1 } else { -1 };
+        }
+        k
+    };
+    let up = |a: i128, b: i128| Some(step(a, true)).filter(|&k| k <= b);
+    let found = up(from.max(-bound), to.min(bound))
+        .or_else(|| up(from.max(bound.saturating_add(1)), to))
+        .or_else(|| {
+            Some(step(
+                to.min(bound.saturating_neg().saturating_sub(1)),
+                false,
+            ))
+        })
+        .filter(|&k| k >= from);
+    match found {
+        // The chosen point is evaluated on the polynomials, so `Sat`
+        // carries a verified witness; a point that fails there leaves the
+        // class undecided, never unsatisfiable.
+        Some(k) => match check_point(polys, r, l, k, excluded) {
+            PointResult::No => PointResult::Overflow,
+            checked => checked,
+        },
+        None if lo < k_min || hi > k_max => PointResult::Overflow,
+        None => PointResult::No,
+    }
+}
+
+/// The interval `[lo, hi]` (`i128::MIN`/`MAX` when unbounded) and the
+/// holes of the `k` satisfying linear constraints `a·k + b ⋈ 0`; an empty
+/// interval when a constraint has no solution, `None` on overflow.
+fn linear_interval(polys: &[(Poly, CmpOp)]) -> Option<(i128, i128, Vec<i128>)> {
+    let (mut lo, mut hi) = (i128::MIN, i128::MAX);
+    let mut holes = Vec::new();
+    for (p, op) in polys {
+        let (b, a) = match *p.coeffs() {
+            [] => (0, 0),
+            [b] => (b, 0),
+            [b, a] => (b, a),
+            _ => return None,
+        };
+        if a == 0 {
+            if !sign_matches(*op, b.signum() as i32) {
+                return Some((1, 0, holes));
+            }
+            continue;
+        }
+        // Scale by -1 if needed so that a > 0; then a·k ⋈ -b.
+        let (a, b, op) = if a > 0 {
+            (a, b, *op)
+        } else {
+            (a.checked_neg()?, b.checked_neg()?, op.flip())
+        };
+        let nb = b.checked_neg()?;
+        match op {
+            CmpOp::Lt => hi = hi.min(nb.checked_sub(1)?.div_euclid(a)),
+            CmpOp::Le => hi = hi.min(nb.div_euclid(a)),
+            CmpOp::Gt => lo = lo.max(-(b.checked_sub(1)?.div_euclid(a))),
+            CmpOp::Ge => lo = lo.max(-(b.div_euclid(a))),
+            CmpOp::Eq if nb % a == 0 => {
+                lo = lo.max(nb / a);
+                hi = hi.min(nb / a);
+            }
+            CmpOp::Eq => return Some((1, 0, holes)),
+            CmpOp::Ne if nb % a == 0 => holes.push(nb / a),
+            CmpOp::Ne => {}
+        }
+    }
+    Some((lo, hi, holes))
 }
 
 /// Looks for a concrete in-range witness just past the root bound in the
@@ -546,6 +656,90 @@ mod tests {
                 }
                 FieldSat::Unsat => assert_eq!(brute, None, "c={c}"),
                 other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn wide_linear_bounds_get_a_model() {
+        // x ≥ 0 ∧ x ≤ 2^62 ∧ x > 11: the root bound is ~2^62, far past the
+        // work cap of a window enumeration; the interval gives 12.
+        let wide = |extra: Vec<Literal>| {
+            let mut lits = vec![
+                lit(Formula::cmp(CmpOp::Ge, x(), Term::int(0))),
+                lit(Formula::cmp(CmpOp::Le, x(), Term::int(1 << 62))),
+                lit(Formula::cmp(CmpOp::Gt, x(), Term::int(11))),
+            ];
+            lits.extend(extra);
+            lits
+        };
+        assert_eq!(
+            solve_int_conjunction(&wide(vec![]), &[]),
+            FieldSat::Sat(Value::Int(12))
+        );
+        // Holes from `≠` literals and excluded witnesses are stepped over.
+        let ne12 = nlit(Formula::eq(x(), Term::int(12)));
+        assert_eq!(
+            solve_int_conjunction(&wide(vec![ne12]), &[13]),
+            FieldSat::Sat(Value::Int(14))
+        );
+        // A parity class: the least odd x past 11 with 3x ≤ 2^62.
+        let odd = lit(Formula::eq(x().modulo(2), Term::int(1)));
+        let triple = lit(Formula::cmp(
+            CmpOp::Le,
+            x().mul(Term::int(3)),
+            Term::int(1 << 62),
+        ));
+        assert_eq!(
+            solve_int_conjunction(&wide(vec![odd, triple]), &[]),
+            FieldSat::Sat(Value::Int(13))
+        );
+        // An empty wide interval is proved empty, not left unknown.
+        let above = lit(Formula::cmp(CmpOp::Gt, x(), Term::int((1 << 62) + 1)));
+        assert_eq!(
+            solve_int_conjunction(&wide(vec![above]), &[]),
+            FieldSat::Unsat
+        );
+        // Solutions only past the i64 range: unknown, never unsat.
+        let huge = lit(Formula::cmp(
+            CmpOp::Gt,
+            x().sub(Term::int(i64::MAX)),
+            Term::int(1),
+        ));
+        assert_eq!(solve_int_conjunction(&[huge], &[]), FieldSat::Unknown);
+    }
+
+    #[test]
+    fn linear_classes_agree_with_brute_force() {
+        use crate::value::Label;
+        // Every pair of `x ⋈ c` / `-3x ⋈ c` literals, with a parity class:
+        // witnesses are valid, and unsat means none in a brute-force window.
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        for op1 in ops {
+            for op2 in ops {
+                for (c1, c2) in [(-7, 5), (3, 3), (9, -2)] {
+                    let lits = vec![
+                        lit(Formula::cmp(op1, x(), Term::int(c1))),
+                        lit(Formula::cmp(op2, x().mul(Term::int(-3)), Term::int(c2))),
+                        lit(Formula::eq(x().modulo(2), Term::int(0))),
+                    ];
+                    let holds = |v: i64| lits.iter().all(|l| l.eval(&Label::single(v)));
+                    let brute = (-100i64..100).find(|&v| holds(v));
+                    match solve_int_conjunction(&lits, &[]) {
+                        FieldSat::Sat(Value::Int(n)) => {
+                            assert!(holds(n), "bad witness {n} for {op1:?} {c1} {op2:?} {c2}");
+                        }
+                        FieldSat::Unsat => assert_eq!(brute, None),
+                        other => panic!("{other:?} for {op1:?} {c1} {op2:?} {c2}"),
+                    }
+                }
             }
         }
     }

@@ -115,6 +115,41 @@ fn bt_sta_guarded(guard: fn() -> BoxedStrategy<Formula>) -> impl Strategy<Value 
     })
 }
 
+// ---------- emptiness ----------
+
+proptest! {
+    // Small automata decide fast, so this block runs more cases than
+    // the others.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The on-the-fly search agrees with the materialised route it
+    /// replaced — normalise from the root set, clean, and the root is
+    /// inhabited iff it keeps a rule — on random root sets (empty,
+    /// singleton and multi-state), in both its forms; every member it
+    /// builds is accepted at every root state.
+    #[test]
+    fn emptiness_matches_normalized_oracle(
+        a in bt_sta(),
+        picks in proptest::collection::vec(0usize..3, 0..4),
+    ) {
+        let roots: std::collections::BTreeSet<StateId> =
+            picks.iter().map(|&i| StateId(i % a.state_count())).collect();
+        let (norm, ids) = fast::automata::normalize_rooted(&a, vec![roots.clone()]).unwrap();
+        let oracle_empty = fast::automata::clean(&norm).rules(ids[0]).is_empty();
+        let verdict = fast::automata::emptiness(&a, &roots).unwrap();
+        prop_assert_eq!(verdict.holds(), oracle_empty);
+        prop_assert_eq!(fast::automata::is_empty_at(&a, &roots).unwrap(), oracle_empty);
+        match verdict.counterexample() {
+            Some(w) => {
+                for &q in &roots {
+                    prop_assert!(a.accepts_at(q, w));
+                }
+            }
+            None => prop_assert!(oracle_empty, "an inhabited root set must yield a member"),
+        }
+    }
+}
+
 // ---------- solver ----------
 
 proptest! {
